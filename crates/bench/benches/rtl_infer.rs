@@ -1,6 +1,7 @@
 //! Bench: the RTL memory-inference frontend on the committed
 //! `examples/smart_mem.v` design (1024x16) — parse alone, the full
-//! parse→infer→lower pipeline, and `rtl.infer`'s whole
+//! parse→infer→lower pipeline, structural Verilog emission of the
+//! lowered netlist alone, and `rtl.infer`'s whole
 //! `infer_and_synthesize` path through physical synthesis.
 
 use lim::flow::LimFlow;
@@ -17,24 +18,30 @@ fn bench_rtl_infer(c: &mut Bench) {
     group.bench_function("parse_1024x16", |b| {
         b.iter(|| black_box(lim_rtl::parse(SRC).unwrap().source_lines))
     });
+    // The pinned decomposition `rtl.infer` picks for this design.
+    let plans: BTreeMap<String, MemLowering> = [(
+        "mem".to_owned(),
+        MemLowering {
+            brick_words: 64,
+            entry_names: vec!["brick_8t_64_16_x16".to_owned()],
+        },
+    )]
+    .into_iter()
+    .collect();
     group.bench_function("frontend_1024x16", |b| {
-        // Parse → infer → lower with a pinned decomposition, measuring
-        // the frontend alone (no DSE sweep, no physical flow).
-        let plans: BTreeMap<String, MemLowering> = [(
-            "mem".to_owned(),
-            MemLowering {
-                brick_words: 64,
-                entry_names: vec!["brick_8t_64_16_x16".to_owned()],
-            },
-        )]
-        .into_iter()
-        .collect();
+        // Parse → infer → lower, measuring the frontend alone (no DSE
+        // sweep, no physical flow).
         b.iter(|| {
             let module = lim_rtl::parse(SRC).unwrap();
             let inference = infer(&module);
             let netlist = lower(&module, &inference, &plans).unwrap();
             black_box(netlist.net_count())
         })
+    });
+    group.bench_function("emit_1024x16", |b| {
+        let module = lim_rtl::parse(SRC).unwrap();
+        let netlist = lower(&module, &infer(&module), &plans).unwrap();
+        b.iter(|| black_box(lim_rtl::verilog::emit(&netlist).len()))
     });
     group.sample_size(10);
     group.bench_function("flow_1024x16", |b| {

@@ -16,8 +16,9 @@ use crate::{BrickSpec, CompiledBrick};
 use lim_tech::patterns::PatternClass;
 use lim_tech::units::{Femtofarads, Microns, Picoseconds};
 use lim_tech::Technology;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 /// The macro name of a `(spec, stack)` library entry — the cache key
 /// used by [`BrickLibrary::get_or_insert`] and
@@ -27,12 +28,15 @@ pub fn entry_name(spec: &BrickSpec, stack: usize) -> String {
 }
 
 /// One generated library cell: a bank of stacked bricks as a macro.
+/// Entries are immutable once built; libraries hold them behind `Arc`
+/// so every clone of a library shares them.
 #[derive(Debug, Clone)]
 pub struct LibraryEntry {
     /// Macro name, e.g. `brick_8t_16_10_x4`.
     pub name: String,
-    /// The compiled brick this entry models.
-    pub brick: CompiledBrick,
+    /// The compiled brick this entry models, shared with every other
+    /// stack count of the same spec.
+    pub brick: Arc<CompiledBrick>,
     /// Stack count of the bank.
     pub stack: usize,
     /// The scalar estimate (delay/energy/area/setup/hold/leakage).
@@ -70,12 +74,19 @@ impl LibraryEntry {
 /// the compiler entirely. Hits and misses are tracked on the library
 /// ([`BrickLibrary::cache_hits`]) and as the obs counters
 /// `brick_lib.hits` / `brick_lib.misses`.
+///
+/// Entries and compiled bricks live behind `Arc`, so cloning a library
+/// copies pointers, never bricks: a checkout of a warm shared library
+/// costs O(entries) pointer copies.
 #[derive(Debug, Clone, Default)]
 pub struct BrickLibrary {
-    entries: Vec<LibraryEntry>,
+    /// Entries in insertion order.
+    entries: Vec<Arc<LibraryEntry>>,
+    /// Position in `entries` by macro name.
+    by_name: HashMap<Arc<str>, usize>,
     /// Per-spec compile cache: stack-agnostic, so `(spec, 1)` and
     /// `(spec, 8)` share one compiled brick.
-    compiled: Vec<CompiledBrick>,
+    compiled: HashMap<BrickSpec, Arc<CompiledBrick>>,
     hits: u64,
     misses: u64,
 }
@@ -108,8 +119,8 @@ impl BrickLibrary {
         // serialization) identical for any worker count.
         let per_spec = lim_par::par_map(
             specs.to_vec(),
-            |spec| -> Result<(CompiledBrick, Vec<LibraryEntry>), BrickError> {
-                let brick = compiler.compile(&spec)?;
+            |spec| -> Result<(Arc<CompiledBrick>, Vec<LibraryEntry>), BrickError> {
+                let brick = Arc::new(compiler.compile(&spec)?);
                 let entries = stacks
                     .iter()
                     .map(|&stack| Self::entry(&brick, stack))
@@ -117,22 +128,26 @@ impl BrickLibrary {
                 Ok((brick, entries))
             },
         );
-        let mut entries = Vec::with_capacity(specs.len() * stacks.len());
-        let mut compiled = Vec::with_capacity(specs.len());
+        let mut library = BrickLibrary::new();
         for result in per_spec {
-            let (brick, mut spec_entries) = result?;
-            entries.append(&mut spec_entries);
-            compiled.push(brick);
+            let (brick, spec_entries) = result?;
+            for entry in spec_entries {
+                library.push(Arc::new(entry));
+            }
+            library.compiled.insert(*brick.spec(), brick);
         }
-        Ok(BrickLibrary {
-            entries,
-            compiled,
-            hits: 0,
-            misses: 0,
-        })
+        Ok(library)
     }
 
-    fn entry(brick: &CompiledBrick, stack: usize) -> Result<LibraryEntry, BrickError> {
+    /// Appends `entry`; the name index keeps the first entry of a name.
+    fn push(&mut self, entry: Arc<LibraryEntry>) -> &LibraryEntry {
+        let at = self.entries.len();
+        self.by_name.entry(entry.name.as_str().into()).or_insert(at);
+        self.entries.push(entry);
+        &self.entries[at]
+    }
+
+    fn entry(brick: &Arc<CompiledBrick>, stack: usize) -> Result<LibraryEntry, BrickError> {
         let estimate = brick.estimate_bank(stack)?;
         let loads = vec![2.0, 8.0, 24.0, 64.0, 160.0];
         let slews = vec![0.0, 40.0, 120.0, 300.0];
@@ -157,7 +172,7 @@ impl BrickLibrary {
         let layout = &brick.layout;
         Ok(LibraryEntry {
             name: entry_name(brick.spec(), stack),
-            brick: brick.clone(),
+            brick: Arc::clone(brick),
             stack,
             estimate,
             clk_to_q,
@@ -180,8 +195,8 @@ impl BrickLibrary {
         stack: usize,
     ) -> Result<&LibraryEntry, BrickError> {
         let brick = self.compile_cached(tech, spec)?;
-        self.entries.push(Self::entry(&brick, stack)?);
-        Ok(self.entries.last().expect("just pushed"))
+        let entry = Self::entry(&brick, stack)?;
+        Ok(self.push(Arc::new(entry)))
     }
 
     /// Returns the entry for `(spec, stack)`, generating it on first
@@ -198,7 +213,7 @@ impl BrickLibrary {
         stack: usize,
     ) -> Result<&LibraryEntry, BrickError> {
         let name = entry_name(spec, stack);
-        if let Some(i) = self.entries.iter().position(|e| e.name == name) {
+        if let Some(&i) = self.by_name.get(name.as_str()) {
             self.hits = self.hits.saturating_add(1);
             lim_obs::counter_add("brick_lib.hits", 1);
             return Ok(&self.entries[i]);
@@ -206,8 +221,8 @@ impl BrickLibrary {
         self.misses = self.misses.saturating_add(1);
         lim_obs::counter_add("brick_lib.misses", 1);
         let brick = self.compile_cached(tech, spec)?;
-        self.entries.push(Self::entry(&brick, stack)?);
-        Ok(self.entries.last().expect("just pushed"))
+        let entry = Self::entry(&brick, stack)?;
+        Ok(self.push(Arc::new(entry)))
     }
 
     /// Compiles `spec`, reusing the per-spec cache when possible.
@@ -215,35 +230,45 @@ impl BrickLibrary {
         &mut self,
         tech: &Technology,
         spec: &BrickSpec,
-    ) -> Result<CompiledBrick, BrickError> {
-        if let Some(brick) = self.compiled.iter().find(|b| b.spec() == spec) {
-            return Ok(brick.clone());
+    ) -> Result<Arc<CompiledBrick>, BrickError> {
+        if let Some(brick) = self.compiled.get(spec) {
+            return Ok(Arc::clone(brick));
         }
-        let brick = BrickCompiler::new(tech).compile(spec)?;
-        self.compiled.push(brick.clone());
+        let brick = Arc::new(BrickCompiler::new(tech).compile(spec)?);
+        self.compiled.insert(*spec, Arc::clone(&brick));
         Ok(brick)
     }
 
     /// Folds every entry of `other` that this library does not already
-    /// hold (by macro name) into `self`, along with any unseen compiled
-    /// bricks. Hit/miss counters are summed.
+    /// hold (by macro name) into `self`, together with the compiled
+    /// brick each one models, and returns the entries it added.
+    /// Hit/miss counters are summed.
     ///
     /// This is how a resident server merges the library a checked-out
     /// [`LimFlow`-style] run grew back into its shared warm cache:
-    /// snapshot (clone) out, run, absorb back.
-    pub fn absorb(&mut self, other: BrickLibrary) {
-        for entry in other.entries {
-            if !self.entries.iter().any(|e| e.name == entry.name) {
-                self.entries.push(entry);
-            }
-        }
-        for brick in other.compiled {
-            if !self.compiled.iter().any(|b| b.spec() == brick.spec()) {
-                self.compiled.push(brick);
+    /// snapshot out, run, absorb back. A checkout begins with the very
+    /// entries (by pointer) of the library it came from, so that
+    /// common prefix is skipped without a name probe and the cost is
+    /// one probe per entry the run appended.
+    pub fn absorb(&mut self, other: BrickLibrary) -> &[Arc<LibraryEntry>] {
+        let before = self.entries.len();
+        let common = self
+            .entries
+            .iter()
+            .zip(&other.entries)
+            .take_while(|(a, b)| Arc::ptr_eq(a, b))
+            .count();
+        for entry in other.entries.into_iter().skip(common) {
+            if !self.by_name.contains_key(entry.name.as_str()) {
+                self.compiled
+                    .entry(*entry.brick.spec())
+                    .or_insert_with(|| Arc::clone(&entry.brick));
+                self.push(entry);
             }
         }
         self.hits = self.hits.saturating_add(other.hits);
         self.misses = self.misses.saturating_add(other.misses);
+        &self.entries[before..]
     }
 
     /// Times [`BrickLibrary::get_or_insert`] found an existing entry.
@@ -262,8 +287,8 @@ impl BrickLibrary {
         self.misses
     }
 
-    /// All entries.
-    pub fn entries(&self) -> &[LibraryEntry] {
+    /// All entries, in insertion order.
+    pub fn entries(&self) -> &[Arc<LibraryEntry>] {
         &self.entries
     }
 
@@ -283,9 +308,9 @@ impl BrickLibrary {
     ///
     /// Returns [`BrickError::UnknownEntry`] when absent.
     pub fn get(&self, name: &str) -> Result<&LibraryEntry, BrickError> {
-        self.entries
-            .iter()
-            .find(|e| e.name == name)
+        self.by_name
+            .get(name)
+            .map(|&i| &*self.entries[i])
             .ok_or_else(|| BrickError::UnknownEntry(name.to_owned()))
     }
 }
@@ -355,15 +380,15 @@ impl SharedBrickLibrary {
         Ok(f(entry))
     }
 
-    /// Clones the current library contents (for checking a warm library
-    /// out into a single-threaded flow run).
+    /// Checks the current library out for a single-threaded flow run:
+    /// the copy shares every entry and compiled brick with the shared
+    /// library by pointer, so only the pointers are copied.
     pub fn snapshot(&self) -> BrickLibrary {
         self.inner.read().expect("library lock poisoned").clone()
     }
 
     /// Visits every entry under the read lock without cloning the
-    /// library (used to persist entry keys to the on-disk cache after a
-    /// flow run grows the library). Keep `f` cheap: it blocks writers.
+    /// library. Keep `f` cheap: it blocks writers.
     pub fn for_each_entry(&self, mut f: impl FnMut(&LibraryEntry)) {
         let lib = self.inner.read().expect("library lock poisoned");
         for entry in lib.entries() {
@@ -371,13 +396,16 @@ impl SharedBrickLibrary {
         }
     }
 
-    /// Folds `grown` back into the shared library; see
+    /// Folds `grown` back into the shared library and returns the
+    /// entries it added — the ones the run appended past its checkout
+    /// that no other run folded back first; see
     /// [`BrickLibrary::absorb`].
-    pub fn absorb(&self, grown: BrickLibrary) {
+    pub fn absorb(&self, grown: BrickLibrary) -> Vec<Arc<LibraryEntry>> {
         self.inner
             .write()
             .expect("library lock poisoned")
-            .absorb(grown);
+            .absorb(grown)
+            .to_vec()
     }
 
     /// Times [`SharedBrickLibrary::with_entry`] found an existing entry.

@@ -3,40 +3,70 @@
 //! zero external dependencies, and downstream `BENCH_*.json` tooling
 //! needs a checker it can trust not to drift from the emitter.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Escapes `s` as the *contents* of a JSON string (no surrounding
 /// quotes).
 pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    let mut out = String::with_capacity(s.len());
+    escape_into(s, &mut out);
     out
+}
+
+/// Appends the escaped contents of `s` to `out`. Every byte that needs
+/// an escape is ASCII (`"`, `\\`, controls below 0x20), so the scan runs
+/// over bytes and copies each run of plain bytes — multibyte characters
+/// included — in one `push_str`.
+fn escape_into(s: &str, out: &mut String) {
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+}
+
+/// Appends `s` as a quoted JSON string to `out`.
+fn string_into(s: &str, out: &mut String) {
+    out.reserve(s.len() + 2);
+    out.push('"');
+    escape_into(s, out);
+    out.push('"');
 }
 
 /// Renders `s` as a quoted JSON string.
 pub fn string(s: &str) -> String {
-    format!("\"{}\"", escape(s))
+    let mut out = String::new();
+    string_into(s, &mut out);
+    out
 }
 
 /// Renders an `f64` as a JSON number. Non-finite values have no JSON
 /// representation and render as `null`.
 pub fn number(x: f64) -> String {
+    let mut out = String::new();
+    number_into(x, &mut out);
+    out
+}
+
+fn number_into(x: f64, out: &mut String) {
     if x.is_finite() {
-        format!("{x}")
+        let _ = write!(out, "{x}");
     } else {
-        "null".to_owned()
+        out.push_str("null");
     }
 }
 
@@ -141,8 +171,8 @@ fn render_into(v: &Value, out: &mut String, canonical: bool) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Number(x) => out.push_str(&number(*x)),
-        Value::String(s) => out.push_str(&string(s)),
+        Value::Number(x) => number_into(*x, out),
+        Value::String(s) => string_into(s, out),
         Value::Array(items) => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
@@ -164,7 +194,7 @@ fn render_into(v: &Value, out: &mut String, canonical: bool) {
                     out.push(',');
                 }
                 let (key, value) = &members[m];
-                out.push_str(&string(key));
+                string_into(key, out);
                 out.push(':');
                 render_into(value, out, canonical);
             }

@@ -13,6 +13,11 @@
 //! shard — the poll loop's claim that idle sockets are ~free must show
 //! up as a ping latency comparable to `ping_alone` (the idle-conn row
 //! batches 10 pings per sample to average out scheduler noise).
+//!
+//! `serve_library` measures a `nocache` `flow.run` on a daemon whose
+//! disk-backed brick library already holds 400 entries, the state a
+//! long-lived shard reaches. Each run checks the library out and folds
+//! it back, so this row shows what that costs as the library grows.
 
 use lim_serve::net::{write_line, LineReader};
 use lim_serve::{ServeConfig, Server};
@@ -172,5 +177,48 @@ fn main() {
     drop(idle);
 
     handle.shutdown_and_join().expect("drain");
+    c.finish();
+
+    // --- serve_library: compile against a 400-entry library ---
+    let mut c = Bench::from_args("serve_library");
+    let lib_dir = temp_dir("library");
+    let _ = std::fs::remove_dir_all(&lib_dir);
+    let server = Server::bind("127.0.0.1:0", &disk_config(&lib_dir)).expect("bind");
+    let addr = server.local_addr();
+    let handle = server.spawn();
+    let mut conn = Conn::open(addr);
+    // 20 specs × 20 stack heights, compiled and persisted through the
+    // ordinary endpoint.
+    let estimates: Vec<String> = [8, 16, 32, 64]
+        .iter()
+        .flat_map(|words| [4, 6, 8, 12, 24].map(|bits| (words, bits)))
+        .flat_map(|(words, bits)| {
+            (1..=20).map(move |stack| {
+                format!(
+                    "{{\"method\":\"brick.estimate\",\"params\":{{\"words\":{words},\"bits\":{bits},\"stack\":{stack}}}}}"
+                )
+            })
+        })
+        .collect();
+    let warmed = conn.roundtrip(&format!(
+        "{{\"method\":\"batch\",\"params\":{{\"requests\":[{}]}}}}",
+        estimates.join(",")
+    ));
+    assert!(!warmed.contains("\"ok\":false"), "library warm-up failed");
+    const FLOW: &str = "{\"method\":\"flow.run\",\"params\":{\"words\":32,\"bits\":10,\
+        \"partitions\":1,\"brick_words\":16,\"nocache\":true}}";
+    for _ in 0..3 {
+        conn.roundtrip(FLOW);
+    }
+    c.bench_function("flow_run_nocache_lib400", |b| {
+        b.iter(|| {
+            let response = conn.roundtrip(FLOW);
+            debug_assert!(response.contains("\"cached\":false"), "{response}");
+            black_box(response.len())
+        })
+    });
+    drop(conn);
+    handle.shutdown_and_join().expect("drain");
+    let _ = std::fs::remove_dir_all(&lib_dir);
     c.finish();
 }

@@ -12,8 +12,7 @@ use crate::disk::{DiskCache, LibKey};
 use crate::protocol::{cache_key, fnv1a, ServeError, PROTOCOL};
 use lim::dse::{self, DsePoint};
 use lim::{LimBlock, LimError, LimFlow, MemoryPlan, SramConfig};
-use lim_brick::library::LibraryEntry;
-use lim_brick::{golden, BankEstimate, BitcellKind, BrickSpec, SharedBrickLibrary};
+use lim_brick::{golden, BankEstimate, BitcellKind, BrickLibrary, BrickSpec, SharedBrickLibrary};
 use lim_obs::json::{self, Value};
 use lim_obs::trace::{trace_json_line, Trace, TraceBuffer, TraceId, TraceScope};
 use lim_obs::{hist_json_line, window_json_line, Report, RollingWindow, SharedHistogram};
@@ -386,18 +385,13 @@ impl Service {
         );
     }
 
-    /// Persists the key of every entry currently in the shared library
-    /// (called after a flow run folds freshly compiled bricks back in).
-    fn persist_library(&self) {
-        if self.disk.is_none() {
-            return;
-        }
-        let mut entries: Vec<(BrickSpec, usize, BankEstimate)> = Vec::new();
-        self.library.for_each_entry(|e: &LibraryEntry| {
-            entries.push((*e.brick.spec(), e.stack, e.estimate.clone()));
-        });
-        for (spec, stack, estimate) in entries {
-            self.persist_lib(&spec, stack, &estimate);
+    /// Folds a checked-out run's library back into the shared one and
+    /// persists the keys of the entries that were new to it. Entries
+    /// the run found already present were persisted when they arrived,
+    /// so the cost is proportional to what this run compiled.
+    fn fold_back(&self, grown: BrickLibrary) {
+        for e in self.library.absorb(grown) {
+            self.persist_lib(e.brick.spec(), e.stack, &e.estimate);
         }
     }
 
@@ -454,8 +448,7 @@ impl Service {
         let block = flow
             .synthesize_sram(&config)
             .map_err(ServeError::internal)?;
-        self.library.absorb(flow.into_library());
-        self.persist_library();
+        self.fold_back(flow.into_library());
         self.record_flow_stages(&block);
         Ok(json::render(&block_value(&block)))
     }
@@ -518,8 +511,7 @@ impl Service {
                 LimError::BadConfig { .. } => ServeError::bad_request(e.to_string()),
                 other => ServeError::internal(other),
             })?;
-        self.library.absorb(flow.into_library());
-        self.persist_library();
+        self.fold_back(flow.into_library());
         for (stage, d) in [
             ("rtl.parse", report.timings.parse),
             ("rtl.infer", report.timings.infer),
@@ -529,14 +521,14 @@ impl Service {
         }
         self.record_flow_stages(&report.block);
         Ok(json::render(&obj(vec![
-            ("module", Value::String(report.module.clone())),
+            ("module", Value::String(report.module)),
             ("parse_lines", num(report.parse_lines as f64)),
             (
                 "memories",
                 Value::Array(report.memories.iter().map(memory_plan_value).collect()),
             ),
             ("report", block_value(&report.block)),
-            ("verilog", Value::String(report.verilog.clone())),
+            ("verilog", Value::String(report.verilog)),
         ])))
     }
 

@@ -495,3 +495,310 @@ fn json_parser_survives_hostile_input() {
         }
     });
 }
+
+/// Test-only reference: the name-keyed emitter `lim_rtl::verilog::emit`
+/// replaced. It resolves identifiers through a table keyed on the
+/// original name string, building every pin list as owned `String`s.
+/// Where no two nets (or two cells) share an original name, both
+/// emitters must agree byte for byte.
+mod reference_emit {
+    use lim_rtl::{CellKind, NetId, Netlist};
+    use std::collections::{HashMap, HashSet};
+
+    fn ident(name: &str) -> String {
+        name.chars()
+            .map(|c| {
+                if c.is_alphanumeric() || c == '_' {
+                    c
+                } else {
+                    '_'
+                }
+            })
+            .collect()
+    }
+
+    #[derive(Debug, Default)]
+    struct NameTable {
+        assigned: HashMap<String, String>,
+        used: HashSet<String>,
+    }
+
+    impl NameTable {
+        fn resolve(&mut self, original: &str) -> String {
+            if let Some(done) = self.assigned.get(original) {
+                return done.clone();
+            }
+            let base = ident(original);
+            let name = if self.used.insert(base.clone()) {
+                base
+            } else {
+                let mut k = 2usize;
+                loop {
+                    let candidate = format!("{base}_{k}");
+                    if self.used.insert(candidate.clone()) {
+                        break candidate;
+                    }
+                    k += 1;
+                }
+            };
+            self.assigned.insert(original.to_owned(), name.clone());
+            name
+        }
+    }
+
+    pub fn emit(netlist: &Netlist) -> String {
+        use std::fmt::Write as _;
+        let mut net_names = NameTable::default();
+        let mut inst_names = NameTable::default();
+        let net = |id: NetId, t: &mut NameTable| t.resolve(netlist.net_name(id));
+
+        let mut v = String::new();
+        let _ = writeln!(
+            v,
+            "// Auto-generated structural netlist: {}",
+            netlist.name()
+        );
+        let _ = writeln!(v, "module {} (", ident(netlist.name()));
+        let mut ports: Vec<String> = Vec::new();
+        for &pi in netlist.primary_inputs() {
+            ports.push(format!("  input  wire {}", net(pi, &mut net_names)));
+        }
+        for &po in netlist.primary_outputs() {
+            ports.push(format!("  output wire {}", net(po, &mut net_names)));
+        }
+        let _ = writeln!(v, "{}", ports.join(",\n"));
+        let _ = writeln!(v, ");");
+        for i in 0..netlist.net_count() {
+            let id = NetId::from_index(i);
+            if !netlist.primary_inputs().contains(&id) && !netlist.primary_outputs().contains(&id) {
+                let _ = writeln!(v, "  wire {};", net(id, &mut net_names));
+            }
+        }
+        for cell in netlist.cells() {
+            let pins = |t: &mut NameTable| -> Vec<String> {
+                cell.inputs
+                    .iter()
+                    .chain(cell.outputs.iter())
+                    .map(|&n| net(n, t))
+                    .collect()
+            };
+            match &cell.kind {
+                CellKind::Gate { kind, drive } => {
+                    let pins = pins(&mut net_names);
+                    let _ = writeln!(
+                        v,
+                        "  {}_X{} {} ({});",
+                        kind.name(),
+                        (*drive).round() as i64,
+                        inst_names.resolve(&cell.name),
+                        pins.join(", ")
+                    );
+                }
+                CellKind::Macro { lib_name } => {
+                    let pins = pins(&mut net_names);
+                    let _ = writeln!(
+                        v,
+                        "  {} {} ({});",
+                        ident(lib_name),
+                        inst_names.resolve(&cell.name),
+                        pins.join(", ")
+                    );
+                }
+                CellKind::Tie { value } => {
+                    let _ = writeln!(
+                        v,
+                        "  assign {} = 1'b{};",
+                        net(cell.outputs[0], &mut net_names),
+                        *value as u8
+                    );
+                }
+            }
+        }
+        let _ = writeln!(v, "endmodule");
+        v
+    }
+}
+
+/// True when no two nets and no two cells carry the same original name
+/// (the precondition under which the reference emitter is exact).
+fn names_are_distinct(n: &Netlist) -> bool {
+    let mut nets = std::collections::HashSet::new();
+    let mut cells = std::collections::HashSet::new();
+    (0..n.net_count()).all(|i| nets.insert(n.net_name(lim_rtl::NetId::from_index(i))))
+        && n.cells().iter().all(|c| cells.insert(c.name.as_str()))
+}
+
+/// A netlist whose distinct names collide once sanitized: every net
+/// and instance name is drawn (without replacement) from families like
+/// `a[0]` / `a_0_` / `a_0__2`, so uniquifying suffixes stack up.
+fn collision_netlist(rng: &mut TestRng) -> Netlist {
+    let mut pool: Vec<String> = [
+        "a[0]",
+        "a_0_",
+        "a_0__2",
+        "a_0__2_2",
+        "a.0.",
+        "a 0 ",
+        "x[1][2]",
+        "x_1__2_",
+        "x_1_[2]",
+        "x_1__2__2",
+        "é[0]",
+        "é_0_",
+        "b",
+        "b_2",
+        "b-2",
+    ]
+    .iter()
+    .map(|s| (*s).to_owned())
+    .collect();
+    // Fisher-Yates over the pool so arrival order varies per case.
+    for i in (1..pool.len()).rev() {
+        pool.swap(i, rng.gen_range(0..=i));
+    }
+    let inputs = rng.gen_range(2usize..5);
+    let mut n = Netlist::new("clash[top]");
+    let mut nets: Vec<lim_rtl::NetId> = pool[..inputs]
+        .iter()
+        .map(|s| n.add_input(s.as_str()))
+        .collect();
+    for name in &pool[inputs..] {
+        let kind =
+            [StdCellKind::Inv, StdCellKind::And2, StdCellKind::Dff][rng.gen_range(0usize..3)];
+        let ins: Vec<lim_rtl::NetId> = (0..kind.input_count())
+            .map(|_| nets[rng.gen_range(0..nets.len())])
+            .collect();
+        let out = if kind == StdCellKind::Dff {
+            n.add_dff(ins[0], 1.0, name.as_str())
+        } else {
+            n.add_gate(kind, 1.0, &ins, name.as_str())
+                .expect("arity matches")
+        };
+        nets.push(out);
+    }
+    let pins: Vec<lim_rtl::NetId> = nets.iter().rev().take(3).copied().collect();
+    let outs = n.add_macro("u_a[0]x", "brick-8t.16x4", &pins, 2, "q[m]");
+    n.mark_output(outs[1]);
+    for _ in 0..rng.gen_range(1usize..4) {
+        n.mark_output(nets[rng.gen_range(0..nets.len())]);
+    }
+    n
+}
+
+#[test]
+fn verilog_emit_matches_name_keyed_reference() {
+    use lim_rtl::smartmem::{lower, MemLowering};
+    use std::collections::BTreeMap;
+
+    check("verilog_emit_matches_name_keyed_reference", |rng| {
+        let netlist = match rng.gen_range(0usize..3) {
+            0 => {
+                let inputs = rng.gen_range(1usize..6);
+                any_netlist(rng, inputs, 40)
+            }
+            1 => {
+                let (src, words, ..) = any_mem_source(rng);
+                let module = lim_rtl::parse(&src).expect("generated source is in the subset");
+                let inference = lim_rtl::infer::infer(&module);
+                let mem = &inference.memories[0];
+                let brick_words = (words >> rng.gen_range(0usize..3)).max(2);
+                let plan = MemLowering {
+                    brick_words,
+                    entry_names: mem
+                        .lanes()
+                        .iter()
+                        .map(|l| {
+                            format!(
+                                "brick_8t_{brick_words}_{}_x{}",
+                                l.width(),
+                                words / brick_words
+                            )
+                        })
+                        .collect(),
+                };
+                let plans: BTreeMap<String, MemLowering> =
+                    [(mem.name.clone(), plan)].into_iter().collect();
+                lower(&module, &inference, &plans).expect("lowering succeeds")
+            }
+            _ => collision_netlist(rng),
+        };
+        assert!(names_are_distinct(&netlist), "generator repeated a name");
+        assert_eq!(
+            lim_rtl::verilog::emit(&netlist),
+            reference_emit::emit(&netlist)
+        );
+    });
+}
+
+#[test]
+fn verilog_emit_digest_is_pinned_on_the_example() {
+    use lim_rtl::smartmem::{lower, MemLowering};
+    use std::collections::BTreeMap;
+
+    // The `rtl_infer/frontend_1024x16` plan on `examples/smart_mem.v`;
+    // digest and length recorded from the name-keyed emitter.
+    let src = include_str!("../examples/smart_mem.v");
+    let plans: BTreeMap<String, MemLowering> = [(
+        "mem".to_owned(),
+        MemLowering {
+            brick_words: 64,
+            entry_names: vec!["brick_8t_64_16_x16".to_owned()],
+        },
+    )]
+    .into_iter()
+    .collect();
+    let module = lim_rtl::parse(src).unwrap();
+    let netlist = lower(&module, &lim_rtl::infer::infer(&module), &plans).unwrap();
+    let text = lim_rtl::verilog::emit(&netlist);
+    assert_eq!(text.len(), 1_051_749);
+    assert_eq!(
+        lim_serve::protocol::fnv1a(text.as_bytes()),
+        0xd9ee_23b4_5b99_6c14
+    );
+}
+
+/// Char-by-char JSON string escaping: the specification
+/// `lim_obs::json::escape` must match.
+fn reference_escape(s: &str) -> String {
+    let mut out = String::new();
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+#[test]
+fn json_escape_matches_char_by_char_reference() {
+    use lim_obs::json::{self, Value};
+
+    check("json_escape_matches_char_by_char_reference", |rng| {
+        // Every control byte, the two JSON metacharacters, plain ASCII
+        // runs and multibyte characters of every UTF-8 length.
+        let mut palette: Vec<char> = (0u8..0x20).map(char::from).collect();
+        palette.extend(['"', '\\', '/', 'a', 'Z', '0', ' ', '\u{7f}', 'é', '汉', '𝄞']);
+        let s: String = (0..rng.gen_range(0usize..64))
+            .map(|_| {
+                if rng.gen_bool(0.3) {
+                    "plain text run ".to_owned()
+                } else {
+                    palette[rng.gen_range(0..palette.len())].to_string()
+                }
+            })
+            .collect();
+        let want = reference_escape(&s);
+        assert_eq!(json::escape(&s), want);
+        assert_eq!(json::string(&s), format!("\"{want}\""));
+        let value = Value::Object(vec![(s.clone(), Value::String(s.clone()))]);
+        assert_eq!(json::render(&value), format!("{{\"{want}\":\"{want}\"}}"));
+        let rendered = json::render(&Value::String(s.clone()));
+        assert_eq!(Value::parse(&rendered), Ok(Value::String(s)));
+    });
+}
