@@ -46,6 +46,11 @@ fn main() {
     // default shares one analytic solve across all four refinements.
     let n = decoder("dec", 6, 64, true).unwrap();
     let fp = Floorplan::build(&tech, &n, &lib, &FloorplanOptions::default()).unwrap();
+    // Untimed warm-up, as in `serve_scale`: a no-warmup smoke run then
+    // does not time this row's first calls.
+    for _ in 0..3 {
+        black_box(place(&tech, &n, &fp, 7, PlaceEffort::starts(4)).unwrap().hpwl);
+    }
     group.bench_function("medium_dec6x64_starts4", |b| {
         b.iter(|| black_box(place(&tech, &n, &fp, 7, PlaceEffort::starts(4)).unwrap().hpwl))
     });

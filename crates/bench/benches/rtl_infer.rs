@@ -1,12 +1,18 @@
 //! Bench: the RTL memory-inference frontend on the committed
 //! `examples/smart_mem.v` design (1024x16) — parse alone, the full
 //! parse→infer→lower pipeline, structural Verilog emission of the
-//! lowered netlist alone, and `rtl.infer`'s whole
-//! `infer_and_synthesize` path through physical synthesis.
+//! lowered netlist alone, mapping (`optimize`) of the lowered netlist,
+//! static timing of the mapped, placed and routed netlist, and
+//! `rtl.infer`'s whole `infer_and_synthesize` path through physical
+//! synthesis.
 
 use lim::flow::LimFlow;
 use lim::rtl_infer::infer_and_synthesize;
+use lim_brick::{BitcellKind, BrickSpec};
+use lim_physical::floorplan::Floorplan;
+use lim_physical::{place, route, sta};
 use lim_rtl::infer::infer;
+use lim_rtl::mapping::optimize;
 use lim_rtl::smartmem::{lower, MemLowering};
 use lim_testkit::bench::{black_box, Bench};
 use std::collections::BTreeMap;
@@ -38,10 +44,31 @@ fn bench_rtl_infer(c: &mut Bench) {
             black_box(netlist.net_count())
         })
     });
+    let module = lim_rtl::parse(SRC).unwrap();
+    let lowered = lower(&module, &infer(&module), &plans).unwrap();
     group.bench_function("emit_1024x16", |b| {
-        let module = lim_rtl::parse(SRC).unwrap();
-        let netlist = lower(&module, &infer(&module), &plans).unwrap();
-        b.iter(|| black_box(lim_rtl::verilog::emit(&netlist).len()))
+        b.iter(|| black_box(lim_rtl::verilog::emit(&lowered).len()))
+    });
+    group.bench_function("map_1024x16", |b| {
+        b.iter(|| black_box(optimize(&lowered).unwrap().0.cell_count()))
+    });
+    // STA alone on the mapped netlist, placed and routed the way the
+    // flow does it, against the pinned brick entry.
+    let mut flow = LimFlow::cmos65();
+    let tech = flow.technology().clone();
+    let spec = BrickSpec::new(BitcellKind::Sram8T, 64, 16).unwrap();
+    flow.library_mut().get_or_insert(&tech, &spec, 16).unwrap();
+    let (mapped, _) = optimize(&lowered).unwrap();
+    let opts = &flow.options;
+    let library = flow.library();
+    let fp = Floorplan::build(&tech, &mapped, library, &opts.floorplan).unwrap();
+    let placement = place::place(&tech, &mapped, &fp, opts.seed, opts.effort).unwrap();
+    let routes = route::estimate(&tech, &mapped, &placement, &fp, library).unwrap();
+    group.bench_function("sta_1024x16", |b| {
+        b.iter(|| {
+            let timing = sta::analyze(&tech, &mapped, &routes, library, opts.input_slew).unwrap();
+            black_box(timing.fmax.value())
+        })
     });
     group.sample_size(10);
     group.bench_function("flow_1024x16", |b| {

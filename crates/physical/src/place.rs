@@ -99,28 +99,6 @@ pub struct Placement {
     pub seeded: bool,
 }
 
-impl Placement {
-    /// Position of the pin that `net` presents at cell `cell_idx`; the
-    /// cell center for std cells, the macro center for macros.
-    pub fn position_of_cell(&self, cell_idx: usize, floorplan: &Floorplan) -> (f64, f64) {
-        if let Some(p) = self.cell_pos[cell_idx] {
-            p
-        } else {
-            // Macro: find by order.
-            let m = &floorplan.macros;
-            let idx = self
-                .macro_centers
-                .iter()
-                .position(|(name, _)| m.iter().any(|pm| &pm.instance == name))
-                .unwrap_or(0);
-            self.macro_centers
-                .get(idx)
-                .map(|(_, p)| *p)
-                .unwrap_or((0.0, 0.0))
-        }
-    }
-}
-
 /// How each annealing start gets its initial assignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SeedMode {

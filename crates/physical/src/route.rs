@@ -316,9 +316,9 @@ mod tests {
         assert_eq!(routes.len(), dec.net_count());
         assert!(total_wirelength(&routes).value() > 0.0);
         // Loaded nets have pin cap; every driven net with sinks has load.
-        let fanout = dec.fanout_map();
+        let fanout = dec.fanout();
         for (i, r) in routes.iter().enumerate() {
-            if !fanout[i].is_empty() {
+            if fanout.count(NetId::from_index(i)) > 0 {
                 assert!(r.pin_cap.value() > 0.0, "net {i} has sinks but no pin cap");
             }
         }
@@ -366,10 +366,10 @@ mod tests {
         );
         // Total demand conserved: sum over tiles = total wirelength of
         // multi-pin nets.
-        let fanout = dec.fanout_map();
+        let fanout = dec.fanout();
         let ml_total: f64 = (0..dec.net_count())
             .filter(|&i| {
-                let pins = fanout[i].len()
+                let pins = fanout.count(NetId::from_index(i))
                     + dec.primary_inputs().iter().filter(|&&n| n.index() == i).count()
                     + dec.primary_outputs().iter().filter(|&&n| n.index() == i).count()
                     + 1;

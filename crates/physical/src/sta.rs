@@ -68,10 +68,9 @@ pub fn analyze(
     library: &BrickLibrary,
     input_slew: Picoseconds,
 ) -> Result<TimingReport, PhysicalError> {
-    netlist.validate()?;
-    // One topological sort serves both the max (setup) and min (hold)
-    // passes.
-    let order = netlist.topo_order()?;
+    // Validation returns the topological order, which serves both the
+    // max (setup) and min (hold) passes.
+    let order = netlist.validate()?;
     let n_nets = netlist.net_count();
     let mut arrivals: Vec<Option<Arrival>> = vec![None; n_nets];
     // Which cell drives each net and its name (for traceback labels).

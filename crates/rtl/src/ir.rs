@@ -345,15 +345,20 @@ impl Netlist {
         map
     }
 
-    /// Map from net index to `(cell, input-pin)` loads.
-    pub fn fanout_map(&self) -> Vec<Vec<(CellId, usize)>> {
-        let mut map = vec![Vec::new(); self.net_count()];
-        for (i, cell) in self.cells.iter().enumerate() {
-            for (pin, &n) in cell.inputs.iter().enumerate() {
-                map[n.0].push((CellId(i), pin));
+    /// The `(cell, input-pin)` loads of every net, in one flat array.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cell input names a net that does not exist;
+    /// [`validate`](Self::validate) reports that as an error instead.
+    pub fn fanout(&self) -> Fanout {
+        let mut counts = vec![0usize; self.net_count()];
+        for cell in &self.cells {
+            for &n in &cell.inputs {
+                counts[n.0] += 1;
             }
         }
-        map
+        Fanout::fill(&self.cells, counts)
     }
 
     /// Total standard-cell area (macros excluded — their area comes from
@@ -368,18 +373,27 @@ impl Netlist {
         SquareMicrons::new(a)
     }
 
-    /// Checks structural sanity: every net has exactly one driver (or is a
-    /// primary input), pin arities match, and the combinational part is
-    /// acyclic.
+    /// Checks structural sanity — every net has exactly one driver (or
+    /// is a primary input), pin arities match, and the combinational
+    /// part is acyclic — and returns the [`topo_order`](Self::topo_order)
+    /// of the combinational cells, so a caller that needs both pays for
+    /// one connectivity pass.
     ///
     /// # Errors
     ///
-    /// The first violation found.
-    pub fn validate(&self) -> Result<(), RtlError> {
-        let mut drivers = vec![0usize; self.net_count()];
+    /// The first violation, looking in this order: cells in index order
+    /// (a gate's arity, then its output nets, then its input nets must
+    /// exist); then nets in index order (more than one driver, or no
+    /// driver while a cell or primary output reads the net); then a
+    /// combinational loop.
+    pub fn validate(&self) -> Result<Vec<CellId>, RtlError> {
+        let nets = self.net_count();
+        let mut drivers = vec![0usize; nets];
         for &pi in &self.primary_inputs {
             drivers[pi.0] += 1;
         }
+        // Load counts double as the first counting pass of the fanout.
+        let mut loads = vec![0usize; nets];
         for cell in &self.cells {
             if let CellKind::Gate { kind, .. } = &cell.kind {
                 let expected = kind.input_count();
@@ -392,15 +406,17 @@ impl Netlist {
                 }
             }
             for &o in &cell.outputs {
-                if o.0 >= self.net_count() {
-                    return Err(RtlError::UnknownNet(o.0));
-                }
-                drivers[o.0] += 1;
+                *drivers.get_mut(o.0).ok_or(RtlError::UnknownNet(o.0))? += 1;
             }
             for &i in &cell.inputs {
-                if i.0 >= self.net_count() {
-                    return Err(RtlError::UnknownNet(i.0));
-                }
+                *loads.get_mut(i.0).ok_or(RtlError::UnknownNet(i.0))? += 1;
+            }
+        }
+        // A net is used when a cell reads it or it is a primary output.
+        let mut used: Vec<bool> = loads.iter().map(|&l| l > 0).collect();
+        for &po in &self.primary_outputs {
+            if let Some(u) = used.get_mut(po.0) {
+                *u = true;
             }
         }
         for (n, &d) in drivers.iter().enumerate() {
@@ -409,77 +425,129 @@ impl Netlist {
                     net: self.net_names[n].clone(),
                 });
             }
-            if d == 0 && self.is_net_used(NetId(n)) {
+            if d == 0 && used[n] {
                 return Err(RtlError::Undriven {
                     net: self.net_names[n].clone(),
                 });
             }
         }
-        self.topo_order().map(|_| ())
-    }
-
-    fn is_net_used(&self, net: NetId) -> bool {
-        self.primary_outputs.contains(&net)
-            || self
-                .cells
-                .iter()
-                .any(|c| c.inputs.contains(&net))
+        self.order_with(&Fanout::fill(&self.cells, loads))
     }
 
     /// Topological order of the *combinational* cells (sequential cells
     /// and macros break the ordering, as their outputs are cycle
     /// boundaries).
     ///
+    /// The order is Kahn's algorithm with a LIFO stack: the stack starts
+    /// with every combinational cell that no combinational cell feeds,
+    /// pushed in cell-index order; each popped cell releases its
+    /// outputs' loads in (cell, pin) order, and a load whose last
+    /// combinational input was released is pushed.
+    ///
     /// # Errors
     ///
-    /// Returns [`RtlError::CombinationalLoop`] naming a cell on a cycle.
+    /// Returns [`RtlError::CombinationalLoop`] naming the lowest-index
+    /// combinational cell left on or behind a cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cell input names a net that does not exist.
     pub fn topo_order(&self) -> Result<Vec<CellId>, RtlError> {
-        let driver = self.driver_map();
-        // In-degree of each combinational cell = number of its inputs
-        // driven by other combinational cells.
-        let is_comb =
-            |id: CellId| -> bool { !self.cells[id.0].kind.is_sequential() };
-        let mut indeg = vec![0usize; self.cells.len()];
-        for (i, cell) in self.cells.iter().enumerate() {
-            if !is_comb(CellId(i)) {
-                continue;
-            }
-            for &input in &cell.inputs {
-                if let Some(d) = driver[input.0] {
-                    if is_comb(d) {
-                        indeg[i] += 1;
-                    }
-                }
-            }
-        }
-        let fanout = self.fanout_map();
-        let mut queue: Vec<usize> = (0..self.cells.len())
-            .filter(|&i| is_comb(CellId(i)) && indeg[i] == 0)
-            .collect();
-        let mut order = Vec::new();
-        while let Some(i) = queue.pop() {
-            order.push(CellId(i));
-            for &out in &self.cells[i].outputs {
-                for &(load, _) in &fanout[out.0] {
-                    if is_comb(load) {
-                        indeg[load.0] -= 1;
-                        if indeg[load.0] == 0 {
-                            queue.push(load.0);
+        self.order_with(&self.fanout())
+    }
+
+    fn order_with(&self, fanout: &Fanout) -> Result<Vec<CellId>, RtlError> {
+        let cells = &self.cells;
+        let comb: Vec<bool> = cells.iter().map(|c| !c.kind.is_sequential()).collect();
+        // In-degree of each combinational cell = number of its input
+        // pins driven by combinational cells.
+        let mut indeg = vec![0usize; cells.len()];
+        for (d, cell) in cells.iter().enumerate() {
+            if comb[d] {
+                for &out in &cell.outputs {
+                    for &(load, _) in fanout.loads(out) {
+                        if comb[load.0] {
+                            indeg[load.0] += 1;
                         }
                     }
                 }
             }
         }
-        let comb_total = (0..self.cells.len()).filter(|&i| is_comb(CellId(i))).count();
+        let mut stack: Vec<usize> = (0..cells.len())
+            .filter(|&i| comb[i] && indeg[i] == 0)
+            .collect();
+        let comb_total = comb.iter().filter(|&&c| c).count();
+        let mut order = Vec::with_capacity(comb_total);
+        while let Some(i) = stack.pop() {
+            order.push(CellId(i));
+            for &out in &cells[i].outputs {
+                for &(load, _) in fanout.loads(out) {
+                    if comb[load.0] {
+                        indeg[load.0] -= 1;
+                        if indeg[load.0] == 0 {
+                            stack.push(load.0);
+                        }
+                    }
+                }
+            }
+        }
         if order.len() != comb_total {
-            let stuck = (0..self.cells.len())
-                .find(|&i| is_comb(CellId(i)) && indeg[i] > 0)
+            let stuck = (0..cells.len())
+                .find(|&i| comb[i] && indeg[i] > 0)
                 .expect("some cell is on the loop");
             return Err(RtlError::CombinationalLoop {
-                cell: self.cells[stuck].name.clone(),
+                cell: cells[stuck].name.clone(),
             });
         }
         Ok(order)
+    }
+}
+
+/// Input-pin loads of every net in compressed sparse rows: the loads of
+/// net `n` are `loads[offsets[n]..offsets[n + 1]]`, in (cell, pin)
+/// order. Two flat arrays replace one `Vec` per net.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fanout {
+    offsets: Vec<usize>,
+    loads: Vec<(CellId, usize)>,
+}
+
+impl Fanout {
+    /// Builds the rows from per-net load counts (the first counting
+    /// pass). A prefix sum turns the counts into row ends; the second
+    /// pass walks the cells backwards, moving each row end down to its
+    /// row start as it places loads, so they land in (cell, pin) order
+    /// without a cursor array.
+    fn fill(cells: &[Cell], mut offsets: Vec<usize>) -> Fanout {
+        let mut total = 0;
+        for o in &mut offsets {
+            total += *o;
+            *o = total;
+        }
+        offsets.push(total);
+        let mut loads = vec![(CellId(0), 0); total];
+        for (c, cell) in cells.iter().enumerate().rev() {
+            for (p, &n) in cell.inputs.iter().enumerate().rev() {
+                offsets[n.0] -= 1;
+                loads[offsets[n.0]] = (CellId(c), p);
+            }
+        }
+        Fanout { offsets, loads }
+    }
+
+    /// Nets covered (the netlist's net count when this was built).
+    pub fn net_count(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Number of input pins reading `net`.
+    pub fn count(&self, net: NetId) -> usize {
+        self.offsets[net.0 + 1] - self.offsets[net.0]
+    }
+
+    /// The `(cell, input-pin)` loads of `net`, in cell then pin order.
+    pub fn loads(&self, net: NetId) -> &[(CellId, usize)] {
+        &self.loads[self.offsets[net.0]..self.offsets[net.0 + 1]]
     }
 }
 
@@ -591,10 +659,12 @@ mod tests {
         n.mark_output(y);
         n.mark_output(z);
         let drivers = n.driver_map();
-        let fanout = n.fanout_map();
+        let fanout = n.fanout();
         assert_eq!(drivers[a.index()], None);
         assert!(drivers[x.index()].is_some());
-        assert_eq!(fanout[x.index()].len(), 2);
-        assert_eq!(fanout[y.index()].len(), 0);
+        assert_eq!(fanout.net_count(), n.net_count());
+        assert_eq!(fanout.count(x), 2);
+        assert_eq!(fanout.count(y), 0);
+        assert_eq!(fanout.loads(x), [(CellId(1), 0), (CellId(2), 0)]);
     }
 }

@@ -10,7 +10,7 @@
 //!    buffer tree, keeping stage efforts near the logical-effort optimum.
 
 use crate::error::RtlError;
-use crate::ir::{Cell, CellKind, NetId, Netlist};
+use crate::ir::{Cell, CellId, CellKind, NetId, Netlist};
 use crate::stdcell::StdCellKind;
 
 /// Statistics reported by [`optimize`].
@@ -170,32 +170,32 @@ fn sweep_dead(n: &mut Netlist) -> usize {
 /// Returns the number of buffers inserted.
 fn buffer_fanout(n: &mut Netlist) -> usize {
     let mut inserted = 0usize;
-    // One fanout map suffices for the whole pass: buffering a net only
+    // One fanout suffices for the whole pass: buffering a net only
     // rewires pins that sat on that net (and appends fresh cells), so
     // the recorded sinks of every later net stay exact.
-    let fanout = n.fanout_map();
+    let fanout = n.fanout();
     let clock = n.clock();
-    for (i, sinks) in fanout.into_iter().enumerate() {
+    for i in 0..fanout.net_count() {
         let net = NetId::from_index(i);
         // Don't buffer the clock: clock trees are synthesized by the
         // physical flow.
-        if Some(net) == clock || sinks.len() <= FANOUT_BUDGET {
+        if Some(net) == clock || fanout.count(net) <= FANOUT_BUDGET {
             continue;
         }
         // One balanced layer per round: every group of `FANOUT_BUDGET`
         // sinks moves behind its own buffer; the layer of buffer inputs
         // then becomes the sink set of the next round, giving
         // `O(log_b S)` depth instead of a chain.
-        let mut sinks = sinks;
+        let mut sinks = fanout.loads(net).to_vec();
         while sinks.len() > FANOUT_BUDGET {
-            let mut next: Vec<(crate::ir::CellId, usize)> =
+            let mut next: Vec<(CellId, usize)> =
                 Vec::with_capacity(sinks.len() / FANOUT_BUDGET + 1);
             for group in sinks.chunks(FANOUT_BUDGET) {
                 let name = format!("{}_buf{}", n.net_name(net), inserted);
                 let buf_out = n
                     .add_gate(StdCellKind::Buf, 6.0, &[net], name)
                     .expect("buffer arity is 1");
-                let buf_cell = crate::ir::CellId(n.cell_count() - 1);
+                let buf_cell = CellId(n.cell_count() - 1);
                 for &(cell, pin) in group {
                     n.rewire_input(cell, pin, buf_out);
                 }
@@ -260,9 +260,9 @@ mod tests {
         let (opt, stats) = optimize(&n).unwrap();
         assert!(stats.buffers_inserted >= 1);
         // After buffering no net exceeds the budget (clock exempt).
-        let fanout = opt.fanout_map();
-        for loads in &fanout {
-            assert!(loads.len() <= FANOUT_BUDGET + 1);
+        let fanout = opt.fanout();
+        for i in 0..opt.net_count() {
+            assert!(fanout.count(NetId::from_index(i)) <= FANOUT_BUDGET + 1);
         }
         // Function preserved: still 20 outputs, all inverters of src.
         assert_eq!(opt.primary_outputs().len(), 20);

@@ -74,8 +74,7 @@ impl<'n> Simulator<'n> {
     ///
     /// Propagates validation errors (undriven nets, loops, …).
     pub fn new(netlist: &'n Netlist) -> Result<Self, RtlError> {
-        netlist.validate()?;
-        let order = netlist.topo_order()?;
+        let order = netlist.validate()?;
         Ok(Simulator {
             netlist,
             order,

@@ -1,6 +1,6 @@
 //! Netlist statistics: the `report_qor` of the mapping stage.
 
-use crate::ir::{CellKind, Netlist};
+use crate::ir::{CellKind, NetId, Netlist};
 use crate::stdcell::StdCellKind;
 use lim_tech::units::SquareMicrons;
 use lim_tech::Technology;
@@ -74,10 +74,9 @@ impl NetlistStats {
             logic_depth = logic_depth.max(best + 1);
         }
 
-        let max_fanout = netlist
-            .fanout_map()
-            .iter()
-            .map(|loads| loads.len())
+        let fanout = netlist.fanout();
+        let max_fanout = (0..netlist.net_count())
+            .map(|i| fanout.count(NetId::from_index(i)))
             .max()
             .unwrap_or(0);
 

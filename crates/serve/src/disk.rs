@@ -34,6 +34,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Version stamp on every cache file; bump on any layout change.
 pub const DISK_FORMAT: &str = "lim-disk-v1";
 
+/// A rendered cache file waiting to be published. Building it is cheap
+/// and happens while the request is answered; [`DiskCache::write`]
+/// pays for the file write, `fsync` and rename once the reply is on
+/// its way.
+#[derive(Debug)]
+pub(crate) struct PendingWrite {
+    dest: PathBuf,
+    bytes: Vec<u8>,
+    /// Library keys are immutable (same name ⇒ same content): the first
+    /// write wins and repeats skip the I/O.
+    first_wins: bool,
+}
+
 /// A persisted library entry: enough to deterministically recompile
 /// the brick, plus a fingerprint to detect a foreign store.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,24 +183,48 @@ impl DiskCache {
     /// entry. Errors are swallowed: the disk layer is an accelerator,
     /// never a correctness dependency.
     pub fn store_response(&self, key: u64, method: &str, body: &str) {
-        debug_assert!(!method.contains(char::is_whitespace));
-        let bytes = format!("{DISK_FORMAT} resp {key:016x} {method}\n{body}\n");
-        let _ = self.publish(&self.resp_path(key), bytes.as_bytes());
+        self.write(self.response_write(key, method, body));
     }
 
     /// Records a compiled library entry under `entry_name` unless one
     /// is already present (entries are immutable: same name ⇒ same
     /// content, so first write wins and repeats skip the I/O).
     pub fn store_lib_key(&self, entry_name: &str, key: &LibKey) {
-        let dest = self.root.join("lib").join(format!("{entry_name}.key"));
-        if dest.exists() {
+        self.write(self.lib_key_write(entry_name, key));
+    }
+
+    /// [`store_response`](Self::store_response), rendered but not yet
+    /// written.
+    pub(crate) fn response_write(&self, key: u64, method: &str, body: &str) -> PendingWrite {
+        debug_assert!(!method.contains(char::is_whitespace));
+        PendingWrite {
+            dest: self.resp_path(key),
+            bytes: format!("{DISK_FORMAT} resp {key:016x} {method}\n{body}\n").into_bytes(),
+            first_wins: false,
+        }
+    }
+
+    /// [`store_lib_key`](Self::store_lib_key), rendered but not yet
+    /// written.
+    pub(crate) fn lib_key_write(&self, entry_name: &str, key: &LibKey) -> PendingWrite {
+        PendingWrite {
+            dest: self.root.join("lib").join(format!("{entry_name}.key")),
+            bytes: format!(
+                "{DISK_FORMAT} lib {} {} {} {} {:016x}\n",
+                key.bitcell, key.words, key.bits, key.stack, key.fingerprint
+            )
+            .into_bytes(),
+            first_wins: true,
+        }
+    }
+
+    /// Publishes a rendered entry; errors are swallowed like every
+    /// other store.
+    pub(crate) fn write(&self, entry: PendingWrite) {
+        if entry.first_wins && entry.dest.exists() {
             return;
         }
-        let line = format!(
-            "{DISK_FORMAT} lib {} {} {} {} {:016x}\n",
-            key.bitcell, key.words, key.bits, key.stack, key.fingerprint
-        );
-        let _ = self.publish(&dest, line.as_bytes());
+        let _ = self.publish(&entry.dest, &entry.bytes);
     }
 
     /// All persisted `(entry_name, key)` pairs, sorted by file name for

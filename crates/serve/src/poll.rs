@@ -44,7 +44,10 @@
 //!
 //! Shutdown stops accepting, lets busy requests finish, flushes every
 //! outbound queue (bounded by a grace deadline), closes and counts all
-//! connections, and joins the workers.
+//! connections, and joins the workers. A worker sends each reply
+//! before it publishes the request's disk entries, and finishes those
+//! publishes before its next job, so the join also leaves every
+//! answered request on disk.
 
 use crate::net::LineBuffer;
 use crate::protocol::{error_line, Request, ServeError};
@@ -191,13 +194,18 @@ fn worker(
             Err(_) => return,
         };
         let Ok(job) = job else { return };
-        let response = execute(&job.rq, &shared);
+        let (response, writes) = execute(&job.rq, &shared);
         if let Ok(mut d) = done.lock() {
             d.push((job.token, response));
         }
         // A full wake pipe means the poll thread already has a wakeup
         // pending; WouldBlock is fine.
         let _ = wake.write(&[1u8]);
+        // Reply first: the event thread sends the line while this
+        // worker writes and syncs the request's disk entries. The next
+        // job waits for them, so the pool join at drain leaves every
+        // answered request on disk.
+        shared.service.publish(writes);
     }
 }
 
@@ -318,8 +326,9 @@ fn handle_line(
         return;
     }
     if inline_fast(&rq, shared) {
-        let response = execute(&rq, shared);
+        let (response, writes) = execute(&rq, shared);
         push_response(conn, &response);
+        shared.service.publish(writes);
         return;
     }
     conn.busy = true;

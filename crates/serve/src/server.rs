@@ -12,10 +12,11 @@
 //! fallback with identical wire behavior is used.
 //!
 //! `server.shutdown` (or [`ServerHandle::shutdown`]) drains cleanly:
-//! in-flight requests finish, their responses are written, every
-//! connection is closed and counted, and only then does [`Server::run`]
-//! return.
+//! in-flight requests finish, their responses are written and their
+//! disk entries published, every connection is closed and counted, and
+//! only then does [`Server::run`] return.
 
+use crate::disk::PendingWrite;
 use crate::gate::Gate;
 use crate::protocol::{error_line, ok_line, ok_line_traced, Request, ServeError, PROTOCOL};
 use crate::service::{ServeConfig, Service};
@@ -229,22 +230,25 @@ pub(crate) fn transport_response(rq: &Request, shared: &ServerShared) -> Option<
 }
 
 /// Runs one non-transport request through the gate into the service,
-/// producing its response line. Sheds with a 429 when the gate is full.
-pub(crate) fn execute(rq: &Request, shared: &ServerShared) -> String {
+/// producing its response line and the disk entries it left to
+/// publish: the caller sends the line first, then hands the entries to
+/// [`Service::publish`]. Sheds with a 429 when the gate is full.
+pub(crate) fn execute(rq: &Request, shared: &ServerShared) -> (String, Vec<PendingWrite>) {
     match shared.gate.try_acquire() {
-        None => error_line(&rq.id, &ServeError::overloaded()),
+        None => (error_line(&rq.id, &ServeError::overloaded()), Vec::new()),
         Some(permit) => {
             // A client-minted trace id (already hex-validated by the
             // parser) becomes the request's id and is echoed back;
             // untraced requests get a server-minted id that stays
             // server-side, keeping their responses byte-stable.
             let trace = rq.trace.as_deref().and_then(TraceId::parse);
-            let out = shared.service.call_traced(&rq.method, &rq.params, trace);
+            let (out, writes) = shared.service.call_deferred(&rq.method, &rq.params, trace);
             drop(permit);
-            match out.result {
+            let line = match out.result {
                 Ok(result) => ok_line_traced(&rq.id, out.cached, rq.trace.as_deref(), &result),
                 Err(e) => error_line(&rq.id, &e),
-            }
+            };
+            (line, writes)
         }
     }
 }
@@ -379,9 +383,13 @@ fn handle_connection(stream: std::net::TcpStream, shared: &ServerShared) -> io::
                 continue;
             }
         };
-        let response =
-            transport_response(&rq, shared).unwrap_or_else(|| execute(&rq, shared));
-        write_line(&mut writer, &response)?;
+        let (response, writes) = match transport_response(&rq, shared) {
+            Some(response) => (response, Vec::new()),
+            None => execute(&rq, shared),
+        };
+        let sent = write_line(&mut writer, &response);
+        shared.service.publish(writes);
+        sent?;
         // Drain: finish the request in hand, then close the connection.
         if shared.shutdown.load(Ordering::Acquire) {
             return Ok(false);

@@ -8,7 +8,7 @@
 //! library call: both sides are the same [`Service::call`].
 
 use crate::cache::ResponseCache;
-use crate::disk::{DiskCache, LibKey};
+use crate::disk::{DiskCache, LibKey, PendingWrite};
 use crate::protocol::{cache_key, fnv1a, ServeError, PROTOCOL};
 use lim::dse::{self, DsePoint};
 use lim::{LimBlock, LimError, LimFlow, MemoryPlan, SramConfig};
@@ -165,7 +165,8 @@ impl Service {
     /// latency accounting, and — when obs collection is enabled — folds
     /// the calling thread's span/counter state into the service-wide
     /// report, retains the request's span tree as a trace, and clears
-    /// the thread's collector.
+    /// the thread's collector. Every disk entry the request produced is
+    /// published before this returns.
     ///
     /// The trace id (client-provided via `trace`, or minted here) is the
     /// thread's active id for the whole request, so `lim-par` workers
@@ -176,14 +177,30 @@ impl Service {
         params: &Value,
         trace: Option<TraceId>,
     ) -> CallOutcome {
+        let (out, writes) = self.call_deferred(method, params, trace);
+        self.publish(writes);
+        out
+    }
+
+    /// [`Service::call_traced`] minus the disk writes: the entries the
+    /// request produced come back rendered, in the order it produced
+    /// them, so a server can send the reply before it
+    /// [`publish`](Self::publish)es them. The memo is already updated.
+    pub(crate) fn call_deferred(
+        &self,
+        method: &str,
+        params: &Value,
+        trace: Option<TraceId>,
+    ) -> (CallOutcome, Vec<PendingWrite>) {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let id = trace.unwrap_or_else(TraceId::mint);
         let sw = lim_obs::Stopwatch::start();
+        let mut writes = Vec::new();
         let (result, cached) = {
             let _trace = TraceScope::enter(id);
             let _rq = lim_obs::Span::enter("serve.request");
             lim_obs::counter_add("serve.requests", 1);
-            self.call_cached(method, params)
+            self.call_cached(method, params, &mut writes)
         };
         let elapsed = sw.elapsed();
         if lim_obs::enabled() {
@@ -201,24 +218,40 @@ impl Service {
             lim_obs::reset();
         }
         self.record_endpoint(method, elapsed, result.is_err());
-        CallOutcome {
+        let out = CallOutcome {
             result,
             cached,
             trace: id,
+        };
+        (out, writes)
+    }
+
+    /// Writes deferred disk entries in order (`write_all`, `sync_all`,
+    /// atomic rename each).
+    pub(crate) fn publish(&self, writes: Vec<PendingWrite>) {
+        if let Some(disk) = &self.disk {
+            for entry in writes {
+                disk.write(entry);
+            }
         }
     }
 
     /// Memo layer: deterministic endpoints are served from the response
     /// cache keyed by the canonical request rendering. `"nocache":true`
     /// in the params bypasses the memo (used by load generators that
-    /// want to measure the compute path).
-    fn call_cached(&self, method: &str, params: &Value) -> (Result<String, ServeError>, bool) {
+    /// want to measure the compute path). Disk entries go to `writes`.
+    fn call_cached(
+        &self,
+        method: &str,
+        params: &Value,
+        writes: &mut Vec<PendingWrite>,
+    ) -> (Result<String, ServeError>, bool) {
         let memoizable = matches!(
             method,
             "brick.estimate" | "golden.compare" | "flow.run" | "dse.explore" | "rtl.infer"
         ) && params.get("nocache") != Some(&Value::Bool(true));
         if !memoizable {
-            return (self.dispatch(method, params), false);
+            return (self.dispatch(method, params, writes), false);
         }
         let key = cache_key(method, params);
         if let Some(hit) = self
@@ -239,14 +272,14 @@ impl Service {
             return (Ok(body), true);
         }
         lim_obs::counter_add("serve.cache_misses", 1);
-        let result = self.dispatch(method, params);
+        let result = self.dispatch(method, params, writes);
         if let Ok(rendered) = &result {
             self.cache
                 .lock()
                 .expect("response cache lock poisoned")
                 .insert(key, rendered.clone());
             if let Some(disk) = &self.disk {
-                disk.store_response(key, method, rendered);
+                writes.push(disk.response_write(key, method, rendered));
             }
         }
         (result, false)
@@ -282,19 +315,24 @@ impl Service {
         Some(body)
     }
 
-    fn dispatch(&self, method: &str, params: &Value) -> Result<String, ServeError> {
+    fn dispatch(
+        &self,
+        method: &str,
+        params: &Value,
+        writes: &mut Vec<PendingWrite>,
+    ) -> Result<String, ServeError> {
         let _span = lim_obs::Span::enter(method);
         match method {
             "server.ping" => Ok(format!(
                 "{{\"pong\":true,\"protocol\":{}}}",
                 json::string(PROTOCOL)
             )),
-            "brick.estimate" => self.brick_estimate(params),
-            "golden.compare" => self.golden_compare(params),
-            "flow.run" => self.flow_run(params),
+            "brick.estimate" => self.brick_estimate(params, writes),
+            "golden.compare" => self.golden_compare(params, writes),
+            "flow.run" => self.flow_run(params, writes),
             "dse.explore" => self.dse_explore(params),
-            "rtl.infer" => self.rtl_infer(params),
-            "batch" => self.batch(params),
+            "rtl.infer" => self.rtl_infer(params, writes),
+            "batch" => self.batch(params, writes),
             "server.trace" => self.server_trace(params),
             "server.telemetry" => Ok(self.telemetry_report()),
             "debug.sleep" => debug_sleep(params),
@@ -345,17 +383,25 @@ impl Service {
         Ok((spec, stack))
     }
 
-    fn brick_estimate(&self, params: &Value) -> Result<String, ServeError> {
+    fn brick_estimate(
+        &self,
+        params: &Value,
+        writes: &mut Vec<PendingWrite>,
+    ) -> Result<String, ServeError> {
         let (spec, stack) = self.spec_of(params)?;
         let estimate = self
             .library
             .with_entry(&self.tech, &spec, stack, |e| e.estimate.clone())
             .map_err(ServeError::internal)?;
-        self.persist_lib(&spec, stack, &estimate);
+        self.persist_lib(&spec, stack, &estimate, writes);
         Ok(json::render(&estimate_value(&spec, stack, &estimate)))
     }
 
-    fn golden_compare(&self, params: &Value) -> Result<String, ServeError> {
+    fn golden_compare(
+        &self,
+        params: &Value,
+        writes: &mut Vec<PendingWrite>,
+    ) -> Result<String, ServeError> {
         let (spec, stack) = self.spec_of(params)?;
         let (brick, estimate) = self
             .library
@@ -363,17 +409,23 @@ impl Service {
                 (e.brick.clone(), e.estimate.clone())
             })
             .map_err(ServeError::internal)?;
-        self.persist_lib(&spec, stack, &estimate);
+        self.persist_lib(&spec, stack, &estimate, writes);
         let cmp = golden::compare(&brick, stack).map_err(ServeError::internal)?;
         Ok(render_golden(&spec, stack, &cmp))
     }
 
-    /// Records one compiled entry's key and estimate fingerprint in the
+    /// Queues one compiled entry's key and estimate fingerprint for the
     /// persistent tier (no-op without a disk cache, cheap when already
     /// recorded).
-    fn persist_lib(&self, spec: &BrickSpec, stack: usize, estimate: &BankEstimate) {
+    fn persist_lib(
+        &self,
+        spec: &BrickSpec,
+        stack: usize,
+        estimate: &BankEstimate,
+        writes: &mut Vec<PendingWrite>,
+    ) {
         let Some(disk) = &self.disk else { return };
-        disk.store_lib_key(
+        writes.push(disk.lib_key_write(
             &lim_brick::library::entry_name(spec, stack),
             &LibKey {
                 bitcell: spec.bitcell().short_name().into(),
@@ -382,16 +434,16 @@ impl Service {
                 stack,
                 fingerprint: estimate_fingerprint(spec, stack, estimate),
             },
-        );
+        ));
     }
 
     /// Folds a checked-out run's library back into the shared one and
-    /// persists the keys of the entries that were new to it. Entries
-    /// the run found already present were persisted when they arrived,
-    /// so the cost is proportional to what this run compiled.
-    fn fold_back(&self, grown: BrickLibrary) {
+    /// queues the keys of the entries that were new to it. Entries the
+    /// run found already present were persisted when they arrived, so
+    /// the cost is proportional to what this run compiled.
+    fn fold_back(&self, grown: BrickLibrary, writes: &mut Vec<PendingWrite>) {
         for e in self.library.absorb(grown) {
-            self.persist_lib(e.brick.spec(), e.stack, &e.estimate);
+            self.persist_lib(e.brick.spec(), e.stack, &e.estimate, writes);
         }
     }
 
@@ -433,7 +485,11 @@ impl Service {
         self.disk.as_deref()
     }
 
-    fn flow_run(&self, params: &Value) -> Result<String, ServeError> {
+    fn flow_run(
+        &self,
+        params: &Value,
+        writes: &mut Vec<PendingWrite>,
+    ) -> Result<String, ServeError> {
         let bitcell = bitcell_param(params)?;
         let words = req_usize(params, "words")?;
         let bits = req_usize(params, "bits")?;
@@ -448,7 +504,7 @@ impl Service {
         let block = flow
             .synthesize_sram(&config)
             .map_err(ServeError::internal)?;
-        self.fold_back(flow.into_library());
+        self.fold_back(flow.into_library(), writes);
         self.record_flow_stages(&block);
         Ok(json::render(&block_value(&block)))
     }
@@ -478,7 +534,11 @@ impl Service {
     /// memo like `flow.run`; parse and inference rejections come back
     /// as bad-request errors carrying `line:col` diagnostics and are
     /// never cached.
-    fn rtl_infer(&self, params: &Value) -> Result<String, ServeError> {
+    fn rtl_infer(
+        &self,
+        params: &Value,
+        writes: &mut Vec<PendingWrite>,
+    ) -> Result<String, ServeError> {
         let source = match params.get("source") {
             Some(Value::String(s)) => s,
             Some(_) => return Err(ServeError::bad_request("\"source\" must be a string")),
@@ -511,7 +571,7 @@ impl Service {
                 LimError::BadConfig { .. } => ServeError::bad_request(e.to_string()),
                 other => ServeError::internal(other),
             })?;
-        self.fold_back(flow.into_library());
+        self.fold_back(flow.into_library(), writes);
         for (stage, d) in [
             ("rtl.parse", report.timings.parse),
             ("rtl.infer", report.timings.infer),
@@ -595,7 +655,7 @@ impl Service {
     /// Fans a list of sub-requests across the `lim-par` pool. Each entry
     /// goes through the memo individually; results come back in input
     /// order. Nested batches are rejected.
-    fn batch(&self, params: &Value) -> Result<String, ServeError> {
+    fn batch(&self, params: &Value, writes: &mut Vec<PendingWrite>) -> Result<String, ServeError> {
         let requests = match params.get("requests") {
             Some(Value::Array(items)) => items,
             _ => {
@@ -702,7 +762,7 @@ impl Service {
                                 .expect("response cache lock poisoned")
                                 .insert(*key, rendered.clone());
                             if let Some(disk) = &self.disk {
-                                disk.store_response(*key, "golden.compare", &rendered);
+                                writes.push(disk.response_write(*key, "golden.compare", &rendered));
                             }
                         }
                         entry_ok(false, &rendered)
@@ -713,16 +773,18 @@ impl Service {
         }
         let other_results = lim_par::par_map(others, |(i, method, params)| {
             let sw = lim_obs::Stopwatch::start();
-            let (result, cached) = self.call_cached(&method, &params);
+            let mut entry_writes = Vec::new();
+            let (result, cached) = self.call_cached(&method, &params, &mut entry_writes);
             self.record_endpoint(&method, sw.elapsed(), result.is_err());
             let rendered = match result {
                 Ok(rendered) => entry_ok(cached, &rendered),
                 Err(e) => entry_err(&e),
             };
-            (i, rendered)
+            (i, rendered, entry_writes)
         });
-        for (i, rendered) in other_results {
+        for (i, rendered, entry_writes) in other_results {
             slots[i] = Some(rendered);
+            writes.extend(entry_writes);
         }
         let results: Vec<String> = slots
             .into_iter()

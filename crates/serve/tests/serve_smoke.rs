@@ -462,3 +462,112 @@ fn shutdown_request_drains_the_server() {
         r.read_line(&|| false).ok().flatten().is_none()
     });
 }
+
+/// A small inferable memory: `words` × `bits`, written and read
+/// through separate addresses.
+fn mem_source(name: &str, words: usize, bits: usize) -> String {
+    let a = words.trailing_zeros() as usize;
+    format!(
+        "module {name} (\n  input wire clk,\n  input wire we,\n  \
+         input wire [{ah}:0] waddr,\n  input wire [{ah}:0] raddr,\n  \
+         input wire [{bh}:0] din,\n  output reg [{bh}:0] dout\n);\n  \
+         reg [{bh}:0] mem [{dh}:0];\n  always @(posedge clk) begin\n    \
+         if (we)\n      mem[waddr] <= din;\n    dout <= mem[raddr];\n  end\nendmodule\n",
+        ah = a - 1,
+        bh = bits - 1,
+        dh = words - 1
+    )
+}
+
+#[test]
+fn drain_persists_every_reply_sent_before_its_disk_write() {
+    // Workers hand each cold reply to the event thread before they
+    // write and sync its disk entries. Once the drain has joined the
+    // pool, every answered request must be on disk all the same: one
+    // response entry per reply plus one key per library entry the
+    // replies compiled, recovered by a restart as cached answers.
+    let dir = std::env::temp_dir().join(format!("lim-serve-smoke-drain-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServeConfig {
+        max_in_flight: 4,
+        cache_bytes: 1 << 20,
+        disk_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let mut requests: Vec<(&str, String)> = [(16, 6), (16, 8), (32, 4), (32, 10), (64, 6)]
+        .iter()
+        .enumerate()
+        .map(|(i, &(words, bits))| {
+            let source = mem_source(&format!("drain_mem{i}"), words, bits);
+            let params = format!(
+                "{{\"source\":{},\"brick_words\":[8,16]}}",
+                lim_obs::json::string(&source)
+            );
+            ("rtl.infer", params)
+        })
+        .collect();
+    for (words, bits, brick_words) in [(32, 10, 16), (64, 8, 16), (64, 12, 32)] {
+        requests.push((
+            "flow.run",
+            format!(
+                "{{\"words\":{words},\"bits\":{bits},\"partitions\":1,\
+                 \"brick_words\":{brick_words}}}"
+            ),
+        ));
+    }
+
+    const CLIENTS: usize = 3;
+    let send_all = |addr| -> Vec<String> {
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..CLIENTS)
+                .map(|c| {
+                    let requests = &requests;
+                    s.spawn(move || {
+                        let (mut writer, mut reader) = connect(addr);
+                        (c..requests.len())
+                            .step_by(CLIENTS)
+                            .map(|i| {
+                                let (method, params) = &requests[i];
+                                let reply = roundtrip(&mut writer, &mut reader, i, method, params);
+                                (i, reply)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            let mut replies = vec![String::new(); requests.len()];
+            for w in workers {
+                for (i, reply) in w.join().expect("client thread") {
+                    replies[i] = reply;
+                }
+            }
+            replies
+        })
+    };
+
+    let server = Server::bind("127.0.0.1:0", &config).expect("bind cold server");
+    let handle = server.spawn();
+    let service = handle.service();
+    let cold = send_all(handle.addr());
+    for reply in &cold {
+        assert!(
+            reply.contains("\"ok\":true") && reply.contains("\"cached\":false"),
+            "cold reply: {}",
+            &reply[..reply.len().min(300)]
+        );
+    }
+    handle.shutdown_and_join().expect("cold drain");
+    let compiled = service.library().len();
+    assert!(compiled > 0, "the cold replies compiled no library entry");
+    let disk = service.disk().expect("disk tier enabled");
+    assert_eq!(disk.stats().writes as usize, cold.len() + compiled);
+
+    let server = Server::bind("127.0.0.1:0", &config).expect("bind warm server");
+    let handle = server.spawn();
+    let warm = send_all(handle.addr());
+    for (c, w) in cold.iter().zip(&warm) {
+        assert_eq!(*w, c.replace("\"cached\":false", "\"cached\":true"));
+    }
+    handle.shutdown_and_join().expect("warm drain");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -15,7 +15,7 @@ use lim_spgemm::reference::spgemm;
 use lim_tech::logical_effort::Path;
 use lim_tech::units::{Femtofarads, Femtojoules, Megahertz, Picoseconds};
 use lim_tech::Technology;
-use lim_testkit::prop::check;
+use lim_testkit::prop::{check, check_with};
 use lim_testkit::TestRng;
 
 fn any_matrix(rng: &mut TestRng, n: usize, max_entries: usize) -> lim_spgemm::Csc {
@@ -801,4 +801,405 @@ fn json_escape_matches_char_by_char_reference() {
         let rendered = json::render(&Value::String(s.clone()));
         assert_eq!(Value::parse(&rendered), Ok(Value::String(s)));
     });
+}
+
+/// The structural check and topological sort as they stood before the
+/// flat connectivity pass: a driver map and one load `Vec` per net, and
+/// an O(cells) scan for each undriven net. Orders are cell indices.
+mod reference_connectivity {
+    use lim_rtl::{CellKind, NetId, Netlist, RtlError};
+
+    fn driver_map(n: &Netlist) -> Vec<Option<usize>> {
+        let mut map = vec![None; n.net_count()];
+        for (i, cell) in n.cells().iter().enumerate() {
+            for &o in &cell.outputs {
+                map[o.index()] = Some(i);
+            }
+        }
+        map
+    }
+
+    fn fanout_map(n: &Netlist) -> Vec<Vec<(usize, usize)>> {
+        let mut map = vec![Vec::new(); n.net_count()];
+        for (i, cell) in n.cells().iter().enumerate() {
+            for (pin, &net) in cell.inputs.iter().enumerate() {
+                map[net.index()].push((i, pin));
+            }
+        }
+        map
+    }
+
+    pub fn validate(n: &Netlist) -> Result<Vec<usize>, RtlError> {
+        let mut drivers = vec![0usize; n.net_count()];
+        for &pi in n.primary_inputs() {
+            drivers[pi.index()] += 1;
+        }
+        for cell in n.cells() {
+            if let CellKind::Gate { kind, .. } = &cell.kind {
+                let expected = kind.input_count();
+                if cell.inputs.len() != expected {
+                    return Err(RtlError::WrongPinCount {
+                        cell: kind.name(),
+                        expected,
+                        got: cell.inputs.len(),
+                    });
+                }
+            }
+            for &o in &cell.outputs {
+                if o.index() >= n.net_count() {
+                    return Err(RtlError::UnknownNet(o.index()));
+                }
+                drivers[o.index()] += 1;
+            }
+            for &i in &cell.inputs {
+                if i.index() >= n.net_count() {
+                    return Err(RtlError::UnknownNet(i.index()));
+                }
+            }
+        }
+        for (i, &d) in drivers.iter().enumerate() {
+            let net = NetId::from_index(i);
+            if d > 1 {
+                return Err(RtlError::MultipleDrivers {
+                    net: n.net_name(net).to_owned(),
+                });
+            }
+            let used = n.primary_outputs().contains(&net)
+                || n.cells().iter().any(|c| c.inputs.contains(&net));
+            if d == 0 && used {
+                return Err(RtlError::Undriven {
+                    net: n.net_name(net).to_owned(),
+                });
+            }
+        }
+        topo_order(n)
+    }
+
+    pub fn topo_order(n: &Netlist) -> Result<Vec<usize>, RtlError> {
+        let cells = n.cells();
+        let driver = driver_map(n);
+        let is_comb = |i: usize| !cells[i].kind.is_sequential();
+        let mut indeg = vec![0usize; cells.len()];
+        for (i, cell) in cells.iter().enumerate() {
+            if !is_comb(i) {
+                continue;
+            }
+            for &input in &cell.inputs {
+                if let Some(d) = driver[input.index()] {
+                    if is_comb(d) {
+                        indeg[i] += 1;
+                    }
+                }
+            }
+        }
+        let fanout = fanout_map(n);
+        let mut stack: Vec<usize> = (0..cells.len())
+            .filter(|&i| is_comb(i) && indeg[i] == 0)
+            .collect();
+        let mut order = Vec::new();
+        while let Some(i) = stack.pop() {
+            order.push(i);
+            for &out in &cells[i].outputs {
+                for &(load, _) in &fanout[out.index()] {
+                    if is_comb(load) {
+                        indeg[load] -= 1;
+                        if indeg[load] == 0 {
+                            stack.push(load);
+                        }
+                    }
+                }
+            }
+        }
+        let comb_total = (0..cells.len()).filter(|&i| is_comb(i)).count();
+        if order.len() != comb_total {
+            let stuck = (0..cells.len())
+                .find(|&i| is_comb(i) && indeg[i] > 0)
+                .expect("some cell is on the loop");
+            return Err(RtlError::CombinationalLoop {
+                cell: cells[stuck].name.clone(),
+            });
+        }
+        Ok(order)
+    }
+}
+
+/// Faults [`any_connectivity_netlist`] can inject.
+#[derive(Debug, Clone, Copy, Default)]
+struct Faults {
+    comb_loop: bool,
+    double_driver: bool,
+    undriven_used: bool,
+    unknown_net: bool,
+    wrong_arity: bool,
+}
+
+/// A random netlist mixing gates, DFFs (some closing sequential
+/// feedback), ties, macros and dangling nets, optionally with injected
+/// faults. Feedback drivers and faulty cells are spliced in after the
+/// cells that read their nets, and several faults can coexist, so both
+/// the LIFO order and the first-error contract are exercised.
+fn any_connectivity_netlist(rng: &mut TestRng) -> (Netlist, Faults) {
+    use lim_rtl::ir::Cell;
+    use lim_rtl::{CellKind, NetId};
+    let gate = |kind: StdCellKind, inputs: Vec<NetId>, outputs: Vec<NetId>, name: String| Cell {
+        name,
+        kind: CellKind::Gate { kind, drive: 1.0 },
+        inputs,
+        outputs,
+    };
+    let kinds = [
+        StdCellKind::Inv,
+        StdCellKind::Buf,
+        StdCellKind::Nand2,
+        StdCellKind::Nor2,
+        StdCellKind::Xor2,
+        StdCellKind::Aoi21,
+        StdCellKind::Mux2,
+    ];
+    let mut n = Netlist::new("conn");
+    n.add_clock("clk");
+    let mut nets: Vec<NetId> = (0..rng.gen_range(1usize..5))
+        .map(|i| n.add_input(format!("in{i}")))
+        .collect();
+    // Nets created before their driver: sequential feedback targets
+    // and, under a loop fault, combinational ones.
+    let feedback: Vec<NetId> = (0..rng.gen_range(0usize..3))
+        .map(|i| n.add_net(format!("fb{i}")))
+        .collect();
+    nets.extend(&feedback);
+    for i in 0..rng.gen_range(0usize..3) {
+        n.add_net(format!("dangling{i}"));
+    }
+    let mut faults = Faults::default();
+    let pick = |rng: &mut TestRng, nets: &[NetId]| nets[rng.gen_range(0..nets.len())];
+    for g in 0..rng.gen_range(1usize..40) {
+        let out = match rng.gen_range(0usize..10) {
+            0 => n.add_tie(rng.gen_bool(0.5), format!("t{g}")),
+            1 => {
+                let d = pick(rng, &nets);
+                n.add_dff(d, 1.0, format!("q{g}"))
+            }
+            2 => {
+                let (d, en) = (pick(rng, &nets), pick(rng, &nets));
+                n.add_dff_en(d, en, 1.0, format!("qe{g}"))
+            }
+            3 => {
+                let pins: Vec<NetId> = (0..rng.gen_range(1usize..4))
+                    .map(|_| pick(rng, &nets))
+                    .collect();
+                let outs = n.add_macro(format!("u_m{g}"), "brick", &pins, 2, &format!("m{g}"));
+                nets.push(outs[1]);
+                outs[0]
+            }
+            _ => {
+                let kind = kinds[rng.gen_range(0..kinds.len())];
+                let ins: Vec<NetId> = (0..kind.input_count()).map(|_| pick(rng, &nets)).collect();
+                n.add_gate(kind, 1.0, &ins, format!("g{g}"))
+                    .expect("arity matches")
+            }
+        };
+        nets.push(out);
+    }
+    for (i, &fb) in feedback.iter().enumerate() {
+        let src = pick(rng, &nets);
+        if rng.gen_bool(0.3) {
+            // Combinational feedback: a loop whenever `src` reads `fb`.
+            faults.comb_loop = true;
+            n.splice_cell(gate(
+                StdCellKind::Inv,
+                vec![src],
+                vec![fb],
+                format!("u_fb{i}"),
+            ));
+        } else {
+            n.splice_cell(gate(
+                StdCellKind::Dff,
+                vec![src],
+                vec![fb],
+                format!("u_fb{i}"),
+            ));
+        }
+    }
+    if rng.gen_bool(0.2) {
+        faults.double_driver = true;
+        let victim = pick(rng, &nets);
+        n.splice_cell(Cell {
+            name: "u_second_driver".into(),
+            kind: CellKind::Tie { value: true },
+            inputs: Vec::new(),
+            outputs: vec![victim],
+        });
+    }
+    if rng.gen_bool(0.2) {
+        faults.undriven_used = true;
+        let floating = n.add_net("floating");
+        if rng.gen_bool(0.5) {
+            n.mark_output(floating);
+        } else {
+            let other = pick(rng, &nets);
+            let out = n.add_net("reads_floating");
+            n.splice_cell(gate(
+                StdCellKind::Nand2,
+                vec![other, floating],
+                vec![out],
+                "u_reads_floating".into(),
+            ));
+        }
+    }
+    if rng.gen_bool(0.2) {
+        faults.unknown_net = true;
+        let ghost = NetId::from_index(n.net_count() + rng.gen_range(0usize..3));
+        match rng.gen_range(0usize..4) {
+            0 => n.mark_output(ghost),
+            1 => {
+                // Both pins unknown: the output is reported first.
+                let other = NetId::from_index(ghost.index() + 1);
+                n.splice_cell(gate(
+                    StdCellKind::Inv,
+                    vec![other],
+                    vec![ghost],
+                    "u_ghosts".into(),
+                ));
+            }
+            2 => {
+                let out = n.add_net("ghost_in");
+                n.splice_cell(gate(
+                    StdCellKind::Inv,
+                    vec![ghost],
+                    vec![out],
+                    "u_ghost_in".into(),
+                ));
+            }
+            _ => {
+                let src = pick(rng, &nets);
+                n.splice_cell(gate(
+                    StdCellKind::Inv,
+                    vec![src],
+                    vec![ghost],
+                    "u_ghost_out".into(),
+                ));
+            }
+        }
+    }
+    if rng.gen_bool(0.2) {
+        faults.wrong_arity = true;
+        let ins: Vec<NetId> = (0..[1usize, 3][rng.gen_range(0usize..2)])
+            .map(|_| pick(rng, &nets))
+            .collect();
+        let out = n.add_net("bad_arity");
+        n.splice_cell(gate(
+            StdCellKind::Nand2,
+            ins,
+            vec![out],
+            "u_bad_arity".into(),
+        ));
+    }
+    for _ in 0..rng.gen_range(1usize..4) {
+        let o = pick(rng, &nets);
+        n.mark_output(o);
+    }
+    (n, faults)
+}
+
+#[test]
+fn netlist_connectivity_matches_per_net_reference() {
+    use lim_rtl::smartmem::{lower, MemLowering};
+    use std::collections::BTreeMap;
+
+    let indices = |r: Result<Vec<lim_rtl::CellId>, lim_rtl::RtlError>| {
+        r.map(|order| order.iter().map(|c| c.index()).collect::<Vec<_>>())
+    };
+    // Cheap cases, rare fault combinations: run many.
+    let config = lim_testkit::prop::PropConfig::with_cases(512);
+    check_with(
+        config,
+        "netlist_connectivity_matches_per_net_reference",
+        |rng| {
+            let (netlist, faults) = if rng.gen_bool(0.2) {
+                let (src, words, ..) = any_mem_source(rng);
+                let module = lim_rtl::parse(&src).expect("generated source is in the subset");
+                let inference = lim_rtl::infer::infer(&module);
+                let mem = &inference.memories[0];
+                let brick_words = (words >> rng.gen_range(0usize..3)).max(2);
+                let plan = MemLowering {
+                    brick_words,
+                    entry_names: mem
+                        .lanes()
+                        .iter()
+                        .map(|l| {
+                            format!(
+                                "brick_8t_{brick_words}_{}_x{}",
+                                l.width(),
+                                words / brick_words
+                            )
+                        })
+                        .collect(),
+                };
+                let plans: BTreeMap<String, MemLowering> =
+                    [(mem.name.clone(), plan)].into_iter().collect();
+                let lowered = lower(&module, &inference, &plans).expect("lowering succeeds");
+                let netlist = if rng.gen_bool(0.5) {
+                    lim_rtl::mapping::optimize(&lowered)
+                        .expect("lowered netlist maps")
+                        .0
+                } else {
+                    lowered
+                };
+                (netlist, Faults::default())
+            } else {
+                any_connectivity_netlist(rng)
+            };
+            let want = reference_connectivity::validate(&netlist);
+            assert_eq!(indices(netlist.validate()), want, "{faults:?}");
+            // The reference sort assumes one driver per net and in-range
+            // ids (it panics otherwise); within that domain both sorts must
+            // agree whatever else is wrong.
+            if !faults.double_driver && !faults.unknown_net {
+                assert_eq!(
+                    indices(netlist.topo_order()),
+                    reference_connectivity::topo_order(&netlist),
+                    "{faults:?}"
+                );
+            }
+            if !(faults.comb_loop
+                || faults.double_driver
+                || faults.undriven_used
+                || faults.unknown_net
+                || faults.wrong_arity)
+            {
+                assert!(want.is_ok(), "clean netlist rejected: {want:?}");
+            }
+        },
+    );
+}
+
+#[test]
+fn rtl_infer_reply_digest_is_pinned_on_the_example() {
+    use lim_obs::json::Value;
+    use lim_serve::protocol::fnv1a;
+    use lim_serve::{ServeConfig, Service};
+
+    // Length and FNV-1a of the rendered `rtl.infer` reply (DSE choice,
+    // lowering, mapping, emitted Verilog and every physical figure),
+    // recorded before the flat connectivity pass replaced the per-net
+    // fanout lists.
+    let src = include_str!("../examples/smart_mem.v");
+    for (brick_words, len, digest) in [
+        ("[16,32,64]", 1_067_181, 0x921f_22f0_9c2d_8854u64),
+        ("[8,16]", 1_067_182, 0x8ff0_d7db_69be_414f),
+    ] {
+        let params = Value::Object(vec![
+            ("source".to_owned(), Value::String(src.to_owned())),
+            ("brick_words".to_owned(), Value::parse(brick_words).unwrap()),
+        ]);
+        let reply = Service::new(&ServeConfig::default())
+            .call("rtl.infer", &params)
+            .result
+            .expect("the example infers");
+        assert_eq!(
+            (reply.len(), fnv1a(reply.as_bytes())),
+            (len, digest),
+            "brick_words {brick_words}"
+        );
+    }
 }
