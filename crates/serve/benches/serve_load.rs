@@ -28,7 +28,7 @@ impl Conn {
     fn roundtrip(&mut self, line: &str) -> String {
         write_line(&mut self.writer, line).expect("write");
         self.reader
-            .read_line(&|| false)
+            .read_line()
             .expect("read")
             .expect("response")
     }

@@ -151,7 +151,7 @@ fn roundtrip_traced(
         &format!("{{\"id\":{id},\"method\":\"{method}\"{trace_member},\"params\":{params}}}"),
     )?;
     reader
-        .read_line(&|| false)?
+        .read_line()?
         .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed connection"))
 }
 

@@ -10,9 +10,10 @@
 //! stack height of one brick lands on the shard that already compiled
 //! it, `batch` requests are scattered across shards and gathered in
 //! key order (byte-identical to a single shard answering alone), and
-//! `server.shutdown` is broadcast to every shard before the router
-//! itself drains. Shards that cannot be reached surface as 502
-//! error responses; the router holds no synthesis state of its own.
+//! `server.shutdown` drains the router and is broadcast to every
+//! shard; the reply comes once each shard has answered. Shards that
+//! cannot be reached surface as 502 error responses; the router holds
+//! no synthesis state of its own.
 
 use lim_serve::router::Router;
 use std::process::ExitCode;

@@ -17,20 +17,21 @@
 //! * [`gate`] — backpressure: a bounded in-flight gate; requests that
 //!   find it full are shed with an explicit 429-style error instead of
 //!   queueing.
-//! * [`server`] — the TCP front end and graceful drain. On Linux a
-//!   `poll(2)` event loop (one thread, a small worker pool) carries
-//!   every connection, so thousands of idle clients cost ~zero CPU;
-//!   elsewhere a thread-per-connection fallback keeps identical wire
-//!   behavior. [`net`] holds the line framing shared by both.
+//! * [`server`] — the TCP front end and graceful drain. One `poll(2)`
+//!   event loop (one thread, a small worker pool) carries every
+//!   connection of a shard or a router, so thousands of idle clients
+//!   cost ~zero CPU. [`net`] holds the line framing shared by the loop
+//!   and its clients. The front end is Linux-only.
 //! * [`disk`] — the persistent compile cache: responses and library
 //!   keys survive restarts, so a rebooted shard answers repeated
 //!   requests from disk, byte-identical, without recompiling.
 //! * [`ring`]/[`router`] — cluster mode: `lim-router` consistent-hashes
-//!   brick keys across shards and scatter/gathers `batch` requests.
+//!   brick keys across shards and scatter/gathers `batch` requests, on
+//!   the same event loop as a shard.
 //!
-//! Two binaries ship with the crate: `lim-serve` (the daemon) and
-//! `lim-client` (a one-shot caller that doubles as a load generator
-//! with latency percentiles).
+//! Three binaries ship with the crate: `lim-serve` (the daemon),
+//! `lim-router` (the cluster front) and `lim-client` (a one-shot caller
+//! that doubles as a load generator with latency percentiles).
 //!
 //! # Examples
 //!
@@ -49,13 +50,16 @@
 //! let mut stream = TcpStream::connect(addr)?;
 //! write_line(&mut stream, r#"{"id":1,"method":"server.ping"}"#)?;
 //! let mut reader = LineReader::new(stream.try_clone()?);
-//! let reply = reader.read_line(&|| false)?.expect("one response line");
+//! let reply = reader.read_line()?.expect("one response line");
 //! assert!(reply.contains("\"pong\":true"));
 //!
 //! handle.shutdown_and_join()?;
 //! # Ok(())
 //! # }
 //! ```
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("lim-serve's front end runs on a Linux poll(2) event loop");
 
 pub mod cache;
 pub mod disk;

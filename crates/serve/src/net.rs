@@ -3,15 +3,13 @@
 //!
 //! The framing core is [`LineBuffer`]: a socket-free incremental line
 //! assembler that bytes are pushed into as they arrive and complete
-//! lines are popped out of. The poll-based server feeds it from
-//! readiness events; the blocking [`LineReader`] wraps it with a read
-//! loop for clients and tests.
+//! lines are popped out of. The poll loop feeds it from readiness
+//! events, for client and upstream sockets alike; the blocking
+//! [`LineReader`] wraps it with a read loop for clients and the tests.
 //!
-//! [`LineReader`] buffers manually instead of using `BufReader::
-//! read_line` because blocking callers poll a stop flag via short read
-//! timeouts: a timed-out `read` must not lose bytes already received,
-//! and `read_line` gives no such guarantee mid-error. Partial lines stay
-//! in the buffer across timeouts and are completed by later reads.
+//! [`LineReader`] reuses [`LineBuffer`] instead of `BufReader::
+//! read_line` so both ends of a connection enforce the same framing:
+//! the [`MAX_LINE_BYTES`] cap and the UTF-8 check.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -105,7 +103,7 @@ impl LineBuffer {
     }
 }
 
-/// An incremental, timeout-tolerant line reader over a [`TcpStream`].
+/// An incremental, blocking line reader over a [`TcpStream`].
 #[derive(Debug)]
 pub struct LineReader {
     stream: TcpStream,
@@ -113,7 +111,7 @@ pub struct LineReader {
 }
 
 impl LineReader {
-    /// Wraps a stream (which may have a read timeout set).
+    /// Wraps a stream.
     pub fn new(stream: TcpStream) -> Self {
         LineReader {
             stream,
@@ -122,14 +120,14 @@ impl LineReader {
     }
 
     /// Reads the next `\n`-terminated line (terminator stripped, along
-    /// with an optional `\r`). Returns `Ok(None)` on clean EOF, or when
-    /// `stop()` reports true while waiting on a timed-out read.
+    /// with an optional `\r`). Returns `Ok(None)` on clean EOF.
     ///
     /// # Errors
     ///
-    /// Propagates socket errors, non-UTF-8 lines, and lines longer than
-    /// [`MAX_LINE_BYTES`].
-    pub fn read_line(&mut self, stop: &dyn Fn() -> bool) -> io::Result<Option<String>> {
+    /// Propagates socket errors (including a read timeout set on the
+    /// stream; bytes already received stay buffered), non-UTF-8 lines,
+    /// and lines longer than [`MAX_LINE_BYTES`].
+    pub fn read_line(&mut self) -> io::Result<Option<String>> {
         loop {
             if let Some(line) = self.lines.next_line()? {
                 return Ok(Some(line));
@@ -138,16 +136,6 @@ impl LineReader {
             match self.stream.read(&mut chunk) {
                 Ok(0) => return Ok(None),
                 Ok(n) => self.lines.push(&chunk[..n]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if stop() {
-                        return Ok(None);
-                    }
-                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
@@ -155,15 +143,18 @@ impl LineReader {
     }
 }
 
-/// Writes `line` plus a newline and flushes.
+/// Writes `line` plus a newline in one `write_all`. Two writes would
+/// let Nagle's algorithm hold the newline on a socket without
+/// `TCP_NODELAY` until the peer's delayed ACK, ~40 ms per round trip.
 ///
 /// # Errors
 ///
 /// Propagates socket errors.
 pub fn write_line(stream: &mut TcpStream, line: &str) -> io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
+    let mut framed = Vec::with_capacity(line.len() + 1);
+    framed.extend_from_slice(line.as_bytes());
+    framed.push(b'\n');
+    stream.write_all(&framed)
 }
 
 /// The value at quantile `p` (0..=1) of an ascending-sorted sample set,
@@ -194,24 +185,46 @@ mod tests {
         });
         let (conn, _) = listener.accept().unwrap();
         let mut reader = LineReader::new(conn);
-        let stop = || false;
-        assert_eq!(reader.read_line(&stop).unwrap().as_deref(), Some("hello"));
-        assert_eq!(reader.read_line(&stop).unwrap().as_deref(), Some("second"));
-        assert_eq!(reader.read_line(&stop).unwrap().as_deref(), Some("third"));
-        assert_eq!(reader.read_line(&stop).unwrap(), None, "EOF");
+        assert_eq!(reader.read_line().unwrap().as_deref(), Some("hello"));
+        assert_eq!(reader.read_line().unwrap().as_deref(), Some("second"));
+        assert_eq!(reader.read_line().unwrap().as_deref(), Some("third"));
+        assert_eq!(reader.read_line().unwrap(), None, "EOF");
         writer.join().unwrap();
     }
 
     #[test]
-    fn stop_predicate_ends_a_timed_out_read() {
+    fn write_line_round_trips_promptly_without_nodelay() {
+        // Neither socket sets TCP_NODELAY, as in the crate-doc example.
+        // A line sent as two writes would park its newline behind the
+        // peer's delayed ACK on every round trip after the first.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let _client = TcpStream::connect(addr).unwrap();
-        let (conn, _) = listener.accept().unwrap();
-        conn.set_read_timeout(Some(std::time::Duration::from_millis(10)))
-            .unwrap();
-        let mut reader = LineReader::new(conn);
-        assert_eq!(reader.read_line(&|| true).unwrap(), None);
+        let echo = std::thread::spawn(move || {
+            let (conn, _) = listener.accept().unwrap();
+            let mut writer = conn.try_clone().unwrap();
+            let mut reader = LineReader::new(conn);
+            while let Some(line) = reader.read_line().unwrap() {
+                write_line(&mut writer, &line).unwrap();
+            }
+        });
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut reader = LineReader::new(stream.try_clone().unwrap());
+        let mut rtts: Vec<std::time::Duration> = (0..7)
+            .map(|_| {
+                let started = std::time::Instant::now();
+                write_line(&mut stream, "{\"method\":\"server.ping\"}").unwrap();
+                assert!(reader.read_line().unwrap().is_some());
+                started.elapsed()
+            })
+            .collect();
+        rtts.sort();
+        assert!(
+            rtts[3] < std::time::Duration::from_millis(10),
+            "median round trip {:?} ({rtts:?})",
+            rtts[3]
+        );
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        echo.join().unwrap();
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! `poll(2)`-driven event loop (Linux): one thread owns the listener
-//! and every connection socket; a small worker pool runs heavy
-//! requests.
+//! `poll(2)`-driven event loop (Linux): one thread owns the listener,
+//! every connection socket and every upstream socket a relay uses; a
+//! small worker pool runs heavy requests. The same loop carries a
+//! shard and the router: everything particular to either is behind
+//! [`crate::server::Backend`].
 //!
 //! # Shape
 //!
@@ -14,21 +16,34 @@
 //!
 //! # Inline fast path
 //!
-//! Cheap requests never leave the event thread: transport methods
-//! (`server.stats`, `server.shutdown`), `server.ping`,
-//! `brick.estimate` (sub-millisecond even on a cold compile) and any
-//! request [`Service::memo_probe`] reports resident in the response
-//! memo are answered inline, preserving the single-connection latency
-//! of the old thread-per-connection design. Everything else (golden
-//! transients, flows, DSE sweeps, batches, `debug.sleep`) is handed to
-//! the worker pool, sized `max_in_flight + 2` so the admission gate —
-//! not the pool — is what sheds load.
+//! Cheap requests never leave the event thread: control methods and
+//! whatever the backend's `runs_inline` accepts (for a shard, the
+//! method table's inline methods and memo hits; for the router,
+//! everything, since its answer only builds a relay) are answered
+//! inline, so the common cached round trip never pays a thread
+//! handoff. Everything else is handed to the worker pool, sized
+//! `max_in_flight + 2` so the admission gate — not the pool — is what
+//! sheds load.
+//!
+//! # Relays
+//!
+//! An answer can be a [`Relay`]: request lines for other servers. The
+//! loop sends each over an idle connection from its address's pool, or
+//! over a new one opened on a short-lived connect thread (so a slow
+//! connect never stalls the loop), and reads the reply through
+//! `poll(2)` like any other socket; the client connection stays busy
+//! until the relay's gather step has built its reply. An upstream
+//! connection carries one call at a time and stays in the poll set
+//! while idle, so one the peer closes is dropped when the close
+//! arrives. A pooled one that still fails before any reply byte (the
+//! close raced the call) retries the call once on a new connection;
+//! any other failure reaches the gather step as its reason.
 //!
 //! # Ordering
 //!
 //! Responses on one connection stay in request order: while a request
-//! is out with a worker the connection's buffered lines are not
-//! pumped, and completions append to the same outbound queue the
+//! is out with a worker or a relay the connection's buffered lines are
+//! not pumped, and completions append to the same outbound queue the
 //! inline path uses. At most one request per connection is in flight
 //! at a time (pipelined lines queue in the [`LineBuffer`]).
 //!
@@ -51,13 +66,14 @@
 
 use crate::net::LineBuffer;
 use crate::protocol::{error_line, Request, ServeError};
-use crate::server::{execute, transport_response, ServerShared};
+use crate::server::{Answer, Gather, Relay, ServerShared};
 use lim_obs::json::Value;
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -118,23 +134,101 @@ fn poll_wait(fds: &mut [sys::PollFd], timeout: Duration) -> io::Result<usize> {
     }
 }
 
-/// A request handed to the worker pool, tagged with the connection
-/// token its response belongs to.
+/// A request and its raw line handed to the worker pool, tagged with
+/// the connection token its response belongs to.
 struct Job {
     token: u64,
     rq: Request,
+    line: String,
 }
 
-type Completions = Arc<Mutex<Vec<(u64, String)>>>;
+/// What worker and connect threads hand back to the event thread.
+enum Done {
+    /// A worker's answer for the connection with this token.
+    Answered(u64, Answer),
+    /// The connect attempt for this upstream slot finished.
+    Connected(usize, io::Result<TcpStream>),
+}
+
+type Inbox = Arc<Mutex<Vec<Done>>>;
+
+/// Queues `done` for the event thread and wakes it. A full wake pipe
+/// means a wakeup is already pending; WouldBlock is fine. A push or a
+/// take leaves the queue whole, so a poisoned lock is safe to reuse.
+fn post(inbox: &Inbox, wake: &mut TcpStream, done: Done) {
+    inbox
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .push(done);
+    let _ = wake.write(&[1u8]);
+}
+
+/// Bytes queued for a nonblocking socket; `sent` is the flushed prefix.
+#[derive(Default)]
+struct Outbox {
+    bytes: Vec<u8>,
+    sent: usize,
+}
+
+impl Outbox {
+    fn flushed(&self) -> bool {
+        self.sent >= self.bytes.len()
+    }
+
+    fn push_line(&mut self, line: &str) {
+        self.bytes.extend_from_slice(line.as_bytes());
+        self.bytes.push(b'\n');
+    }
+
+    /// Writes what the socket takes without blocking.
+    fn flush(&mut self, stream: &mut TcpStream) -> io::Result<()> {
+        while self.sent < self.bytes.len() {
+            match stream.write(&self.bytes[self.sent..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => self.sent += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        self.bytes.clear();
+        self.sent = 0;
+        Ok(())
+    }
+}
+
+/// Reads what a nonblocking socket has, up to [`READ_BUDGET`] bytes so
+/// one firehose peer cannot starve the loop, into `buf` (or nowhere).
+/// Returns the byte count and whether the peer closed.
+fn read_available(
+    stream: &mut TcpStream,
+    mut buf: Option<&mut LineBuffer>,
+) -> io::Result<(usize, bool)> {
+    let mut total = 0;
+    let mut chunk = [0u8; 4096];
+    while total < READ_BUDGET {
+        match stream.read(&mut chunk) {
+            Ok(0) => return Ok((total, true)),
+            Ok(n) => {
+                total += n;
+                if let Some(buf) = buf.as_deref_mut() {
+                    buf.push(&chunk[..n]);
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok((total, false))
+}
 
 /// One connection's state in the slab.
 struct Conn {
     stream: TcpStream,
     buf: LineBuffer,
-    /// Outbound bytes; `sent` is the flushed prefix.
-    out: Vec<u8>,
-    sent: usize,
-    /// A request from this connection is out with a worker.
+    out: Outbox,
+    /// A request from this connection is out with a worker or a relay.
     busy: bool,
     eof: bool,
     /// Socket error or forced close: remove at the next sweep.
@@ -145,19 +239,28 @@ struct Conn {
     last_activity: Instant,
     timed_out: bool,
     /// Generation tag distinguishing this connection from an earlier
-    /// one that used the same slab slot; stale worker completions
-    /// whose generation mismatches are dropped.
+    /// one that used the same slab slot; stale completions whose
+    /// generation mismatches are dropped.
     gen: u32,
-}
-
-impl Conn {
-    fn flushed(&self) -> bool {
-        self.sent >= self.out.len()
-    }
 }
 
 fn token(slot: usize, gen: u32) -> u64 {
     ((slot as u64) << 32) | u64::from(gen)
+}
+
+/// Puts `item` in a free slot of `slab` (or a new one) and returns the
+/// slot.
+fn insert<T>(slab: &mut Vec<Option<T>>, free: &mut Vec<usize>, item: T) -> usize {
+    match free.pop() {
+        Some(slot) => {
+            slab[slot] = Some(item);
+            slot
+        }
+        None => {
+            slab.push(Some(item));
+            slab.len() - 1
+        }
+    }
 }
 
 /// Loopback socket pair used to wake the poll thread when a worker
@@ -181,7 +284,7 @@ fn wake_pair() -> io::Result<(TcpStream, TcpStream)> {
 
 fn worker(
     jobs: Arc<Mutex<mpsc::Receiver<Job>>>,
-    done: Completions,
+    inbox: Inbox,
     mut wake: TcpStream,
     shared: Arc<ServerShared>,
 ) {
@@ -194,90 +297,309 @@ fn worker(
             Err(_) => return,
         };
         let Ok(job) = job else { return };
-        let (response, writes) = execute(&job.rq, &shared);
-        if let Ok(mut d) = done.lock() {
-            d.push((job.token, response));
+        match shared.admit(&job.rq, &job.line) {
+            Answer::Reply(line, writes) => {
+                let reply = Answer::Reply(line, Vec::new());
+                post(&inbox, &mut wake, Done::Answered(job.token, reply));
+                // Reply first: the event thread sends the line while
+                // this worker writes and syncs the request's disk
+                // entries. The next job waits for them, so the pool
+                // join at drain leaves every answered request on disk.
+                shared.backend.publish(writes);
+            }
+            relay => post(&inbox, &mut wake, Done::Answered(job.token, relay)),
         }
-        // A full wake pipe means the poll thread already has a wakeup
-        // pending; WouldBlock is fine.
-        let _ = wake.write(&[1u8]);
-        // Reply first: the event thread sends the line while this
-        // worker writes and syncs the request's disk entries. The next
-        // job waits for them, so the pool join at drain leaves every
-        // answered request on disk.
-        shared.service.publish(writes);
     }
 }
 
-/// True when `rq` is cheap enough to answer on the event thread.
-fn inline_fast(rq: &Request, shared: &ServerShared) -> bool {
-    matches!(rq.method.as_str(), "server.ping" | "brick.estimate")
-        || shared.service.memo_probe(&rq.method, &rq.params)
+/// An upstream connection relay calls travel over: one call at a time,
+/// idle in its address's pool in between.
+struct Upstream {
+    /// `None` while a connect thread is at work.
+    stream: Option<TcpStream>,
+    addr: String,
+    buf: LineBuffer,
+    out: Outbox,
+    /// The call in progress, `(relay slot, call index)`; `None` while
+    /// idle.
+    call: Option<(usize, usize)>,
+    /// Taken from the idle pool, where the peer may have closed it
+    /// (a restart, an idle-timeout reap): a failure before any reply
+    /// byte retries the call once on a new connection.
+    reused: bool,
+}
+
+/// A relay waiting on its calls.
+struct Pending {
+    token: u64,
+    calls: Vec<(String, String)>,
+    replies: Vec<Option<Result<String, String>>>,
+    left: usize,
+    gather: Gather,
+}
+
+/// Relays in flight and the upstream connections they use. Idle
+/// upstreams stay in the poll set, so one the peer closes is dropped
+/// when the close arrives rather than found dead by the next call.
+struct Relays {
+    ups: Vec<Option<Upstream>>,
+    free_ups: Vec<usize>,
+    idle: HashMap<String, Vec<usize>>,
+    pending: Vec<Option<Pending>>,
+    free_pending: Vec<usize>,
+    /// Built replies: `(connection token, reply line)`.
+    finished: Vec<(u64, String)>,
+    inbox: Inbox,
+    wake: TcpStream,
+}
+
+impl Relays {
+    fn new(inbox: Inbox, wake: TcpStream) -> Relays {
+        Relays {
+            ups: Vec::new(),
+            free_ups: Vec::new(),
+            idle: HashMap::new(),
+            pending: Vec::new(),
+            free_pending: Vec::new(),
+            finished: Vec::new(),
+            inbox,
+            wake,
+        }
+    }
+
+    /// Sends every call of `relay`; its reply lands in `finished`.
+    fn start(&mut self, token: u64, relay: Relay) {
+        let n = relay.calls.len();
+        let pending = Pending {
+            token,
+            calls: relay.calls,
+            replies: (0..n).map(|_| None).collect(),
+            left: n,
+            gather: relay.gather,
+        };
+        let rid = insert(&mut self.pending, &mut self.free_pending, pending);
+        if n == 0 {
+            self.finish(rid);
+        }
+        for i in 0..n {
+            self.send(rid, i, true);
+        }
+    }
+
+    /// Sends call `i` of relay `rid` over an idle connection to its
+    /// address (when `reuse`) or a new one, opened on a short-lived
+    /// thread so a slow connect never stalls the loop.
+    fn send(&mut self, rid: usize, i: usize, reuse: bool) {
+        let (addr, line) = &self.pending[rid].as_ref().expect("live relay").calls[i];
+        let idle = if reuse {
+            self.idle.get_mut(addr).and_then(Vec::pop)
+        } else {
+            None
+        };
+        if let Some(u) = idle {
+            let up = self.ups[u].as_mut().expect("idle upstream");
+            up.out.push_line(line);
+            up.call = Some((rid, i));
+            up.reused = true;
+            self.flush(u);
+            return;
+        }
+        let mut up = Upstream {
+            stream: None,
+            addr: addr.clone(),
+            buf: LineBuffer::new(),
+            out: Outbox::default(),
+            call: Some((rid, i)),
+            reused: false,
+        };
+        up.out.push_line(line);
+        let addr = addr.clone();
+        let u = insert(&mut self.ups, &mut self.free_ups, up);
+        // Detached: a connect to an unresponsive host can take minutes
+        // and a drain must not wait for it. The thread only connects
+        // and posts the outcome, which is how it is checked.
+        let inbox = Arc::clone(&self.inbox);
+        let spawned = self.wake.try_clone().and_then(|mut wake| {
+            thread::Builder::new().spawn(move || {
+                let stream = TcpStream::connect(addr.as_str());
+                post(&inbox, &mut wake, Done::Connected(u, stream));
+            })
+        });
+        if let Err(e) = spawned {
+            self.on_connected(u, Err(e));
+        }
+    }
+
+    fn on_connected(&mut self, u: usize, stream: io::Result<TcpStream>) {
+        let ready = stream.and_then(|s| {
+            s.set_nonblocking(true)?;
+            s.set_nodelay(true)?;
+            Ok(s)
+        });
+        match ready {
+            Ok(s) => {
+                self.ups[u].as_mut().expect("connecting upstream").stream = Some(s);
+                self.flush(u);
+            }
+            Err(e) => {
+                let up = self.drop_upstream(u);
+                if let Some((rid, i)) = up.call {
+                    self.complete(rid, i, Err(format!("unreachable: {e}")));
+                }
+            }
+        }
+    }
+
+    fn flush(&mut self, u: usize) {
+        let Some(up) = self.ups[u].as_mut() else {
+            return;
+        };
+        let Some(stream) = up.stream.as_mut() else {
+            return;
+        };
+        if let Err(e) = up.out.flush(stream) {
+            self.fail(u, e.to_string());
+        }
+    }
+
+    /// Handles poll readiness on upstream `u`.
+    fn on_ready(&mut self, u: usize, revents: i16) {
+        if revents & sys::POLLOUT != 0 {
+            self.flush(u);
+        }
+        if revents & (sys::POLLIN | sys::POLLHUP | sys::POLLERR | sys::POLLNVAL) == 0 {
+            return;
+        }
+        // A failed flush dropped the upstream (and a retry may have
+        // put a connecting one in its slot).
+        let Some(up) = self.ups[u].as_mut() else {
+            return;
+        };
+        let Some(stream) = up.stream.as_mut() else {
+            return;
+        };
+        let eof = match read_available(stream, Some(&mut up.buf)) {
+            Ok((_, eof)) => eof,
+            Err(e) => return self.fail(u, e.to_string()),
+        };
+        let Some((rid, i)) = up.call else {
+            // Idle: the peer closed it, or sent bytes nobody asked for.
+            return self.fail(u, String::new());
+        };
+        match up.buf.next_line() {
+            Ok(Some(reply)) => {
+                up.call = None;
+                up.reused = false;
+                if up.buf.is_empty() && !eof {
+                    self.idle.entry(up.addr.clone()).or_default().push(u);
+                } else {
+                    self.drop_upstream(u);
+                }
+                self.complete(rid, i, Ok(reply));
+            }
+            Ok(None) if eof => self.fail(u, "connection closed mid-request".into()),
+            Ok(None) => {}
+            Err(e) => self.fail(u, e.message().into()),
+        }
+    }
+
+    /// Drops a failed upstream. Its call retries once on a new
+    /// connection when a pooled socket failed before any reply byte;
+    /// otherwise the call fails.
+    fn fail(&mut self, u: usize, why: String) {
+        let up = self.drop_upstream(u);
+        match up.call {
+            None => {}
+            Some((rid, i)) if up.reused && up.buf.is_empty() => self.send(rid, i, false),
+            Some((rid, i)) => self.complete(rid, i, Err(format!("failed: {why}"))),
+        }
+    }
+
+    fn drop_upstream(&mut self, u: usize) -> Upstream {
+        let up = self.ups[u].take().expect("live upstream");
+        self.free_ups.push(u);
+        if up.call.is_none() {
+            if let Some(idle) = self.idle.get_mut(&up.addr) {
+                idle.retain(|&x| x != u);
+            }
+        }
+        up
+    }
+
+    fn complete(&mut self, rid: usize, i: usize, reply: Result<String, String>) {
+        let p = self.pending[rid].as_mut().expect("live relay");
+        p.replies[i] = Some(reply);
+        p.left -= 1;
+        if p.left == 0 {
+            self.finish(rid);
+        }
+    }
+
+    fn finish(&mut self, rid: usize) {
+        let p = self.pending[rid].take().expect("live relay");
+        self.free_pending.push(rid);
+        let replies = p
+            .replies
+            .into_iter()
+            .map(|r| r.expect("every call answered"))
+            .collect();
+        self.finished.push((p.token, (p.gather)(replies)));
+    }
 }
 
 /// Appends a response line and opportunistically flushes, so the
 /// common case answers within the same readiness event instead of
 /// waiting a poll cycle for `POLLOUT`.
 fn push_response(conn: &mut Conn, line: &str) {
-    conn.out.extend_from_slice(line.as_bytes());
-    conn.out.push(b'\n');
+    conn.out.push_line(line);
     flush(conn);
 }
 
 fn flush(conn: &mut Conn) {
-    while conn.sent < conn.out.len() {
-        match conn.stream.write(&conn.out[conn.sent..]) {
-            Ok(0) => {
-                conn.dead = true;
-                return;
-            }
-            Ok(n) => conn.sent += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.dead = true;
-                return;
-            }
+    if conn.out.flush(&mut conn.stream).is_err() {
+        conn.dead = true;
+    }
+}
+
+/// Sends a reply (publishing its deferred disk entries after), or
+/// starts a relay that keeps the connection busy until it is built.
+fn respond(conn: &mut Conn, tok: u64, answer: Answer, shared: &ServerShared, relays: &mut Relays) {
+    match answer {
+        Answer::Reply(line, writes) => {
+            push_response(conn, &line);
+            shared.backend.publish(writes);
+        }
+        Answer::Relay(relay) => {
+            conn.busy = true;
+            relays.start(tok, relay);
         }
     }
-    conn.out.clear();
-    conn.sent = 0;
 }
 
 /// Drains readable bytes into the line buffer (or the void, in discard
-/// mode), bounded by [`READ_BUDGET`] per event for fairness.
+/// mode).
 fn read_into(conn: &mut Conn, now: Instant) {
-    let mut budget = READ_BUDGET;
-    loop {
-        let mut chunk = [0u8; 4096];
-        match conn.stream.read(&mut chunk) {
-            Ok(0) => {
-                conn.eof = true;
-                return;
-            }
-            Ok(n) => {
+    let buf = conn.discard_until.is_none().then_some(&mut conn.buf);
+    match read_available(&mut conn.stream, buf) {
+        Ok((n, eof)) => {
+            if n > 0 {
                 conn.last_activity = now;
-                if conn.discard_until.is_none() {
-                    conn.buf.push(&chunk[..n]);
-                }
-                budget = budget.saturating_sub(n);
-                if budget == 0 {
-                    return;
-                }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.dead = true;
-                return;
-            }
+            conn.eof |= eof;
         }
+        Err(_) => conn.dead = true,
     }
 }
 
 /// Processes buffered complete lines until the connection goes busy,
 /// runs dry, or hits a framing error.
-fn pump(conn: &mut Conn, tok: u64, shared: &ServerShared, jobs: &mpsc::Sender<Job>) {
+fn pump(
+    conn: &mut Conn,
+    tok: u64,
+    shared: &ServerShared,
+    jobs: &mpsc::Sender<Job>,
+    relays: &mut Relays,
+) {
     if conn.discard_until.is_some() {
         return;
     }
@@ -287,7 +609,7 @@ fn pump(conn: &mut Conn, tok: u64, shared: &ServerShared, jobs: &mpsc::Sender<Jo
                 if line.trim().is_empty() {
                     continue;
                 }
-                handle_line(conn, tok, &line, shared, jobs);
+                handle_line(conn, tok, line, shared, jobs, relays);
                 // Drain: answer the request in hand, drop the rest.
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
@@ -310,29 +632,33 @@ fn pump(conn: &mut Conn, tok: u64, shared: &ServerShared, jobs: &mpsc::Sender<Jo
 fn handle_line(
     conn: &mut Conn,
     tok: u64,
-    line: &str,
+    line: String,
     shared: &ServerShared,
     jobs: &mpsc::Sender<Job>,
+    relays: &mut Relays,
 ) {
-    let rq = match Request::parse(line) {
+    let rq = match Request::parse(&line) {
         Ok(rq) => rq,
         Err(e) => {
             push_response(conn, &error_line(&Value::Null, &e));
             return;
         }
     };
-    if let Some(response) = transport_response(&rq, shared) {
-        push_response(conn, &response);
+    if let Some(answer) = shared.backend.control(&rq, shared) {
+        respond(conn, tok, answer, shared, relays);
         return;
     }
-    if inline_fast(&rq, shared) {
-        let (response, writes) = execute(&rq, shared);
-        push_response(conn, &response);
-        shared.service.publish(writes);
+    if shared.backend.runs_inline(&rq) {
+        let answer = shared.admit(&rq, &line);
+        respond(conn, tok, answer, shared, relays);
         return;
     }
     conn.busy = true;
-    if let Err(mpsc::SendError(job)) = jobs.send(Job { token: tok, rq }) {
+    if let Err(mpsc::SendError(job)) = jobs.send(Job {
+        token: tok,
+        rq,
+        line,
+    }) {
         // Workers are gone (teardown race): shed instead of hanging.
         conn.busy = false;
         push_response(
@@ -346,24 +672,26 @@ fn handle_line(
 /// docs for the life cycle.
 pub(crate) fn run(listener: TcpListener, shared: Arc<ServerShared>) -> io::Result<()> {
     let (mut wake_rx, wake_tx) = wake_pair()?;
-    let done: Completions = Arc::new(Mutex::new(Vec::new()));
+    let inbox: Inbox = Arc::new(Mutex::new(Vec::new()));
     let (job_tx, job_rx) = mpsc::channel::<Job>();
     let job_rx = Arc::new(Mutex::new(job_rx));
     let worker_count = shared.gate.max_in_flight() + 2;
     let mut workers: Vec<JoinHandle<()>> = Vec::with_capacity(worker_count);
     for _ in 0..worker_count {
         let jobs = Arc::clone(&job_rx);
-        let done = Arc::clone(&done);
+        let inbox = Arc::clone(&inbox);
         let wake = wake_tx.try_clone()?;
         let shared = Arc::clone(&shared);
-        workers.push(thread::spawn(move || worker(jobs, done, wake, shared)));
+        workers.push(thread::spawn(move || worker(jobs, inbox, wake, shared)));
     }
+    let mut relays = Relays::new(Arc::clone(&inbox), wake_tx.try_clone()?);
 
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut gen_counter: u32 = 0;
     let mut fds: Vec<sys::PollFd> = Vec::new();
     let mut fd_slots: Vec<usize> = Vec::new();
+    let mut up_slots: Vec<usize> = Vec::new();
     let mut drain_deadline: Option<Instant> = None;
 
     let result = (|| -> io::Result<()> {
@@ -375,7 +703,7 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<ServerShared>) -> io::Resul
                 let pending = conns
                     .iter()
                     .flatten()
-                    .any(|c| c.busy || (!c.dead && !c.flushed()));
+                    .any(|c| c.busy || (!c.dead && !c.out.flushed()));
                 if !pending || Instant::now() >= deadline {
                     return Ok(());
                 }
@@ -383,6 +711,7 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<ServerShared>) -> io::Resul
 
             fds.clear();
             fd_slots.clear();
+            up_slots.clear();
             fds.push(sys::PollFd {
                 fd: listener.as_raw_fd(),
                 events: if draining { 0 } else { sys::POLLIN },
@@ -393,13 +722,27 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<ServerShared>) -> io::Resul
                 events: sys::POLLIN,
                 revents: 0,
             });
+            for (u, up) in relays.ups.iter().enumerate() {
+                let Some(up) = up else { continue };
+                let Some(stream) = &up.stream else { continue };
+                let mut events = sys::POLLIN;
+                if !up.out.flushed() {
+                    events |= sys::POLLOUT;
+                }
+                fds.push(sys::PollFd {
+                    fd: stream.as_raw_fd(),
+                    events,
+                    revents: 0,
+                });
+                up_slots.push(u);
+            }
             for (slot, conn) in conns.iter().enumerate() {
                 let Some(c) = conn else { continue };
                 let mut events = 0i16;
                 if !c.eof {
                     events |= sys::POLLIN;
                 }
-                if !c.flushed() {
+                if !c.out.flushed() {
                     events |= sys::POLLOUT;
                 }
                 fds.push(sys::PollFd {
@@ -410,26 +753,52 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<ServerShared>) -> io::Resul
                 fd_slots.push(slot);
             }
 
-            poll_wait(&mut fds, POLL_TIMEOUT)?;
+            let timeout = if relays.finished.is_empty() {
+                POLL_TIMEOUT
+            } else {
+                Duration::ZERO
+            };
+            poll_wait(&mut fds, timeout)?;
             let now = Instant::now();
 
-            // Worker wakeups: drain the pipe, deliver completions.
+            // Worker and connect-thread wakeups: drain the pipe, take
+            // what they handed back.
             if fds[1].revents != 0 {
                 let mut sink = [0u8; 256];
                 while matches!(wake_rx.read(&mut sink), Ok(n) if n > 0) {}
             }
-            let finished = match done.lock() {
-                Ok(mut d) => std::mem::take(&mut *d),
-                Err(_) => Vec::new(),
-            };
-            for (tok, response) in finished {
+            let inbound =
+                std::mem::take(&mut *inbox.lock().unwrap_or_else(PoisonError::into_inner));
+            let mut answers: Vec<(u64, Answer)> = Vec::new();
+            for done in inbound {
+                match done {
+                    Done::Answered(tok, answer) => answers.push((tok, answer)),
+                    Done::Connected(u, stream) => relays.on_connected(u, stream),
+                }
+            }
+
+            // Upstream readiness, then every finished answer and relay
+            // goes to its connection.
+            for (i, &u) in up_slots.iter().enumerate() {
+                let revents = fds[i + 2].revents;
+                if revents != 0 {
+                    relays.on_ready(u, revents);
+                }
+            }
+            answers.extend(
+                relays
+                    .finished
+                    .drain(..)
+                    .map(|(tok, line)| (tok, Answer::Reply(line, Vec::new()))),
+            );
+            for (tok, answer) in answers {
                 let slot = (tok >> 32) as usize;
                 let gen = tok as u32;
                 if let Some(Some(c)) = conns.get_mut(slot) {
                     if c.gen == gen {
                         c.busy = false;
-                        push_response(c, &response);
-                        pump(c, tok, &shared, &job_tx);
+                        respond(c, tok, answer, &shared, &mut relays);
+                        pump(c, tok, &shared, &job_tx, &mut relays);
                     }
                 }
             }
@@ -448,8 +817,7 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<ServerShared>) -> io::Resul
                             let conn = Conn {
                                 stream,
                                 buf: LineBuffer::new(),
-                                out: Vec::new(),
-                                sent: 0,
+                                out: Outbox::default(),
                                 busy: false,
                                 eof: false,
                                 dead: false,
@@ -458,10 +826,7 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<ServerShared>) -> io::Resul
                                 timed_out: false,
                                 gen: gen_counter,
                             };
-                            match free.pop() {
-                                Some(slot) => conns[slot] = Some(conn),
-                                None => conns.push(Some(conn)),
-                            }
+                            insert(&mut conns, &mut free, conn);
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -471,8 +836,9 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<ServerShared>) -> io::Resul
             }
 
             // Connection readiness.
+            let conn_fds = 2 + up_slots.len();
             for (i, &slot) in fd_slots.iter().enumerate() {
-                let revents = fds[i + 2].revents;
+                let revents = fds[i + conn_fds].revents;
                 if revents == 0 {
                     continue;
                 }
@@ -488,7 +854,7 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<ServerShared>) -> io::Resul
                 // reading drains it and surfaces EOF or the error.
                 if revents & (sys::POLLIN | sys::POLLHUP | sys::POLLERR) != 0 {
                     read_into(c, now);
-                    pump(c, token(slot, c.gen), &shared, &job_tx);
+                    pump(c, token(slot, c.gen), &shared, &job_tx, &mut relays);
                 }
             }
 
@@ -496,7 +862,7 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<ServerShared>) -> io::Resul
             for (slot, entry) in conns.iter_mut().enumerate() {
                 let Some(c) = entry.as_mut() else { continue };
                 if let (Some(idle), false) = (shared.idle_timeout, c.busy) {
-                    if c.flushed()
+                    if c.out.flushed()
                         && !c.eof
                         && c.discard_until.is_none()
                         && now.duration_since(c.last_activity) >= idle
@@ -506,11 +872,11 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<ServerShared>) -> io::Resul
                     }
                 }
                 if let Some(deadline) = c.discard_until {
-                    if now >= deadline || (c.eof && c.flushed()) {
+                    if now >= deadline || (c.eof && c.out.flushed()) {
                         c.dead = true;
                     }
                 }
-                let close = c.dead || (c.eof && !c.busy && c.flushed());
+                let close = c.dead || (c.eof && !c.busy && c.out.flushed());
                 if close {
                     let timed_out = c.timed_out;
                     *entry = None;
@@ -530,6 +896,7 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<ServerShared>) -> io::Resul
         }
         *conn = None;
     }
+    drop(relays);
     drop(job_tx);
     drop(wake_tx);
     for handle in workers {

@@ -13,47 +13,60 @@
 //! groups' result arrays are re-gathered in original entry order by raw
 //! byte splicing, never by re-rendering.
 //!
-//! The router itself stays thread-per-connection: its clients are a
-//! handful of load generators and front ends, not the thousands of idle
-//! end-user connections the shards' poll loop absorbs, and each client
-//! connection needs its own upstream sockets anyway. Limits: client
-//! trace ids are not propagated through a *scattered* batch (they are
-//! through every other request, including single-shard batches), and a
-//! shard failing mid-scatter fails the whole batch with a 502.
+//! The router runs on the shard's own `poll(2)` event loop, as one more
+//! `Backend`, so it gets the shard's connection handling: the
+//! `connections` accounting, the 400 line before closing on an
+//! oversized line, and the drain. Every answer is a `Relay` built on
+//! the event thread; the loop carries it over pooled upstream
+//! connections, one request at a time each, without blocking (see
+//! `crate::poll`), and a scattered batch's sub-batches go out
+//! together. The router sheds nothing itself: its gate only ever holds
+//! the one permit of the answer being built, and the shards' own 429
+//! lines reach the client verbatim.
 //!
-//! `server.shutdown` broadcasts to every shard (best-effort) before
-//! draining the router itself; `server.stats` answers from the router
-//! with shard addresses and forwarding counters rather than proxying
-//! one shard's view.
+//! Known limits: client trace ids are not propagated through a
+//! *scattered* batch (they are through every other request, including
+//! single-shard batches); a shard failing mid-scatter fails the whole
+//! batch with a 502; and `server.trace` and `server.telemetry` are
+//! forwarded like any request, so they answer from whichever shard
+//! `route_key` picks — `lim-client --trace` through a router can miss
+//! the trace its request left on another shard.
+//!
+//! `server.shutdown` starts the router's drain, then relays the
+//! shutdown to every shard (best-effort) and answers once each has
+//! replied or failed, so a shard that never answers holds the router
+//! no longer than the drain grace. `server.stats` answers from the
+//! router with its connection figures, shard addresses and forwarding
+//! counters rather than proxying one shard's view.
 
-use crate::net::{write_line, LineReader};
-use crate::protocol::{cache_key, error_line, ok_line, Request, ServeError, PROTOCOL};
+use crate::gate::GatePermit;
+use crate::protocol::{cache_key, error_line, ok_line, Request, ServeError};
 use crate::ring::{route_key, HashRing};
+use crate::server::{Answer, Backend, Bound, Relay, ServerHandle, ServerShared};
+use crate::service::MAX_BATCH;
 use lim_obs::json::{self, Value};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
-
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
-const READ_POLL: Duration = Duration::from_millis(100);
 
 /// A bound, not-yet-running router.
-#[derive(Debug)]
 pub struct Router {
-    listener: TcpListener,
-    addr: SocketAddr,
-    shared: Arc<RouterShared>,
+    bound: Bound,
 }
 
+/// The router's backend: the shards, the ring over them, and
+/// forwarding counters.
 #[derive(Debug)]
 struct RouterShared {
     shards: Vec<String>,
     ring: HashRing,
-    shutdown: AtomicBool,
-    started: Instant,
+    counts: Arc<Counts>,
+}
+
+/// Forwarding counters, shared with the relays' gather steps.
+#[derive(Debug, Default)]
+struct Counts {
     forwarded: AtomicU64,
     scattered: AtomicU64,
     errors: AtomicU64,
@@ -73,222 +86,109 @@ impl Router {
                 "router needs at least one shard",
             ));
         }
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
         let shards: Vec<String> = shards.iter().map(|s| s.as_ref().to_string()).collect();
-        let ring = HashRing::new(&shards);
-        Ok(Router {
-            listener,
-            addr,
-            shared: Arc::new(RouterShared {
-                shards,
-                ring,
-                shutdown: AtomicBool::new(false),
-                started: Instant::now(),
-                forwarded: AtomicU64::new(0),
-                scattered: AtomicU64::new(0),
-                errors: AtomicU64::new(0),
-            }),
-        })
+        let shared = RouterShared {
+            ring: HashRing::new(&shards),
+            shards,
+            counts: Arc::default(),
+        };
+        // Every answer only builds a relay, on the event thread, so
+        // one permit at a time is all the gate ever holds.
+        let bound = Bound::new(addr, Arc::new(shared), 1, None)?;
+        Ok(Router { bound })
     }
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.bound.addr
     }
 
-    /// Runs the accept loop until shutdown, then drains client
-    /// connections.
+    /// Runs the router until shutdown, then drains client connections.
     ///
     /// # Errors
     ///
-    /// Propagates accept-loop socket failures.
+    /// Propagates listener socket failures.
     pub fn run(self) -> io::Result<()> {
-        let mut workers: Vec<JoinHandle<()>> = Vec::new();
-        while !self.shared.shutdown.load(Ordering::Acquire) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let shared = Arc::clone(&self.shared);
-                    workers.push(thread::spawn(move || {
-                        let _ = handle_client(stream, &shared);
-                    }));
-                    workers.retain(|h| !h.is_finished());
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        for handle in workers {
-            let _ = handle.join();
-        }
-        Ok(())
+        self.bound.run()
     }
 
     /// Runs the router on a background thread.
-    pub fn spawn(self) -> RouterHandle {
-        let addr = self.addr;
-        let shared = Arc::clone(&self.shared);
-        let join = thread::spawn(move || self.run());
-        RouterHandle { addr, shared, join }
+    pub fn spawn(self) -> ServerHandle {
+        self.bound.spawn()
     }
 }
 
-/// Control handle for a router running on a background thread.
-#[derive(Debug)]
-pub struct RouterHandle {
-    addr: SocketAddr,
-    shared: Arc<RouterShared>,
-    join: JoinHandle<io::Result<()>>,
-}
-
-impl RouterHandle {
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Requests shutdown of the router (not the shards) and waits for
-    /// the drain.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the accept loop's exit status.
-    pub fn shutdown_and_join(self) -> io::Result<()> {
-        self.shared.shutdown.store(true, Ordering::Release);
-        match self.join.join() {
-            Ok(result) => result,
-            Err(_) => Err(io::Error::other("router thread panicked")),
-        }
-    }
-}
-
-/// One lazily opened upstream connection to a shard. A connection is
-/// request-response serial, which matches the per-client serial read
-/// loop feeding it.
-#[derive(Debug)]
-struct Upstream {
-    writer: TcpStream,
-    reader: LineReader,
-}
-
-impl Upstream {
-    fn connect(addr: &str) -> io::Result<Upstream> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let reader = LineReader::new(stream.try_clone()?);
-        Ok(Upstream {
-            writer: stream,
-            reader,
-        })
-    }
-
-    /// Sends one raw request line and reads one raw response line.
-    fn call(&mut self, line: &str) -> io::Result<String> {
-        write_line(&mut self.writer, line)?;
-        match self.reader.read_line(&|| false)? {
-            Some(resp) => Ok(resp),
-            None => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "shard closed the connection mid-request",
+impl Backend for RouterShared {
+    fn control(&self, rq: &Request, server: &ServerShared) -> Option<Answer> {
+        match rq.method.as_str() {
+            "server.shutdown" => {
+                // Drain first, so a shard that never answers holds the
+                // router no longer than the drain grace; reply once
+                // every shard has answered or failed (best-effort).
+                let reply = server.drain(&rq.id);
+                let line = "{\"id\":0,\"method\":\"server.shutdown\"}";
+                let calls = self
+                    .shards
+                    .iter()
+                    .map(|addr| (addr.clone(), line.to_owned()))
+                    .collect();
+                Some(Answer::Relay(Relay {
+                    calls,
+                    gather: Box::new(move |_| reply),
+                }))
+            }
+            "server.stats" => Some(Answer::Reply(
+                ok_line(&rq.id, false, &json::render(&stats_value(self, server))),
+                Vec::new(),
             )),
+            _ => None,
+        }
+    }
+
+    /// Building a relay is cheap; the shards do the work.
+    fn runs_inline(&self, _rq: &Request) -> bool {
+        true
+    }
+
+    fn answer(&self, rq: &Request, line: &str, _permit: GatePermit<'_>) -> Answer {
+        if rq.method == "batch" {
+            scatter_batch(line, rq, self)
+        } else {
+            let shard = self.ring.shard_for(route_key(&rq.method, &rq.params));
+            forward(shard, line, rq, self)
         }
     }
 }
 
-/// The per-client state: one upstream slot per shard, opened on first
-/// use so a client that only ever hits one brick key holds one socket.
-struct ClientConns {
-    upstreams: Vec<Option<Upstream>>,
+/// A relayed call's reply line, or the 502 its failure becomes
+/// (counted).
+fn shard_reply(
+    counts: &Counts,
+    addr: &str,
+    reply: Result<String, String>,
+) -> Result<String, ServeError> {
+    reply.map_err(|e| {
+        counts.errors.fetch_add(1, Ordering::Relaxed);
+        ServeError::bad_gateway(format!("shard {addr} {e}"))
+    })
 }
 
-impl ClientConns {
-    fn with_upstream<R>(
-        &mut self,
-        shared: &RouterShared,
-        shard: usize,
-        f: impl FnOnce(&mut Upstream) -> io::Result<R>,
-    ) -> Result<R, ServeError> {
-        let addr = &shared.shards[shard];
-        let slot = &mut self.upstreams[shard];
-        if slot.is_none() {
-            *slot = Some(Upstream::connect(addr).map_err(|e| {
-                shared.errors.fetch_add(1, Ordering::Relaxed);
-                ServeError::bad_gateway(format!("shard {addr} unreachable: {e}"))
-            })?);
-        }
-        let upstream = slot.as_mut().expect("upstream just ensured");
-        match f(upstream) {
-            Ok(r) => Ok(r),
-            Err(e) => {
-                // A failed upstream is dropped so the next request
-                // reconnects instead of reusing a dead socket.
-                *slot = None;
-                shared.errors.fetch_add(1, Ordering::Relaxed);
-                Err(ServeError::bad_gateway(format!("shard {addr} failed: {e}")))
-            }
-        }
-    }
+/// Forwards `line` verbatim to `shard` and relays its reply.
+fn forward(shard: usize, line: &str, rq: &Request, shared: &RouterShared) -> Answer {
+    shared.counts.forwarded.fetch_add(1, Ordering::Relaxed);
+    let addr = shared.shards[shard].clone();
+    let (id, counts) = (rq.id.clone(), Arc::clone(&shared.counts));
+    Answer::Relay(Relay {
+        calls: vec![(addr.clone(), line.to_owned())],
+        gather: Box::new(move |replies| {
+            let reply = replies.into_iter().next().expect("one call");
+            shard_reply(&counts, &addr, reply).unwrap_or_else(|e| error_line(&id, &e))
+        }),
+    })
 }
 
-fn handle_client(stream: TcpStream, shared: &RouterShared) -> io::Result<()> {
-    stream.set_read_timeout(Some(READ_POLL))?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = LineReader::new(stream);
-    let mut conns = ClientConns {
-        upstreams: (0..shared.shards.len()).map(|_| None).collect(),
-    };
-    let stop = || shared.shutdown.load(Ordering::Acquire);
-    while let Some(line) = reader.read_line(&stop)? {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = route(&line, shared, &mut conns);
-        write_line(&mut writer, &response)?;
-        if stop() {
-            break;
-        }
-    }
-    Ok(())
-}
-
-/// Produces the response line for one client line.
-fn route(line: &str, shared: &RouterShared, conns: &mut ClientConns) -> String {
-    let rq = match Request::parse(line) {
-        Ok(rq) => rq,
-        Err(e) => return error_line(&Value::Null, &e),
-    };
-    match rq.method.as_str() {
-        "server.shutdown" => {
-            // Best-effort broadcast on fresh sockets (the per-client
-            // upstreams may be parked mid-drain on other shards).
-            for addr in &shared.shards {
-                if let Ok(mut up) = Upstream::connect(addr) {
-                    let _ = up.call("{\"id\":0,\"method\":\"server.shutdown\"}");
-                }
-            }
-            shared.shutdown.store(true, Ordering::Release);
-            ok_line(&rq.id, false, "{\"draining\":true}")
-        }
-        "server.stats" => ok_line(&rq.id, false, &json::render(&stats_value(shared))),
-        "batch" => scatter_batch(line, &rq, shared, conns),
-        _ => {
-            let shard = shared.ring.shard_for(route_key(&rq.method, &rq.params));
-            shared.forwarded.fetch_add(1, Ordering::Relaxed);
-            match conns.with_upstream(shared, shard, |up| up.call(line)) {
-                Ok(resp) => resp,
-                Err(e) => error_line(&rq.id, &e),
-            }
-        }
-    }
-}
-
-/// Scatters a `batch` across shards and gathers the result arrays back
-/// in original entry order.
+/// Scatters a `batch` across shards; the relay's gather step puts the
+/// result arrays back in original entry order.
 ///
 /// Entry validation is left to the shards: any batch whose shape the
 /// router cannot route (malformed entries, nested batch, over-long) is
@@ -296,37 +196,26 @@ fn route(line: &str, shared: &RouterShared, conns: &mut ClientConns) -> String {
 /// canonical ones. A batch whose entries all route to one shard is
 /// likewise forwarded verbatim — that path also preserves trace
 /// propagation and whole-batch memo behavior exactly.
-fn scatter_batch(
-    line: &str,
-    rq: &Request,
-    shared: &RouterShared,
-    conns: &mut ClientConns,
-) -> String {
+fn scatter_batch(line: &str, rq: &Request, shared: &RouterShared) -> Answer {
     let fallback_shard = shared.ring.shard_for(cache_key("batch", &rq.params));
-    let forward_whole = |shard: usize, conns: &mut ClientConns| {
-        shared.forwarded.fetch_add(1, Ordering::Relaxed);
-        match conns.with_upstream(shared, shard, |up| up.call(line)) {
-            Ok(resp) => resp,
-            Err(e) => error_line(&rq.id, &e),
-        }
-    };
+    let forward_whole = |shard: usize| forward(shard, line, rq, shared);
     let Some(Value::Array(requests)) = rq.params.get("requests") else {
-        return forward_whole(fallback_shard, conns);
+        return forward_whole(fallback_shard);
     };
     let mut targets = Vec::with_capacity(requests.len());
     for entry in requests {
         let (Some(Value::String(method)), params) = (entry.get("method"), entry.get("params"))
         else {
-            return forward_whole(fallback_shard, conns);
+            return forward_whole(fallback_shard);
         };
-        if method == "batch" || requests.len() > 1024 {
-            return forward_whole(fallback_shard, conns);
+        if method == "batch" || requests.len() > MAX_BATCH {
+            return forward_whole(fallback_shard);
         }
         let empty = Value::Object(Vec::new());
         let params = match params {
             None => &empty,
             Some(p @ Value::Object(_)) => p,
-            Some(_) => return forward_whole(fallback_shard, conns),
+            Some(_) => return forward_whole(fallback_shard),
         };
         targets.push(shared.ring.shard_for(route_key(method, params)));
     }
@@ -338,15 +227,14 @@ fn scatter_batch(
         .filter(|&s| !groups[s].is_empty())
         .collect();
     if busy.len() <= 1 {
-        return forward_whole(busy.first().copied().unwrap_or(fallback_shard), conns);
+        return forward_whole(busy.first().copied().unwrap_or(fallback_shard));
     }
-    shared.scattered.fetch_add(1, Ordering::Relaxed);
+    shared.counts.scattered.fetch_add(1, Ordering::Relaxed);
 
     // Scatter: each involved shard gets one sub-batch carrying its
     // entries verbatim (re-rendered request-side only; responses are
-    // never re-rendered). Sub-batches run concurrently on borrowed
-    // upstream slots.
-    let mut calls: Vec<(usize, String, Option<Upstream>)> = busy
+    // never re-rendered). The sub-batches go out together.
+    let calls = busy
         .iter()
         .map(|&shard| {
             let entries: Vec<String> = groups[shard]
@@ -357,95 +245,84 @@ fn scatter_batch(
                 "{{\"id\":0,\"method\":\"batch\",\"params\":{{\"requests\":[{}]}}}}",
                 entries.join(",")
             );
-            (shard, sub, conns.upstreams[shard].take())
+            (shared.shards[shard].clone(), sub)
         })
         .collect();
-    let results: Vec<io::Result<String>> = thread::scope(|scope| {
-        let handles: Vec<_> = calls
-            .iter_mut()
-            .map(|(shard, sub, slot)| {
-                let addr = &shared.shards[*shard];
-                scope.spawn(move || {
-                    if slot.is_none() {
-                        *slot = Some(Upstream::connect(addr)?);
-                    }
-                    slot.as_mut().expect("upstream just ensured").call(sub)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err(io::Error::other("scatter thread panicked")))
-            })
-            .collect()
-    });
-    // Return the borrowed sockets (dropping any whose call failed).
-    let mut failed: Option<ServeError> = None;
-    let mut gathered: Vec<(usize, String)> = Vec::with_capacity(results.len());
-    for ((shard, _sub, slot), result) in calls.into_iter().zip(results) {
-        match result {
-            Ok(resp) => {
-                conns.upstreams[shard] = slot;
-                gathered.push((shard, resp));
-            }
-            Err(e) => {
-                shared.errors.fetch_add(1, Ordering::Relaxed);
-                let addr = &shared.shards[shard];
-                failed
-                    .get_or_insert(ServeError::bad_gateway(format!("shard {addr} failed: {e}")));
-            }
-        }
-    }
-    if let Some(e) = failed {
-        return error_line(&rq.id, &e);
-    }
+    let gather = Gather {
+        id: rq.id.clone(),
+        entries: requests.len(),
+        groups: busy
+            .iter()
+            .map(|&s| std::mem::take(&mut groups[s]))
+            .collect(),
+        shards: busy.iter().map(|&s| shared.shards[s].clone()).collect(),
+        counts: Arc::clone(&shared.counts),
+    };
+    Answer::Relay(Relay {
+        calls,
+        gather: Box::new(move |replies| gather.reply(replies)),
+    })
+}
 
-    // Gather: splice each shard's result array back into original entry
-    // order without touching the entry bytes.
-    let mut slots: Vec<Option<&str>> = vec![None; requests.len()];
-    let mut shard_entries: Vec<(usize, Vec<&str>)> = Vec::with_capacity(gathered.len());
-    for (shard, resp) in &gathered {
-        let Some(entries) = batch_results_slice(resp).map(split_top_level) else {
-            // The shard answered with an error line (e.g. it shed the
-            // sub-batch); relay its code and message under our id.
-            let err = match Value::parse(resp).ok().as_ref().and_then(shard_error) {
-                Some(err) => err,
-                None => ServeError::bad_gateway(format!(
-                    "shard {} returned an unparseable batch response",
-                    shared.shards[*shard]
-                )),
+/// What a scattered batch's gather step needs: per involved shard, its
+/// address and the original positions of its entries.
+struct Gather {
+    id: Value,
+    entries: usize,
+    groups: Vec<Vec<usize>>,
+    shards: Vec<String>,
+    counts: Arc<Counts>,
+}
+
+impl Gather {
+    /// Splices each shard's result array back into original entry
+    /// order without touching the entry bytes.
+    fn reply(self, replies: Vec<Result<String, String>>) -> String {
+        let mut gathered: Vec<String> = Vec::with_capacity(replies.len());
+        for (addr, reply) in self.shards.iter().zip(replies) {
+            match shard_reply(&self.counts, addr, reply) {
+                Ok(resp) => gathered.push(resp),
+                Err(e) => return error_line(&self.id, &e),
+            }
+        }
+        let mut slots: Vec<Option<&str>> = vec![None; self.entries];
+        for ((addr, group), resp) in self.shards.iter().zip(&self.groups).zip(&gathered) {
+            let Some(entries) = batch_results_slice(resp).map(split_top_level) else {
+                // The shard answered with an error line (e.g. it shed
+                // the sub-batch); relay its code and message under our
+                // id.
+                let err = match Value::parse(resp).ok().as_ref().and_then(shard_error) {
+                    Some(err) => err,
+                    None => ServeError::bad_gateway(format!(
+                        "shard {addr} returned an unparseable batch response"
+                    )),
+                };
+                return error_line(&self.id, &err);
             };
-            return error_line(&rq.id, &err);
-        };
-        shard_entries.push((*shard, entries));
-    }
-    for (shard, entries) in shard_entries {
-        if entries.len() != groups[shard].len() {
-            return error_line(
-                &rq.id,
-                &ServeError::bad_gateway(format!(
-                    "shard {} returned {} results for {} entries",
-                    shared.shards[shard],
-                    entries.len(),
-                    groups[shard].len()
-                )),
-            );
+            if entries.len() != group.len() {
+                return error_line(
+                    &self.id,
+                    &ServeError::bad_gateway(format!(
+                        "shard {addr} returned {} results for {} entries",
+                        entries.len(),
+                        group.len()
+                    )),
+                );
+            }
+            for (&i, entry) in group.iter().zip(entries) {
+                slots[i] = Some(entry);
+            }
         }
-        for (&i, entry) in groups[shard].iter().zip(entries) {
-            slots[i] = Some(entry);
-        }
+        let joined: Vec<&str> = slots
+            .into_iter()
+            .map(|s| s.expect("every entry was grouped onto some shard"))
+            .collect();
+        ok_line(
+            &self.id,
+            false,
+            &format!("{{\"results\":[{}]}}", joined.join(",")),
+        )
     }
-    let joined: Vec<&str> = slots
-        .into_iter()
-        .map(|s| s.expect("every entry was grouped onto some shard"))
-        .collect();
-    ok_line(
-        &rq.id,
-        false,
-        &format!("{{\"results\":[{}]}}", joined.join(",")),
-    )
 }
 
 /// Extracts the raw contents of the `results` array from one shard's
@@ -504,16 +381,14 @@ fn split_top_level(s: &str) -> Vec<&str> {
     parts
 }
 
-/// Router-level statistics (the router does not proxy shard stats; ask
-/// a shard directly for its own view).
-fn stats_value(shared: &RouterShared) -> Value {
-    Value::Object(vec![
-        ("router".to_owned(), Value::Bool(true)),
-        ("protocol".to_owned(), Value::String(PROTOCOL.into())),
-        (
-            "uptime_ms".to_owned(),
-            Value::Number(shared.started.elapsed().as_millis() as f64),
-        ),
+/// Router-level statistics: the connection figures plus shard
+/// addresses and forwarding counters (the router does not proxy shard
+/// stats, and admits everything: its shards do the shedding).
+fn stats_value(shared: &RouterShared, server: &ServerShared) -> Value {
+    let count = |c: &AtomicU64| Value::Number(c.load(Ordering::Relaxed) as f64);
+    let mut members = vec![("router".to_owned(), Value::Bool(true))];
+    members.extend(server.stats_members(false));
+    members.extend([
         (
             "shards".to_owned(),
             Value::Array(
@@ -524,19 +399,11 @@ fn stats_value(shared: &RouterShared) -> Value {
                     .collect(),
             ),
         ),
-        (
-            "forwarded".to_owned(),
-            Value::Number(shared.forwarded.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "scattered".to_owned(),
-            Value::Number(shared.scattered.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "errors".to_owned(),
-            Value::Number(shared.errors.load(Ordering::Relaxed) as f64),
-        ),
-    ])
+        ("forwarded".to_owned(), count(&shared.counts.forwarded)),
+        ("scattered".to_owned(), count(&shared.counts.scattered)),
+        ("errors".to_owned(), count(&shared.counts.errors)),
+    ]);
+    Value::Object(members)
 }
 
 #[cfg(test)]

@@ -1,15 +1,17 @@
-//! The TCP front end: listener setup, connection accounting, admission
-//! gate, and graceful drain.
+//! The TCP front end: listener setup, the backend interface the event
+//! loop serves, connection accounting, admission gate, and graceful
+//! drain.
 //!
-//! On Linux the accept loop and all connection I/O run on a single
-//! `poll(2)`-driven event thread (see [`crate::poll`]): idle
-//! connections cost one slab slot and one pollfd each, not a thread,
-//! so one shard sustains thousands of them at ~zero CPU. Heavy
-//! requests are handed to a small worker pool; cheap ones (transport
-//! methods, `server.ping`, estimates and memo hits) run inline on the
-//! event thread to keep the single-connection latency of the old
-//! thread-per-connection design. Elsewhere a thread-per-connection
-//! fallback with identical wire behavior is used.
+//! One `poll(2)`-driven event thread (see `crate::poll`) owns the
+//! listener and every connection socket, for a shard ([`Server`]) and
+//! for the router ([`crate::router::Router`]) alike: idle connections
+//! cost one slab slot and one pollfd each, not a thread, so one process
+//! sustains thousands of them at ~zero CPU. What the loop serves is a
+//! `Backend`; the loop never branches on which one it has. Requests
+//! the backend calls cheap run inline on the event thread, the rest on
+//! a small worker pool. An `Answer` is a reply line, or a `Relay`:
+//! request lines the loop sends to other servers before the reply is
+//! built, which is how the router forwards.
 //!
 //! `server.shutdown` (or [`ServerHandle::shutdown`]) drains cleanly:
 //! in-flight requests finish, their responses are written and their
@@ -17,20 +19,60 @@
 //! only then does [`Server::run`] return.
 
 use crate::disk::PendingWrite;
-use crate::gate::Gate;
-use crate::protocol::{error_line, ok_line, ok_line_traced, Request, ServeError, PROTOCOL};
+use crate::gate::{Gate, GatePermit};
+use crate::protocol::{error_line, ok_line, Request, ServeError, PROTOCOL};
 use crate::service::{ServeConfig, Service};
-use lim_obs::json::{self, Value};
-use lim_obs::TraceId;
+use lim_obs::json::Value;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-#[cfg(not(target_os = "linux"))]
-use std::time::Duration;
+/// What the event loop serves: a shard's [`Service`] or the router's
+/// shard cluster.
+pub(crate) trait Backend: Send + Sync {
+    /// Answers a control method (`server.stats`, `server.shutdown`),
+    /// which bypasses the admission gate; `None` for everything else.
+    fn control(&self, rq: &Request, shared: &ServerShared) -> Option<Answer>;
+
+    /// True when `rq` is cheap enough to answer on the event thread.
+    fn runs_inline(&self, _rq: &Request) -> bool {
+        false
+    }
+
+    /// Answers one admitted request; `line` is its raw request line.
+    /// Drops `permit` once the admitted work is done.
+    fn answer(&self, rq: &Request, line: &str, permit: GatePermit<'_>) -> Answer;
+
+    /// Publishes the entries an answer deferred, after its reply went
+    /// out.
+    fn publish(&self, _writes: Vec<PendingWrite>) {}
+}
+
+/// A backend's answer to one request.
+pub(crate) enum Answer {
+    /// The reply line, and the disk entries to publish once it is sent.
+    Reply(String, Vec<PendingWrite>),
+    /// Lines the loop sends to other servers before the reply exists.
+    Relay(Relay),
+}
+
+/// Request lines for the event loop to send to other servers, all at
+/// once, each over an idle pooled connection to its address or a new
+/// one; the reply line is built from what comes back.
+pub(crate) struct Relay {
+    /// `(address, request line)` per call.
+    pub(crate) calls: Vec<(String, String)>,
+    /// Builds the reply line from each call's reply line, in call
+    /// order; a call that got none carries why (`unreachable: …` or
+    /// `failed: …`).
+    pub(crate) gather: Gather,
+}
+
+/// See [`Relay::gather`].
+pub(crate) type Gather = Box<dyn FnOnce(Vec<Result<String, String>>) -> String + Send>;
 
 /// Honest connection accounting, surfaced by `server.stats` and
 /// mirrored into the obs gauges/counters. Invariants: `accepted ==
@@ -69,22 +111,119 @@ impl ConnStats {
     }
 }
 
-/// Everything a connection (or the event loop) needs to answer
-/// requests, shared between the accept/event thread and the workers.
+/// Everything the event loop and its workers need to answer requests.
 pub(crate) struct ServerShared {
-    pub(crate) service: Arc<Service>,
-    pub(crate) gate: Arc<Gate>,
+    pub(crate) backend: Arc<dyn Backend>,
+    pub(crate) gate: Gate,
     pub(crate) shutdown: Arc<AtomicBool>,
-    pub(crate) started: Instant,
+    started: Instant,
     pub(crate) conns: ConnStats,
-    pub(crate) idle_timeout: Option<std::time::Duration>,
+    pub(crate) idle_timeout: Option<Duration>,
+}
+
+impl ServerShared {
+    /// Runs one non-control request through the gate into the backend.
+    /// Sheds with a 429 when the gate is full.
+    pub(crate) fn admit(&self, rq: &Request, line: &str) -> Answer {
+        match self.gate.try_acquire() {
+            Some(permit) => self.backend.answer(rq, line, permit),
+            None => Answer::Reply(error_line(&rq.id, &ServeError::overloaded()), Vec::new()),
+        }
+    }
+
+    /// Starts the drain and renders the `server.shutdown` reply.
+    pub(crate) fn drain(&self, id: &Value) -> String {
+        self.shutdown.store(true, Ordering::Release);
+        ok_line(id, false, "{\"draining\":true}")
+    }
+
+    /// The transport figures a backend's `server.stats` carries; with
+    /// `admission`, the gate's figures too.
+    pub(crate) fn stats_members(&self, admission: bool) -> Vec<(String, Value)> {
+        let (open, accepted, closed, timed_out) = self.conns.snapshot();
+        let num = |x: u64| Value::Number(x as f64);
+        let mut members = vec![
+            ("protocol".to_owned(), Value::String(PROTOCOL.into())),
+            (
+                "uptime_ms".to_owned(),
+                num(self.started.elapsed().as_millis() as u64),
+            ),
+        ];
+        if admission {
+            members.extend([
+                ("in_flight".to_owned(), num(self.gate.in_flight() as u64)),
+                (
+                    "max_in_flight".to_owned(),
+                    num(self.gate.max_in_flight() as u64),
+                ),
+                ("shed".to_owned(), num(self.gate.shed_count())),
+            ]);
+        }
+        members.push((
+            "connections".to_owned(),
+            Value::Object(vec![
+                ("open".to_owned(), num(open)),
+                ("accepted".to_owned(), num(accepted)),
+                ("closed".to_owned(), num(closed)),
+                ("timed_out".to_owned(), num(timed_out)),
+            ]),
+        ));
+        members
+    }
+}
+
+/// A bound listener and the shared state of the loop that will serve
+/// it.
+pub(crate) struct Bound {
+    listener: TcpListener,
+    pub(crate) addr: SocketAddr,
+    shared: Arc<ServerShared>,
+}
+
+impl Bound {
+    pub(crate) fn new(
+        addr: &str,
+        backend: Arc<dyn Backend>,
+        max_in_flight: usize,
+        idle_timeout: Option<Duration>,
+    ) -> io::Result<Bound> {
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
+        Ok(Bound {
+            listener,
+            addr,
+            shared: Arc::new(ServerShared {
+                backend,
+                gate: Gate::new(max_in_flight),
+                shutdown: Arc::new(AtomicBool::new(false)),
+                started: Instant::now(),
+                conns: ConnStats::default(),
+                idle_timeout,
+            }),
+        })
+    }
+
+    pub(crate) fn run(self) -> io::Result<()> {
+        crate::poll::run(self.listener, self.shared)
+    }
+
+    pub(crate) fn spawn(self) -> ServerHandle {
+        let addr = self.addr;
+        let shutdown = Arc::clone(&self.shared.shutdown);
+        let join = thread::spawn(move || self.run());
+        ServerHandle {
+            addr,
+            shutdown,
+            join,
+        }
+    }
 }
 
 /// A bound, not-yet-running server.
 pub struct Server {
-    listener: TcpListener,
-    addr: SocketAddr,
-    shared: Arc<ServerShared>,
+    bound: Bound,
+    service: Arc<Service>,
 }
 
 impl Server {
@@ -109,31 +248,19 @@ impl Server {
         service: Arc<Service>,
         config: &ServeConfig,
     ) -> io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        Ok(Server {
-            listener,
-            addr,
-            shared: Arc::new(ServerShared {
-                service,
-                gate: Arc::new(Gate::new(config.max_in_flight)),
-                shutdown: Arc::new(AtomicBool::new(false)),
-                started: Instant::now(),
-                conns: ConnStats::default(),
-                idle_timeout: config.idle_timeout,
-            }),
-        })
+        let backend = Arc::clone(&service);
+        let bound = Bound::new(addr, backend, config.max_in_flight, config.idle_timeout)?;
+        Ok(Server { bound, service })
     }
 
     /// The bound address (with the actual port when bound to port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.bound.addr
     }
 
     /// The service behind the endpoints.
     pub fn service(&self) -> Arc<Service> {
-        Arc::clone(&self.shared.service)
+        Arc::clone(&self.service)
     }
 
     /// Runs the server until shutdown is requested, then drains.
@@ -143,37 +270,21 @@ impl Server {
     /// Propagates listener socket failures (per-connection errors only
     /// end that connection).
     pub fn run(self) -> io::Result<()> {
-        #[cfg(target_os = "linux")]
-        {
-            crate::poll::run(self.listener, self.shared)
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            threaded_run(self.listener, self.shared)
-        }
+        self.bound.run()
     }
 
     /// Runs the server on a background thread, returning a handle with
     /// the bound address and shutdown control.
     pub fn spawn(self) -> ServerHandle {
-        let addr = self.addr;
-        let service = self.service();
-        let shutdown = Arc::clone(&self.shared.shutdown);
-        let join = thread::spawn(move || self.run());
-        ServerHandle {
-            addr,
-            service,
-            shutdown,
-            join,
-        }
+        self.bound.spawn()
     }
 }
 
-/// Control handle for a server running on a background thread.
+/// Control handle for a server or router running on a background
+/// thread.
 #[derive(Debug)]
 pub struct ServerHandle {
     addr: SocketAddr,
-    service: Arc<Service>,
     shutdown: Arc<AtomicBool>,
     join: JoinHandle<io::Result<()>>,
 }
@@ -184,12 +295,8 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The service behind the endpoints.
-    pub fn service(&self) -> Arc<Service> {
-        Arc::clone(&self.service)
-    }
-
-    /// Requests shutdown without waiting for the drain.
+    /// Requests shutdown without waiting for the drain. A router drains
+    /// itself, not its shards.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
         // Poke the listener so a poll loop parked in its timeout sees
@@ -208,191 +315,6 @@ impl ServerHandle {
         match self.join.join() {
             Ok(result) => result,
             Err(_) => Err(io::Error::other("server thread panicked")),
-        }
-    }
-}
-
-/// Answers transport-level methods (`server.shutdown`, `server.stats`)
-/// that bypass the admission gate; `None` for everything else.
-pub(crate) fn transport_response(rq: &Request, shared: &ServerShared) -> Option<String> {
-    match rq.method.as_str() {
-        "server.shutdown" => {
-            shared.shutdown.store(true, Ordering::Release);
-            Some(ok_line(&rq.id, false, "{\"draining\":true}"))
-        }
-        "server.stats" => Some(ok_line(
-            &rq.id,
-            false,
-            &json::render(&stats_value(shared)),
-        )),
-        _ => None,
-    }
-}
-
-/// Runs one non-transport request through the gate into the service,
-/// producing its response line and the disk entries it left to
-/// publish: the caller sends the line first, then hands the entries to
-/// [`Service::publish`]. Sheds with a 429 when the gate is full.
-pub(crate) fn execute(rq: &Request, shared: &ServerShared) -> (String, Vec<PendingWrite>) {
-    match shared.gate.try_acquire() {
-        None => (error_line(&rq.id, &ServeError::overloaded()), Vec::new()),
-        Some(permit) => {
-            // A client-minted trace id (already hex-validated by the
-            // parser) becomes the request's id and is echoed back;
-            // untraced requests get a server-minted id that stays
-            // server-side, keeping their responses byte-stable.
-            let trace = rq.trace.as_deref().and_then(TraceId::parse);
-            let (out, writes) = shared.service.call_deferred(&rq.method, &rq.params, trace);
-            drop(permit);
-            let line = match out.result {
-                Ok(result) => ok_line_traced(&rq.id, out.cached, rq.trace.as_deref(), &result),
-                Err(e) => error_line(&rq.id, &e),
-            };
-            (line, writes)
-        }
-    }
-}
-
-/// Full server statistics: the service view wrapped with transport and
-/// connection figures, with the live state mirrored into the obs
-/// gauges and counters.
-pub(crate) fn stats_value(shared: &ServerShared) -> Value {
-    let (open, accepted, closed, timed_out) = shared.conns.snapshot();
-    shared
-        .service
-        .set_gauge("serve.in_flight", shared.gate.in_flight() as f64);
-    shared
-        .service
-        .set_gauge("serve.shed", shared.gate.shed_count() as f64);
-    shared.service.set_gauge("serve.conns_open", open as f64);
-    shared.service.set_counter("serve.conns_accepted", accepted);
-    shared.service.set_counter("serve.conns_closed", closed);
-    shared
-        .service
-        .set_counter("serve.conns_timed_out", timed_out);
-    let service_stats = shared.service.stats_value();
-    let mut members = vec![
-        ("protocol".to_owned(), Value::String(PROTOCOL.into())),
-        (
-            "uptime_ms".to_owned(),
-            Value::Number(shared.started.elapsed().as_millis() as f64),
-        ),
-        (
-            "in_flight".to_owned(),
-            Value::Number(shared.gate.in_flight() as f64),
-        ),
-        (
-            "max_in_flight".to_owned(),
-            Value::Number(shared.gate.max_in_flight() as f64),
-        ),
-        (
-            "shed".to_owned(),
-            Value::Number(shared.gate.shed_count() as f64),
-        ),
-        (
-            "connections".to_owned(),
-            Value::Object(vec![
-                ("open".to_owned(), Value::Number(open as f64)),
-                ("accepted".to_owned(), Value::Number(accepted as f64)),
-                ("closed".to_owned(), Value::Number(closed as f64)),
-                ("timed_out".to_owned(), Value::Number(timed_out as f64)),
-            ]),
-        ),
-    ];
-    if let Value::Object(service_members) = service_stats {
-        members.extend(service_members);
-    }
-    Value::Object(members)
-}
-
-/// Thread-per-connection fallback for non-Linux hosts: same wire
-/// behavior as the poll loop (including the 400 error line sent before
-/// closing on oversized or non-UTF-8 input), one thread per socket.
-#[cfg(not(target_os = "linux"))]
-fn threaded_run(listener: TcpListener, shared: Arc<ServerShared>) -> io::Result<()> {
-    const ACCEPT_POLL: Duration = Duration::from_millis(5);
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let shared = Arc::clone(&shared);
-                shared.conns.on_accept();
-                workers.push(thread::spawn(move || {
-                    // A dropped client mid-write is that client's
-                    // problem, not the server's.
-                    let timed_out = handle_connection(stream, &shared).unwrap_or(false);
-                    shared.conns.on_close(timed_out);
-                }));
-                workers.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    for handle in workers {
-        let _ = handle.join();
-    }
-    Ok(())
-}
-
-/// One connection's read-respond loop. Returns whether the connection
-/// was closed by the idle timeout.
-#[cfg(not(target_os = "linux"))]
-fn handle_connection(stream: std::net::TcpStream, shared: &ServerShared) -> io::Result<bool> {
-    use crate::net::{write_line, LineReader};
-    const READ_POLL: Duration = Duration::from_millis(100);
-    stream.set_read_timeout(Some(READ_POLL))?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = LineReader::new(stream);
-    let mut last_activity = Instant::now();
-    loop {
-        let idle_deadline = shared.idle_timeout.map(|t| last_activity + t);
-        let stop = || {
-            shared.shutdown.load(Ordering::Acquire)
-                || idle_deadline.is_some_and(|d| Instant::now() >= d)
-        };
-        let line = match reader.read_line(&stop) {
-            Ok(Some(line)) => line,
-            Ok(None) => {
-                // EOF, drain, or idle timeout — tell them apart.
-                let timed_out = !shared.shutdown.load(Ordering::Acquire)
-                    && idle_deadline.is_some_and(|d| Instant::now() >= d);
-                return Ok(timed_out);
-            }
-            // Framing failure (line too long, not UTF-8): answer with a
-            // well-formed 400 error line, then close.
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                let err = ServeError::bad_request(e.to_string());
-                let _ = write_line(&mut writer, &error_line(&Value::Null, &err));
-                return Ok(false);
-            }
-            Err(e) => return Err(e),
-        };
-        last_activity = Instant::now();
-        if line.trim().is_empty() {
-            continue;
-        }
-        let rq = match Request::parse(&line) {
-            Ok(rq) => rq,
-            Err(e) => {
-                write_line(&mut writer, &error_line(&Value::Null, &e))?;
-                continue;
-            }
-        };
-        let (response, writes) = match transport_response(&rq, shared) {
-            Some(response) => (response, Vec::new()),
-            None => execute(&rq, shared),
-        };
-        let sent = write_line(&mut writer, &response);
-        shared.service.publish(writes);
-        sent?;
-        // Drain: finish the request in hand, then close the connection.
-        if shared.shutdown.load(Ordering::Acquire) {
-            return Ok(false);
         }
     }
 }

@@ -5,11 +5,17 @@
 //! A [`Service`] is what both the TCP server and in-process callers
 //! (tests, benches) talk to, which is how the smoke test can assert
 //! that a response that crossed the wire is byte-identical to a direct
-//! library call: both sides are the same [`Service::call`].
+//! library call: both sides are the same [`Service::call`]. Its
+//! `Backend` impl at the end of the file is how a shard's event loop
+//! serves it.
 
 use crate::cache::ResponseCache;
 use crate::disk::{DiskCache, LibKey, PendingWrite};
-use crate::protocol::{cache_key, fnv1a, ServeError, PROTOCOL};
+use crate::gate::GatePermit;
+use crate::protocol::{
+    cache_key, error_line, fnv1a, ok_line, ok_line_traced, Request, ServeError, PROTOCOL,
+};
+use crate::server::{Answer, Backend, ServerShared};
 use lim::dse::{self, DsePoint};
 use lim::{LimBlock, LimError, LimFlow, MemoryPlan, SramConfig};
 use lim_brick::{golden, BankEstimate, BitcellKind, BrickLibrary, BrickSpec, SharedBrickLibrary};
@@ -25,6 +31,115 @@ use std::time::Duration;
 
 /// Traces retained per set (N most recent + N slowest).
 const TRACE_RETAIN: usize = 16;
+
+/// Most entries one `batch` request may carry.
+pub(crate) const MAX_BATCH: usize = 1024;
+
+type Handler = fn(&Service, &Value, &mut Vec<PendingWrite>) -> Result<String, ServeError>;
+
+/// One served method: its handler and how the service treats it.
+struct Method {
+    name: &'static str,
+    handler: Handler,
+    /// Deterministic: answered from the response memo and persisted to
+    /// the disk tier, unless the params carry `"nocache":true`.
+    memo: bool,
+    /// Cheap enough to run on the event thread even on a memo miss.
+    inline: bool,
+    /// Retained in `server.trace`; introspection methods are not, so a
+    /// monitoring poller cannot evict the traces it came to read.
+    traced: bool,
+}
+
+/// Every method the service answers; anything else is a 404.
+static METHODS: &[Method] = &[
+    Method {
+        name: "server.ping",
+        handler: |_, _, _| {
+            Ok(format!(
+                "{{\"pong\":true,\"protocol\":{}}}",
+                json::string(PROTOCOL)
+            ))
+        },
+        memo: false,
+        inline: true,
+        traced: true,
+    },
+    Method {
+        name: "brick.estimate",
+        handler: Service::brick_estimate,
+        memo: true,
+        inline: true,
+        traced: true,
+    },
+    Method {
+        name: "golden.compare",
+        handler: Service::golden_compare,
+        memo: true,
+        inline: false,
+        traced: true,
+    },
+    Method {
+        name: "flow.run",
+        handler: Service::flow_run,
+        memo: true,
+        inline: false,
+        traced: true,
+    },
+    Method {
+        name: "dse.explore",
+        handler: |svc, params, _| svc.dse_explore(params),
+        memo: true,
+        inline: false,
+        traced: true,
+    },
+    Method {
+        name: "rtl.infer",
+        handler: Service::rtl_infer,
+        memo: true,
+        inline: false,
+        traced: true,
+    },
+    Method {
+        name: "batch",
+        handler: Service::batch,
+        memo: false,
+        inline: false,
+        traced: true,
+    },
+    Method {
+        name: "server.trace",
+        handler: |svc, params, _| svc.server_trace(params),
+        memo: false,
+        inline: false,
+        traced: false,
+    },
+    Method {
+        name: "server.telemetry",
+        handler: |svc, _, _| Ok(svc.telemetry_report()),
+        memo: false,
+        inline: false,
+        traced: false,
+    },
+    Method {
+        name: "debug.sleep",
+        handler: |_, params, _| debug_sleep(params),
+        memo: false,
+        inline: false,
+        traced: true,
+    },
+];
+
+fn lookup(method: &str) -> Option<&'static Method> {
+    METHODS.iter().find(|m| m.name == method)
+}
+
+/// The response-memo key of a request the memo may answer: a `memo`
+/// method without `"nocache":true`.
+fn memo_key(method: &str, params: &Value) -> Option<u64> {
+    let memo = lookup(method).is_some_and(|m| m.memo);
+    (memo && params.get("nocache") != Some(&Value::Bool(true))).then(|| cache_key(method, params))
+}
 
 /// Tuning knobs shared by the service and the server front end.
 #[derive(Debug, Clone)]
@@ -178,14 +293,15 @@ impl Service {
         trace: Option<TraceId>,
     ) -> CallOutcome {
         let (out, writes) = self.call_deferred(method, params, trace);
-        self.publish(writes);
+        Backend::publish(self, writes);
         out
     }
 
     /// [`Service::call_traced`] minus the disk writes: the entries the
     /// request produced come back rendered, in the order it produced
     /// them, so a server can send the reply before it
-    /// [`publish`](Self::publish)es them. The memo is already updated.
+    /// [`publish`](Backend::publish)es them. The memo is already
+    /// updated.
     pub(crate) fn call_deferred(
         &self,
         method: &str,
@@ -205,9 +321,7 @@ impl Service {
         let elapsed = sw.elapsed();
         if lim_obs::enabled() {
             let thread_report = Report::capture();
-            // Introspection endpoints are not retained: a monitoring
-            // poller must not evict the traces it came to read.
-            if !matches!(method, "server.trace" | "server.telemetry") {
+            if lookup(method).is_none_or(|m| m.traced) {
                 self.traces
                     .push(Trace::from_report(id, method, elapsed, &thread_report));
             }
@@ -226,93 +340,79 @@ impl Service {
         (out, writes)
     }
 
-    /// Writes deferred disk entries in order (`write_all`, `sync_all`,
-    /// atomic rename each).
-    pub(crate) fn publish(&self, writes: Vec<PendingWrite>) {
-        if let Some(disk) = &self.disk {
-            for entry in writes {
-                disk.write(entry);
-            }
-        }
-    }
-
-    /// Memo layer: deterministic endpoints are served from the response
-    /// cache keyed by the canonical request rendering. `"nocache":true`
-    /// in the params bypasses the memo (used by load generators that
-    /// want to measure the compute path). Disk entries go to `writes`.
+    /// Memo layer: `memo` methods are served from the response cache
+    /// keyed by the canonical request rendering. `"nocache":true` in
+    /// the params bypasses the memo (used by load generators that want
+    /// to measure the compute path). Disk entries go to `writes`.
     fn call_cached(
         &self,
         method: &str,
         params: &Value,
         writes: &mut Vec<PendingWrite>,
     ) -> (Result<String, ServeError>, bool) {
-        let memoizable = matches!(
-            method,
-            "brick.estimate" | "golden.compare" | "flow.run" | "dse.explore" | "rtl.infer"
-        ) && params.get("nocache") != Some(&Value::Bool(true));
-        if !memoizable {
+        let Some(key) = memo_key(method, params) else {
             return (self.dispatch(method, params, writes), false);
-        }
-        let key = cache_key(method, params);
-        if let Some(hit) = self
-            .cache
-            .lock()
-            .expect("response cache lock poisoned")
-            .get(key)
-            .map(str::to_owned)
-        {
-            lim_obs::counter_add("serve.cache_hits", 1);
+        };
+        if let Some(hit) = self.memo_lookup(key) {
             return (Ok(hit), true);
         }
-        // Memo miss: the persistent tier may still have the canonical
-        // bytes from a previous process. A disk hit is promoted into the
-        // memo and reported `cached` — byte-identical to a cold compile
-        // because the stored bytes *are* a cold compile's rendering.
-        if let Some(body) = self.disk_probe(key) {
-            return (Ok(body), true);
-        }
-        lim_obs::counter_add("serve.cache_misses", 1);
         let result = self.dispatch(method, params, writes);
         if let Ok(rendered) = &result {
-            self.cache
-                .lock()
-                .expect("response cache lock poisoned")
-                .insert(key, rendered.clone());
-            if let Some(disk) = &self.disk {
-                writes.push(disk.response_write(key, method, rendered));
-            }
+            self.memo_store(key, method, rendered, writes);
         }
         (result, false)
     }
 
-    /// True when `method`+`params` would be answered from the in-memory
-    /// memo right now. No side effects: recency and hit/miss accounting
-    /// stay untouched and the persistent tier is not probed. The poll
-    /// loop uses this to run probable memo hits inline on the event
-    /// thread instead of paying a worker handoff.
-    pub fn memo_probe(&self, method: &str, params: &Value) -> bool {
-        matches!(
-            method,
-            "brick.estimate" | "golden.compare" | "flow.run" | "dse.explore" | "rtl.infer"
-        ) && params.get("nocache") != Some(&Value::Bool(true))
-            && self
-                .cache
-                .lock()
-                .expect("response cache lock poisoned")
-                .contains(cache_key(method, params))
+    /// Looks `key` up in the memo, then in the persistent tier, and
+    /// counts the hit or miss. A disk hit is promoted into the memo and
+    /// served as `cached` — byte-identical to a cold compile because
+    /// the stored bytes *are* a cold compile's rendering.
+    fn memo_lookup(&self, key: u64) -> Option<String> {
+        let hit = self
+            .cache
+            .lock()
+            .expect("response cache lock poisoned")
+            .get(key)
+            .map(str::to_owned);
+        if hit.is_some() {
+            lim_obs::counter_add("serve.cache_hits", 1);
+            return hit;
+        }
+        let body = self.disk.as_ref().and_then(|disk| disk.load_response(key));
+        match &body {
+            Some(body) => {
+                lim_obs::counter_add("serve.disk_hits", 1);
+                self.cache
+                    .lock()
+                    .expect("response cache lock poisoned")
+                    .insert(key, body.clone());
+            }
+            None => lim_obs::counter_add("serve.cache_misses", 1),
+        }
+        body
     }
 
-    /// Probes the persistent tier for `key`, promoting a hit into the
-    /// in-memory memo.
-    fn disk_probe(&self, key: u64) -> Option<String> {
-        let disk = self.disk.as_ref()?;
-        let body = disk.load_response(key)?;
-        lim_obs::counter_add("serve.disk_hits", 1);
+    /// Memoizes a freshly computed reply and queues its disk entry.
+    fn memo_store(&self, key: u64, method: &str, rendered: &str, writes: &mut Vec<PendingWrite>) {
         self.cache
             .lock()
             .expect("response cache lock poisoned")
-            .insert(key, body.clone());
-        Some(body)
+            .insert(key, rendered.to_owned());
+        if let Some(disk) = &self.disk {
+            writes.push(disk.response_write(key, method, rendered));
+        }
+    }
+
+    /// True when `method`+`params` would be answered from the in-memory
+    /// memo right now. No side effects: recency and hit/miss accounting
+    /// stay untouched and the persistent tier is not probed.
+    pub fn memo_probe(&self, method: &str, params: &Value) -> bool {
+        memo_key(method, params).is_some_and(|key| {
+            self.cache
+                .lock()
+                .expect("response cache lock poisoned")
+                .contains(key)
+        })
     }
 
     fn dispatch(
@@ -322,21 +422,9 @@ impl Service {
         writes: &mut Vec<PendingWrite>,
     ) -> Result<String, ServeError> {
         let _span = lim_obs::Span::enter(method);
-        match method {
-            "server.ping" => Ok(format!(
-                "{{\"pong\":true,\"protocol\":{}}}",
-                json::string(PROTOCOL)
-            )),
-            "brick.estimate" => self.brick_estimate(params, writes),
-            "golden.compare" => self.golden_compare(params, writes),
-            "flow.run" => self.flow_run(params, writes),
-            "dse.explore" => self.dse_explore(params),
-            "rtl.infer" => self.rtl_infer(params, writes),
-            "batch" => self.batch(params, writes),
-            "server.trace" => self.server_trace(params),
-            "server.telemetry" => Ok(self.telemetry_report()),
-            "debug.sleep" => debug_sleep(params),
-            _ => Err(ServeError::unknown_method(method)),
+        match lookup(method) {
+            Some(m) => (m.handler)(self, params, writes),
+            None => Err(ServeError::unknown_method(method)),
         }
     }
 
@@ -664,10 +752,10 @@ impl Service {
                 ))
             }
         };
-        if requests.len() > 1024 {
-            return Err(ServeError::bad_request(
-                "batch larger than 1024 requests; split it",
-            ));
+        if requests.len() > MAX_BATCH {
+            return Err(ServeError::bad_request(format!(
+                "batch larger than {MAX_BATCH} requests; split it"
+            )));
         }
         let jobs: Vec<(String, Value)> = requests
             .iter()
@@ -714,27 +802,13 @@ impl Service {
                     slots[i] = Some(entry_err(&e));
                 }
                 Ok((spec, stack)) => {
-                    if params.get("nocache") == Some(&Value::Bool(true)) {
-                        goldens.push((i, spec, stack, None));
-                        continue;
-                    }
-                    let key = cache_key(&method, &params);
-                    let hit = self
-                        .cache
-                        .lock()
-                        .expect("response cache lock poisoned")
-                        .get(key)
-                        .map(str::to_owned);
-                    if let Some(rendered) = hit {
-                        lim_obs::counter_add("serve.cache_hits", 1);
-                        self.record_endpoint(&method, sw.elapsed(), false);
-                        slots[i] = Some(entry_ok(true, &rendered));
-                    } else if let Some(body) = self.disk_probe(key) {
-                        self.record_endpoint(&method, sw.elapsed(), false);
-                        slots[i] = Some(entry_ok(true, &body));
-                    } else {
-                        lim_obs::counter_add("serve.cache_misses", 1);
-                        goldens.push((i, spec, stack, Some(key)));
+                    let key = memo_key(&method, &params);
+                    match key.and_then(|key| self.memo_lookup(key)) {
+                        Some(hit) => {
+                            self.record_endpoint(&method, sw.elapsed(), false);
+                            slots[i] = Some(entry_ok(true, &hit));
+                        }
+                        None => goldens.push((i, spec, stack, key)),
                     }
                 }
             }
@@ -757,13 +831,7 @@ impl Service {
                     Ok(cmp) => {
                         let rendered = render_golden(spec, *stack, &cmp);
                         if let Some(key) = key {
-                            self.cache
-                                .lock()
-                                .expect("response cache lock poisoned")
-                                .insert(*key, rendered.clone());
-                            if let Some(disk) = &self.disk {
-                                writes.push(disk.response_write(*key, "golden.compare", &rendered));
-                            }
+                            self.memo_store(*key, "golden.compare", &rendered, writes);
                         }
                         entry_ok(false, &rendered)
                     }
@@ -1018,6 +1086,69 @@ impl Service {
             }
         }
     }
+}
+
+/// A shard serves its [`Service`]: transport stats and drain as
+/// control methods, memo hits and the table's inline methods on the
+/// event thread, and reply-first disk persistence.
+impl Backend for Service {
+    fn control(&self, rq: &Request, shared: &ServerShared) -> Option<Answer> {
+        let line = match rq.method.as_str() {
+            "server.shutdown" => shared.drain(&rq.id),
+            "server.stats" => ok_line(&rq.id, false, &json::render(&shard_stats(self, shared))),
+            _ => return None,
+        };
+        Some(Answer::Reply(line, Vec::new()))
+    }
+
+    /// An `inline` method, or a probable memo hit: cheaper to answer
+    /// on the event thread than to hand to a worker.
+    fn runs_inline(&self, rq: &Request) -> bool {
+        lookup(&rq.method).is_some_and(|m| m.inline) || self.memo_probe(&rq.method, &rq.params)
+    }
+
+    fn answer(&self, rq: &Request, _line: &str, permit: GatePermit<'_>) -> Answer {
+        // A client-minted trace id (already hex-validated by the
+        // parser) becomes the request's id and is echoed back;
+        // untraced requests get a server-minted id that stays
+        // server-side, keeping their responses byte-stable.
+        let trace = rq.trace.as_deref().and_then(TraceId::parse);
+        let (out, writes) = self.call_deferred(&rq.method, &rq.params, trace);
+        drop(permit);
+        let line = match out.result {
+            Ok(result) => ok_line_traced(&rq.id, out.cached, rq.trace.as_deref(), &result),
+            Err(e) => error_line(&rq.id, &e),
+        };
+        Answer::Reply(line, writes)
+    }
+
+    /// Writes deferred disk entries in order (`write_all`, `sync_all`,
+    /// atomic rename each).
+    fn publish(&self, writes: Vec<PendingWrite>) {
+        if let Some(disk) = &self.disk {
+            for entry in writes {
+                disk.write(entry);
+            }
+        }
+    }
+}
+
+/// Full shard statistics: the transport figures followed by the
+/// service view, with the live state mirrored into the obs gauges and
+/// counters.
+fn shard_stats(service: &Service, shared: &ServerShared) -> Value {
+    let (open, accepted, closed, timed_out) = shared.conns.snapshot();
+    service.set_gauge("serve.in_flight", shared.gate.in_flight() as f64);
+    service.set_gauge("serve.shed", shared.gate.shed_count() as f64);
+    service.set_gauge("serve.conns_open", open as f64);
+    service.set_counter("serve.conns_accepted", accepted);
+    service.set_counter("serve.conns_closed", closed);
+    service.set_counter("serve.conns_timed_out", timed_out);
+    let mut members = shared.stats_members(true);
+    if let Value::Object(service_members) = service.stats_value() {
+        members.extend(service_members);
+    }
+    Value::Object(members)
 }
 
 /// Content fingerprint of a compiled entry: FNV-1a over the rendered
@@ -1678,14 +1809,93 @@ endmodule
         let cache = stats.get("cache").unwrap();
         assert_eq!(cache.get("hits").and_then(Value::as_f64), Some(0.0));
         assert_eq!(cache.get("misses").and_then(Value::as_f64), Some(1.0));
-        // Non-memoizable shapes never probe true.
-        assert!(!svc.memo_probe("server.ping", &params("{}")));
+        // A nocache request never probes true.
         let nocache = params("{\"words\":16,\"bits\":10,\"nocache\":true}");
         assert!(!svc.memo_probe("brick.estimate", &nocache));
     }
 
+    /// Serializes the tests that flip the process-wide obs switch.
+    static OBS_SWITCH: Mutex<()> = Mutex::new(());
+
+    fn request(method: &str, params: &Value) -> Request {
+        Request {
+            id: Value::Null,
+            method: method.to_owned(),
+            params: params.clone(),
+            trace: None,
+        }
+    }
+
+    #[test]
+    fn method_table_drives_dispatch_memo_traces_and_inline() {
+        let _obs = OBS_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
+        let svc = Service::new(&ServeConfig::default());
+        let empty = params("{}");
+        for m in METHODS {
+            // Cold: only the inline flag can put a request on the event
+            // thread.
+            let inline = Backend::runs_inline(&svc, &request(m.name, &empty));
+            assert_eq!(inline, m.inline, "{}", m.name);
+        }
+        lim_obs::set_enabled(true);
+        for m in METHODS {
+            for _ in 0..2 {
+                let out = svc.call(m.name, &empty);
+                if let Err(e) = &out.result {
+                    assert_ne!(e.code, ERR_UNKNOWN_METHOD, "{} must dispatch", m.name);
+                }
+                if !m.memo {
+                    assert!(!out.cached, "{} is not memoized", m.name);
+                    assert!(!svc.memo_probe(m.name, &empty), "{}", m.name);
+                }
+            }
+        }
+        let out = svc.call("no.such", &empty);
+        assert_eq!(out.result.unwrap_err().code, ERR_UNKNOWN_METHOD);
+        // Memo methods with valid params: the repeat is a memo hit, and
+        // a hit runs inline even for a method the table keeps off the
+        // event thread.
+        for (method, p) in [
+            ("brick.estimate", "{\"words\":16,\"bits\":10}"),
+            ("golden.compare", "{\"words\":16,\"bits\":10,\"stack\":1}"),
+        ] {
+            let p = params(p);
+            assert!(!svc.call(method, &p).cached, "{method} cold");
+            assert!(svc.call(method, &p).cached, "{method} repeat");
+            assert!(svc.memo_probe(method, &p), "{method}");
+            assert!(Backend::runs_inline(&svc, &request(method, &p)), "{method}");
+        }
+        // Traced methods are retained in `server.trace`, untraced ones
+        // never are.
+        for m in METHODS.iter().filter(|m| !m.traced) {
+            svc.call(m.name, &empty);
+        }
+        svc.call("server.ping", &empty);
+        let traces = svc
+            .call("server.trace", &params("{\"order\":\"recent\",\"n\":16}"))
+            .result
+            .unwrap();
+        let traces = Value::parse(&traces).unwrap();
+        let methods: Vec<&str> = traces
+            .get("traces")
+            .and_then(Value::as_array)
+            .unwrap()
+            .iter()
+            .filter_map(|t| t.get("method").and_then(Value::as_str))
+            .collect();
+        assert!(methods.contains(&"server.ping"), "{methods:?}");
+        for m in METHODS.iter().filter(|m| !m.traced) {
+            assert!(
+                !methods.contains(&m.name),
+                "{} retained: {methods:?}",
+                m.name
+            );
+        }
+    }
+
     #[test]
     fn obs_adoption_folds_request_spans_into_service_report() {
+        let _obs = OBS_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
         let svc = Service::new(&ServeConfig::default());
         lim_obs::set_enabled(true);
         lim_obs::reset();

@@ -37,7 +37,7 @@ fn roundtrip(
     )
     .expect("request written");
     reader
-        .read_line(&|| false)
+        .read_line()
         .expect("socket read")
         .expect("one response line")
 }
@@ -181,4 +181,101 @@ fn routed_repeats_hit_one_shards_memo() {
     rh.shutdown_and_join().expect("router drains");
     h1.shutdown_and_join().expect("shard 1 drains");
     h2.shutdown_and_join().expect("shard 2 drains");
+}
+
+#[test]
+fn router_survives_a_shard_reaping_its_pooled_connection() {
+    // The shard closes idle connections after a second, the router's
+    // pooled upstream among them; the next routed request must still
+    // be answered, not fail on the dead socket.
+    let shard_config = ServeConfig {
+        idle_timeout: Some(std::time::Duration::from_secs(1)),
+        ..config()
+    };
+    let shard = Server::bind("127.0.0.1:0", &shard_config).expect("bind shard");
+    let shard_addr = shard.local_addr();
+    let sh = shard.spawn();
+    let router = Router::bind("127.0.0.1:0", &[shard_addr.to_string()]).expect("bind router");
+    let router_addr = router.local_addr();
+    let rh = router.spawn();
+
+    let (mut w, mut r) = connect(router_addr);
+    let first = roundtrip(&mut w, &mut r, 1, "server.ping", "{}");
+    assert!(first.contains("\"ok\":true"), "{first}");
+    // Wait for the reap: the shard's only idle connection is the
+    // router's pooled one (this stats connection stays busy).
+    let (mut sw, mut sr) = connect(shard_addr);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        let stats = Value::parse(&roundtrip(&mut sw, &mut sr, 3, "server.stats", "{}")).unwrap();
+        let timed_out = stats
+            .get("result")
+            .and_then(|r| r.get("connections"))
+            .and_then(|c| c.get("timed_out"))
+            .and_then(Value::as_f64)
+            .unwrap();
+        if timed_out >= 1.0 {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "no reap: {stats:?}");
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+    let second = roundtrip(&mut w, &mut r, 2, "server.ping", "{}");
+    assert!(second.contains("\"ok\":true"), "{second}");
+
+    rh.shutdown_and_join().expect("router drains");
+    sh.shutdown_and_join().expect("shard drains");
+}
+
+#[test]
+fn router_retries_a_pooled_connection_that_dies_before_replying() {
+    // A stand-in shard answers the first request, then closes that
+    // connection on reading the second without replying — a reap
+    // racing the request. The router must resend on a new connection.
+    // Once the stand-in is gone, requests fail with a 502.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let shard_addr = listener.local_addr().unwrap();
+    let fake = std::thread::spawn(move || {
+        let (first, _) = listener.accept().unwrap();
+        let mut first_reader = LineReader::new(first.try_clone().unwrap());
+        let mut first = first;
+        first_reader.read_line().unwrap().unwrap();
+        write_line(&mut first, "{\"id\":1,\"ok\":true,\"result\":\"first\"}").unwrap();
+        first_reader.read_line().unwrap().unwrap();
+        drop((first, first_reader));
+        let (mut second, _) = listener.accept().unwrap();
+        let mut second_reader = LineReader::new(second.try_clone().unwrap());
+        second_reader.read_line().unwrap().unwrap();
+        write_line(&mut second, "{\"id\":2,\"ok\":true,\"result\":\"second\"}").unwrap();
+    });
+    let router = Router::bind("127.0.0.1:0", &[shard_addr.to_string()]).expect("bind router");
+    let router_addr = router.local_addr();
+    let rh = router.spawn();
+
+    let (mut w, mut r) = connect(router_addr);
+    let first = roundtrip(&mut w, &mut r, 1, "server.ping", "{}");
+    assert_eq!(first, "{\"id\":1,\"ok\":true,\"result\":\"first\"}");
+    let second = roundtrip(&mut w, &mut r, 2, "server.ping", "{}");
+    assert_eq!(second, "{\"id\":2,\"ok\":true,\"result\":\"second\"}");
+    fake.join().unwrap();
+
+    let third = roundtrip(&mut w, &mut r, 3, "server.ping", "{}");
+    let third = Value::parse(&third).unwrap();
+    let code = third
+        .get("error")
+        .and_then(|e| e.get("code"))
+        .and_then(Value::as_f64);
+    assert_eq!(code, Some(502.0), "{third:?}");
+    let stats = Value::parse(&roundtrip(&mut w, &mut r, 4, "server.stats", "{}")).unwrap();
+    let errors = stats
+        .get("result")
+        .and_then(|r| r.get("errors"))
+        .and_then(Value::as_f64);
+    assert_eq!(
+        errors,
+        Some(1.0),
+        "only the unreachable shard counts: {stats:?}"
+    );
+
+    rh.shutdown_and_join().expect("router drains");
 }

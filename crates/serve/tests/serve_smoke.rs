@@ -5,9 +5,10 @@
 use lim_obs::json::Value;
 use lim_serve::net::{write_line, LineReader, MAX_LINE_BYTES};
 use lim_serve::protocol::{result_slice, ERR_BAD_REQUEST, ERR_OVERLOADED};
-use lim_serve::{ServeConfig, Server, Service};
+use lim_serve::router::Router;
+use lim_serve::{ServeConfig, Server, ServerHandle, Service};
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
@@ -16,6 +17,21 @@ fn connect(addr: std::net::SocketAddr) -> (TcpStream, LineReader) {
     stream.set_nodelay(true).unwrap();
     let reader = LineReader::new(stream.try_clone().unwrap());
     (stream, reader)
+}
+
+/// The front ends every connection-handling test runs against.
+const FRONT_ENDS: [&str; 2] = ["shard", "router"];
+
+/// Boots a front end: a lone shard, or a router over one shard. Returns
+/// its address and every handle to shut down afterwards.
+fn boot(kind: &str, config: &ServeConfig) -> (SocketAddr, Vec<ServerHandle>) {
+    let shard = Server::bind("127.0.0.1:0", config).expect("bind shard");
+    if kind == "shard" {
+        return (shard.local_addr(), vec![shard.spawn()]);
+    }
+    let router =
+        Router::bind("127.0.0.1:0", &[shard.local_addr().to_string()]).expect("bind router");
+    (router.local_addr(), vec![router.spawn(), shard.spawn()])
 }
 
 fn roundtrip(
@@ -31,7 +47,7 @@ fn roundtrip(
     )
     .expect("request written");
     reader
-        .read_line(&|| false)
+        .read_line()
         .expect("socket read")
         .expect("one response line")
 }
@@ -168,7 +184,7 @@ fn concurrent_traffic_matches_direct_calls_and_warms_caches() {
     // Malformed input gets a 400 on the same connection, which stays
     // usable afterwards.
     write_line(&mut writer, "this is not json").unwrap();
-    let response = reader.read_line(&|| false).unwrap().unwrap();
+    let response = reader.read_line().unwrap().unwrap();
     let v = Value::parse(&response).unwrap();
     assert_eq!(v.get("ok"), Some(&Value::Bool(false)));
     assert_eq!(
@@ -255,18 +271,21 @@ fn oversized_line_gets_an_error_response_before_close() {
     // A client that streams past MAX_LINE_BYTES without a newline must
     // get a well-formed 400 error line back — not a silent reset — and
     // then the connection closes.
-    let server = Server::bind(
-        "127.0.0.1:0",
-        &ServeConfig {
-            max_in_flight: 2,
-            cache_bytes: 1 << 16,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind ephemeral port");
-    let addr = server.local_addr();
-    let handle = server.spawn();
+    let config = ServeConfig {
+        max_in_flight: 2,
+        cache_bytes: 1 << 16,
+        ..ServeConfig::default()
+    };
+    for kind in FRONT_ENDS {
+        let (addr, handles) = boot(kind, &config);
+        oversized_line_on(kind, addr);
+        for handle in handles {
+            handle.shutdown_and_join().expect("clean drain");
+        }
+    }
+}
 
+fn oversized_line_on(kind: &str, addr: SocketAddr) {
     let (mut writer, mut reader) = connect(addr);
     let chunk = vec![b'x'; 64 << 10];
     let mut sent = 0usize;
@@ -279,30 +298,29 @@ fn oversized_line_gets_an_error_response_before_close() {
         .shutdown(std::net::Shutdown::Write)
         .expect("half-close");
     let response = reader
-        .read_line(&|| false)
-        .expect("error line readable")
+        .read_line()
+        .unwrap_or_else(|e| panic!("{kind}: error line unreadable: {e}"))
         .expect("one error line before close");
     let v = Value::parse(&response).expect("well-formed JSON error line");
-    assert_eq!(v.get("ok"), Some(&Value::Bool(false)), "{response}");
+    assert_eq!(v.get("ok"), Some(&Value::Bool(false)), "{kind}: {response}");
     assert_eq!(
         v.get("error")
             .and_then(|e| e.get("code"))
             .and_then(Value::as_f64),
         Some(f64::from(ERR_BAD_REQUEST)),
-        "{response}"
+        "{kind}: {response}"
     );
     assert!(
         response.contains("MAX_LINE_BYTES"),
-        "error names the limit: {response}"
+        "{kind}: error names the limit: {response}"
     );
     // Then EOF: the connection is closed, nothing else arrives.
-    assert_eq!(reader.read_line(&|| false).expect("clean close"), None);
+    assert_eq!(reader.read_line().expect("clean close"), None, "{kind}");
 
     // The server survives and stays responsive.
     let (mut writer, mut reader) = connect(addr);
     let pong = roundtrip(&mut writer, &mut reader, 1, "server.ping", "{}");
-    assert!(pong.contains("\"pong\":true"));
-    handle.shutdown_and_join().expect("clean drain");
+    assert!(pong.contains("\"pong\":true"), "{kind}: {pong}");
 }
 
 #[test]
@@ -344,13 +362,27 @@ fn restart_on_warm_disk_answers_cached_and_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[cfg(target_os = "linux")]
 #[test]
 fn a_thousand_idle_connections_cost_no_threads() {
     // The poll loop's reason to exist: idle connections are slab slots,
     // not threads. Open 1000, verify the process thread count is flat
     // and the server still answers promptly, then drop them and watch
     // the accounting drain.
+    let config = ServeConfig {
+        max_in_flight: 4,
+        cache_bytes: 1 << 20,
+        ..ServeConfig::default()
+    };
+    for kind in FRONT_ENDS {
+        let (addr, handles) = boot(kind, &config);
+        idle_connections_on(kind, addr);
+        for handle in handles {
+            handle.shutdown_and_join().expect("clean drain");
+        }
+    }
+}
+
+fn idle_connections_on(kind: &str, addr: SocketAddr) {
     fn thread_count() -> u64 {
         std::fs::read_to_string("/proc/self/status")
             .expect("/proc/self/status")
@@ -371,18 +403,6 @@ fn a_thousand_idle_connections_cost_no_threads() {
         let get = |k: &str| conns.get(k).and_then(Value::as_f64).expect(k) as u64;
         (get("open"), get("accepted"), get("closed"))
     }
-
-    let server = Server::bind(
-        "127.0.0.1:0",
-        &ServeConfig {
-            max_in_flight: 4,
-            cache_bytes: 1 << 20,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind ephemeral port");
-    let addr = server.local_addr();
-    let handle = server.spawn();
 
     let (mut writer, mut reader) = connect(addr);
     roundtrip(&mut writer, &mut reader, 0, "server.ping", "{}");
@@ -405,7 +425,7 @@ fn a_thousand_idle_connections_cost_no_threads() {
         }
         assert!(
             Instant::now() < deadline,
-            "server accepted only {open} connections: {stats}"
+            "{kind} accepted only {open} connections: {stats}"
         );
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -413,15 +433,15 @@ fn a_thousand_idle_connections_cost_no_threads() {
     let after = thread_count();
     assert!(
         after <= before + 4,
-        "idle connections must not spawn threads: {before} -> {after}"
+        "{kind}: idle connections must not spawn threads: {before} -> {after}"
     );
     // Still responsive with 1000 idle connections parked.
     let started = Instant::now();
     let pong = roundtrip(&mut writer, &mut reader, 2, "server.ping", "{}");
-    assert!(pong.contains("\"pong\":true"));
+    assert!(pong.contains("\"pong\":true"), "{kind}: {pong}");
     assert!(
         started.elapsed() < Duration::from_secs(1),
-        "ping under idle load took {:?}",
+        "{kind}: ping under idle load took {:?}",
         started.elapsed()
     );
 
@@ -431,16 +451,15 @@ fn a_thousand_idle_connections_cost_no_threads() {
         let stats = roundtrip(&mut writer, &mut reader, 3, "server.stats", "{}");
         let (open, accepted, closed) = connections(&stats);
         if open <= 1 {
-            assert_eq!(accepted, closed + open, "accounting must balance");
+            assert_eq!(accepted, closed + open, "{kind}: accounting must balance");
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "dropped connections not reaped: {stats}"
+            "{kind}: dropped connections not reaped: {stats}"
         );
         std::thread::sleep(Duration::from_millis(20));
     }
-    handle.shutdown_and_join().expect("clean drain");
 }
 
 #[test]
@@ -459,7 +478,7 @@ fn shutdown_request_drains_the_server() {
         // Some platforms accept then reset; either way no server answers.
         let (mut w, mut r) = connect(addr);
         write_line(&mut w, "{\"method\":\"server.ping\"}").ok();
-        r.read_line(&|| false).ok().flatten().is_none()
+        r.read_line().ok().flatten().is_none()
     });
 }
 
@@ -546,8 +565,8 @@ fn drain_persists_every_reply_sent_before_its_disk_write() {
     };
 
     let server = Server::bind("127.0.0.1:0", &config).expect("bind cold server");
+    let service = server.service();
     let handle = server.spawn();
-    let service = handle.service();
     let cold = send_all(handle.addr());
     for reply in &cold {
         assert!(

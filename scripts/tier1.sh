@@ -213,6 +213,13 @@ direct=$(client_at "$single" --method batch --params "$cluster_batch")
 [[ "$routed" == "$direct" ]] \
     || { echo "router batch differs from lone shard" >&2; \
          echo "routed: $routed" >&2; echo "direct: $direct" >&2; exit 1; }
+# The router binary serves on the shard's event loop, so its stats
+# carry the same connection accounting next to its routing counters.
+router_stats=$(client_at "$router" --stats)
+echo "$router_stats" | grep -q '"connections"' \
+    || { echo "router stats missing connections: $router_stats" >&2; exit 1; }
+echo "$router_stats" | grep -q '"forwarded"' \
+    || { echo "router stats missing forwarded: $router_stats" >&2; exit 1; }
 # rtl.infer through the router must match the lone shard byte for
 # byte (deterministic DSE choice + flow on whichever shard it lands).
 rtl_routed=$(client_at "$router" --method rtl.infer --source-file examples/smart_mem.v \

@@ -127,7 +127,7 @@ fn server_connection_accounting_balances_and_reports_timeouts() {
         write_line(writer, "{\"id\":0,\"method\":\"server.stats\",\"params\":{}}")
             .expect("stats request");
         let line = reader
-            .read_line(&|| false)
+            .read_line()
             .expect("stats read")
             .expect("stats line");
         let v = Value::parse(&line).expect("stats parse");
