@@ -592,6 +592,84 @@ pub fn generate_heap_spgemm_core(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lim_rtl::testbench::{CamModel, Ports, Testbench};
+
+    /// An 8-entry, 6-bit-key CAM block with a CAM model on its macro.
+    fn cam_block() -> Netlist {
+        let cfg = CamConfig {
+            entries: 8,
+            key_bits: 6,
+            data_bits: 6,
+        };
+        generate_cam_block(&Technology::cmos65(), &cfg, &mut BrickLibrary::new()).unwrap()
+    }
+
+    fn cam<'t>(tb: &'t mut Testbench<'_>) -> &'t mut CamModel {
+        tb.model_mut("u_cam").expect("the block's CAM macro")
+    }
+
+    /// Searches `key`: the search register captures it at one edge, the
+    /// match lines launch from the next. Returns `(hit, select)`.
+    fn search(tb: &mut Testbench<'_>, key: u64) -> (bool, Vec<bool>) {
+        let ports: Ports = [("en".to_owned(), 1), ("search".to_owned(), key)].into();
+        tb.cycle(&ports).unwrap();
+        let out = tb.cycle(&ports).unwrap();
+        let sel = (0..8).map(|i| out[&format!("pd_sel{i}")] == 1).collect();
+        (out["hit"] == 1, sel)
+    }
+
+    #[test]
+    fn hit_and_select_on_stored_keys() {
+        let n = cam_block();
+        let mut tb = Testbench::new(&n, CamModel::for_cell).unwrap();
+        cam(&mut tb).store(2, 0b101010);
+        cam(&mut tb).store(5, 0b000111);
+        let (hit, sel) = search(&mut tb, 0b101010);
+        assert!(hit);
+        assert_eq!(
+            sel,
+            (0..8).map(|i| i == 2).collect::<Vec<_>>(),
+            "select must be one-hot at entry 2"
+        );
+        let (hit, sel) = search(&mut tb, 0b000111);
+        assert!(hit);
+        assert!(sel[5]);
+        assert_eq!(sel.iter().filter(|&&s| s).count(), 1);
+    }
+
+    #[test]
+    fn miss_reports_no_hit_and_cold_select() {
+        let n = cam_block();
+        let mut tb = Testbench::new(&n, CamModel::for_cell).unwrap();
+        cam(&mut tb).store(1, 0b111111);
+        let (hit, sel) = search(&mut tb, 0b000001);
+        assert!(!hit);
+        assert!(sel.iter().all(|&s| !s));
+    }
+
+    #[test]
+    fn duplicate_keys_resolve_by_priority() {
+        let n = cam_block();
+        let mut tb = Testbench::new(&n, CamModel::for_cell).unwrap();
+        cam(&mut tb).store(6, 0b010101);
+        cam(&mut tb).store(3, 0b010101);
+        let (hit, sel) = search(&mut tb, 0b010101);
+        assert!(hit);
+        // Lowest index wins in the synthesized priority decode.
+        assert!(sel[3]);
+        assert!(!sel[6]);
+        assert_eq!(sel.iter().filter(|&&s| s).count(), 1);
+    }
+
+    #[test]
+    fn cleared_entries_stop_matching() {
+        let n = cam_block();
+        let mut tb = Testbench::new(&n, CamModel::for_cell).unwrap();
+        cam(&mut tb).store(4, 0b001100);
+        assert!(search(&mut tb, 0b001100).0);
+        cam(&mut tb).clear(4);
+        assert!(!search(&mut tb, 0b001100).0);
+    }
 
     #[test]
     fn cam_block_generates_and_validates() {

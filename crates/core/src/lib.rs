@@ -48,7 +48,6 @@
 //! ```
 
 pub mod cam;
-pub mod cam_sim;
 pub mod chip;
 pub mod dse;
 pub mod error;
@@ -58,7 +57,6 @@ pub mod parallel_access;
 pub mod rtl_infer;
 pub mod soc;
 pub mod sram;
-pub mod sram_sim;
 
 pub use chip::{ChipSample, SiliconEmulation};
 pub use dse::{pareto_front, DsePoint};

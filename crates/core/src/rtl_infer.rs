@@ -15,6 +15,8 @@
 use crate::dse;
 use crate::error::LimError;
 use crate::flow::{LimBlock, LimFlow};
+use crate::sram::check_wordline_budget;
+use lim_brick::compiler::MAX_STACK;
 use lim_brick::{BitcellKind, BrickSpec};
 use lim_physical::power::MacroActivity;
 use lim_rtl::infer::{infer, Inference};
@@ -26,10 +28,6 @@ use std::time::Duration;
 
 /// Default brick-depth candidates when the caller passes none.
 pub const DEFAULT_BRICK_WORDS: &[usize] = &[8, 16, 32, 64];
-
-/// Deepest brick stack the decomposition sweep will consider (matches
-/// the bound `dse::explore_partitioned` uses).
-const MAX_STACK: usize = 64;
 
 /// The DSE-chosen decomposition of one inferred memory.
 #[derive(Debug, Clone, PartialEq)]
@@ -248,6 +246,9 @@ pub fn infer_and_synthesize(
             module.name
         )));
     }
+    check_wordline_budget(inference.memories.iter().fold(0usize, |trees, m| {
+        trees.saturating_add(m.words.saturating_mul(1 + m.lanes().len()))
+    }))?;
 
     // Per-memory decomposition choice + library registration.
     let mut plans_by_mem: BTreeMap<String, MemLowering> = BTreeMap::new();

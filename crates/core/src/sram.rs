@@ -14,11 +14,32 @@
 //! | E | 128x10 | 4 | 16x10 | 2x |
 
 use crate::error::LimError;
+use lim_brick::compiler::MAX_STACK;
 use lim_brick::{BitcellKind, BrickLibrary, BrickSpec};
-use lim_rtl::generators::and_tree;
+use lim_rtl::generators::{complement_rails, minterm, predecode, word_line};
 use lim_rtl::{NetId, Netlist, StdCellKind};
 use lim_tech::Technology;
 use std::fmt;
+
+/// Most wordline AND trees one request may build: those of the largest
+/// single-lane memory `rtl.infer` lowers (a read and a write line per
+/// word of a full stack of the deepest bricks).
+pub const MAX_WORDLINE_TREES: usize = 2 * BrickSpec::MAX_WORDS * MAX_STACK;
+
+/// Rejects memories needing more than [`MAX_WORDLINE_TREES`] wordline
+/// AND trees, before any netlist is built. `trees` is words × (1 + write
+/// lanes), summed over the memories.
+pub(crate) fn check_wordline_budget(trees: usize) -> Result<(), LimError> {
+    if trees > MAX_WORDLINE_TREES {
+        return Err(LimError::BadConfig {
+            reason: format!(
+                "memories need {trees} wordline AND trees, more than the \
+                 {MAX_WORDLINE_TREES} of the largest single-lane memory"
+            ),
+        });
+    }
+    Ok(())
+}
 
 /// Configuration of a generated 1R1W SRAM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,8 +59,9 @@ impl SramConfig {
     /// # Errors
     ///
     /// Returns [`LimError::BadConfig`] unless `partitions` is a power of
-    /// two and `words` divides evenly into `partitions · brick_words`
-    /// stacks.
+    /// two, `words` divides evenly into `partitions · brick_words`
+    /// stacks, and the decoders need at most [`MAX_WORDLINE_TREES`]
+    /// wordlines.
     pub fn new(
         words: usize,
         bits: usize,
@@ -87,6 +109,7 @@ impl SramConfig {
                 ),
             });
         }
+        check_wordline_budget(words.saturating_mul(2))?;
         Ok(SramConfig {
             words,
             bits,
@@ -214,90 +237,33 @@ pub fn generate(
         .map(|i| n.add_input(format!("din[{i}]")))
         .collect();
 
-    // Complement rails.
-    let raddr_n: Vec<NetId> = raddr
-        .iter()
-        .enumerate()
-        .map(|(i, &a)| n.add_gate(StdCellKind::Inv, 2.0, &[a], format!("raddr_n[{i}]")))
-        .collect::<Result<_, _>>()?;
-    let waddr_n: Vec<NetId> = waddr
-        .iter()
-        .enumerate()
-        .map(|(i, &a)| n.add_gate(StdCellKind::Inv, 2.0, &[a], format!("waddr_n[{i}]")))
-        .collect::<Result<_, _>>()?;
+    let raddr_n = complement_rails(&mut n, &raddr, "raddr")?;
+    let waddr_n = complement_rails(&mut n, &waddr, "waddr")?;
 
     let local_bits = addr_bits - config.bank_bits();
     let wpp = config.words_per_partition();
 
-    // Shared predecode of the local address bits in groups of up to three,
-    // built once per port and reused by every bank — the structure real
-    // SRAM decoders use, and what keeps the single-bank configuration's
-    // decoder from dwarfing the partitioned one.
-    let predecode = |n: &mut Netlist,
-                     addr: &[NetId],
-                     addr_n: &[NetId],
-                     label: &str|
-     -> Result<Vec<Vec<NetId>>, LimError> {
-        let mut groups = Vec::new();
-        let mut base = 0usize;
-        while base < local_bits {
-            let k = (local_bits - base).min(3);
-            let mut lines = Vec::with_capacity(1 << k);
-            for v in 0..(1usize << k) {
-                let lits: Vec<NetId> = (0..k)
-                    .map(|b| {
-                        if (v >> b) & 1 == 1 {
-                            addr[base + b]
-                        } else {
-                            addr_n[base + b]
-                        }
-                    })
-                    .collect();
-                lines.push(and_tree(n, &lits, &format!("{label}_g{base}_{v}"))?);
-            }
-            groups.push(lines);
-            base += k;
-        }
-        Ok(groups)
-    };
-    let r_groups = predecode(&mut n, &raddr, &raddr_n, "rpd")?;
-    let w_groups = predecode(&mut n, &waddr, &waddr_n, "wpd")?;
-    let group_lines = |groups: &[Vec<NetId>], w: usize| -> Vec<NetId> {
-        let mut lines = Vec::with_capacity(groups.len());
-        let mut base = 0usize;
-        for g in groups {
-            let k = g.len().trailing_zeros() as usize;
-            lines.push(g[(w >> base) & ((1 << k) - 1)]);
-            base += k;
-        }
-        lines
-    };
+    // Shared predecode of the local address bits, built once per port
+    // and reused by every bank — the structure real SRAM decoders use,
+    // and what keeps the single-bank configuration's decoder from
+    // dwarfing the partitioned one.
+    let r_groups = predecode(&mut n, &raddr[..local_bits], &raddr_n[..local_bits], "rpd")?;
+    let w_groups = predecode(&mut n, &waddr[..local_bits], &waddr_n[..local_bits], "wpd")?;
 
     let mut bank_outputs: Vec<Vec<NetId>> = Vec::with_capacity(config.partitions());
     for p in 0..config.partitions() {
-        // Bank enable from the high address bits.
-        let bank_lit = |addr: &[NetId], addr_inv: &[NetId], n2: &mut Netlist| -> Result<NetId, LimError> {
-            if config.bank_bits() == 0 {
-                return Ok(n2.add_tie(true, format!("bank{p}_always")));
-            }
-            let lits: Vec<NetId> = (0..config.bank_bits())
-                .map(|b| {
-                    if (p >> b) & 1 == 1 {
-                        addr[local_bits + b]
-                    } else {
-                        addr_inv[local_bits + b]
-                    }
-                })
-                .collect();
-            Ok(and_tree(n2, &lits, &format!("bank{p}"))?)
-        };
         let (r_en, w_en) = if config.bank_bits() == 0 {
             // Single bank: reads are unconditional, writes gate on `we`
             // alone (no tie-AND for the optimizer to chew on).
             (None, we)
         } else {
-            let r_en = bank_lit(&raddr, &raddr_n, &mut n)?;
-            let w_en_bank = bank_lit(&waddr, &waddr_n, &mut n)?;
+            // Bank enables from the high address bits.
+            let bank = |n: &mut Netlist, addr: &[NetId], addr_n: &[NetId]| {
+                let label = format!("bank{p}");
+                minterm(n, &addr[local_bits..], &addr_n[local_bits..], p, &label)
+            };
+            let r_en = bank(&mut n, &raddr, &raddr_n)?;
+            let w_en_bank = bank(&mut n, &waddr, &waddr_n)?;
             let w_en = n.add_gate(
                 StdCellKind::And2,
                 1.0,
@@ -312,14 +278,9 @@ pub fn generate(
         let mut rdwl = Vec::with_capacity(wpp);
         let mut wdwl = Vec::with_capacity(wpp);
         for w in 0..wpp {
-            let mut r_ins = group_lines(&r_groups, w);
-            if let Some(r_en) = r_en {
-                r_ins.push(r_en);
-            }
-            rdwl.push(and_tree(&mut n, &r_ins, &format!("rdwl{p}_{w}"))?);
-            let mut w_ins = group_lines(&w_groups, w);
-            w_ins.push(w_en);
-            wdwl.push(and_tree(&mut n, &w_ins, &format!("wdwl{p}_{w}"))?);
+            let (r_label, w_label) = (format!("rdwl{p}_{w}"), format!("wdwl{p}_{w}"));
+            rdwl.push(word_line(&mut n, &r_groups, w, r_en.as_slice(), &r_label)?);
+            wdwl.push(word_line(&mut n, &w_groups, w, &[w_en], &w_label)?);
         }
 
         // Per-bank write-data drivers: every bank's write bitlines need
@@ -399,6 +360,8 @@ pub fn generate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lim_rtl::testbench::{Ports, SramBrickModel, Testbench};
+    use lim_rtl::RtlError;
 
     #[test]
     fn config_validation() {
@@ -406,6 +369,95 @@ mod tests {
         assert!(SramConfig::new(128, 10, 3, 16).is_err()); // not a power of 2
         assert!(SramConfig::new(100, 10, 4, 16).is_err()); // not divisible
         assert!(SramConfig::new(0, 10, 1, 16).is_err());
+        // The largest single-lane memory rtl.infer lowers fits the
+        // decoder bound.
+        assert!(SramConfig::new(65_536, 1, 1, 1024).is_ok());
+    }
+
+    fn sram(words: usize, partitions: usize) -> Netlist {
+        let cfg = SramConfig::new(words, 10, partitions, 16).unwrap();
+        generate(&Technology::cmos65(), &cfg, &mut BrickLibrary::new()).unwrap()
+    }
+
+    fn ports(pairs: &[(&str, u64)]) -> Ports {
+        pairs.iter().map(|&(k, v)| (k.to_owned(), v)).collect()
+    }
+
+    /// Writes `din` at `addr` (one cycle).
+    fn write(tb: &mut Testbench<'_>, addr: u64, din: u64) {
+        tb.cycle(&ports(&[("we", 1), ("waddr", addr), ("din", din)]))
+            .unwrap();
+    }
+
+    /// Reads `addr`: the word comes out after the edge that launches it.
+    fn read(tb: &mut Testbench<'_>, addr: u64) -> u64 {
+        tb.cycle(&ports(&[("raddr", addr)])).unwrap()["dout"]
+    }
+
+    #[test]
+    fn write_then_read_back_single_bank() {
+        let n = sram(32, 1);
+        let mut tb = Testbench::new(&n, SramBrickModel::for_cell).unwrap();
+        write(&mut tb, 5, 0b10_1101_0011);
+        write(&mut tb, 17, 0x2aa);
+        assert_eq!(read(&mut tb, 5), 0b10_1101_0011);
+        assert_eq!(read(&mut tb, 17), 0x2aa);
+        // Unwritten location reads zero.
+        assert_eq!(read(&mut tb, 3), 0);
+    }
+
+    #[test]
+    fn partitioned_sram_reads_through_the_bank_mux() {
+        let n = sram(128, 4);
+        let mut tb = Testbench::new(&n, SramBrickModel::for_cell).unwrap();
+        // One address in every bank, a distinct 10-bit word each.
+        let addrs = [2u64, 40, 70, 100];
+        let data = |i: usize| (0x111 * (i as u64 + 1)) & 0x3ff;
+        for (i, &addr) in addrs.iter().enumerate() {
+            write(&mut tb, addr, data(i));
+        }
+        for (i, &addr) in addrs.iter().enumerate() {
+            assert_eq!(read(&mut tb, addr), data(i), "bank {i}");
+        }
+    }
+
+    #[test]
+    fn writes_do_not_alias_across_banks() {
+        let n = sram(128, 4);
+        let mut tb = Testbench::new(&n, SramBrickModel::for_cell).unwrap();
+        // Same local offset in all four banks: distinct values survive.
+        for bank in 0..4u64 {
+            write(&mut tb, bank * 32 + 7, 0x100 + bank);
+        }
+        for bank in 0..4u64 {
+            assert_eq!(read(&mut tb, bank * 32 + 7), 0x100 + bank);
+        }
+    }
+
+    #[test]
+    fn simultaneous_read_write_different_addresses() {
+        let n = sram(32, 1);
+        let mut tb = Testbench::new(&n, SramBrickModel::for_cell).unwrap();
+        write(&mut tb, 9, 0x155);
+        // Read 9 while writing 10.
+        let both = ports(&[("raddr", 9), ("we", 1), ("waddr", 10), ("din", 0x2bb)]);
+        assert_eq!(tb.cycle(&both).unwrap()["dout"], 0x155);
+        assert_eq!(read(&mut tb, 10), 0x2bb);
+    }
+
+    #[test]
+    fn mismatched_netlist_rejected() {
+        // A CAM macro's pins are no SRAM brick's.
+        let cam = crate::cam::generate_cam_block(
+            &Technology::cmos65(),
+            &crate::cam::CamConfig::spgemm_paper(),
+            &mut BrickLibrary::new(),
+        )
+        .unwrap();
+        assert!(matches!(
+            Testbench::new(&cam, SramBrickModel::for_cell),
+            Err(RtlError::MacroModel { .. })
+        ));
     }
 
     #[test]

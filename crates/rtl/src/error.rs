@@ -48,6 +48,13 @@ pub enum RtlError {
         /// Human-readable reason.
         reason: String,
     },
+    /// A simulation model does not fit the cell it was bound to.
+    MacroModel {
+        /// Instance name of the cell.
+        cell: String,
+        /// Human-readable reason.
+        reason: String,
+    },
 }
 
 impl fmt::Display for RtlError {
@@ -71,6 +78,7 @@ impl fmt::Display for RtlError {
             RtlError::BadGeneratorParams { generator, reason } => {
                 write!(f, "generator `{generator}`: {reason}")
             }
+            RtlError::MacroModel { cell, reason } => write!(f, "model of `{cell}`: {reason}"),
         }
     }
 }

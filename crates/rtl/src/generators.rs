@@ -4,7 +4,10 @@
 //! different corners of the algorithm" (§3): decoders with enable, mux
 //! trees, equality comparators, priority encoders, ripple adders, array
 //! multipliers, one-hot sequencers and register banks — every block the
-//! smart-memory generators in `lim` compose around bricks.
+//! smart-memory generators in `lim` compose around bricks. The address
+//! decoder pieces ([`complement_rails`], [`minterm`], [`predecode`],
+//! [`word_line`]) are shared by both memory builders, `lim::sram` and
+//! [`crate::smartmem`].
 //!
 //! All generators produce validated gate-level [`Netlist`]s with inputs in
 //! a documented order (always LSB first for buses).
@@ -71,6 +74,79 @@ pub fn or_tree(n: &mut Netlist, nets: &[NetId], label: &str) -> Result<NetId, Rt
     Ok(layer[0])
 }
 
+/// Complement rails of an address bus: one inverter per bit, named
+/// `{prefix}_n[i]`.
+pub fn complement_rails(
+    n: &mut Netlist,
+    addr: &[NetId],
+    prefix: &str,
+) -> Result<Vec<NetId>, RtlError> {
+    addr.iter()
+        .enumerate()
+        .map(|(i, &a)| n.add_gate(StdCellKind::Inv, 2.0, &[a], format!("{prefix}_n[{i}]")))
+        .collect()
+}
+
+/// The AND tree (named `label`) that is high when `addr` holds `value`:
+/// the true rail of every set bit, the complement rail of every clear
+/// one, LSB first.
+pub fn minterm(
+    n: &mut Netlist,
+    addr: &[NetId],
+    addr_n: &[NetId],
+    value: usize,
+    label: &str,
+) -> Result<NetId, RtlError> {
+    let literals: Vec<NetId> = (0..addr.len())
+        .map(|b| if (value >> b) & 1 == 1 { addr[b] } else { addr_n[b] })
+        .collect();
+    and_tree(n, &literals, label)
+}
+
+/// Predecodes `addr` in groups of up to three bits, LSB group first:
+/// the group starting at bit `base` holds one minterm per value `v`,
+/// named `{label}_g{base}_{v}`.
+pub fn predecode(
+    n: &mut Netlist,
+    addr: &[NetId],
+    addr_n: &[NetId],
+    label: &str,
+) -> Result<Vec<Vec<NetId>>, RtlError> {
+    let mut groups = Vec::new();
+    let mut base = 0usize;
+    while base < addr.len() {
+        let bits = base..(base + 3).min(addr.len());
+        let lines = (0..1usize << bits.len())
+            .map(|v| {
+                let name = format!("{label}_g{base}_{v}");
+                minterm(n, &addr[bits.clone()], &addr_n[bits.clone()], v, &name)
+            })
+            .collect::<Result<_, _>>()?;
+        groups.push(lines);
+        base = bits.end;
+    }
+    Ok(groups)
+}
+
+/// Word line `word` behind [`predecode`]d `groups`: the AND tree (named
+/// `label`) of the word's line from every group, then of `enables`.
+pub fn word_line(
+    n: &mut Netlist,
+    groups: &[Vec<NetId>],
+    word: usize,
+    enables: &[NetId],
+    label: &str,
+) -> Result<NetId, RtlError> {
+    let mut ins = Vec::with_capacity(groups.len() + enables.len());
+    let mut base = 0usize;
+    for g in groups {
+        ins.push(g[(word >> base) & (g.len() - 1)]);
+        base += g.len().trailing_zeros() as usize;
+    }
+    ins.extend_from_slice(enables);
+    and_tree(n, &ins, label)
+}
+
 /// Generates an `addr_bits`-to-`words` one-hot decoder.
 ///
 /// Inputs: `addr[0..addr_bits]` (LSB first), then `en` when
@@ -104,18 +180,9 @@ pub fn decoder(
     let addr: Vec<NetId> = (0..addr_bits).map(|i| n.add_input(format!("addr[{i}]"))).collect();
     let en = with_enable.then(|| n.add_input("en"));
 
-    // Complement rail for each address bit.
-    let addr_n: Vec<NetId> = addr
-        .iter()
-        .enumerate()
-        .map(|(i, &a)| n.add_gate(StdCellKind::Inv, 2.0, &[a], format!("addr_n[{i}]")))
-        .collect::<Result<_, _>>()?;
-
+    let addr_n = complement_rails(&mut n, &addr, "addr")?;
     for w in 0..words {
-        let literals: Vec<NetId> = (0..addr_bits)
-            .map(|b| if (w >> b) & 1 == 1 { addr[b] } else { addr_n[b] })
-            .collect();
-        let mut hot = and_tree(&mut n, &literals, &format!("w{w}"))?;
+        let mut hot = minterm(&mut n, &addr, &addr_n, w, &format!("w{w}"))?;
         if let Some(en) = en {
             hot = n.add_gate(StdCellKind::And2, 1.0, &[hot, en], format!("out[{w}]"))?;
         } else {

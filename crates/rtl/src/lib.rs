@@ -18,9 +18,12 @@
 //! * [`mapping`] — netlist cleanup passes (constant propagation, dead-gate
 //!   sweep, fanout buffering), the equivalent of the paper's Design
 //!   Compiler step.
-//! * [`sim`] — an event-driven two-value gate simulator with DFF support,
-//!   producing per-net switching activity (the SAIF file of the paper's
-//!   flow) for power analysis.
+//! * [`sim`] — an event-driven two-value gate simulator with DFF support
+//!   and a [`MacroModel`] hook for brick macros, producing per-net
+//!   switching activity (the SAIF file of the paper's flow) for power
+//!   analysis.
+//! * [`testbench`] — one named-port harness over the simulator, with an
+//!   SRAM-brick and a CAM macro model, that steps every generated memory.
 //! * [`verilog`] — structural Verilog emission.
 //!
 //! The memory-inference frontend turns *behavioral* Verilog into the
@@ -34,8 +37,7 @@
 //! * [`infer`] — memory inference: port classification and a rejection
 //!   taxonomy with line/column diagnostics.
 //! * [`smartmem`] — lowering of inferred memories to brick-macro columns
-//!   with synthesized decoder/enable/driver periphery, plus a
-//!   co-simulation testbench.
+//!   with synthesized decoder/enable/driver periphery.
 //!
 //! # Examples
 //!
@@ -67,6 +69,7 @@ pub mod sim;
 pub mod smartmem;
 pub mod stats;
 pub mod stdcell;
+pub mod testbench;
 pub mod verilog;
 
 pub use behav::{BehavInterp, BehavModule};
@@ -74,6 +77,7 @@ pub use error::RtlError;
 pub use infer::{Inference, InferredMemory, RejectKind, Rejection};
 pub use ir::{CellId, CellKind, NetId, Netlist};
 pub use parse::{parse, ParseError};
-pub use sim::{Simulator, SwitchingActivity};
-pub use smartmem::{MemLowering, SmartMemTestbench};
+pub use sim::{MacroModel, Simulator, SwitchingActivity};
+pub use smartmem::MemLowering;
 pub use stdcell::StdCellKind;
+pub use testbench::{CamModel, SramBrickModel, Testbench};

@@ -7,13 +7,28 @@
 //! per-net toggles into a [`SwitchingActivity`] that `lim-physical`'s
 //! power analysis consumes.
 //!
-//! Brick macros are not simulated at the gate level (their behaviour lives
-//! in the brick library); their output nets can be forced with
-//! [`force_net`](Simulator::force_net) when a testbench needs them.
+//! Brick macros are sequential cells whose behaviour lives outside the
+//! gate level: a [`MacroModel`] attached with [`Simulator::attach`]
+//! supplies it. At each clock edge the simulator hands every attached
+//! model the macro's input pins as they settled before the edge and
+//! takes back the outputs that launch from that edge, together with the
+//! flip-flop updates — the timing [`CellKind::Macro`] documents. A macro
+//! without a model holds its outputs low.
 
 use crate::error::RtlError;
 use crate::ir::{CellId, CellKind, NetId, Netlist};
 use crate::stdcell::StdCellKind;
+use std::any::Any;
+use std::fmt;
+
+/// The behaviour of a macro cell under simulation.
+pub trait MacroModel: Any + fmt::Debug {
+    /// One clock edge. `inputs` are the macro's input pins, in pin
+    /// order, as they settled before the edge; `outputs` hold what the
+    /// previous edge launched, and the model overwrites what this edge
+    /// launches.
+    fn edge(&mut self, inputs: &[bool], outputs: &mut [bool]);
+}
 
 /// Per-net toggle statistics accumulated over a simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,16 +69,15 @@ impl SwitchingActivity {
 }
 
 /// Gate-level simulator over a validated [`Netlist`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Simulator<'n> {
     netlist: &'n Netlist,
     order: Vec<CellId>,
     values: Vec<bool>,
-    /// Next-state values for sequential cells, captured before the edge.
     toggles: Vec<u64>,
     cycles: u64,
-    /// Nets forced by the testbench (e.g. macro outputs).
-    forced: Vec<Option<bool>>,
+    /// Behaviour of macro cells, one model per attached macro.
+    models: Vec<(CellId, Box<dyn MacroModel>)>,
 }
 
 impl<'n> Simulator<'n> {
@@ -81,20 +95,34 @@ impl<'n> Simulator<'n> {
             values: vec![false; netlist.net_count()],
             toggles: vec![0; netlist.net_count()],
             cycles: 0,
-            forced: vec![None; netlist.net_count()],
+            models: Vec::new(),
         })
     }
 
-    /// Forces `net` to `value` until [`release_net`](Self::release_net);
-    /// used to drive macro outputs from a behavioural model.
-    pub fn force_net(&mut self, net: NetId, value: bool) {
-        self.forced[net.index()] = Some(value);
-        self.values[net.index()] = value;
+    /// Makes `model` the behaviour of macro `cell`, replacing any model
+    /// attached to it before.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RtlError::MacroModel`] when `cell` is not a macro of
+    /// this netlist.
+    pub fn attach(&mut self, cell: CellId, model: Box<dyn MacroModel>) -> Result<(), RtlError> {
+        let c = self.netlist.cell(cell);
+        if !matches!(c.kind, CellKind::Macro { .. }) {
+            return Err(RtlError::MacroModel {
+                cell: c.name.clone(),
+                reason: "not a macro cell".into(),
+            });
+        }
+        self.models.retain(|(c, _)| *c != cell);
+        self.models.push((cell, model));
+        Ok(())
     }
 
-    /// Removes a force.
-    pub fn release_net(&mut self, net: NetId) {
-        self.forced[net.index()] = None;
+    /// The model attached to macro `cell`, when it is an `M`.
+    pub fn model_mut<M: MacroModel>(&mut self, cell: CellId) -> Option<&mut M> {
+        let (_, model) = self.models.iter_mut().find(|(c, _)| *c == cell)?;
+        (model.as_mut() as &mut dyn Any).downcast_mut()
     }
 
     /// Current value of a net.
@@ -132,19 +160,11 @@ impl<'n> Simulator<'n> {
                 CellKind::Gate { kind, .. } => {
                     let ins: Vec<bool> =
                         cell.inputs.iter().map(|&n| self.values[n.index()]).collect();
-                    let out = kind.eval(&ins);
-                    let o = cell.outputs[0].index();
-                    if self.forced[o].is_none() {
-                        self.values[o] = out;
-                    }
+                    self.values[cell.outputs[0].index()] = kind.eval(&ins);
                 }
-                CellKind::Tie { value } => {
-                    let o = cell.outputs[0].index();
-                    if self.forced[o].is_none() {
-                        self.values[o] = *value;
-                    }
-                }
-                CellKind::Macro { .. } => { /* behaviour supplied via force_net */ }
+                CellKind::Tie { value } => self.values[cell.outputs[0].index()] = *value,
+                // Outputs change only at the edge, from the attached model.
+                CellKind::Macro { .. } => {}
             }
         }
     }
@@ -171,8 +191,8 @@ impl<'n> Simulator<'n> {
     }
 
     /// One full clock cycle: applies inputs, settles, clocks every
-    /// flip-flop, settles again, accumulates toggle counts, and returns
-    /// the post-edge primary outputs.
+    /// flip-flop and attached macro model, settles again, accumulates
+    /// toggle counts, and returns the post-edge primary outputs.
     ///
     /// # Errors
     ///
@@ -182,7 +202,8 @@ impl<'n> Simulator<'n> {
         self.apply_inputs(inputs)?;
         self.propagate();
 
-        // Capture D pins, then update Q outputs simultaneously.
+        // Capture every flop's and macro's next state from the pre-edge
+        // values, then update them simultaneously.
         let mut updates: Vec<(usize, bool)> = Vec::new();
         for cell in self.netlist.cells() {
             if let CellKind::Gate { kind, .. } = &cell.kind {
@@ -201,10 +222,16 @@ impl<'n> Simulator<'n> {
                 }
             }
         }
+        for (cid, model) in &mut self.models {
+            let cell = self.netlist.cell(*cid);
+            let pins = |nets: &[NetId]| nets.iter().map(|&n| self.values[n.index()]).collect();
+            let ins: Vec<bool> = pins(&cell.inputs);
+            let mut outs: Vec<bool> = pins(&cell.outputs);
+            model.edge(&ins, &mut outs);
+            updates.extend(cell.outputs.iter().map(|n| n.index()).zip(outs));
+        }
         for (net, v) in updates {
-            if self.forced[net].is_none() {
-                self.values[net] = v;
-            }
+            self.values[net] = v;
         }
         self.propagate();
 
@@ -296,21 +323,40 @@ mod tests {
         assert_eq!(act.toggles(clk), 20);
     }
 
+    /// A one-bit register as a macro: launches its pre-edge input.
+    #[derive(Debug)]
+    struct Latch;
+
+    impl MacroModel for Latch {
+        fn edge(&mut self, inputs: &[bool], outputs: &mut [bool]) {
+            outputs[0] = inputs[1];
+        }
+    }
+
     #[test]
-    fn forced_macro_outputs_hold() {
+    fn macro_outputs_launch_from_the_edge_and_hold_between_edges() {
         let mut n = Netlist::new("macro");
         let clk = n.add_clock("clk");
-        let outs = n.add_macro("u_brick", "brick_x", &[clk], 2, "arbl");
-        let merged = n
-            .add_gate(StdCellKind::And2, 1.0, &[outs[0], outs[1]], "both")
-            .unwrap();
-        n.mark_output(merged);
+        let d = n.add_input("d");
+        let q = n.add_macro("u_latch", "latch", &[clk, d], 1, "q")[0];
+        let y = n.add_gate(StdCellKind::Buf, 1.0, &[q], "y").unwrap();
+        n.mark_output(y);
         let mut sim = Simulator::new(&n).unwrap();
-        sim.force_net(outs[0], true);
-        sim.force_net(outs[1], true);
-        assert_eq!(sim.step(&[]).unwrap(), vec![true]);
-        sim.force_net(outs[1], false);
-        assert_eq!(sim.step(&[]).unwrap(), vec![false]);
+        // Unmodeled, the macro holds its outputs low.
+        assert_eq!(sim.step(&[true]).unwrap(), vec![false]);
+        let cell = CellId(n.cells().iter().position(|c| c.name == "u_latch").unwrap());
+        sim.attach(cell, Box::new(Latch)).unwrap();
+        assert!(sim.model_mut::<Latch>(cell).is_some());
+        assert_eq!(sim.step(&[true]).unwrap(), vec![true]);
+        // Settling new inputs moves nothing until the next edge.
+        assert_eq!(sim.eval(&[false]).unwrap(), vec![true]);
+        assert_eq!(sim.step(&[false]).unwrap(), vec![false]);
+        // Only macros take models.
+        let buf = CellId(n.cells().iter().position(|c| c.name == "u_y").unwrap());
+        assert!(matches!(
+            sim.attach(buf, Box::new(Latch)),
+            Err(RtlError::MacroModel { .. })
+        ));
     }
 
     #[test]

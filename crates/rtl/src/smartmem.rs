@@ -12,21 +12,16 @@
 //! [`MemLowering`] — this crate stays ignorant of brick libraries and
 //! only records the chosen library entry names on the macros.
 //!
-//! [`SmartMemTestbench`] closes the verification loop: behavioral lane
-//! models watch each macro's decoded wordlines and write data, keep the
-//! array contents, and drive the macro outputs so the lowered design
-//! can be stepped cycle by cycle through the *real* synthesized
-//! periphery and compared against [`crate::behav::BehavInterp`].
-//! Reads sample pre-edge array contents (non-blocking-assignment
-//! ordering), so a same-address read/write collision returns the old
-//! word — exactly what the behavioral interpreter computes.
+//! [`crate::testbench::Testbench`] with a
+//! [`crate::testbench::SramBrickModel`] on every lane macro steps the
+//! lowered design cycle by cycle through the *real* synthesized
+//! periphery, for comparison against [`crate::behav::BehavInterp`].
 
 use crate::behav::{BehavModule, Cond, PortDir, Rvalue, Stmt};
 use crate::error::RtlError;
-use crate::generators::and_tree;
+use crate::generators::{complement_rails, predecode, word_line};
 use crate::infer::{Inference, WriteEnable};
-use crate::ir::{CellKind, NetId, Netlist};
-use crate::sim::Simulator;
+use crate::ir::{NetId, Netlist};
 use crate::stdcell::StdCellKind;
 use std::collections::BTreeMap;
 
@@ -57,56 +52,6 @@ fn port_bit(nets: &PortNets, name: &str, bit: usize) -> Result<NetId, RtlError> 
         .and_then(|v| v.get(bit))
         .copied()
         .ok_or_else(|| bad(format!("no net for `{name}[{bit}]`")))
-}
-
-/// Builds the decoded wordlines for one address port: complement
-/// rails, predecode groups of up to three bits, then one AND tree per
-/// word (plus optional extra gating inputs appended by the caller).
-fn decode_port(
-    n: &mut Netlist,
-    addr: &[NetId],
-    words: usize,
-    label: &str,
-) -> Result<Vec<Vec<NetId>>, RtlError> {
-    let addr_n: Vec<NetId> = addr
-        .iter()
-        .enumerate()
-        .map(|(i, &a)| n.add_gate(StdCellKind::Inv, 2.0, &[a], format!("{label}_n[{i}]")))
-        .collect::<Result<_, _>>()?;
-    let bits = addr.len();
-    let mut groups: Vec<Vec<NetId>> = Vec::new();
-    let mut base = 0usize;
-    while base < bits {
-        let k = (bits - base).min(3);
-        let mut lines = Vec::with_capacity(1 << k);
-        for v in 0..(1usize << k) {
-            let lits: Vec<NetId> = (0..k)
-                .map(|b| {
-                    if (v >> b) & 1 == 1 {
-                        addr[base + b]
-                    } else {
-                        addr_n[base + b]
-                    }
-                })
-                .collect();
-            lines.push(and_tree(n, &lits, &format!("{label}_g{base}_{v}"))?);
-        }
-        groups.push(lines);
-        base += k;
-    }
-    // Per-word input sets: the matching line from each predecode group.
-    let mut per_word = Vec::with_capacity(words);
-    for w in 0..words {
-        let mut lines = Vec::with_capacity(groups.len());
-        let mut base = 0usize;
-        for g in &groups {
-            let k = g.len().trailing_zeros() as usize;
-            lines.push(g[(w >> base) & ((1 << k) - 1)]);
-            base += k;
-        }
-        per_word.push(lines);
-    }
-    Ok(per_word)
 }
 
 /// Lowers `module` to a structural netlist, splicing one brick-macro
@@ -191,12 +136,14 @@ pub fn lower(
             .ok_or_else(|| bad(format!("no nets for write address `{}`", m.write_addr)))?
             .clone();
 
-        let r_lines = decode_port(&mut n, &raddr, m.words, &format!("{}_raddr", m.name))?;
-        let w_lines = decode_port(&mut n, &waddr, m.words, &format!("{}_waddr", m.name))?;
-        let rdwl: Vec<NetId> = r_lines
-            .iter()
-            .enumerate()
-            .map(|(w, lines)| and_tree(&mut n, lines, &format!("{}_rdwl_{w}", m.name)))
+        // Each port's complement rails, then its predecode groups.
+        let (r_label, w_label) = (format!("{}_raddr", m.name), format!("{}_waddr", m.name));
+        let raddr_n = complement_rails(&mut n, &raddr, &r_label)?;
+        let r_groups = predecode(&mut n, &raddr, &raddr_n, &r_label)?;
+        let waddr_n = complement_rails(&mut n, &waddr, &w_label)?;
+        let w_groups = predecode(&mut n, &waddr, &waddr_n, &w_label)?;
+        let rdwl: Vec<NetId> = (0..m.words)
+            .map(|w| word_line(&mut n, &r_groups, w, &[], &format!("{}_rdwl_{w}", m.name)))
             .collect::<Result<_, _>>()?;
 
         let mut dout_nets: Vec<Option<NetId>> = vec![None; m.bits];
@@ -209,15 +156,10 @@ pub fn lower(
                     Some(port_bit(&nets, signal, lane.we_bit)?)
                 }
             };
-            let wdwl: Vec<NetId> = w_lines
-                .iter()
-                .enumerate()
-                .map(|(w, lines)| {
-                    let mut ins = lines.clone();
-                    if let Some(en) = lane_en {
-                        ins.push(en);
-                    }
-                    and_tree(&mut n, &ins, &format!("{}_l{k}_wdwl_{w}", m.name))
+            let wdwl: Vec<NetId> = (0..m.words)
+                .map(|w| {
+                    let label = format!("{}_l{k}_wdwl_{w}", m.name);
+                    word_line(&mut n, &w_groups, w, lane_en.as_slice(), &label)
                 })
                 .collect::<Result<_, _>>()?;
             // Write drivers from the lane's slice of the data port.
@@ -359,199 +301,14 @@ pub fn lower(
     Ok(n)
 }
 
-/// Behavioral state of one brick-macro lane.
-#[derive(Debug, Clone)]
-struct LaneModel {
-    /// Lane contents, one entry per word.
-    words: Vec<u64>,
-    /// Read wordline input nets, word order.
-    rdwl: Vec<NetId>,
-    /// Write wordline input nets.
-    wdwl: Vec<NetId>,
-    /// Write-data input nets (lane LSB first).
-    wbl: Vec<NetId>,
-    /// Macro output nets.
-    outputs: Vec<NetId>,
-    /// Registered read launched at the last edge.
-    pending_read: Option<u64>,
-}
-
-/// A lowered smart-memory netlist paired with behavioral lane models,
-/// ready for cycle-by-cycle transactions through the real synthesized
-/// periphery.
-#[derive(Debug)]
-pub struct SmartMemTestbench<'n> {
-    sim: Simulator<'n>,
-    /// Non-clock input ports (name, width), declaration order — the
-    /// layout of the simulator input vector.
-    inputs: Vec<(String, usize)>,
-    /// Output ports (name, width, nets), declaration order.
-    outputs: Vec<(String, usize, Vec<NetId>)>,
-    lanes: Vec<LaneModel>,
-}
-
-impl<'n> SmartMemTestbench<'n> {
-    /// Binds lane models to the macros of `netlist`, which must have
-    /// been produced by [`lower`] for `module`/`inference`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RtlError::BadGeneratorParams`] when a macro is missing
-    /// or its pin count disagrees with the inference result; propagates
-    /// simulator setup failures.
-    pub fn new(
-        netlist: &'n Netlist,
-        module: &BehavModule,
-        inference: &Inference,
-    ) -> Result<Self, RtlError> {
-        let sim = Simulator::new(netlist)?;
-        let clock = inference
-            .memories
-            .first()
-            .map(|m| m.clock.clone())
-            .ok_or_else(|| bad("no inferred memories"))?;
-        let inputs: Vec<(String, usize)> = module
-            .data_inputs(&clock)
-            .iter()
-            .map(|p| (p.name.clone(), p.width))
-            .collect();
-
-        let mut outputs = Vec::new();
-        let mut next = 0usize;
-        let pouts = netlist.primary_outputs();
-        for p in &module.ports {
-            if p.dir != PortDir::Output {
-                continue;
-            }
-            if next + p.width > pouts.len() {
-                return Err(bad(format!(
-                    "netlist has {} primary outputs, fewer than the ports need",
-                    pouts.len()
-                )));
-            }
-            outputs.push((
-                p.name.clone(),
-                p.width,
-                pouts[next..next + p.width].to_vec(),
-            ));
-            next += p.width;
-        }
-
-        let mut lanes = Vec::new();
-        for m in &inference.memories {
-            for (k, lane) in m.lanes().iter().enumerate() {
-                let inst = format!("u_{}_l{k}", m.name);
-                let cell = netlist
-                    .cells()
-                    .iter()
-                    .find(|c| {
-                        c.name == inst && matches!(c.kind, CellKind::Macro { .. })
-                    })
-                    .ok_or_else(|| bad(format!("macro `{inst}` not found")))?;
-                let expected = 2 + 2 * m.words + lane.width();
-                if cell.inputs.len() != expected {
-                    return Err(bad(format!(
-                        "macro `{inst}` has {} pins, expected {expected}",
-                        cell.inputs.len()
-                    )));
-                }
-                lanes.push(LaneModel {
-                    words: vec![0; m.words],
-                    rdwl: cell.inputs[2..2 + m.words].to_vec(),
-                    wdwl: cell.inputs[2 + m.words..2 + 2 * m.words].to_vec(),
-                    wbl: cell.inputs[2 + 2 * m.words..].to_vec(),
-                    outputs: cell.outputs.clone(),
-                    pending_read: None,
-                });
-            }
-        }
-        Ok(SmartMemTestbench {
-            sim,
-            inputs,
-            outputs,
-            lanes,
-        })
-    }
-
-    /// Runs one clock cycle with the named input values (missing names
-    /// default to 0) and returns every output port's post-edge value.
-    ///
-    /// Lane models sample reads from *pre-edge* contents before
-    /// applying the cycle's write — non-blocking-assignment ordering —
-    /// so a same-address read-during-write returns the old word.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator failures.
-    pub fn cycle(
-        &mut self,
-        values: &BTreeMap<String, u64>,
-    ) -> Result<BTreeMap<String, u64>, RtlError> {
-        let mut v = Vec::new();
-        for (name, width) in &self.inputs {
-            let x = values.get(name).copied().unwrap_or(0);
-            for b in 0..*width {
-                v.push((x >> b) & 1 == 1);
-            }
-        }
-        // Settle the decoders and write data against this cycle's inputs.
-        self.sim.eval(&v)?;
-
-        for lane in &mut self.lanes {
-            // Launch the read from pre-edge contents…
-            let read_word = lane
-                .rdwl
-                .iter()
-                .enumerate()
-                .filter(|&(_, &net)| self.sim.value(net))
-                .map(|(w, _)| w)
-                .next_back();
-            lane.pending_read = read_word.map(|w| lane.words[w]);
-            // …then capture the write.
-            let write_word = lane
-                .wdwl
-                .iter()
-                .enumerate()
-                .filter(|&(_, &net)| self.sim.value(net))
-                .map(|(w, _)| w)
-                .next_back();
-            if let Some(w) = write_word {
-                let mut data = 0u64;
-                for (b, &net) in lane.wbl.iter().enumerate() {
-                    data |= (self.sim.value(net) as u64) << b;
-                }
-                lane.words[w] = data;
-            }
-        }
-
-        // Drive macro outputs with the launched data, then clock the
-        // synthesized flops.
-        for lane in &self.lanes {
-            let data = lane.pending_read.unwrap_or(0);
-            for (b, &net) in lane.outputs.iter().enumerate() {
-                self.sim.force_net(net, (data >> b) & 1 == 1);
-            }
-        }
-        self.sim.step(&v)?;
-
-        let mut out = BTreeMap::new();
-        for (name, width, nets) in &self.outputs {
-            let mut x = 0u64;
-            for (b, &net) in nets.iter().enumerate().take(*width) {
-                x |= (self.sim.value(net) as u64) << b;
-            }
-            out.insert(name.clone(), x);
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::behav::BehavInterp;
     use crate::infer::infer;
+    use crate::ir::CellKind;
     use crate::parse::parse;
+    use crate::testbench::{SramBrickModel, Testbench};
 
     const SRC: &str = "\
 module spram (
@@ -571,7 +328,7 @@ module spram (
 endmodule
 ";
 
-    fn lowered(src: &str, entries: &[(&str, usize, &[&str])]) -> (Netlist, BehavModule, Inference) {
+    fn lowered(src: &str, entries: &[(&str, usize, &[&str])]) -> (Netlist, BehavModule) {
         let module = parse(src).unwrap();
         let inf = infer(&module);
         assert!(inf.rejected.is_empty(), "{:?}", inf.rejected);
@@ -588,7 +345,7 @@ endmodule
             })
             .collect();
         let n = lower(&module, &inf, &plans).unwrap();
-        (n, module, inf)
+        (n, module)
     }
 
     fn vals(pairs: &[(&str, u64)]) -> BTreeMap<String, u64> {
@@ -597,7 +354,7 @@ endmodule
 
     #[test]
     fn lowered_netlist_validates_and_has_the_macro() {
-        let (n, _, _) = lowered(SRC, &[("mem", 8, &["brick_8t_8_8_x2"])]);
+        let (n, _) = lowered(SRC, &[("mem", 8, &["brick_8t_8_8_x2"])]);
         assert!(n.validate().is_ok());
         assert_eq!(n.primary_outputs().len(), 8);
         let macros: Vec<_> = n
@@ -612,8 +369,8 @@ endmodule
 
     #[test]
     fn testbench_matches_behavioral_interpreter() {
-        let (n, module, inf) = lowered(SRC, &[("mem", 8, &["brick_8t_8_8_x2"])]);
-        let mut tb = SmartMemTestbench::new(&n, &module, &inf).unwrap();
+        let (n, module) = lowered(SRC, &[("mem", 8, &["brick_8t_8_8_x2"])]);
+        let mut tb = Testbench::new(&n, SramBrickModel::for_cell).unwrap();
         let mut gold = BehavInterp::new(&module).unwrap();
         let trace: &[(&str, u64, u64, u64, u64)] = &[
             // (we, waddr, raddr, din) tuples exercising collisions.
@@ -649,15 +406,14 @@ module be (
   end
 endmodule
 ";
-        let (n, module, inf) =
-            lowered(src, &[("m", 8, &["brick_8t_8_8_x1", "brick_8t_8_8_x1"])]);
+        let (n, module) = lowered(src, &[("m", 8, &["brick_8t_8_8_x1", "brick_8t_8_8_x1"])]);
         let macros = n
             .cells()
             .iter()
             .filter(|c| matches!(c.kind, CellKind::Macro { .. }))
             .count();
         assert_eq!(macros, 2);
-        let mut tb = SmartMemTestbench::new(&n, &module, &inf).unwrap();
+        let mut tb = Testbench::new(&n, SramBrickModel::for_cell).unwrap();
         let mut gold = BehavInterp::new(&module).unwrap();
         // Write low lane only, then both, read back each time.
         for inputs in [
@@ -696,9 +452,9 @@ module mix (
   assign y = d;
 endmodule
 ";
-        let (n, module, inf) = lowered(src, &[("m", 4, &["brick_8t_4_4_x1"])]);
+        let (n, module) = lowered(src, &[("m", 4, &["brick_8t_4_4_x1"])]);
         assert_eq!(n.primary_outputs().len(), 6);
-        let mut tb = SmartMemTestbench::new(&n, &module, &inf).unwrap();
+        let mut tb = Testbench::new(&n, SramBrickModel::for_cell).unwrap();
         let mut gold = BehavInterp::new(&module).unwrap();
         for inputs in [
             vals(&[("we", 1), ("waddr", 1), ("din", 0x9), ("d", 1), ("en", 0)]),

@@ -18,10 +18,11 @@
 //!
 //! Cheap requests never leave the event thread: control methods and
 //! whatever the backend's `runs_inline` accepts (for a shard, the
-//! method table's inline methods and memo hits; for the router,
-//! everything, since its answer only builds a relay) are answered
-//! inline, so the common cached round trip never pays a thread
-//! handoff. Everything else is handed to the worker pool, sized
+//! method table's inline methods and memo hits) are answered inline,
+//! so the common cached round trip never pays a thread handoff. An
+//! `inline_only` backend — the router, whose answer only builds a
+//! relay — answers everything inline and gets no worker pool. For the
+//! others, everything else is handed to the pool, sized
 //! `max_in_flight + 2` so the admission gate — not the pool — is what
 //! sheds load.
 //!
@@ -648,7 +649,7 @@ fn handle_line(
         respond(conn, tok, answer, shared, relays);
         return;
     }
-    if shared.backend.runs_inline(&rq) {
+    if shared.backend.inline_only() || shared.backend.runs_inline(&rq) {
         let answer = shared.admit(&rq, &line);
         respond(conn, tok, answer, shared, relays);
         return;
@@ -675,7 +676,11 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<ServerShared>) -> io::Resul
     let inbox: Inbox = Arc::new(Mutex::new(Vec::new()));
     let (job_tx, job_rx) = mpsc::channel::<Job>();
     let job_rx = Arc::new(Mutex::new(job_rx));
-    let worker_count = shared.gate.max_in_flight() + 2;
+    let worker_count = if shared.backend.inline_only() {
+        0
+    } else {
+        shared.gate.max_in_flight() + 2
+    };
     let mut workers: Vec<JoinHandle<()>> = Vec::with_capacity(worker_count);
     for _ in 0..worker_count {
         let jobs = Arc::clone(&job_rx);

@@ -146,7 +146,7 @@ impl Backend for RouterShared {
     }
 
     /// Building a relay is cheap; the shards do the work.
-    fn runs_inline(&self, _rq: &Request) -> bool {
+    fn inline_only(&self) -> bool {
         true
     }
 

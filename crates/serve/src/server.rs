@@ -9,7 +9,8 @@
 //! sustains thousands of them at ~zero CPU. What the loop serves is a
 //! `Backend`; the loop never branches on which one it has. Requests
 //! the backend calls cheap run inline on the event thread, the rest on
-//! a small worker pool. An `Answer` is a reply line, or a `Relay`:
+//! a small worker pool, which a backend that answers everything inline
+//! does without. An `Answer` is a reply line, or a `Relay`:
 //! request lines the loop sends to other servers before the reply is
 //! built, which is how the router forwards.
 //!
@@ -39,6 +40,13 @@ pub(crate) trait Backend: Send + Sync {
 
     /// True when `rq` is cheap enough to answer on the event thread.
     fn runs_inline(&self, _rq: &Request) -> bool {
+        false
+    }
+
+    /// True for a backend that answers every request on the event
+    /// thread (`runs_inline` is then never asked); the loop starts no
+    /// worker pool for it.
+    fn inline_only(&self) -> bool {
         false
     }
 

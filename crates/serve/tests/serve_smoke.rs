@@ -2,55 +2,17 @@
 //! mixed multi-threaded traffic, checked byte-for-byte against direct
 //! in-process library calls.
 
+mod common;
+
+use common::{boot, connect, roundtrip, FRONT_ENDS};
 use lim_obs::json::Value;
-use lim_serve::net::{write_line, LineReader, MAX_LINE_BYTES};
+use lim_serve::net::{write_line, MAX_LINE_BYTES};
 use lim_serve::protocol::{result_slice, ERR_BAD_REQUEST, ERR_OVERLOADED};
-use lim_serve::router::Router;
-use lim_serve::{ServeConfig, Server, ServerHandle, Service};
+use lim_serve::{ServeConfig, Server, Service};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
-
-fn connect(addr: std::net::SocketAddr) -> (TcpStream, LineReader) {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).unwrap();
-    let reader = LineReader::new(stream.try_clone().unwrap());
-    (stream, reader)
-}
-
-/// The front ends every connection-handling test runs against.
-const FRONT_ENDS: [&str; 2] = ["shard", "router"];
-
-/// Boots a front end: a lone shard, or a router over one shard. Returns
-/// its address and every handle to shut down afterwards.
-fn boot(kind: &str, config: &ServeConfig) -> (SocketAddr, Vec<ServerHandle>) {
-    let shard = Server::bind("127.0.0.1:0", config).expect("bind shard");
-    if kind == "shard" {
-        return (shard.local_addr(), vec![shard.spawn()]);
-    }
-    let router =
-        Router::bind("127.0.0.1:0", &[shard.local_addr().to_string()]).expect("bind router");
-    (router.local_addr(), vec![router.spawn(), shard.spawn()])
-}
-
-fn roundtrip(
-    writer: &mut TcpStream,
-    reader: &mut LineReader,
-    id: usize,
-    method: &str,
-    params: &str,
-) -> String {
-    write_line(
-        writer,
-        &format!("{{\"id\":{id},\"method\":\"{method}\",\"params\":{params}}}"),
-    )
-    .expect("request written");
-    reader
-        .read_line()
-        .expect("socket read")
-        .expect("one response line")
-}
 
 /// The mixed workload: every serving endpoint, several spec shapes.
 const TRAFFIC: &[(&str, &str)] = &[
@@ -363,102 +325,66 @@ fn restart_on_warm_disk_answers_cached_and_byte_identical() {
 }
 
 #[test]
-fn a_thousand_idle_connections_cost_no_threads() {
-    // The poll loop's reason to exist: idle connections are slab slots,
-    // not threads. Open 1000, verify the process thread count is flat
-    // and the server still answers promptly, then drop them and watch
-    // the accounting drain.
-    let config = ServeConfig {
-        max_in_flight: 4,
-        cache_bytes: 1 << 20,
-        ..ServeConfig::default()
-    };
+fn memories_past_the_decoder_bound_get_a_prompt_400() {
+    // A million 16-word banks (stack 1, a valid brick) and 17 memories
+    // of 4096 words each both need more wordline AND trees than the
+    // largest single-lane memory rtl.infer lowers, so both are refused
+    // before any netlist is built, instead of building millions of
+    // cells.
+    let mut source = "module wide (\n  input wire clk,\n  input wire we,\n  \
+                      input wire [11:0] waddr,\n  input wire [11:0] raddr,\n  \
+                      input wire [7:0] din"
+        .to_owned();
+    for i in 0..17 {
+        source += &format!(",\n  output reg [7:0] q{i}");
+    }
+    source += "\n);\n";
+    for i in 0..17 {
+        source += &format!("  reg [7:0] m{i} [4095:0];\n");
+    }
+    source += "  always @(posedge clk) begin\n";
+    for i in 0..17 {
+        source += &format!("    if (we) m{i}[waddr] <= din;\n    q{i} <= m{i}[raddr];\n");
+    }
+    source += "  end\nendmodule\n";
+    let rtl_params =
+        lim_obs::json::render(&Value::Object(vec![("source".to_owned(), Value::String(source))]));
+    let requests = [
+        (
+            "flow.run",
+            "{\"words\":16777216,\"bits\":1,\"partitions\":1048576,\"brick_words\":16}",
+        ),
+        ("rtl.infer", rtl_params.as_str()),
+    ];
+
     for kind in FRONT_ENDS {
-        let (addr, handles) = boot(kind, &config);
-        idle_connections_on(kind, addr);
+        let (addr, handles) = boot(kind, &ServeConfig::default());
+        let (mut writer, mut reader) = connect(addr);
+        for (id, (method, params)) in requests.iter().enumerate() {
+            let started = Instant::now();
+            let response = roundtrip(&mut writer, &mut reader, id, method, params);
+            let v = Value::parse(&response).expect("response parses");
+            let err = v.get("error").expect("an error response");
+            assert_eq!(
+                err.get("code").and_then(Value::as_f64),
+                Some(ERR_BAD_REQUEST as f64),
+                "{kind} {method}: {response}"
+            );
+            assert!(
+                err.get("message")
+                    .and_then(Value::as_str)
+                    .is_some_and(|m| m.contains("wordline AND trees")),
+                "{kind} {method}: {response}"
+            );
+            assert!(
+                started.elapsed() < Duration::from_secs(5),
+                "{kind} {method} took {:?}",
+                started.elapsed()
+            );
+        }
         for handle in handles {
             handle.shutdown_and_join().expect("clean drain");
         }
-    }
-}
-
-fn idle_connections_on(kind: &str, addr: SocketAddr) {
-    fn thread_count() -> u64 {
-        std::fs::read_to_string("/proc/self/status")
-            .expect("/proc/self/status")
-            .lines()
-            .find_map(|l| l.strip_prefix("Threads:"))
-            .expect("Threads: line")
-            .trim()
-            .parse()
-            .expect("thread count parses")
-    }
-    fn connections(stats: &str) -> (u64, u64, u64) {
-        let v = Value::parse(stats).expect("stats parse");
-        let conns = v
-            .get("result")
-            .and_then(|r| r.get("connections"))
-            .expect("connections object")
-            .clone();
-        let get = |k: &str| conns.get(k).and_then(Value::as_f64).expect(k) as u64;
-        (get("open"), get("accepted"), get("closed"))
-    }
-
-    let (mut writer, mut reader) = connect(addr);
-    roundtrip(&mut writer, &mut reader, 0, "server.ping", "{}");
-    let before = thread_count();
-
-    const IDLE: usize = 1000;
-    let idle: Vec<TcpStream> = (0..IDLE)
-        .map(|i| {
-            TcpStream::connect(addr).unwrap_or_else(|e| panic!("idle connect {i}: {e}"))
-        })
-        .collect();
-    // Wait for the server to accept them all (it batches accepts per
-    // poll wakeup).
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let stats = roundtrip(&mut writer, &mut reader, 1, "server.stats", "{}");
-        let (open, _, _) = connections(&stats);
-        if open >= (IDLE + 1) as u64 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "{kind} accepted only {open} connections: {stats}"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
-
-    let after = thread_count();
-    assert!(
-        after <= before + 4,
-        "{kind}: idle connections must not spawn threads: {before} -> {after}"
-    );
-    // Still responsive with 1000 idle connections parked.
-    let started = Instant::now();
-    let pong = roundtrip(&mut writer, &mut reader, 2, "server.ping", "{}");
-    assert!(pong.contains("\"pong\":true"), "{kind}: {pong}");
-    assert!(
-        started.elapsed() < Duration::from_secs(1),
-        "{kind}: ping under idle load took {:?}",
-        started.elapsed()
-    );
-
-    drop(idle);
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let stats = roundtrip(&mut writer, &mut reader, 3, "server.stats", "{}");
-        let (open, accepted, closed) = connections(&stats);
-        if open <= 1 {
-            assert_eq!(accepted, closed + open, "{kind}: accounting must balance");
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "{kind}: dropped connections not reaped: {stats}"
-        );
-        std::thread::sleep(Duration::from_millis(20));
     }
 }
 

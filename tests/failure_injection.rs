@@ -116,6 +116,7 @@ fn sram_configs_reject_every_inconsistency() {
         (128, 10, 3, 16),                   // non-power-of-two banks
         (100, 10, 1, 16),                   // indivisible
         (96, 10, 2, 16),                    // 48 words/bank not a power of 2
+        (16_777_216, 1, 1_048_576, 16),     // 33.5M wordlines, past the decoder bound
     ] {
         assert!(
             matches!(SramConfig::new(w, b, p, bw), Err(LimError::BadConfig { .. })),

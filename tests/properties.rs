@@ -251,19 +251,15 @@ fn pareto_front_members_are_not_dominated() {
     });
 }
 
-/// A random behavioral memory design inside the inferable RTL subset:
-/// power-of-two depth, random word width, optionally split into two
-/// byte-enable lanes. Returns the source plus (words, bits, lanes).
-fn any_mem_source(rng: &mut TestRng) -> (String, usize, usize, usize) {
-    let words = [8usize, 16, 32][rng.gen_range(0usize..3)];
-    let bits = rng.gen_range(2usize..=12);
-    let abits = words.trailing_zeros() as usize;
-    let split = rng.gen_bool(0.5).then(|| rng.gen_range(1..bits));
-    let lanes = if split.is_some() { 2 } else { 1 };
-    let we_decl = if lanes == 2 {
-        "input wire [1:0] we".to_owned()
+/// Behavioral source of a memory inside the inferable RTL subset:
+/// `words` deep and `bits` wide, optionally split at bit `split` into
+/// two byte-enable lanes, with a registered read port.
+fn mem_source(words: usize, bits: usize, split: Option<usize>) -> String {
+    let abits = usize::BITS as usize - (words - 1).leading_zeros() as usize;
+    let we_decl = if split.is_some() {
+        "input wire [1:0] we"
     } else {
-        "input wire we".to_owned()
+        "input wire we"
     };
     let writes = match split {
         Some(s) => format!(
@@ -274,7 +270,7 @@ fn any_mem_source(rng: &mut TestRng) -> (String, usize, usize, usize) {
         ),
         None => "    if (we)\n      mem[waddr] <= din;\n".to_owned(),
     };
-    let src = format!(
+    format!(
         "module fuzzmem (\n\
          \x20 input wire clk,\n\
          \x20 {we_decl},\n\
@@ -292,59 +288,120 @@ fn any_mem_source(rng: &mut TestRng) -> (String, usize, usize, usize) {
         a = abits - 1,
         b = bits - 1,
         d = words - 1,
-    );
-    (src, words, bits, lanes)
+    )
 }
 
+/// A random behavioral memory design inside the inferable RTL subset:
+/// power-of-two depth, random word width, optionally split into two
+/// byte-enable lanes. Returns the source plus (words, bits, lanes).
+fn any_mem_source(rng: &mut TestRng) -> (String, usize, usize, usize) {
+    let words = [8usize, 16, 32][rng.gen_range(0usize..3)];
+    let bits = rng.gen_range(2usize..=12);
+    let split = rng.gen_bool(0.5).then(|| rng.gen_range(1..bits));
+    let lanes = if split.is_some() { 2 } else { 1 };
+    (mem_source(words, bits, split), words, bits, lanes)
+}
+
+/// A random configuration `sram::generate` accepts: 1, 2, 4 or 8 banks
+/// (a power of two deep when banked), a random width, and a brick
+/// depth that tiles a bank within the stack bound.
+fn any_sram(rng: &mut TestRng) -> lim::SramConfig {
+    let partitions = 1usize << rng.gen_range(0u32..4);
+    let per_bank = if partitions == 1 {
+        rng.gen_range(2usize..=48)
+    } else {
+        1 << rng.gen_range(1u32..=5)
+    };
+    let depths: Vec<usize> = (1..=per_bank)
+        .filter(|&d| per_bank % d == 0 && per_bank / d <= 64)
+        .collect();
+    let brick_words = depths[rng.gen_range(0..depths.len())];
+    let bits = rng.gen_range(1usize..=12);
+    lim::SramConfig::new(partitions * per_bank, bits, partitions, brick_words)
+        .expect("drawn inside the accepted space")
+}
+
+/// Both memory builders against the behavioral interpreter: a lowered
+/// random design, or a generated SRAM next to the single-lane module it
+/// implements, stepped through the SRAM-brick model with same-address
+/// collisions in the trace.
 #[test]
 fn rtl_infer_roundtrip_is_cycle_exact() {
     use lim_rtl::smartmem::{lower, MemLowering};
+    use lim_rtl::testbench::{Ports, SramBrickModel, Testbench};
     use std::collections::BTreeMap;
 
-    check("rtl_infer_roundtrip_is_cycle_exact", |rng| {
-        let (src, words, bits, lanes) = any_mem_source(rng);
-        let module = lim_rtl::parse(&src).expect("generated source is in the subset");
-        let inference = lim_rtl::infer::infer(&module);
-        assert!(
-            inference.rejected.is_empty(),
-            "generated design rejected: {:?}\n{src}",
-            inference.rejected
-        );
-        assert_eq!(inference.memories.len(), 1);
-        let mem = &inference.memories[0];
-        assert_eq!((mem.words, mem.bits, mem.lanes().len()), (words, bits, lanes));
+    let config = lim_testkit::prop::PropConfig::with_cases(64);
+    check_with(config, "rtl_infer_roundtrip_is_cycle_exact", |rng| {
+        let (src, netlist, words, bits, lanes) = if rng.gen_bool(0.5) {
+            let (src, words, bits, lanes) = any_mem_source(rng);
+            let module = lim_rtl::parse(&src).expect("generated source is in the subset");
+            let inference = lim_rtl::infer::infer(&module);
+            assert!(
+                inference.rejected.is_empty(),
+                "generated design rejected: {:?}\n{src}",
+                inference.rejected
+            );
+            assert_eq!(inference.memories.len(), 1);
+            let mem = &inference.memories[0];
+            assert_eq!(
+                (mem.words, mem.bits, mem.lanes().len()),
+                (words, bits, lanes)
+            );
 
-        // Any depth divisor is a valid decomposition for lowering; the
-        // cycle behavior must not depend on which one DSE would pick.
-        let brick_words = (words >> rng.gen_range(0usize..3)).max(2);
-        let stack = words / brick_words;
-        let plan = MemLowering {
-            brick_words,
-            entry_names: mem
-                .lanes()
-                .iter()
-                .map(|l| format!("brick_8t_{brick_words}_{}_x{stack}", l.width()))
-                .collect(),
+            // Any depth divisor is a valid decomposition for lowering; the
+            // cycle behavior must not depend on which one DSE would pick.
+            let brick_words = (words >> rng.gen_range(0usize..3)).max(2);
+            let stack = words / brick_words;
+            let plan = MemLowering {
+                brick_words,
+                entry_names: mem
+                    .lanes()
+                    .iter()
+                    .map(|l| format!("brick_8t_{brick_words}_{}_x{stack}", l.width()))
+                    .collect(),
+            };
+            let plans: BTreeMap<String, MemLowering> =
+                [(mem.name.clone(), plan)].into_iter().collect();
+            let netlist = lower(&module, &inference, &plans).expect("lowering succeeds");
+            (src, netlist, words, bits, lanes)
+        } else {
+            let sram = any_sram(rng);
+            let netlist =
+                lim::sram::generate(&Technology::cmos65(), &sram, &mut BrickLibrary::new())
+                    .expect("generation succeeds");
+            let src = mem_source(sram.words(), sram.bits(), None);
+            (src, netlist, sram.words(), sram.bits(), 1)
         };
-        let plans: BTreeMap<String, MemLowering> =
-            [(mem.name.clone(), plan)].into_iter().collect();
-        let netlist = lower(&module, &inference, &plans).expect("lowering succeeds");
 
-        let mut tb = lim_rtl::SmartMemTestbench::new(&netlist, &module, &inference).unwrap();
+        let module = lim_rtl::parse(&src).expect("generated source is in the subset");
+        let mut tb = Testbench::new(&netlist, SramBrickModel::for_cell).unwrap();
         let mut gold = lim_rtl::BehavInterp::new(&module).unwrap();
         for cycle in 0..16 {
-            let inputs: BTreeMap<String, u64> = [
+            let waddr = rng.gen_range(0u64..words as u64);
+            // A quarter of the cycles read the word being written.
+            let raddr = if rng.gen_bool(0.25) {
+                waddr
+            } else {
+                rng.gen_range(0u64..words as u64)
+            };
+            let inputs: Ports = [
                 ("we".to_owned(), rng.gen_range(0u64..(1 << lanes))),
-                ("waddr".to_owned(), rng.gen_range(0u64..words as u64)),
-                ("raddr".to_owned(), rng.gen_range(0u64..words as u64)),
+                ("waddr".to_owned(), waddr),
+                ("raddr".to_owned(), raddr),
                 ("din".to_owned(), rng.gen_range(0u64..(1 << bits))),
             ]
             .into_iter()
             .collect();
-            let got = tb.cycle(&inputs).unwrap();
-            let want = gold.step(&inputs);
+            // Registered outputs hold between edges whatever the inputs do.
             assert_eq!(
-                got, want,
+                tb.settle(&inputs).unwrap(),
+                gold.outputs(&inputs),
+                "cycle {cycle} moved before its edge on {inputs:?}\n{src}"
+            );
+            assert_eq!(
+                tb.cycle(&inputs).unwrap(),
+                gold.step(&inputs),
                 "cycle {cycle} diverged on {inputs:?}\n{src}"
             );
         }
@@ -1201,5 +1258,31 @@ fn rtl_infer_reply_digest_is_pinned_on_the_example() {
             (len, digest),
             "brick_words {brick_words}"
         );
+    }
+
+    // The SRAM generator's side: Fig. 4b A–E through `flow.run`, and
+    // the structural Verilog of each generated netlist, recorded before
+    // the generator and the lowering shared their decoder helpers.
+    let tech = Technology::cmos65();
+    for (config, words, partitions, flow_run, verilog) in [
+        ("A", 16, 1, (461, 0xa05d_f71a_fbe8_52deu64), (11_490, 0xedeb_9ef7_9eb9_a4bdu64)),
+        ("B", 32, 1, (458, 0xea00_b53e_8716_2d09), (18_604, 0x7a66_f42c_d12b_a091)),
+        ("C", 64, 1, (456, 0x073b_d095_0975_0620), (33_062, 0x8822_68d2_b601_3cc6)),
+        ("D", 128, 1, (461, 0x10b8_d87d_48a0_c2bc), (84_666, 0x77b3_395f_9cab_68fb)),
+        ("E", 128, 4, (462, 0x2649_6da1_32aa_81fc), (77_856, 0x7490_7dfe_4e65_2306)),
+    ] {
+        let params = Value::parse(&format!(
+            "{{\"words\":{words},\"bits\":10,\"partitions\":{partitions},\"brick_words\":16}}"
+        ))
+        .unwrap();
+        let reply = Service::new(&ServeConfig::default())
+            .call("flow.run", &params)
+            .result
+            .expect("Fig. 4b configurations synthesize");
+        assert_eq!((reply.len(), fnv1a(reply.as_bytes())), flow_run, "flow.run {config}");
+        let sram = lim::SramConfig::new(words, 10, partitions, 16).unwrap();
+        let netlist = lim::sram::generate(&tech, &sram, &mut BrickLibrary::new()).unwrap();
+        let text = lim_rtl::verilog::emit(&netlist);
+        assert_eq!((text.len(), fnv1a(text.as_bytes())), verilog, "Verilog {config}");
     }
 }
