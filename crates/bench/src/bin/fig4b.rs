@@ -25,11 +25,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let run = Span::enter("fig4b");
     let mut flow = LimFlow::cmos65();
     let tech = flow.technology().clone();
-    // Five configurations run back to back; let the nesting plan decide
-    // whether this outer sweep or each flow's multi-start placement gets
-    // the thread pool.
-    flow.options.effort = lim::dse::nesting_plan(5)
-        .apply(lim_physical::place::PlaceEffort::default().with_starts(2));
 
     let configs: [(&str, SramConfig); 5] = [
         ("A", SramConfig::new(16, 10, 1, 16)?),

@@ -27,13 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let _synth = Span::enter("synthesize_cores");
         say("synthesizing both cores (32 columns, 16x10b CAMs)...");
         let mut flow = LimFlow::cmos65();
-        // Two cores are synthesized back to back (an outer sweep of 2),
-        // so the nesting plan hands the pool to whichever level can
-        // fill it — on any machine with more than two workers that is
-        // the placer's multi-start level.
-        let plan = lim::dse::nesting_plan(2);
-        flow.options.effort =
-            plan.apply(lim_physical::place::PlaceEffort::new(0.2).with_starts(4));
+        flow.options.effort = lim_physical::place::PlaceEffort::new(0.2);
         let cfg = SpgemmCoreConfig::paper();
         let lim_block = flow.synthesize_lim_spgemm(&cfg)?;
         let heap_block = flow.synthesize_heap_spgemm(&cfg)?;

@@ -183,49 +183,6 @@ pub fn explore_partitioned(
     .collect()
 }
 
-/// How a two-level sweep — outer design points, each running a
-/// multi-start placement inside — should split the one thread pool.
-///
-/// Exactly one level is ever parallel, so nested sweeps cannot
-/// oversubscribe: `lim-par` uses one process-wide worker count, and
-/// fanning out at both levels would stack pools multiplicatively.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NestingPlan {
-    /// Fan the outer sweep across `lim_par::par_map`.
-    pub outer_parallel: bool,
-    /// Let each flow run its placement starts in parallel
-    /// ([`lim_physical::place::PlaceEffort::parallel_starts`]).
-    pub inner_parallel_starts: bool,
-}
-
-/// Picks which level of a nested sweep gets the thread pool.
-///
-/// The heuristic is a single comparison: when the outer sweep has at
-/// least as many independent points as the pool has workers
-/// ([`lim_par::threads`]), the outer level alone can saturate the
-/// machine, so it runs parallel and every inner placement keeps its
-/// starts serial. Otherwise the outer level cannot fill the pool and
-/// runs serially, letting each flow's multi-start placement fan out
-/// instead. Either way the result is byte-identical to the fully
-/// serial schedule — the plan moves work between threads, never
-/// changes it.
-pub fn nesting_plan(outer_points: usize) -> NestingPlan {
-    let outer_parallel = outer_points >= lim_par::threads();
-    NestingPlan {
-        outer_parallel,
-        inner_parallel_starts: !outer_parallel,
-    }
-}
-
-impl NestingPlan {
-    /// Applies the plan's inner-level decision to a placement effort.
-    pub fn apply(&self, effort: lim_physical::place::PlaceEffort) -> lim_physical::place::PlaceEffort {
-        let mut effort = effort;
-        effort.parallel_starts = self.inner_parallel_starts;
-        effort
-    }
-}
-
 /// Returns the indices of the pareto-optimal points minimizing
 /// (delay, energy, area): a point survives unless some other point is no
 /// worse in every dimension and strictly better in one. Indices come
@@ -484,32 +441,6 @@ mod tests {
     fn indivisible_brick_depth_rejected() {
         let err = explore(&Technology::cmos65(), &[(100, 8)], &[16]).unwrap_err();
         assert!(matches!(err, LimError::BadConfig { .. }));
-    }
-
-    #[test]
-    fn nesting_plan_parallelizes_exactly_one_level() {
-        // Whatever the worker count, a plan never enables both levels
-        // and never disables both.
-        for outer in [1usize, 2, 4, 9, 64, 1000] {
-            let plan = nesting_plan(outer);
-            assert_ne!(
-                plan.outer_parallel, plan.inner_parallel_starts,
-                "outer={outer}: exactly one level must be parallel"
-            );
-        }
-        // A sweep wider than any pool always takes the outer level.
-        assert!(nesting_plan(1000).outer_parallel);
-        // A single point cannot fill any pool (threads() >= 1 floors at
-        // a pool of one, where outer wins the >= comparison trivially
-        // only for outer >= 1 workers).
-        let plan = nesting_plan(1);
-        if lim_par::threads() > 1 {
-            assert!(plan.inner_parallel_starts);
-        }
-        // The plan round-trips into PlaceEffort.
-        let effort = plan.apply(lim_physical::place::PlaceEffort::starts(4));
-        assert_eq!(effort.parallel_starts, plan.inner_parallel_starts);
-        assert_eq!(effort.starts, 4);
     }
 
     #[test]

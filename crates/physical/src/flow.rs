@@ -60,7 +60,7 @@ impl Default for FlowOptions {
 pub struct FlowStats {
     /// Time in [`Floorplan::build`].
     pub floorplan: Duration,
-    /// Time in placement annealing.
+    /// Time in placement: the analytic seed plus the refinement anneal.
     pub place: Duration,
     /// Time in route estimation.
     pub route: Duration,
@@ -75,13 +75,14 @@ pub struct FlowStats {
     pub place_moves: usize,
     /// Annealing moves the placer accepted.
     pub place_accepted: usize,
-    /// Independent annealing starts the placer ran.
+    /// Refinement anneals the placer ran: 1 when the refinement ran, 0
+    /// otherwise.
     pub place_starts: usize,
-    /// Whether the annealer started from the analytic B2B seed (false
-    /// under `SeedMode::Cold` or for degenerate designs).
+    /// Whether the analytic B2B seed ran (false only for designs with
+    /// fewer than two cells to place).
     pub place_seeded: bool,
     /// Conjugate-gradient iterations the analytic seed spent (both
-    /// axes, all reweight rounds; zero when unseeded).
+    /// axes; zero when unseeded).
     pub place_analytic_iters: usize,
     /// Legalization displacement of the analytic seed, rounded to whole
     /// µm (integer so `FlowStats` stays `Eq`; zero when unseeded).

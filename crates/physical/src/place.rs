@@ -1,14 +1,13 @@
-//! Standard-cell placement: analytic global placement seeding a short
-//! refinement anneal.
+//! Standard-cell placement: one analytic global placement refined by
+//! one short seeded anneal.
 //!
-//! Cells occupy uniform slots on the floorplan's rows. By default
-//! ([`SeedMode::Analytic`]) a deterministic analytic global placer
-//! (`crate::analytic`: bound-to-bound quadratic net model solved per
-//! axis with Jacobi-preconditioned conjugate gradient, legalized
-//! Tetris-style onto the slot grid) produces the initial assignment,
-//! and the annealer runs as a short low-temperature refinement on top
-//! of it. [`SeedMode::Cold`] keeps the pre-analytic behavior: every
-//! start anneals from the ordered assignment with the full schedule.
+//! Cells occupy uniform slots on the floorplan's rows. A deterministic
+//! analytic global placer (`crate::analytic`: bound-to-bound quadratic
+//! net model solved per axis with Jacobi-preconditioned conjugate
+//! gradient, legalized Tetris-style onto the slot grid) produces the
+//! initial assignment, and the annealer runs once on top of it as a
+//! low-temperature refinement, its move stream seeded by one
+//! SplitMix64 step from the caller's seed.
 //!
 //! # Incremental cost
 //!
@@ -28,19 +27,8 @@
 //! checked against a full recompute every [`DRIFT_CHECK_INTERVAL`]
 //! accepted moves.
 //!
-//! # Multi-start
-//!
-//! [`PlaceEffort::starts`] runs several independently seeded anneals
-//! (through `lim-par::par_map` unless
-//! [`PlaceEffort::parallel_starts`] is cleared) and keeps the
-//! lowest-HPWL result. Under [`SeedMode::Analytic`] the analytic solve
-//! and legalization run **once** and every start refines the same
-//! legalized assignment with its own move stream — K jittered
-//! refinements instead of K cold anneals. Per-start seeds derive from
-//! the caller's seed by a SplitMix64 walk and the winner is chosen by
-//! strictly-lower final HPWL in seed order, so the output is
-//! byte-identical for any `LIM_PAR_THREADS` value and independent of
-//! start completion order.
+//! Everything is serial and seeded, so a placement is byte-identical
+//! for any `LIM_PAR_THREADS` value.
 
 use crate::error::PhysicalError;
 use crate::floorplan::Floorplan;
@@ -54,16 +42,16 @@ use lim_testkit::TestRng;
 /// builds.
 pub const DRIFT_CHECK_INTERVAL: usize = 1024;
 
-/// Fraction of the cold move budget a seeded refinement start spends.
+/// Fraction of the `30 · cells · effort` move budget the refinement
+/// anneal spends.
 pub(crate) const REFINE_BUDGET: f64 = 0.15;
 
-/// Initial-temperature multiplier of a seeded refinement relative to a
-/// cold start: low enough that the analytic placement is polished, not
-/// scrambled.
+/// Initial-temperature multiplier of the refinement: low enough that
+/// the analytic placement is polished, not scrambled.
 pub(crate) const REFINE_T0: f64 = 0.06;
 
-/// Move-window multiplier of a seeded refinement: targets stay local to
-/// the analytic placement from the first move.
+/// Move-window multiplier of the refinement: targets stay local to the
+/// analytic placement from the first move.
 pub(crate) const REFINE_WINDOW: f64 = 0.35;
 
 /// Where every pin of the design sits.
@@ -72,98 +60,44 @@ pub struct Placement {
     /// Per-cell position (cell index → center), `None` for macros (their
     /// position lives in the floorplan).
     pub cell_pos: Vec<Option<(f64, f64)>>,
-    /// Per-macro-instance position, parallel to the floorplan macro list.
-    pub macro_centers: Vec<(String, (f64, f64))>,
     /// Positions of primary-input pins (net index → position).
     pub input_pins: Vec<(NetId, (f64, f64))>,
     /// Positions of primary-output pins.
     pub output_pins: Vec<(NetId, (f64, f64))>,
     /// Final total HPWL in µm.
     pub hpwl: f64,
-    /// Annealer moves actually evaluated (no-op draws excluded), summed
-    /// over every start. Zero when the design had nothing to anneal.
+    /// Annealer moves actually evaluated (no-op draws excluded). Zero
+    /// when the refinement did not run.
     pub moves: usize,
-    /// Moves accepted (their incremental cost updates were kept), summed
-    /// over every start.
+    /// Moves accepted (their incremental cost updates were kept).
     pub accepted: usize,
-    /// Annealing starts actually run (0 when annealing was skipped).
+    /// Refinement anneals run: 1 when the refinement ran, 0 otherwise
+    /// (a zero move budget or fewer than two cells).
     pub starts: usize,
     /// Conjugate-gradient iterations the analytic seed solve spent
-    /// (both axes, all reweight rounds); 0 when no analytic solve ran.
+    /// (both axes); 0 when no analytic solve ran.
     pub analytic_iters: usize,
     /// Total µm of displacement the Tetris legalizer applied to the
-    /// analytic solution; 0.0 when no analytic solve ran.
+    /// analytic solution; 0.0 when no analytic solve ran or the ordered
+    /// baseline won.
     pub legalize_displacement: f64,
-    /// Whether the annealing starts refined an analytic seed (`false`
-    /// for cold anneals and designs with nothing to place).
+    /// Whether the analytic seed ran (`false` only for designs with
+    /// fewer than two cells to place).
     pub seeded: bool,
 }
 
-/// How each annealing start gets its initial assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SeedMode {
-    /// One shared analytic global placement (B2B quadratic model,
-    /// Tetris legalization) seeds every start; the anneal is a short
-    /// low-temperature refinement. The default.
-    #[default]
-    Analytic,
-    /// Every start anneals cold from the ordered assignment with the
-    /// full move budget and schedule.
-    Cold,
-}
-
-/// Placement effort: the annealing move budget, the number of
-/// independent starts, and how starts are seeded.
+/// Placement effort: the multiplier on the refinement anneal's move
+/// budget. `0.0` keeps the analytic seed unrefined.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlaceEffort {
-    /// Multiplier on the per-start annealing move budget.
+    /// Multiplier on the annealing move budget.
     pub moves: f64,
-    /// Independent annealing starts; the lowest-HPWL result wins with a
-    /// fixed seed-order tie-break (byte-identical for any worker count).
-    pub starts: usize,
-    /// Fan starts across `lim-par::par_map` (`true`) or run them
-    /// serially on the calling thread (`false`) — for callers already
-    /// inside an outer parallel sweep (see `lim::dse::nesting_plan`).
-    /// Never affects the result, only where the work runs.
-    pub parallel_starts: bool,
-    /// How starts get their initial assignment (analytic seed by
-    /// default).
-    pub seed_mode: SeedMode,
 }
 
 impl PlaceEffort {
-    /// Effort with a custom move-budget multiplier and a single start.
+    /// Effort with a custom move-budget multiplier.
     pub fn new(moves: f64) -> Self {
-        PlaceEffort {
-            moves,
-            starts: 1,
-            parallel_starts: true,
-            seed_mode: SeedMode::default(),
-        }
-    }
-
-    /// Default move budget, `n` independent starts (floored at 1).
-    pub fn starts(n: usize) -> Self {
-        PlaceEffort::default().with_starts(n)
-    }
-
-    /// Returns `self` with `n` starts (floored at 1).
-    pub fn with_starts(mut self, n: usize) -> Self {
-        self.starts = n.max(1);
-        self
-    }
-
-    /// Returns `self` with starts forced onto the calling thread.
-    pub fn serial(mut self) -> Self {
-        self.parallel_starts = false;
-        self
-    }
-
-    /// Returns `self` annealing cold (no analytic seed), the
-    /// pre-analytic behavior.
-    pub fn cold(mut self) -> Self {
-        self.seed_mode = SeedMode::Cold;
-        self
+        PlaceEffort { moves }
     }
 }
 
@@ -181,11 +115,13 @@ pub(crate) enum PinRef {
     Output(usize),
 }
 
-/// Static per-design placement context shared (read-only) by every
-/// start: the slot grid, fixed pin positions, and CSR net membership.
+/// Static per-design placement context shared (read-only) by the
+/// analytic seeder and the anneal: the slot grid, fixed pin positions,
+/// and CSR net membership.
 pub(crate) struct Ctx<'a> {
     pub(crate) slots: &'a [(f64, f64)],
-    pub(crate) macro_centers: &'a [(String, (f64, f64))],
+    /// Center of each floorplan macro, parallel to `floorplan.macros`.
+    pub(crate) macro_centers: &'a [(f64, f64)],
     pub(crate) input_pins: &'a [(NetId, (f64, f64))],
     pub(crate) output_pins: &'a [(NetId, (f64, f64))],
     /// CSR: pins of each net, one entry per pin occurrence (net-major,
@@ -206,7 +142,7 @@ pub(crate) struct Ctx<'a> {
     /// CSR offsets of each row's contiguous slot range.
     pub(crate) row_off: &'a [u32],
     pub(crate) n_placeable: usize,
-    /// Per-start annealing move budget (cold schedule).
+    /// Annealing move budget before the [`REFINE_BUDGET`] fraction.
     pub(crate) n_moves: usize,
     /// Die dimensions, for the analytic solver's weak center anchor.
     pub(crate) die: (f64, f64),
@@ -230,7 +166,7 @@ impl Ctx<'_> {
     pub(crate) fn pin_position(&self, pin: PinRef, slot_of: &[usize]) -> (f64, f64) {
         match pin {
             PinRef::Cell(ord) => self.slots[slot_of[ord]],
-            PinRef::Macro(i) => self.macro_centers[i].1,
+            PinRef::Macro(i) => self.macro_centers[i],
             PinRef::Input(i) => self.input_pins[i].1,
             PinRef::Output(i) => self.output_pins[i].1,
         }
@@ -238,11 +174,10 @@ impl Ctx<'_> {
 }
 
 /// The owned placement problem: everything `Ctx` borrows, built once
-/// per design and shared by the analytic seeder and every annealing
-/// start.
+/// per design and shared by the analytic seeder and the anneal.
 pub(crate) struct Problem {
     slots: Vec<(f64, f64)>,
-    macro_centers: Vec<(String, (f64, f64))>,
+    macro_centers: Vec<(f64, f64)>,
     input_pins: Vec<(NetId, (f64, f64))>,
     output_pins: Vec<(NetId, (f64, f64))>,
     net_off: Vec<u32>,
@@ -334,14 +269,12 @@ impl Problem {
         debug_assert_eq!(slot_row.len(), slots.len());
 
         // Static pin positions.
-        let macro_centers: Vec<(String, (f64, f64))> = floorplan
+        let macro_centers: Vec<(f64, f64)> = floorplan
             .macros
             .iter()
             .map(|m| {
-                (m.instance.clone(), {
-                    let (x, y) = m.center();
-                    (x.value(), y.value())
-                })
+                let (x, y) = m.center();
+                (x.value(), y.value())
             })
             .collect();
         let n_pi = netlist.primary_inputs().len().max(1);
@@ -478,7 +411,7 @@ impl Problem {
         })
     }
 
-    /// Borrowed view shared by the analytic seeder and the anneals.
+    /// Borrowed view shared by the analytic seeder and the anneal.
     pub(crate) fn ctx(&self) -> Ctx<'_> {
         Ctx {
             slots: &self.slots,
@@ -500,9 +433,9 @@ impl Problem {
     }
 }
 
-/// The mutable annealing state of one start: the assignment, the flat
-/// pin-position array, the cached per-net perimeters, the running cost,
-/// and reusable scratch.
+/// The mutable annealing state: the assignment, the flat pin-position
+/// array, the cached per-net perimeters, the running cost, and reusable
+/// scratch.
 pub(crate) struct CostModel<'a> {
     ctx: &'a Ctx<'a>,
     pub(crate) slot_of: Vec<usize>,
@@ -519,11 +452,6 @@ pub(crate) struct CostModel<'a> {
 }
 
 impl<'a> CostModel<'a> {
-    /// Ordered initial assignment (cell ordinal i → slot i).
-    fn new(ctx: &'a Ctx<'a>) -> Self {
-        Self::with_assignment(ctx, (0..ctx.n_placeable).collect())
-    }
-
     /// Model over an explicit assignment (`slot_of[ord]` = slot of cell
     /// ordinal `ord`; must be a valid injection into the slot grid).
     pub(crate) fn with_assignment(ctx: &'a Ctx<'a>, slot_of: Vec<usize>) -> Self {
@@ -680,29 +608,8 @@ impl<'a> CostModel<'a> {
 /// swap partner.
 const SENTINEL: &[u32] = &[u32::MAX];
 
-/// Annealing schedule parameters: cold starts search globally with the
-/// full budget; seeded refinements polish locally with a fraction of
-/// it.
-struct Schedule {
-    t0_mult: f64,
-    window_mult: f64,
-    budget_mult: f64,
-}
-
-const COLD: Schedule = Schedule {
-    t0_mult: 1.0,
-    window_mult: 1.0,
-    budget_mult: 1.0,
-};
-
-const REFINE: Schedule = Schedule {
-    t0_mult: REFINE_T0,
-    window_mult: REFINE_WINDOW,
-    budget_mult: REFINE_BUDGET,
-};
-
-/// The outcome of one annealing start.
-struct StartResult {
+/// The outcome of the refinement anneal.
+struct Annealed {
     slot_of: Vec<usize>,
     /// Exact (from-scratch) HPWL of the best assignment seen.
     cost: f64,
@@ -710,24 +617,15 @@ struct StartResult {
     accepted: usize,
 }
 
-/// One seeded annealing start over `init` (the ordered assignment when
-/// `None`). With `audit` set, the running cost is compared against a
-/// from-scratch recompute after **every** accepted move and the maximum
-/// relative divergence is folded into it.
-fn anneal(
-    ctx: &Ctx<'_>,
-    seed: u64,
-    init: Option<&[usize]>,
-    sched: &Schedule,
-    mut audit: Option<&mut f64>,
-) -> StartResult {
-    let mut model = match init {
-        Some(slot_of) => CostModel::with_assignment(ctx, slot_of.to_vec()),
-        None => CostModel::new(ctx),
-    };
+/// The refinement anneal over the assignment `init`, its move stream
+/// seeded by `seed`. With `audit` set, the running cost is compared
+/// against a from-scratch recompute after **every** accepted move and
+/// the maximum relative divergence is folded into it.
+fn anneal(ctx: &Ctx<'_>, seed: u64, init: Vec<usize>, mut audit: Option<&mut f64>) -> Annealed {
+    let mut model = CostModel::with_assignment(ctx, init);
     let mut rng = TestRng::seed_from_u64(seed);
-    let n_moves = ((ctx.n_moves as f64 * sched.budget_mult) as usize).max(1);
-    let t0 = (model.cost / (ctx.n_placeable.max(1) as f64)).max(1.0) * sched.t0_mult;
+    let n_moves = ((ctx.n_moves as f64 * REFINE_BUDGET) as usize).max(1);
+    let t0 = (model.cost / (ctx.n_placeable.max(1) as f64)).max(1.0) * REFINE_T0;
     let mut best_cost = model.cost;
     // Journal of accepted moves `(a, old_slot, b, target_slot)`. The
     // best assignment is reached by rolling the final assignment back
@@ -745,10 +643,10 @@ fn anneal(
         // a 2-D window (rows x columns) around the cell's current slot
         // that shrinks with the temperature, so late moves are local
         // refinements in both axes instead of doomed cross-die jumps.
-        // Seeded refinements start the window already shrunk
-        // (`window_mult`): the analytic seed made the global decisions.
+        // The window starts already shrunk (`REFINE_WINDOW`): the
+        // analytic seed made the global decisions.
         let n_rows = ctx.row_off.len() - 1;
-        let wfrac = frac * sched.window_mult;
+        let wfrac = frac * REFINE_WINDOW;
         let wr = ((n_rows as f64 * wfrac) as usize).max(1);
         let target_slot = if 2 * wr >= n_rows {
             rng.gen_range(0..ctx.slots.len())
@@ -816,7 +714,7 @@ fn anneal(
     model.slot_of = best_slot_of;
     model.load_assignment_positions();
     let cost = model.fresh_cost();
-    StartResult {
+    Annealed {
         slot_of: std::mem::take(&mut model.slot_of),
         cost,
         attempted,
@@ -841,10 +739,9 @@ pub fn place(
 }
 
 /// [`place`] with the incremental-cost audit enabled: every accepted
-/// move cross-checks the running cost against a from-scratch recompute
-/// (starts run serially so the audit accumulator is shared). Returns
-/// the placement plus the maximum relative divergence observed. Test
-/// hook — quadratic in design size, do not use on hot paths.
+/// move cross-checks the running cost against a from-scratch recompute.
+/// Returns the placement plus the maximum relative divergence observed.
+/// Test hook — quadratic in design size, do not use on hot paths.
 #[doc(hidden)]
 pub fn place_audited(
     tech: &Technology,
@@ -869,64 +766,25 @@ fn place_inner(
     let problem = Problem::build(tech, netlist, floorplan, effort.moves)?;
     let ctx = problem.ctx();
 
-    // Analytic seed: one deterministic B2B solve + legalization shared
-    // by every start. Skipped for degenerate designs (< 2 movable
-    // cells) and under `SeedMode::Cold`.
-    let analytic = if effort.seed_mode == SeedMode::Analytic && ctx.n_placeable >= 2 {
-        Some(crate::analytic::seed_assignment(&ctx))
-    } else {
-        None
-    };
-    let (init, analytic_iters, legalize_displacement) = match &analytic {
-        Some(seed) => (
-            Some(seed.slot_of.as_slice()),
-            seed.cg_iters,
-            seed.displacement,
-        ),
-        None => (None, 0, 0.0),
-    };
-    let sched = if init.is_some() { &REFINE } else { &COLD };
+    // Analytic seed: one deterministic B2B solve + legalization.
+    // Degenerate designs (< 2 movable cells) keep the ordered
+    // assignment.
+    let analytic = (ctx.n_placeable >= 2).then(|| crate::analytic::seed_assignment(&ctx));
+    let seeded = analytic.is_some();
+    let (analytic_iters, legalize_displacement) = analytic
+        .as_ref()
+        .map_or((0, 0.0), |a| (a.cg_iters, a.displacement));
+    let init = analytic.map_or_else(|| (0..ctx.n_placeable).collect(), |a| a.slot_of);
 
-    // Multi-start: per-start seeds are a SplitMix64 walk from the
-    // caller's seed; the winner is the strictly lowest final HPWL in
-    // seed order, so the result is independent of the worker count and
-    // of start completion order.
-    let (slot_of, final_cost, attempted, accepted, starts_run) = if ctx.n_moves == 0 {
-        // Nothing to anneal: keep the seed assignment (analytic when it
-        // ran, ordered otherwise) and report the work actually done.
-        let model = match init {
-            Some(slot_of) => CostModel::with_assignment(&ctx, slot_of.to_vec()),
-            None => CostModel::new(&ctx),
-        };
+    let (slot_of, final_cost, attempted, accepted, starts) = if ctx.n_moves == 0 {
+        // Nothing to anneal: keep the seed assignment and report the
+        // work actually done.
+        let model = CostModel::with_assignment(&ctx, init);
         (model.slot_of, model.cost, 0, 0, 0)
     } else {
-        let starts = effort.starts.max(1);
         let mut stream = seed;
-        let seeds: Vec<u64> = (0..starts).map(|_| splitmix64(&mut stream)).collect();
-        let results: Vec<StartResult> = if let Some(max_drift) = audit {
-            // Audited runs share one accumulator, so they stay serial.
-            seeds
-                .into_iter()
-                .map(|s| anneal(&ctx, s, init, sched, Some(max_drift)))
-                .collect()
-        } else if effort.parallel_starts {
-            lim_par::par_map(seeds, |s| anneal(&ctx, s, init, sched, None))
-        } else {
-            seeds
-                .into_iter()
-                .map(|s| anneal(&ctx, s, init, sched, None))
-                .collect()
-        };
-        let attempted: usize = results.iter().map(|r| r.attempted).sum();
-        let accepted: usize = results.iter().map(|r| r.accepted).sum();
-        let mut winner = 0;
-        for (i, r) in results.iter().enumerate().skip(1) {
-            if r.cost < results[winner].cost {
-                winner = i;
-            }
-        }
-        let best = results.into_iter().nth(winner).expect("winner exists");
-        (best.slot_of, best.cost, attempted, accepted, starts)
+        let run = anneal(&ctx, splitmix64(&mut stream), init, audit);
+        (run.slot_of, run.cost, run.attempted, run.accepted, 1)
     };
 
     // Emit positions.
@@ -938,33 +796,31 @@ fn place_inner(
 
     lim_obs::counter_add("place.moves", attempted as u64);
     lim_obs::counter_add("place.incremental_moves", accepted as u64);
-    lim_obs::counter_add("place.starts", starts_run as u64);
-    if analytic.is_some() {
+    lim_obs::counter_add("place.starts", starts as u64);
+    if seeded {
         lim_obs::counter_add("place.analytic_iters", analytic_iters as u64);
         lim_obs::counter_add(
             "place.legalize_displacement",
             legalize_displacement.round() as u64,
         );
-        lim_obs::counter_add("place.seeded", starts_run as u64);
+        lim_obs::counter_add("place.seeded", starts as u64);
     }
     let Problem {
-        macro_centers,
         input_pins,
         output_pins,
         ..
     } = problem;
     Ok(Placement {
         cell_pos,
-        macro_centers,
         input_pins,
         output_pins,
         hpwl: final_cost,
         moves: attempted,
         accepted,
-        starts: starts_run,
+        starts,
         analytic_iters,
         legalize_displacement,
-        seeded: analytic.is_some(),
+        seeded,
     })
 }
 
@@ -981,12 +837,6 @@ pub fn net_pin_positions(
         if cell.inputs.contains(&net) || cell.outputs.contains(&net) {
             if let Some(p) = placement.cell_pos[i] {
                 pins.push(p);
-            } else if let Some((_, p)) = placement
-                .macro_centers
-                .iter()
-                .find(|(name, _)| name == &cell.name)
-            {
-                pins.push(*p);
             } else if let Some(m) = floorplan.macros.iter().find(|m| m.instance == cell.name) {
                 let (x, y) = m.center();
                 pins.push((x.value(), y.value()));
@@ -1101,54 +951,12 @@ mod tests {
         );
     }
 
-    #[test]
-    fn cold_anneal_audit_still_clean() {
-        // The audit hook covers both schedules.
-        let tech = Technology::cmos65();
-        let dec = decoder("dec", 4, 16, true).unwrap();
-        let fp = Floorplan::build(&tech, &dec, &BrickLibrary::new(), &FloorplanOptions::default())
-            .unwrap();
-        let (placement, drift) =
-            place_audited(&tech, &dec, &fp, 42, PlaceEffort::default().cold()).unwrap();
-        assert!(drift < 1e-9, "incremental cost drifted by {drift}");
-        assert!(!placement.seeded);
-        assert_eq!(placement.analytic_iters, 0);
-        assert_eq!(placement.legalize_displacement, 0.0);
-    }
-
-    #[test]
-    fn multi_start_never_loses_to_single_start() {
-        let tech = Technology::cmos65();
-        let dec = decoder("dec", 5, 32, true).unwrap();
-        let fp = Floorplan::build(&tech, &dec, &BrickLibrary::new(), &FloorplanOptions::default())
-            .unwrap();
-        let single = place(&tech, &dec, &fp, 9, PlaceEffort::default()).unwrap();
-        let multi = place(&tech, &dec, &fp, 9, PlaceEffort::starts(4)).unwrap();
-        // The first start of the multi-start run is the single-start
-        // run, so the winner can only be at least as good.
-        assert!(
-            multi.hpwl <= single.hpwl,
-            "multi {} vs single {}",
-            multi.hpwl,
-            single.hpwl
-        );
-        assert_eq!(multi.starts, 4);
-        assert!(multi.moves > single.moves);
-    }
-
-    #[test]
-    fn serial_and_parallel_starts_are_byte_identical() {
-        let tech = Technology::cmos65();
-        let dec = decoder("dec", 5, 32, true).unwrap();
-        let fp = Floorplan::build(&tech, &dec, &BrickLibrary::new(), &FloorplanOptions::default())
-            .unwrap();
-        let par = place(&tech, &dec, &fp, 5, PlaceEffort::starts(4)).unwrap();
-        let ser = place(&tech, &dec, &fp, 5, PlaceEffort::starts(4).serial()).unwrap();
-        assert_eq!(par.cell_pos, ser.cell_pos);
-        assert_eq!(par.hpwl.to_bits(), ser.hpwl.to_bits());
-        assert_eq!(par.moves, ser.moves);
-        assert_eq!(par.accepted, ser.accepted);
-    }
+    /// HPWL (µm) and evaluated moves of the full cold anneal (ordered
+    /// start, whole move budget, full temperature and window) at seed 7
+    /// and default effort, recorded before that placement mode was
+    /// deleted. Identical in debug and release builds.
+    const COLD_DEC4X16: (f64, usize) = (552.2957142857138, 1990);
+    const COLD_DEC5X32: (f64, usize) = (2163.457142857147, 4884);
 
     #[test]
     fn seeded_refine_tracks_cold_anneal_on_decoders() {
@@ -1156,30 +964,29 @@ mod tests {
         // order is near-optimal by construction, so the ordered-start
         // cold anneal is a very strong baseline and the analytic solve
         // usually falls back to the ordered candidate. Even then the
-        // seeded refinement must track a full cold anneal closely (the
-        // 8% slack absorbs per-seed annealing noise at the refinement's
-        // 15% move budget) while spending under half that budget. The
-        // strict seeded ≤ cold requirement lives in the flow-netlist
-        // test `tests/place_quality.rs`, where mapped netlists give
-        // the analytic seed real work to do.
+        // seeded refinement must track the pinned cold anneal closely
+        // (the 8% slack absorbs per-seed annealing noise at the
+        // refinement's 15% move budget) while spending under half its
+        // moves. The strict seeded ≤ cold requirement lives in the
+        // flow-netlist test `tests/place_quality.rs`, where mapped
+        // netlists give the analytic seed real work to do.
         let tech = Technology::cmos65();
-        for (bits, words) in [(4usize, 16usize), (5, 32)] {
+        for (bits, words, (cold_hpwl, cold_moves)) in
+            [(4usize, 16usize, COLD_DEC4X16), (5, 32, COLD_DEC5X32)]
+        {
             let dec = decoder("dec", bits, words, true).unwrap();
             let fp =
                 Floorplan::build(&tech, &dec, &BrickLibrary::new(), &FloorplanOptions::default())
                     .unwrap();
             let seeded = place(&tech, &dec, &fp, 7, PlaceEffort::default()).unwrap();
-            let cold = place(&tech, &dec, &fp, 7, PlaceEffort::default().cold()).unwrap();
             assert!(seeded.seeded);
-            assert!(!cold.seeded);
             assert!(
-                seeded.hpwl <= cold.hpwl * 1.08,
-                "dec{bits}x{words}: seeded {} vs cold {}",
-                seeded.hpwl,
-                cold.hpwl
+                seeded.hpwl <= cold_hpwl * 1.08,
+                "dec{bits}x{words}: seeded {} vs cold {cold_hpwl}",
+                seeded.hpwl
             );
             // The refinement spends a fraction of the cold budget.
-            assert!(seeded.moves < cold.moves / 2);
+            assert!(seeded.moves < cold_moves / 2);
         }
     }
 
@@ -1196,7 +1003,7 @@ mod tests {
         n.mark_output(out);
         let fp = Floorplan::build(&tech, &n, &BrickLibrary::new(), &FloorplanOptions::default())
             .unwrap();
-        let p = place(&tech, &n, &fp, 1, PlaceEffort::starts(8)).unwrap();
+        let p = place(&tech, &n, &fp, 1, PlaceEffort::default()).unwrap();
         assert_eq!(p.moves, 0);
         assert_eq!(p.accepted, 0);
         assert_eq!(p.starts, 0);

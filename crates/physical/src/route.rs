@@ -61,29 +61,21 @@ impl NetPinIndex {
         let cells = netlist.cells();
 
         // Resolve each cell's position once: placed std cells by their
-        // slot, macros by the placement's (or floorplan's) center.
+        // slot, macros by the floorplan's center.
         let cell_pos: Vec<Option<(f64, f64)>> = cells
             .iter()
             .enumerate()
             .map(|(i, cell)| {
-                placement.cell_pos[i]
-                    .or_else(|| {
-                        placement
-                            .macro_centers
-                            .iter()
-                            .find(|(name, _)| name == &cell.name)
-                            .map(|(_, p)| *p)
-                    })
-                    .or_else(|| {
-                        floorplan
-                            .macros
-                            .iter()
-                            .find(|m| m.instance == cell.name)
-                            .map(|m| {
-                                let (x, y) = m.center();
-                                (x.value(), y.value())
-                            })
-                    })
+                placement.cell_pos[i].or_else(|| {
+                    floorplan
+                        .macros
+                        .iter()
+                        .find(|m| m.instance == cell.name)
+                        .map(|m| {
+                            let (x, y) = m.center();
+                            (x.value(), y.value())
+                        })
+                })
             })
             .collect();
 

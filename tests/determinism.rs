@@ -127,57 +127,32 @@ fn dse_fingerprint(points: &[lim::dse::DsePoint]) -> Vec<String> {
 static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[test]
-fn multistart_placement_is_byte_identical_across_worker_counts() {
-    // The multi-start contract: per-start seeds are a fixed walk from
-    // the caller's seed and the winner is the strictly lowest final
-    // HPWL in seed order, so the placement is byte-identical whether
-    // the starts run on 1 worker, 4 workers, or serially on the
-    // calling thread (start completion order must never matter).
-    let _env = ENV_LOCK.lock().unwrap();
-    let tech = Technology::cmos65();
-    let dec = decoder("dec", 5, 32, true).unwrap();
-    let fp =
-        Floorplan::build(&tech, &dec, &BrickLibrary::new(), &FloorplanOptions::default()).unwrap();
-    let effort = PlaceEffort::starts(4);
-    std::env::set_var(lim_par::ENV_THREADS, "1");
-    let one = place(&tech, &dec, &fp, 11, effort).unwrap();
-    std::env::set_var(lim_par::ENV_THREADS, "4");
-    let four = place(&tech, &dec, &fp, 11, effort).unwrap();
-    std::env::remove_var(lim_par::ENV_THREADS);
-    let serial = place(&tech, &dec, &fp, 11, effort.serial()).unwrap();
-    assert_eq!(one, four, "placement must not depend on the worker count");
-    assert_eq!(one, serial, "parallel starts must match the serial path");
-    assert_eq!(one.starts, 4);
-    // Multi-start actually searches: it must never do worse than its
-    // own first seed alone.
-    let single = place(&tech, &dec, &fp, 11, PlaceEffort::default()).unwrap();
-    assert!(one.hpwl <= single.hpwl);
-}
-
-#[test]
 fn analytic_placement_is_byte_identical_across_worker_counts() {
-    // The analytic seed's contract is stronger than the annealer's: the
-    // B2B/CG solve is strictly serial by construction, so its output —
-    // positions, iteration counts, legalization displacement — must be
-    // byte-identical for any `LIM_PAR_THREADS`, not merely equal in
-    // HPWL.
+    // Placement is strictly serial by construction — one B2B/CG solve,
+    // one legalization, one anneal seeded from the caller's seed — so
+    // its output (positions, HPWL, move and iteration counts,
+    // legalization displacement) must be byte-identical for any
+    // `LIM_PAR_THREADS`, both refined (the served default) and as the
+    // bare analytic seed (zero move budget).
     let _env = ENV_LOCK.lock().unwrap();
     let tech = Technology::cmos65();
     let dec = decoder("dec", 6, 64, true).unwrap();
     let fp =
         Floorplan::build(&tech, &dec, &BrickLibrary::new(), &FloorplanOptions::default()).unwrap();
-    std::env::set_var(lim_par::ENV_THREADS, "1");
-    let one = lim_physical::analytic::analytic_place(&tech, &dec, &fp).unwrap();
-    std::env::set_var(lim_par::ENV_THREADS, "4");
-    let four = lim_physical::analytic::analytic_place(&tech, &dec, &fp).unwrap();
-    std::env::remove_var(lim_par::ENV_THREADS);
-    assert_eq!(one.cg_iters, four.cg_iters);
-    assert_eq!(one.hpwl.to_bits(), four.hpwl.to_bits());
-    assert_eq!(one.displacement.to_bits(), four.displacement.to_bits());
-    assert_eq!(one.positions.len(), four.positions.len());
-    for (a, b) in one.positions.iter().zip(four.positions.iter()) {
-        assert_eq!(a.0.to_bits(), b.0.to_bits());
-        assert_eq!(a.1.to_bits(), b.1.to_bits());
+    for effort in [PlaceEffort::default(), PlaceEffort::new(0.0)] {
+        std::env::set_var(lim_par::ENV_THREADS, "1");
+        let one = place(&tech, &dec, &fp, 11, effort).unwrap();
+        std::env::set_var(lim_par::ENV_THREADS, "4");
+        let four = place(&tech, &dec, &fp, 11, effort).unwrap();
+        std::env::remove_var(lim_par::ENV_THREADS);
+        assert!(one.seeded && one.analytic_iters > 0);
+        assert_eq!(one, four, "placement must not depend on the worker count");
+        assert_eq!(one.hpwl.to_bits(), four.hpwl.to_bits());
+        assert_eq!(
+            one.legalize_displacement.to_bits(),
+            four.legalize_displacement.to_bits()
+        );
+        assert_eq!(one.starts, usize::from(effort.moves > 0.0));
     }
 }
 
