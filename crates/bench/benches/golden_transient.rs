@@ -3,7 +3,7 @@
 //! Quantifies the speed gap that justifies the paper's methodology — the
 //! estimator must be orders of magnitude cheaper than the SPICE-class
 //! reference while staying within the Table 1 error bands — and tracks
-//! the batched multi-RHS golden path: validating many configurations at
+//! the batched golden panel path: validating many configurations at
 //! once must amortize far below the per-run cost.
 
 use lim_brick::golden::{compare_batch_results, measure_bank};
@@ -39,19 +39,30 @@ fn bench_tool_vs_golden(c: &mut Bench) {
         BitcellKind::DualPort,
     ];
     // A service-shaped batch: every bitcell at 16x10 x4 plus repeated
-    // requests for three of them (duplicates dedupe inside the solver;
-    // same-shape sims share lockstep panels).
+    // requests for three of them (duplicates are validated once; the
+    // sims share size-sorted lockstep panels).
     let mixed: Vec<(BrickSpec, usize)> = kinds
         .iter()
         .chain([BitcellKind::Sram8T, BitcellKind::Sram6T, BitcellKind::Cam].iter())
         .map(|&k| (BrickSpec::new(k, 16, 10).unwrap(), 4usize))
         .collect();
-    // All-distinct configurations: the lower bound, with only the
-    // write-sim panels shared across bitcells.
+    // All-distinct configurations of one shape.
     let unique: Vec<(BrickSpec, usize)> = kinds
         .iter()
         .map(|&k| (BrickSpec::new(k, 16, 10).unwrap(), 4usize))
         .collect();
+    // A `golden_sweep`-shaped batch: four configurations that differ in
+    // bitcell, words, bits and stack, so every sim has its own time
+    // step and length.
+    let unlike: Vec<(BrickSpec, usize)> = [
+        (BitcellKind::Sram6T, 16, 24, 8usize),
+        (BitcellKind::Sram8T, 32, 12, 2),
+        (BitcellKind::Edram, 64, 16, 1),
+        (BitcellKind::DualPort, 32, 30, 4),
+    ]
+    .iter()
+    .map(|&(k, words, bits, stack)| (BrickSpec::new(k, words, bits).unwrap(), stack))
+    .collect();
 
     let mut group = c.benchmark_group("golden_batch");
     group.sample_size(10);
@@ -60,6 +71,9 @@ fn bench_tool_vs_golden(c: &mut Bench) {
     });
     group.bench_function("unique_5_configs_16x10_x4", |b| {
         b.iter(|| black_box(compare_batch_results(&tech, &unique)))
+    });
+    group.bench_function("unlike_4_configs", |b| {
+        b.iter(|| black_box(compare_batch_results(&tech, &unlike)))
     });
     group.finish();
 }

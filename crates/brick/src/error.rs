@@ -24,6 +24,12 @@ pub enum BrickError {
     UnknownEntry(String),
     /// The golden transient simulation failed.
     Golden(lim_circuit::CircuitError),
+    /// The golden simulations of one configuration would integrate more
+    /// node-steps than [`crate::golden::MAX_NODE_STEPS`].
+    GoldenTooLarge {
+        /// Node-steps (rows × steps) the read and write simulations need.
+        node_steps: u64,
+    },
     /// A technology parameter was invalid.
     Tech(lim_tech::TechError),
 }
@@ -45,6 +51,12 @@ impl fmt::Display for BrickError {
             }
             BrickError::UnknownEntry(name) => write!(f, "no library entry named `{name}`"),
             BrickError::Golden(e) => write!(f, "golden simulation failed: {e}"),
+            BrickError::GoldenTooLarge { node_steps } => write!(
+                f,
+                "golden simulation needs {node_steps} node-steps, past the bound of {} \
+                 (rows x steps over the read and write transients)",
+                crate::golden::MAX_NODE_STEPS
+            ),
             BrickError::Tech(e) => write!(f, "technology error: {e}"),
         }
     }

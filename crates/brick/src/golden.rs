@@ -20,15 +20,18 @@
 //! # Batched validation
 //!
 //! Each configuration contributes two independent transients (read and
-//! write). [`compare_batch_results`] builds every circuit up front,
-//! groups the simulations by band pattern — circuit family, ladder
-//! segment counts and time step, which together determine the banded
-//! structure the solver sees — and submits each group to
-//! [`run_probed_batch`] so that same-shape configurations advance in
-//! lockstep as one multi-RHS panel. Results are bit-identical to
+//! write). [`compare_batch_results`] drops repeated configurations,
+//! builds every circuit up front, sorts all the simulations by size
+//! (rows, then steps, largest first) and cuts them into panels of
+//! [`PANEL_LANES`]; each panel is one [`run_probed_batch`] call, whose
+//! columns advance in lockstep whatever their time step or length, and
+//! the panels fan out over `lim-par`. Results are bit-identical to
 //! running [`compare`] per configuration: the panel solver applies the
 //! exact same operations in the exact same order to each column as a
 //! lone solve does.
+//!
+//! A configuration whose simulations would integrate more than
+//! [`MAX_NODE_STEPS`] node-steps is refused before anything is solved.
 
 use crate::compiler::{CompiledBrick, SENSE_INPUT_CAP};
 use crate::error::BrickError;
@@ -38,7 +41,7 @@ use lim_circuit::extract::recharge_energy;
 use lim_circuit::waveform::Edge;
 use lim_circuit::{
     run_probed_batch, BatchRun, Circuit, CircuitError, NodeId, SolverKind, SourceId,
-    TransientResult,
+    TransientResult, PANEL_LANES,
 };
 use lim_tech::logical_effort::{GateKind, Path, Stage};
 use lim_tech::units::{Femtofarads, Femtojoules, Picoseconds, Volts};
@@ -60,12 +63,12 @@ pub struct GoldenMeasurement {
     pub write_energy: Femtojoules,
 }
 
-/// A simulation's band pattern: which circuit family it is (read or
-/// write), the ladder segment counts that fix its connectivity, and the
-/// time-step bits. Two sims with equal signatures produce identically
-/// shaped banded systems stepped with the same `dt`, so they can share
-/// one lockstep panel in the solver.
-type SimSig = (bool, usize, usize, usize, u64);
+/// The most golden work one configuration may ask for: node-steps
+/// (circuit rows × time steps), summed over its read and write
+/// simulations. Every configuration of up to 256 words fits (the
+/// largest, a dual-port 256×256 bank of 64 bricks, needs ~1.8e9); a
+/// 1024×256 bank of 64 needs ~1.1e11, many minutes of solving.
+pub const MAX_NODE_STEPS: u64 = 1 << 31;
 
 /// The two golden circuits of one bank configuration, built but not yet
 /// integrated, together with every analytic term the finishing pass
@@ -78,7 +81,6 @@ struct BankSims {
     read_probes: [NodeId; 2], // [arbl_far, wl_far]
     t_end: Picoseconds,
     dt: Picoseconds,
-    read_sig: SimSig,
     wl_src: SourceId,
     wl_far: NodeId,
     arbl_far: NodeId,
@@ -89,7 +91,6 @@ struct BankSims {
     write_probes: [NodeId; 1], // [cell_int]
     w_end: Picoseconds,
     wdt: Picoseconds,
-    write_sig: SimSig,
     wbl_src: SourceId,
     cell_int: NodeId,
     // Shared pre-array periphery terms.
@@ -119,10 +120,19 @@ impl BankSims {
             dt: self.wdt,
         }
     }
+
+    /// Node-steps of the read and write simulations together.
+    fn node_steps(&self) -> u64 {
+        [self.read_run(), self.write_run()]
+            .iter()
+            .map(|r| (r.circuit.node_count() as u64).saturating_mul(r.steps() as u64))
+            .fold(0, u64::saturating_add)
+    }
 }
 
 /// Builds the read and write circuits of a bank plus the analytic
-/// periphery terms, without running anything.
+/// periphery terms, without running anything, and refuses a bank whose
+/// simulations exceed [`MAX_NODE_STEPS`].
 fn build_sims(brick: &CompiledBrick, stack: usize) -> Result<BankSims, BrickError> {
     brick.check_stack(stack)?;
     let tech = brick.technology();
@@ -243,13 +253,6 @@ fn build_sims(brick: &CompiledBrick, stack: usize) -> Result<BankSims, BrickErro
     let est = brick.estimate_bank(stack)?;
     let t_end = Picoseconds::new(est.read_delay.value() * 3.0 + 300.0);
     let dt = Picoseconds::new((est.read_delay.value() / 3000.0).clamp(0.02, 0.5));
-    let read_sig = (
-        false,
-        wl_spec.segments,
-        rbl_spec.segments,
-        arbl_spec.segments,
-        dt.value().to_bits(),
-    );
 
     // ---- Write circuit ---------------------------------------------------
     let wbl_spec = brick.wbl_ladder(stack);
@@ -282,16 +285,14 @@ fn build_sims(brick: &CompiledBrick, stack: usize) -> Result<BankSims, BrickErro
 
     let w_end = Picoseconds::new(est.write_delay.value() * 3.0 + 300.0);
     let wdt = Picoseconds::new((est.write_delay.value() / 3000.0).clamp(0.02, 0.5));
-    let write_sig = (true, wbl_spec.segments, 0, 0, wdt.value().to_bits());
 
-    Ok(BankSims {
+    let sims = BankSims {
         spec: *brick.spec(),
         stack,
         read_ckt: ckt,
         read_probes: [arbl_far, wl_far],
         t_end,
         dt,
-        read_sig,
         wl_src,
         wl_far,
         arbl_far,
@@ -301,7 +302,6 @@ fn build_sims(brick: &CompiledBrick, stack: usize) -> Result<BankSims, BrickErro
         write_probes: [cell_int],
         w_end,
         wdt,
-        write_sig,
         wbl_src,
         cell_int,
         t_front,
@@ -310,7 +310,12 @@ fn build_sims(brick: &CompiledBrick, stack: usize) -> Result<BankSims, BrickErro
         e_clock,
         e_chain,
         e_col_gates,
-    })
+    };
+    let node_steps = sims.node_steps();
+    if node_steps > MAX_NODE_STEPS {
+        return Err(BrickError::GoldenTooLarge { node_steps });
+    }
+    Ok(sims)
 }
 
 /// Turns the raw read/write transients of one bank into delays and
@@ -382,7 +387,8 @@ fn finish(
 ///
 /// # Errors
 ///
-/// Returns [`BrickError::InvalidStack`] for unsupported stack counts, or
+/// Returns [`BrickError::InvalidStack`] for unsupported stack counts,
+/// [`BrickError::GoldenTooLarge`] past [`MAX_NODE_STEPS`], or
 /// [`BrickError::Golden`] if the transient solver rejects the circuit.
 pub fn measure_bank(brick: &CompiledBrick, stack: usize) -> Result<GoldenMeasurement, BrickError> {
     let sims = build_sims(brick, stack)?;
@@ -439,40 +445,51 @@ pub fn compare(brick: &CompiledBrick, stack: usize) -> Result<ToolVsGolden, Bric
 pub struct GoldenBatchReport {
     /// Per-configuration outcomes, in input order.
     pub results: Vec<Result<ToolVsGolden, BrickError>>,
-    /// Transient simulations submitted to the batched solver (two per
-    /// successfully built configuration).
+    /// Transient simulations integrated: two per distinct, successfully
+    /// built configuration.
     pub sims: usize,
-    /// Lockstep panel groups those simulations collapsed into. `sims /
-    /// groups` is the mean panel occupancy: how many right-hand sides
-    /// each banded factorization advanced at once.
+    /// Panels those simulations were cut into. `sims / groups` is the
+    /// mean panel occupancy: how many runs each lockstep sweep advanced
+    /// at once.
     pub groups: usize,
 }
 
 /// Validates a whole batch of `(spec, stack)` configurations — the
-/// Table 1 workload — through the multi-RHS banded solver.
+/// Table 1 workload — through the lockstep panel solver.
 ///
-/// Each spec is compiled once on the calling thread (compilation is
-/// cheap and cached work is shared). All read and write circuits are
-/// built up front, grouped by band pattern (circuit family, ladder
-/// segment counts and time step), and each group is integrated as one
-/// lockstep panel by [`run_probed_batch`]; the groups fan out across
-/// the `lim-par` pool. Per-configuration failures (bad stack, compile
-/// or solver errors) are reported in place without aborting the rest of
-/// the batch. Results come back in input order regardless of worker
-/// count, bit-identical to sequential [`compare`] calls.
+/// Repeated configurations are validated once. Each spec is compiled
+/// once on the calling thread (compilation is cheap and cached work is
+/// shared). All read and write circuits are built up front, sorted by
+/// size (rows, then steps, largest first) so panel-mates pad and retire
+/// little, and cut into panels of [`PANEL_LANES`]; each panel is one
+/// [`run_probed_batch`] call, and the panels fan out across the
+/// `lim-par` pool. Per-configuration failures (bad stack, work bound,
+/// compile or solver errors) are reported in place without aborting the
+/// rest of the batch. Results come back in input order regardless of
+/// worker count, bit-identical to sequential [`compare`] calls.
 pub fn compare_batch_results(
     tech: &lim_tech::Technology,
     configs: &[(BrickSpec, usize)],
 ) -> GoldenBatchReport {
     let _span = lim_obs::Span::enter("golden_batch");
+    let mut distinct: Vec<(BrickSpec, usize)> = Vec::new();
+    let slot: Vec<usize> = configs
+        .iter()
+        .map(|c| {
+            distinct.iter().position(|d| d == c).unwrap_or_else(|| {
+                distinct.push(*c);
+                distinct.len() - 1
+            })
+        })
+        .collect();
+
     let compiler = crate::compiler::BrickCompiler::new(tech);
     let mut compiled: Vec<(BrickSpec, Result<CompiledBrick, BrickError>)> = Vec::new();
-
     struct Entry {
         brick: CompiledBrick,
         sims: BankSims,
     }
-    let entries: Vec<Result<Entry, BrickError>> = configs
+    let entries: Vec<Result<Entry, BrickError>> = distinct
         .iter()
         .map(|&(spec, stack)| {
             let brick = match compiled.iter().find(|(s, _)| *s == spec) {
@@ -490,61 +507,52 @@ pub fn compare_batch_results(
         })
         .collect();
 
-    // Group the sims by band pattern, preserving first-seen order.
+    // Every sim, largest first, cut into panels.
     struct Job<'a> {
         entry: usize,
         write: bool,
         run: BatchRun<'a>,
     }
-    let mut groups: Vec<(SimSig, Vec<Job<'_>>)> = Vec::new();
-    for (i, e) in entries.iter().enumerate() {
-        let Ok(entry) = e else { continue };
-        for (write, sig, run) in [
-            (false, entry.sims.read_sig, entry.sims.read_run()),
-            (true, entry.sims.write_sig, entry.sims.write_run()),
-        ] {
-            let job = Job {
-                entry: i,
-                write,
-                run,
-            };
-            match groups.iter_mut().find(|(s, _)| *s == sig) {
-                Some((_, g)) => g.push(job),
-                None => groups.push((sig, vec![job])),
-            }
-        }
-    }
-    let n_sims: usize = groups.iter().map(|(_, g)| g.len()).sum();
-    let n_groups = groups.len();
+    let mut jobs: Vec<Job<'_>> = entries
+        .iter()
+        .enumerate()
+        .filter_map(|(i, e)| e.as_ref().ok().map(|e| (i, e)))
+        .flat_map(|(entry, e)| {
+            [(false, e.sims.read_run()), (true, e.sims.write_run())]
+                .map(|(write, run)| Job { entry, write, run })
+        })
+        .collect();
+    jobs.sort_by_key(|j| std::cmp::Reverse((j.run.circuit.node_count(), j.run.steps())));
+    let panels: Vec<&[Job<'_>]> = jobs.chunks(PANEL_LANES).collect();
+    let (n_sims, n_panels) = (jobs.len(), panels.len());
 
-    // One panel solve per group, fanned across the worker pool. A group
+    // One solve per panel, fanned across the worker pool. A panel
     // failure falls back to per-sim solves so the error lands only on
     // the configuration that caused it.
     type Solved = Vec<(usize, bool, Result<TransientResult, CircuitError>)>;
-    let solved: Vec<Solved> =
-        lim_par::par_map(groups, |(_, jobs)| {
-            let runs: Vec<BatchRun<'_>> = jobs.iter().map(|j| j.run).collect();
-            let outs: Vec<Result<TransientResult, CircuitError>> =
-                match run_probed_batch(&runs, SolverKind::Auto) {
-                    Ok(rs) => rs.into_iter().map(Ok).collect(),
-                    Err(_) => runs
-                        .iter()
-                        .map(|r| {
-                            run_probed_batch(std::slice::from_ref(r), SolverKind::Auto)
-                                .map(|mut v| v.pop().expect("one run yields one result"))
-                        })
-                        .collect(),
-                };
-            jobs.into_iter()
-                .zip(outs)
-                .map(|(j, r)| (j.entry, j.write, r))
-                .collect()
-        });
+    let solved: Vec<Solved> = lim_par::par_map(panels, |jobs| {
+        let runs: Vec<BatchRun<'_>> = jobs.iter().map(|j| j.run).collect();
+        let outs: Vec<Result<TransientResult, CircuitError>> =
+            match run_probed_batch(&runs, SolverKind::Auto) {
+                Ok(rs) => rs.into_iter().map(Ok).collect(),
+                Err(_) => runs
+                    .iter()
+                    .map(|r| {
+                        run_probed_batch(std::slice::from_ref(r), SolverKind::Auto)
+                            .map(|mut v| v.pop().expect("one run yields one result"))
+                    })
+                    .collect(),
+            };
+        jobs.iter()
+            .zip(outs)
+            .map(|(j, r)| (j.entry, j.write, r))
+            .collect()
+    });
 
     let mut read_res: Vec<Option<Result<TransientResult, CircuitError>>> =
-        configs.iter().map(|_| None).collect();
+        entries.iter().map(|_| None).collect();
     let mut write_res: Vec<Option<Result<TransientResult, CircuitError>>> =
-        configs.iter().map(|_| None).collect();
+        entries.iter().map(|_| None).collect();
     for (entry, write, r) in solved.into_iter().flatten() {
         if write {
             write_res[entry] = Some(r);
@@ -553,14 +561,11 @@ pub fn compare_batch_results(
         }
     }
 
-    let results = entries
+    let outcomes: Vec<Result<ToolVsGolden, BrickError>> = entries
         .iter()
         .enumerate()
         .map(|(i, e)| {
-            let entry = match e {
-                Ok(entry) => entry,
-                Err(err) => return Err(err.clone()),
-            };
+            let entry = e.as_ref().map_err(Clone::clone)?;
             let res = read_res[i]
                 .take()
                 .expect("every built entry was simulated")
@@ -578,9 +583,9 @@ pub fn compare_batch_results(
         .collect();
 
     GoldenBatchReport {
-        results,
+        results: slot.iter().map(|&d| outcomes[d].clone()).collect(),
         sims: n_sims,
-        groups: n_groups,
+        groups: n_panels,
     }
 }
 
@@ -643,7 +648,7 @@ mod tests {
         // floats and derive `PartialEq`, so `assert_eq!` here demands the
         // batched panel solves reproduce the sequential results to the
         // last bit — including the duplicated configuration, which the
-        // solver executes once and clones.
+        // batch validates once and clones.
         let tech = Technology::cmos65();
         let spec = BrickSpec::new(BitcellKind::Sram8T, 16, 10).unwrap();
         let spec32 = BrickSpec::new(BitcellKind::Sram8T, 32, 12).unwrap();
@@ -667,11 +672,11 @@ mod tests {
         let report = compare_batch_results(&tech, &configs);
         assert_eq!(report.results.len(), 3);
         assert!(report.results.iter().all(|r| r.is_ok()));
-        // Three configurations contribute six sims; the duplicated
-        // stack-4 pair shares its read and write groups, so only the
-        // distinct stacks (1 and 4) open panels: two read, two write.
-        assert_eq!(report.sims, 6);
-        assert_eq!(report.groups, 4);
+        // The duplicated stack-4 configuration is validated once, so
+        // two distinct configurations contribute four sims, which fill
+        // one panel.
+        assert_eq!(report.sims, 4);
+        assert_eq!(report.groups, 1);
     }
 
     #[test]
@@ -686,6 +691,32 @@ mod tests {
         assert!(report.results[1].is_ok());
         // The bad entry never produced sims.
         assert_eq!(report.sims, 2);
+    }
+
+    #[test]
+    fn work_bound_admits_256_words_and_refuses_1024() {
+        // Counted from the built circuits, without solving: the largest
+        // bank of up to 256 words fits under the bound, a 1024-word one
+        // does not, and measuring it fails before any solve.
+        let tech = Technology::cmos65();
+        let compiler = BrickCompiler::new(&tech);
+        let dual = |words| {
+            compiler
+                .compile(&BrickSpec::new(BitcellKind::DualPort, words, 256).unwrap())
+                .unwrap()
+        };
+        let admitted = build_sims(&dual(256), 64).unwrap().node_steps();
+        assert!(admitted > MAX_NODE_STEPS / 2 && admitted <= MAX_NODE_STEPS, "{admitted}");
+        let big = dual(1024);
+        let Err(BrickError::GoldenTooLarge { node_steps }) = build_sims(&big, 64) else {
+            panic!("a 1024x256 bank of 64 must exceed the work bound");
+        };
+        assert!(node_steps > 40 * MAX_NODE_STEPS, "{node_steps}");
+        let started = std::time::Instant::now();
+        let err = measure_bank(&big, 64).unwrap_err();
+        assert_eq!(err, BrickError::GoldenTooLarge { node_steps });
+        assert!(err.to_string().contains(&MAX_NODE_STEPS.to_string()), "{err}");
+        assert!(started.elapsed() < std::time::Duration::from_secs(5));
     }
 
     #[test]

@@ -17,15 +17,19 @@
 //! with partial pivoting otherwise; both paths agree to solver tolerance
 //! and are cross-checked by a property test.
 //!
-//! The banded backend is a *multi-RHS panel engine*: any number of runs
-//! that share connectivity structure and stepping advance in lockstep,
-//! one panel column each ([`run_probed_batch`]). Columns whose stamped
-//! `G + C/Δt` matrices are bit-identical share a single factorization
-//! (a *factorization class*); when a column's switch state diverges it
-//! migrates to the class matching its new matrix, factoring afresh only
-//! if no class has seen that matrix. A single [`TransientSim::run`] is
-//! the same engine with a one-column panel, so batched and sequential
-//! results are bit-identical by construction.
+//! The banded backend is a *lockstep panel engine*. Every banded run
+//! whose reordered system is tridiagonal (half-bandwidth ≤ 1) joins one
+//! panel ([`run_probed_batch`]), whatever its time step, length or node
+//! order. Each panel column keeps its own RCM order, `Δt` (step times,
+//! `C/Δt` and energy integration), row count, switch state and LU; a
+//! column shorter than the panel is padded with inert rows. The
+//! substitution sweep ([`TridiagonalPanel::solve`]) advances
+//! [`PANEL_LANES`](crate::sparse::PANEL_LANES) columns at a time with
+//! their running values in registers, so their serial recurrences
+//! overlap. A wider banded run advances alone through [`Banded::solve`].
+//! A single [`TransientSim::run`] is the same engine with a one-column
+//! panel, so batched and sequential results are bit-identical by
+//! construction.
 //!
 //! Supply energy is integrated alongside: every driver's delivered energy
 //! is `∫ v_target · i dt`, which for a full charge of capacitance C to Vdd
@@ -33,7 +37,7 @@
 
 use crate::error::CircuitError;
 use crate::netlist::{Circuit, NodeId, SourceId, SwitchControl, SwitchTerminal};
-use crate::sparse::{adjacency, half_bandwidth, positions, rcm_order, Banded, Panel};
+use crate::sparse::{adjacency, half_bandwidth, positions, rcm_order, Banded, TridiagonalPanel};
 use crate::waveform::{Edge, Waveform};
 use lim_tech::units::{Femtojoules, Picoseconds, Volts};
 
@@ -72,6 +76,13 @@ pub struct BatchRun<'a> {
     pub dt: Picoseconds,
 }
 
+impl BatchRun<'_> {
+    /// Time steps this run integrates: `⌈t_end / dt⌉`.
+    pub fn steps(&self) -> usize {
+        (self.t_end.value() / self.dt.value()).ceil() as usize
+    }
+}
+
 impl<'a> TransientSim<'a> {
     /// Prepares a simulation of `circuit` with the [`SolverKind::Auto`]
     /// backend.
@@ -100,7 +111,8 @@ impl<'a> TransientSim<'a> {
     ///   path to a driver nor capacitance.
     /// * Any validation error from [`Circuit::validate`].
     pub fn run(&self, t_end: Picoseconds, dt: Picoseconds) -> Result<TransientResult, CircuitError> {
-        self.run_inner(None, t_end, dt)
+        let all: Vec<NodeId> = (0..self.circuit.node_count()).map(NodeId).collect();
+        self.run_probed(&all, t_end, dt)
     }
 
     /// Like [`TransientSim::run`], but records waveforms only for the
@@ -120,48 +132,28 @@ impl<'a> TransientSim<'a> {
         t_end: Picoseconds,
         dt: Picoseconds,
     ) -> Result<TransientResult, CircuitError> {
-        self.run_inner(Some(probes), t_end, dt)
-    }
-
-    fn run_inner(
-        &self,
-        probes: Option<&[NodeId]>,
-        t_end: Picoseconds,
-        dt: Picoseconds,
-    ) -> Result<TransientResult, CircuitError> {
-        let ckt = self.circuit;
-        ckt.validate()?;
-        check_window(t_end, dt)?;
-        let (dt_v, t_end_v) = (dt.value(), t_end.value());
-        let steps = (t_end_v / dt_v).ceil() as usize;
-        let probed = resolve_probes(probes, ckt.node_count());
-        let sym = analyze(ckt, self.solver);
-        if sym.banded {
-            lim_obs::counter_add("transient.banded_runs", 1);
-            let jobs = vec![GroupJob { ckt, probed, steps }];
-            let mut out = run_banded_group(jobs, &sym.order, &sym.pos, sym.k, dt)?;
-            Ok(out.pop().expect("one job yields one result"))
-        } else {
-            lim_obs::counter_add("transient.dense_runs", 1);
-            run_dense(ckt, probed, steps, dt)
-        }
+        let run = BatchRun {
+            circuit: self.circuit,
+            probes,
+            t_end,
+            dt,
+        };
+        let mut out = run_probed_batch(&[run], self.solver)?;
+        Ok(out.pop().expect("one run yields one result"))
     }
 }
 
-/// Integrates a batch of runs, advancing runs that share connectivity
-/// structure and stepping as one blocked multi-RHS banded solve.
-///
-/// Identical runs (same circuit, probes and window) are executed once
-/// and their results cloned. Within a lockstep group, columns whose
-/// stamped matrices are bit-identical share a single factorization per
-/// switch-state change. Each run's result is bit-identical to running
-/// it alone through [`TransientSim::run_probed`] with the same solver.
+/// Integrates a batch of runs. Every banded run whose reordered system
+/// is tridiagonal joins one lockstep panel, whatever its time step,
+/// length or node order; a wider banded run advances alone, and dense
+/// runs are solved one by one. Each run's result is bit-identical to
+/// running it alone through [`TransientSim::run_probed`] with the same
+/// solver.
 ///
 /// Observability counters: `transient.batched_runs` (runs submitted),
-/// `transient.batch_groups` (lockstep panels formed),
-/// `transient.shared_factorizations` (column joins to an existing
-/// factorization class), `transient.deduped_runs` (identical runs
-/// executed once).
+/// `transient.batch_groups` (tridiagonal panels formed),
+/// `transient.banded_runs` / `transient.dense_runs` (backend choice) and
+/// `transient.refactorizations`.
 ///
 /// # Errors
 ///
@@ -170,101 +162,38 @@ pub fn run_probed_batch(
     runs: &[BatchRun<'_>],
     solver: SolverKind,
 ) -> Result<Vec<TransientResult>, CircuitError> {
-    if runs.is_empty() {
-        return Ok(Vec::new());
-    }
     lim_obs::counter_add("transient.batched_runs", runs.len() as u64);
-    let mut windows: Vec<(u64, usize)> = Vec::with_capacity(runs.len());
     for r in runs {
         r.circuit.validate()?;
         check_window(r.t_end, r.dt)?;
-        let steps = (r.t_end.value() / r.dt.value()).ceil() as usize;
-        windows.push((r.dt.value().to_bits(), steps));
     }
-
-    // Identical runs share one execution.
-    let mut rep_of: Vec<usize> = vec![0; runs.len()];
-    let mut reps: Vec<usize> = Vec::new();
-    'dedup: for (i, r) in runs.iter().enumerate() {
-        for &j in &reps {
-            let o = &runs[j];
-            if windows[i] == windows[j]
-                && r.t_end.value().to_bits() == o.t_end.value().to_bits()
-                && r.probes == o.probes
-                && r.circuit == o.circuit
-            {
-                rep_of[i] = j;
-                lim_obs::counter_add("transient.deduped_runs", 1);
-                continue 'dedup;
-            }
-        }
-        rep_of[i] = i;
-        reps.push(i);
-    }
-
-    // Symbolic analysis per representative; banded representatives with
-    // equal connectivity and stepping form one lockstep group.
-    let analyses: Vec<Symbolic> = reps
-        .iter()
-        .map(|&i| analyze(runs[i].circuit, solver))
-        .collect();
-    let mut groups: Vec<Vec<usize>> = Vec::new(); // indices into `reps`
-    let mut dense: Vec<usize> = Vec::new();
-    'group: for (ri, sym) in analyses.iter().enumerate() {
+    let mut results: Vec<Option<TransientResult>> = vec![None; runs.len()];
+    let mut panel: Vec<(usize, Column<'_>)> = Vec::new();
+    for (i, r) in runs.iter().enumerate() {
+        let sym = analyze(r.circuit, solver);
         if !sym.banded {
-            dense.push(ri);
+            lim_obs::counter_add("transient.dense_runs", 1);
+            results[i] = Some(run_dense(r.circuit, resolve_probes(r.probes), r.steps(), r.dt)?);
             continue;
         }
-        for g in &mut groups {
-            let first = g[0];
-            // Same step size and same connectivity: columns lockstep on
-            // shared t and ordering; differing step counts are fine — a
-            // shorter run retires early.
-            if windows[reps[ri]].0 == windows[reps[first]].0 && analyses[first].adj == sym.adj {
-                g.push(ri);
-                continue 'group;
-            }
+        lim_obs::counter_add("transient.banded_runs", 1);
+        let col = Column::new(r, sym);
+        if col.k == 1 {
+            panel.push((i, col));
+        } else {
+            results[i] = run_banded(vec![col])?.pop();
         }
-        groups.push(vec![ri]);
     }
-
-    let mut results: Vec<Option<TransientResult>> = vec![None; runs.len()];
-    for g in &groups {
+    if !panel.is_empty() {
         lim_obs::counter_add("transient.batch_groups", 1);
-        lim_obs::counter_add("transient.banded_runs", g.len() as u64);
-        let sym = &analyses[g[0]];
-        let dt = runs[reps[g[0]]].dt;
-        let jobs: Vec<GroupJob<'_>> = g
-            .iter()
-            .map(|&ri| {
-                let r = &runs[reps[ri]];
-                GroupJob {
-                    ckt: r.circuit,
-                    probed: resolve_probes(Some(r.probes), r.circuit.node_count()),
-                    steps: windows[reps[ri]].1,
-                }
-            })
-            .collect();
-        let out = run_banded_group(jobs, &sym.order, &sym.pos, sym.k, dt)?;
-        for (&ri, res) in g.iter().zip(out) {
-            results[reps[ri]] = Some(res);
-        }
-    }
-    for &ri in &dense {
-        lim_obs::counter_add("transient.dense_runs", 1);
-        let r = &runs[reps[ri]];
-        let (_, steps) = windows[reps[ri]];
-        let probed = resolve_probes(Some(r.probes), r.circuit.node_count());
-        results[reps[ri]] = Some(run_dense(r.circuit, probed, steps, r.dt)?);
-    }
-    for i in 0..runs.len() {
-        if rep_of[i] != i {
-            results[i] = results[rep_of[i]].clone();
+        let (slots, cols): (Vec<usize>, Vec<Column<'_>>) = panel.into_iter().unzip();
+        for (i, res) in slots.into_iter().zip(run_banded(cols)?) {
+            results[i] = Some(res);
         }
     }
     Ok(results
         .into_iter()
-        .map(|r| r.expect("every run was executed or cloned"))
+        .map(|r| r.expect("every run was integrated"))
         .collect())
 }
 
@@ -279,23 +208,17 @@ fn check_window(t_end: Picoseconds, dt: Picoseconds) -> Result<(), CircuitError>
     Ok(())
 }
 
-/// Sorted, deduplicated node indices to trace (all nodes when `None`).
-fn resolve_probes(probes: Option<&[NodeId]>, n: usize) -> Vec<usize> {
-    match probes {
-        Some(list) => {
-            let mut ids: Vec<usize> = list.iter().map(|p| p.0).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            ids
-        }
-        None => (0..n).collect(),
-    }
+/// Sorted, deduplicated node indices to trace.
+fn resolve_probes(probes: &[NodeId]) -> Vec<usize> {
+    let mut ids: Vec<usize> = probes.iter().map(|p| p.0).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
 }
 
 /// Symbolic analysis of a circuit's connectivity: RCM ordering, band
 /// width of the permuted system, and the backend decision.
 struct Symbolic {
-    adj: Vec<Vec<usize>>,
     order: Vec<usize>,
     pos: Vec<usize>,
     k: usize,
@@ -328,7 +251,6 @@ fn analyze(ckt: &Circuit, solver: SolverKind) -> Symbolic {
         SolverKind::Auto => n >= 8 && 4 * k < n,
     };
     Symbolic {
-        adj,
         order,
         pos,
         k,
@@ -336,365 +258,228 @@ fn analyze(ckt: &Circuit, solver: SolverKind) -> Symbolic {
     }
 }
 
-/// One member of a lockstep banded group.
-struct GroupJob<'a> {
-    ckt: &'a Circuit,
-    /// Sorted, deduplicated node indices to trace.
-    probed: Vec<usize>,
-    /// Steps this run integrates (columns may retire before the group's
-    /// longest run finishes).
-    steps: usize,
+/// Re-evaluates every switch at time `t` against node voltages `v`,
+/// updating `sw_state` in place. Voltage-controlled switches latch once
+/// triggered, so for those `sw_state` doubles as the latch. Returns
+/// whether any switch changed state.
+fn update_switches(ckt: &Circuit, sw_state: &mut [bool], t: f64, v: impl Fn(usize) -> f64) -> bool {
+    let mut changed = false;
+    for (s, state) in ckt.switches.iter().zip(sw_state) {
+        let closed = match s.control {
+            SwitchControl::Timed { .. } => s.is_closed_at(t).expect("timed switch resolves by time"),
+            SwitchControl::VoltageAbove { node, threshold } => *state || v(node) >= threshold,
+            SwitchControl::VoltageBelow { node, threshold } => *state || v(node) <= threshold,
+        };
+        changed |= *state != closed;
+        *state = closed;
+    }
+    changed
 }
 
-/// Per-run state inside the banded panel engine.
+/// Stamps the conductance of every closed switch through `add(i, j, g)`.
+fn stamp_switches(ckt: &Circuit, sw_state: &[bool], mut add: impl FnMut(usize, usize, f64)) {
+    for (sw, _) in ckt.switches.iter().zip(sw_state).filter(|(_, &closed)| closed) {
+        let g = 1.0 / sw.r_on;
+        match sw.b {
+            SwitchTerminal::Ground => add(sw.a, sw.a, g),
+            SwitchTerminal::Node(b) => {
+                add(sw.a, sw.a, g);
+                add(b, b, g);
+                add(sw.a, b, -g);
+                add(b, sw.a, -g);
+            }
+        }
+    }
+}
+
+/// One run inside the banded engine, with its own ordering, step,
+/// switch state and factorization.
 struct Column<'a> {
     ckt: &'a Circuit,
+    order: Vec<usize>,
+    pos: Vec<usize>,
+    k: usize,
+    dt: f64,
+    /// This run's step count; past it the column is retired.
+    steps: usize,
     probed: Vec<usize>,
     traces: Vec<Vec<f64>>,
     /// Static stamp in permuted coordinates, including `C/Δt` on the
     /// diagonal; cloned and switch-stamped on each state change.
     template: Banded,
-    /// Permuted `C/Δt` history coefficients. Precomputing the division
-    /// is bit-identical to dividing every step (same operands) and
-    /// turns the hottest per-node-step op into a multiply.
-    c_over_dt_p: Vec<f64>,
-    /// Current switch states. Voltage-controlled switches latch once
-    /// triggered, so for those this doubles as the latch.
+    /// The current factorization (`None` before the first step).
+    lu: Option<Banded>,
     sw_state: Vec<bool>,
     supply_energy: f64,
     source_energy: Vec<f64>,
-    /// Index into the group's factorization classes.
-    class: usize,
-    /// This run's step count; past it the column is retired.
-    steps: usize,
-    /// Permuted voltages captured at the column's final step.
-    final_p: Vec<f64>,
+    /// Node voltages captured at the column's final step.
+    final_v: Vec<f64>,
 }
 
-const NO_CLASS: usize = usize::MAX;
-
-/// A factorization shared by every panel column whose stamped
-/// `G + C/Δt` matrix is bit-identical. `matrix` keeps the unfactored
-/// stamp for membership tests.
-struct FactorClass {
-    matrix: Banded,
-    lu: Banded,
-}
-
-fn stamp_switches(template: &Banded, ckt: &Circuit, sw_state: &[bool], pos: &[usize]) -> Banded {
-    let mut a = template.clone();
-    for (sw, closed) in ckt.switches.iter().zip(sw_state) {
-        if *closed {
-            let g = 1.0 / sw.r_on;
-            let pa = pos[sw.a];
-            match sw.b {
-                SwitchTerminal::Ground => a.add(pa, pa, g),
-                SwitchTerminal::Node(b) => {
-                    let pb = pos[b];
-                    a.add(pa, pa, g);
-                    a.add(pb, pb, g);
-                    a.add(pa, pb, -g);
-                    a.add(pb, pa, -g);
-                }
-            }
+impl<'a> Column<'a> {
+    fn new(run: &BatchRun<'a>, sym: Symbolic) -> Column<'a> {
+        let (ckt, dt, pos) = (run.circuit, run.dt.value(), &sym.pos);
+        // A diagonal system is stored tridiagonally (zero couplings), so
+        // every panel column carries the same kind of factorization.
+        let k = sym.k.max(1);
+        let mut template = Banded::zeros(ckt.node_count(), k);
+        for r in &ckt.resistors {
+            let g = 1.0 / r.r;
+            let (pa, pb) = (pos[r.a], pos[r.b]);
+            template.add(pa, pa, g);
+            template.add(pb, pb, g);
+            template.add(pa, pb, -g);
+            template.add(pb, pa, -g);
         }
-    }
-    a
-}
-
-/// Advances every job of one lockstep group as a blocked multi-RHS
-/// banded solve. All jobs share `order`/`pos` (equal connectivity) and
-/// the step size; each contributes one fixed panel column and retires
-/// after its own step count. Per-column arithmetic is independent and
-/// ordered exactly as a lone run's, so results are bit-identical to
-/// running each job alone.
-fn run_banded_group(
-    jobs: Vec<GroupJob<'_>>,
-    order: &[usize],
-    pos: &[usize],
-    k: usize,
-    dt: Picoseconds,
-) -> Result<Vec<TransientResult>, CircuitError> {
-    let dt_v = dt.value();
-    let n = order.len();
-    let b = jobs.len();
-    let max_steps = jobs.iter().map(|j| j.steps).max().unwrap_or(0);
-
-    let mut columns: Vec<Column<'_>> = jobs
-        .into_iter()
-        .map(|job| {
-            let ckt = job.ckt;
-            let mut template = Banded::zeros(n, k);
-            for r in &ckt.resistors {
-                let g = 1.0 / r.r;
-                let (pa, pb) = (pos[r.a], pos[r.b]);
-                template.add(pa, pa, g);
-                template.add(pb, pb, g);
-                template.add(pa, pb, -g);
-                template.add(pb, pa, -g);
-            }
-            for s in &ckt.sources {
-                let p = pos[s.node];
-                template.add(p, p, 1.0 / s.r_series);
-            }
-            let mut c_over_dt_p = vec![0.0; n];
-            for (i, &c) in ckt.caps.iter().enumerate() {
-                template.add(pos[i], pos[i], c / dt_v);
-                c_over_dt_p[pos[i]] = c / dt_v;
-            }
-            let traces = job
-                .probed
-                .iter()
-                .map(|&i| {
-                    let mut t = Vec::with_capacity(job.steps + 1);
-                    t.push(ckt.initial_v[i]);
-                    t
-                })
-                .collect();
-            Column {
-                ckt,
-                probed: job.probed,
-                traces,
-                template,
-                c_over_dt_p,
-                sw_state: vec![false; ckt.switches.len()],
-                supply_energy: 0.0,
-                source_energy: vec![0.0; ckt.sources.len()],
-                class: NO_CLASS,
-                steps: job.steps,
-                final_p: Vec::new(),
-            }
-        })
-        .collect();
-
-    // Group-wide voltage panel: one fixed column per run, rows in the
-    // shared permuted coordinates.
-    let mut panel = Panel::new(n);
-    let mut vbuf = vec![0.0; n];
-    for col in &columns {
-        for (p, &node) in order.iter().enumerate() {
-            vbuf[p] = col.ckt.initial_v[node];
+        for s in &ckt.sources {
+            template.add(pos[s.node], pos[s.node], 1.0 / s.r_series);
         }
-        panel.push_col(&vbuf);
-    }
-    // `C/Δt` aligned with the panel, built once — columns never move.
-    let mut codt = vec![0.0; n * b];
-    for (c, col) in columns.iter().enumerate() {
-        for p in 0..n {
-            codt[p * b + c] = col.c_over_dt_p[p];
+        for (i, &c) in ckt.caps.iter().enumerate() {
+            template.add(pos[i], pos[i], c / dt);
+        }
+        let steps = run.steps();
+        let probed = resolve_probes(run.probes);
+        let traces = probed
+            .iter()
+            .map(|&i| {
+                let mut t = Vec::with_capacity(steps + 1);
+                t.push(ckt.initial_v[i]);
+                t
+            })
+            .collect();
+        Column {
+            ckt,
+            order: sym.order,
+            pos: sym.pos,
+            k,
+            dt,
+            steps,
+            probed,
+            traces,
+            template,
+            lu: None,
+            sw_state: vec![false; ckt.switches.len()],
+            supply_energy: 0.0,
+            source_energy: vec![0.0; ckt.sources.len()],
+            final_v: Vec::new(),
         }
     }
 
-    let mut classes: Vec<FactorClass> = Vec::new();
-    // Interleaved coefficient streams for the k ≤ 1 fast path: each
-    // row carries every column's sub-diagonal L, super-diagonal U and
-    // reciprocal pivot, so one sweep advances all columns' mutually
-    // independent recurrences together — the serial dependency chain of
-    // a lone tridiagonal solve overlaps across columns.
-    let mut l_p = vec![0.0; n * b];
-    let mut u_p = vec![0.0; n * b];
-    let mut inv_p = vec![0.0; n * b];
-    let mut sw_buf: Vec<bool> = Vec::new();
+    /// Restamps and refactors after a switch-state change.
+    fn refactor(&mut self) -> Result<&Banded, CircuitError> {
+        lim_obs::counter_add("transient.refactorizations", 1);
+        let mut a = self.template.clone();
+        let pos = &self.pos;
+        stamp_switches(self.ckt, &self.sw_state, |i, j, g| a.add(pos[i], pos[j], g));
+        a.factor().map_err(|e| CircuitError::SingularSystem {
+            node: self.order[e.row],
+            magnitude: e.magnitude,
+        })?;
+        Ok(self.lu.insert(a))
+    }
+}
+
+/// Advances `cols` in lockstep, one panel column each, and retires each
+/// column after its own step count. Either every column is tridiagonal
+/// and one [`TridiagonalPanel`] sweep solves them all, or a single wider
+/// column solves through its own [`Banded::solve`]. Per-column
+/// arithmetic is independent and ordered exactly as a lone run's, so
+/// results are bit-identical to running each column alone.
+fn run_banded(mut cols: Vec<Column<'_>>) -> Result<Vec<TransientResult>, CircuitError> {
+    let wide = cols.iter().any(|c| c.k > 1);
+    debug_assert!(!wide || cols.len() == 1, "a wide run advances alone");
+    let n = cols.iter().map(|c| c.order.len()).max().unwrap_or(0);
+    let mut lanes = (!wide).then(|| TridiagonalPanel::new(n, cols.len()));
+    let w = lanes.as_ref().map_or(1, TridiagonalPanel::width);
+    // Voltages and `C/Δt` in each column's permuted coordinates; rows
+    // and columns past a run's end stay inert (+0 voltage, zero `C/Δt`).
+    // Precomputing the division is bit-identical to dividing every step
+    // (same operands) and turns the hottest per-node-step op into a
+    // multiply.
+    let mut x = vec![0.0; n * w];
+    let mut codt = vec![0.0; n * w];
+    for (c, col) in cols.iter().enumerate() {
+        for (p, &node) in col.order.iter().enumerate() {
+            x[p * w + c] = col.ckt.initial_v[node];
+            codt[p * w + c] = col.ckt.caps[node] / col.dt;
+        }
+    }
+    let max_steps = cols.iter().map(|c| c.steps).max().unwrap_or(0);
 
     for step in 1..=max_steps {
-        let t = step as f64 * dt_v;
-        let mut classes_changed = false;
-
-        // Phase 1: evaluate switches and reassign factorization classes
-        // for active columns whose state changed.
-        for (c, col) in columns.iter_mut().enumerate() {
-            if step > col.steps {
-                continue; // retired
-            }
-            sw_buf.clear();
-            for (i, s) in col.ckt.switches.iter().enumerate() {
-                let closed = match s.control {
-                    SwitchControl::Timed { .. } => {
-                        s.is_closed_at(t).expect("timed switch resolves by time")
-                    }
-                    SwitchControl::VoltageAbove { node, threshold } => {
-                        col.sw_state[i] || panel.get(pos[node], c) >= threshold
-                    }
-                    SwitchControl::VoltageBelow { node, threshold } => {
-                        col.sw_state[i] || panel.get(pos[node], c) <= threshold
-                    }
-                };
-                sw_buf.push(closed);
-            }
-            let mut changed = col.class == NO_CLASS;
-            for (state, &new) in col.sw_state.iter_mut().zip(&sw_buf) {
-                if *state != new {
-                    *state = new;
-                    changed = true;
-                }
-            }
-            if !changed {
-                continue;
-            }
-            let stamped = stamp_switches(&col.template, col.ckt, &col.sw_state, pos);
-            match classes.iter().position(|cl| cl.matrix.bitwise_eq(&stamped)) {
-                Some(ci) => {
-                    lim_obs::counter_add("transient.shared_factorizations", 1);
-                    col.class = ci;
-                }
-                None => {
-                    lim_obs::counter_add("transient.refactorizations", 1);
-                    let matrix = stamped.clone();
-                    let mut lu = stamped;
-                    lu.factor().map_err(|e| CircuitError::SingularSystem {
-                        node: order[e.row],
-                        magnitude: e.magnitude,
-                    })?;
-                    col.class = classes.len();
-                    classes.push(FactorClass { matrix, lu });
-                }
-            }
-            classes_changed = true;
-        }
-
-        // Phase 2: history RHS in place over the whole panel, source
-        // currents for active columns, then the solve sweep. Retired
+        // Switches and refactorization, then the history RHS over the
+        // whole panel and the active columns' source currents. Retired
         // columns keep being swept (their values are never read again);
         // skipping them would cost a branch in the hot loops.
-        for (d, &cdt) in panel.data_mut().iter_mut().zip(&codt) {
+        for (c, col) in cols.iter_mut().enumerate() {
+            if step > col.steps {
+                continue;
+            }
+            let t = step as f64 * col.dt;
+            let pos = &col.pos;
+            let changed = update_switches(col.ckt, &mut col.sw_state, t, |node| x[pos[node] * w + c]);
+            if changed || col.lu.is_none() {
+                let lu = col.refactor()?;
+                if let Some(lanes) = &mut lanes {
+                    lanes.set_column(c, lu);
+                }
+            }
+        }
+        for (d, &cdt) in x.iter_mut().zip(&codt) {
             *d *= cdt;
         }
-        for (c, col) in columns.iter().enumerate() {
-            if step > col.steps {
-                continue;
-            }
+        for (c, col) in cols.iter().enumerate().filter(|(_, col)| step <= col.steps) {
+            let t = step as f64 * col.dt;
             for src in &col.ckt.sources {
-                panel.data_mut()[pos[src.node] * b + c] += src.target_at(t) / src.r_series;
+                x[col.pos[src.node] * w + c] += src.target_at(t) / src.r_series;
             }
         }
-        if k <= 1 {
-            if classes_changed {
-                for (c, col) in columns.iter().enumerate() {
-                    let lu = &classes[col.class].lu;
-                    let inv = lu.inv_diag();
-                    for i in 0..n {
-                        inv_p[i * b + c] = inv[i];
-                        if k == 1 {
-                            if i > 0 {
-                                l_p[i * b + c] = lu.get(i, i - 1);
-                            }
-                            if i + 1 < n {
-                                u_p[i * b + c] = lu.get(i, i + 1);
-                            }
-                        }
-                    }
-                }
-            }
-            solve_interleaved(panel.data_mut(), n, b, &l_p, &u_p, &inv_p);
-        } else {
-            // General bandwidth: gather each class's active members into
-            // a sub-panel and back-substitute them through the shared
-            // factorization.
-            for (ci, cl) in classes.iter().enumerate() {
-                let members: Vec<usize> = columns
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, col)| col.class == ci && step <= col.steps)
-                    .map(|(c, _)| c)
-                    .collect();
-                if members.is_empty() {
-                    continue;
-                }
-                let mut sub = Panel::new(n);
-                for &c in &members {
-                    panel.copy_col(c, &mut vbuf);
-                    sub.push_col(&vbuf);
-                }
-                cl.lu.solve_many(&mut sub);
-                for (si, &c) in members.iter().enumerate() {
-                    for p in 0..n {
-                        panel.set(p, c, sub.get(p, si));
-                    }
-                }
-            }
+        match &lanes {
+            Some(lanes) => lanes.solve(&mut x),
+            None => cols[0].lu.as_ref().expect("factored on the first step").solve(&mut x),
         }
 
-        // Phase 3: integrate driver energies, record probes, capture
-        // final voltages of columns finishing this step.
-        for (c, col) in columns.iter_mut().enumerate() {
+        // Driver energies, probes, and final voltages of columns
+        // finishing this step.
+        for (c, col) in cols.iter_mut().enumerate() {
             if step > col.steps {
                 continue;
             }
+            let t = step as f64 * col.dt;
+            let v = |node: usize| x[col.pos[node] * w + c];
             for (ki, src) in col.ckt.sources.iter().enumerate() {
                 let vt = src.target_at(t);
-                let i_out = (vt - panel.get(pos[src.node], c)) / src.r_series; // mA
-                let e = vt * i_out * dt_v; // fJ
+                let i_out = (vt - v(src.node)) / src.r_series; // mA
+                let e = vt * i_out * col.dt; // fJ
                 col.source_energy[ki] += e;
                 col.supply_energy += e;
             }
             for (trace, &node) in col.traces.iter_mut().zip(&col.probed) {
-                trace.push(panel.get(pos[node], c));
+                trace.push(v(node));
             }
             if step == col.steps {
-                col.final_p = (0..n).map(|p| panel.get(p, c)).collect();
+                col.final_v = (0..col.order.len()).map(v).collect();
             }
         }
     }
 
-    Ok(columns
+    Ok(cols
         .into_iter()
         .map(|col| {
-            let mut final_v = vec![0.0; n];
-            for (p, &node) in order.iter().enumerate() {
-                final_v[node] = col.final_p[p];
-            }
-            let mut waveforms: Vec<Option<Waveform>> = (0..n).map(|_| None).collect();
+            let dt = Picoseconds::new(col.dt);
+            let mut waveforms: Vec<Option<Waveform>> = (0..col.order.len()).map(|_| None).collect();
             for (trace, &i) in col.traces.into_iter().zip(&col.probed) {
                 waveforms[i] = Some(Waveform::new(Picoseconds::ZERO, dt, trace));
             }
             TransientResult {
                 waveforms,
-                final_v,
+                final_v: col.final_v,
                 supply_energy: Femtojoules::new(col.supply_energy),
                 source_energy: col.source_energy.into_iter().map(Femtojoules::new).collect(),
                 banded: true,
             }
         })
         .collect())
-}
-
-/// Forward/backward substitution over a row-major panel where every
-/// column carries its own diagonal or tridiagonal factorization,
-/// interleaved so the per-column serial recurrences overlap. Each
-/// column's arithmetic order matches a lone solve of that column.
-fn solve_interleaved(data: &mut [f64], n: usize, b: usize, l_p: &[f64], u_p: &[f64], inv_p: &[f64]) {
-    if n == 0 || b == 0 {
-        return;
-    }
-    // Forward: x_i -= L(i, i−1) · x_{i−1}.
-    {
-        let mut rows = data.chunks_exact_mut(b);
-        let mut prev = rows.next().expect("n >= 1");
-        for (i, row) in rows.enumerate() {
-            let lrow = &l_p[(i + 1) * b..(i + 2) * b];
-            for ((d, s), &l) in row.iter_mut().zip(prev.iter()).zip(lrow) {
-                *d -= l * *s;
-            }
-            prev = row;
-        }
-    }
-    // Backward: x_i = (x_i − U(i, i+1) · x_{i+1}) · U(i,i)⁻¹.
-    {
-        let mut rows = data.rchunks_exact_mut(b);
-        let mut next = rows.next().expect("n >= 1");
-        for (d, &inv) in next.iter_mut().zip(&inv_p[(n - 1) * b..n * b]) {
-            *d *= inv;
-        }
-        for (ri, row) in rows.enumerate() {
-            let i = n - 2 - ri;
-            let urow = &u_p[i * b..(i + 1) * b];
-            let invrow = &inv_p[i * b..(i + 1) * b];
-            for (((d, s), &u), &inv) in row.iter_mut().zip(next.iter()).zip(urow).zip(invrow) {
-                *d = (*d - u * *s) * inv;
-            }
-            next = row;
-        }
-    }
 }
 
 /// Dense fallback: full LU with partial pivoting, refreshed per
@@ -731,8 +516,6 @@ fn run_dense(
         .collect();
 
     let mut lu: Option<(Vec<Vec<f64>>, Vec<usize>)> = None;
-    // Voltage-controlled switches latch once triggered, so `sw_state`
-    // doubles as the latch.
     let mut sw_state = vec![false; ckt.switches.len()];
     let mut supply_energy = 0.0;
     let mut source_energy = vec![0.0; ckt.sources.len()];
@@ -741,41 +524,10 @@ fn run_dense(
     for step in 1..=steps {
         let t = step as f64 * dt_v;
 
-        let mut changed = lu.is_none();
-        for (i, s) in ckt.switches.iter().enumerate() {
-            let closed = match s.control {
-                SwitchControl::Timed { .. } => {
-                    s.is_closed_at(t).expect("timed switch resolves by time")
-                }
-                SwitchControl::VoltageAbove { node, threshold } => {
-                    sw_state[i] || v[node] >= threshold
-                }
-                SwitchControl::VoltageBelow { node, threshold } => {
-                    sw_state[i] || v[node] <= threshold
-                }
-            };
-            if sw_state[i] != closed {
-                sw_state[i] = closed;
-                changed = true;
-            }
-        }
-        if changed {
+        if update_switches(ckt, &mut sw_state, t, |node| v[node]) || lu.is_none() {
             lim_obs::counter_add("transient.refactorizations", 1);
             let mut a = g_static.clone();
-            for (sw, closed) in ckt.switches.iter().zip(&sw_state) {
-                if *closed {
-                    let g = 1.0 / sw.r_on;
-                    match sw.b {
-                        SwitchTerminal::Ground => a[sw.a][sw.a] += g,
-                        SwitchTerminal::Node(b) => {
-                            a[sw.a][sw.a] += g;
-                            a[b][b] += g;
-                            a[sw.a][b] -= g;
-                            a[b][sw.a] -= g;
-                        }
-                    }
-                }
-            }
+            stamp_switches(ckt, &sw_state, |i, j, g| a[i][j] += g);
             for (i, row) in a.iter_mut().enumerate() {
                 row[i] += ckt.caps[i] / dt_v;
             }
@@ -1228,10 +980,10 @@ mod tests {
 
     #[test]
     fn batch_is_bit_identical_to_sequential_runs() {
-        // A mix of shapes: two same-structure ladders with different
-        // element values (lockstep, separate factorization classes), an
-        // exact duplicate (deduped), a different-length ladder (separate
-        // group), and a switched circuit (state change mid-run).
+        // A mix of shapes in one panel: two same-structure ladders with
+        // different element values, an exact duplicate, a shorter ladder
+        // (padded with inert rows), and a switched circuit (state change
+        // mid-run).
         let (a, a_far) = long_ladder_r(24, 0.05);
         let (b, b_far) = long_ladder_r(24, 0.08);
         let (c, c_far) = long_ladder(16);
@@ -1391,17 +1143,61 @@ mod tests {
         });
     }
 
+    /// A ladder of 8–80 nodes inserted in shuffled order (so its RCM
+    /// order is its own), with random elements and initial voltages, a
+    /// stepped driver at one end and, half the time, a latching switch
+    /// at the other: it reorders to half-bandwidth 1 and changes its
+    /// factorization mid-run.
+    fn random_ladder(rng: &mut TestRng) -> (Circuit, NodeId) {
+        let n = 8 + rng.bounded(73) as usize;
+        let mut ckt = Circuit::new();
+        let ids: Vec<NodeId> = (0..n).map(|i| ckt.add_node(format!("n{i}"))).collect();
+        let mut chain = ids.clone();
+        rng.shuffle(&mut chain);
+        for (i, &node) in chain.iter().enumerate() {
+            ckt.add_cap(node, Femtofarads::new(0.2 + 3.0 * rng.unit_f64()));
+            ckt.set_initial(node, Volts::new(VDD * rng.unit_f64()));
+            if i > 0 {
+                ckt.add_resistor(chain[i - 1], node, KiloOhms::new(0.02 + 0.5 * rng.unit_f64()));
+            }
+        }
+        let src = ckt.add_source(chain[0], KiloOhms::new(0.2 + rng.unit_f64()), Volts::ZERO);
+        ckt.schedule(src, Picoseconds::new(2.0 * rng.unit_f64()), Volts::new(VDD));
+        let far = chain[n - 1];
+        if rng.gen_bool(0.5) {
+            ckt.add_vc_switch_to_ground(far, KiloOhms::new(1.0 + rng.unit_f64()), chain[n / 2], Volts::new(VDD / 2.0));
+        }
+        (ckt, far)
+    }
+
     #[test]
     fn prop_batched_runs_match_sequential() {
+        // 1–9 runs per case, each with its own Δt, window and size:
+        // ladders share one padded tridiagonal panel and retire at
+        // different steps; chorded random circuits go wide or dense.
         prop::check("batch_sequential_agreement", |rng| {
-            let circuits: Vec<Circuit> = (0..3).map(|_| random_circuit(rng)).collect();
-            let t_end = Picoseconds::new(40.0);
-            let dt = Picoseconds::new(0.1);
-            let probes: Vec<[NodeId; 1]> = circuits.iter().map(|_| [NodeId(0)]).collect();
+            let count = 1 + rng.bounded(9) as usize;
+            let circuits: Vec<(Circuit, NodeId)> = (0..count)
+                .map(|_| {
+                    if rng.gen_bool(0.6) {
+                        random_ladder(rng)
+                    } else {
+                        (random_circuit(rng), NodeId(0))
+                    }
+                })
+                .collect();
+            let windows: Vec<(Picoseconds, Picoseconds)> = (0..count)
+                .map(|_| {
+                    let dt = 0.03 + 0.2 * rng.unit_f64();
+                    (Picoseconds::new(dt * (20 + rng.bounded(400)) as f64), Picoseconds::new(dt))
+                })
+                .collect();
+            let probes: Vec<[NodeId; 2]> = circuits.iter().map(|(_, far)| [NodeId(0), *far]).collect();
             let runs: Vec<BatchRun<'_>> = circuits
                 .iter()
                 .zip(&probes)
-                .map(|(c, p)| BatchRun {
+                .zip(&windows)
+                .map(|(((c, _), p), &(t_end, dt))| BatchRun {
                     circuit: c,
                     probes: p,
                     t_end,
@@ -1411,9 +1207,12 @@ mod tests {
             let batch = run_probed_batch(&runs, SolverKind::Auto).unwrap();
             for (i, run) in runs.iter().enumerate() {
                 let solo = TransientSim::new(run.circuit)
-                    .run_probed(run.probes, t_end, dt)
+                    .run_probed(run.probes, run.t_end, run.dt)
                     .unwrap();
-                assert_bit_identical(&batch[i], &solo, NodeId(0), &format!("circuit {i}"));
+                assert_eq!(batch[i].used_banded_solver(), solo.used_banded_solver());
+                for &probe in run.probes {
+                    assert_bit_identical(&batch[i], &solo, probe, &format!("run {i} of {count}"));
+                }
             }
         });
     }

@@ -9,7 +9,7 @@
 //! relayed verbatim — byte-identity with a single-shard deployment is
 //! structural, not re-rendered. `batch` requests are scattered: entries
 //! are grouped by shard, each group travels as one sub-batch (so the
-//! per-shard multi-RHS golden panel sharing is preserved), and the
+//! per-shard golden panel sharing is preserved), and the
 //! groups' result arrays are re-gathered in original entry order by raw
 //! byte splicing, never by re-rendering.
 //!

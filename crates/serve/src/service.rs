@@ -18,7 +18,10 @@ use crate::protocol::{
 use crate::server::{Answer, Backend, ServerShared};
 use lim::dse::{self, DsePoint};
 use lim::{LimBlock, LimError, LimFlow, MemoryPlan, SramConfig};
-use lim_brick::{golden, BankEstimate, BitcellKind, BrickLibrary, BrickSpec, SharedBrickLibrary};
+use lim_brick::compiler::MAX_STACK;
+use lim_brick::{
+    golden, BankEstimate, BitcellKind, BrickError, BrickLibrary, BrickSpec, SharedBrickLibrary,
+};
 use lim_obs::json::{self, Value};
 use lim_obs::trace::{trace_json_line, Trace, TraceBuffer, TraceId, TraceScope};
 use lim_obs::{hist_json_line, window_json_line, Report, RollingWindow, SharedHistogram};
@@ -463,8 +466,10 @@ impl Service {
         let words = req_usize(params, "words")?;
         let bits = req_usize(params, "bits")?;
         let stack = opt_usize(params, "stack")?.unwrap_or(1);
-        if stack == 0 {
-            return Err(ServeError::bad_request("\"stack\" must be at least 1"));
+        if !(1..=MAX_STACK).contains(&stack) {
+            return Err(ServeError::bad_request(format!(
+                "\"stack\" {stack} is outside the supported range 1..={MAX_STACK}"
+            )));
         }
         let spec = BrickSpec::new(bitcell, words, bits)
             .map_err(|e| ServeError::bad_request(e.to_string()))?;
@@ -498,7 +503,7 @@ impl Service {
             })
             .map_err(ServeError::internal)?;
         self.persist_lib(&spec, stack, &estimate, writes);
-        let cmp = golden::compare(&brick, stack).map_err(ServeError::internal)?;
+        let cmp = golden::compare(&brick, stack).map_err(golden_error)?;
         Ok(render_golden(&spec, stack, &cmp))
     }
 
@@ -784,9 +789,9 @@ impl Service {
             })
             .collect::<Result<Vec<_>, _>>()?;
         // `golden.compare` entries that miss the memo are peeled off and
-        // solved together: the whole sub-batch becomes one multi-RHS
-        // golden solve, with same-shape configurations advancing as one
-        // banded panel. Everything else fans out entry-by-entry.
+        // solved together: the whole sub-batch becomes one golden batch,
+        // its sims advancing four to a lockstep panel. Everything else
+        // fans out entry-by-entry.
         let mut slots: Vec<Option<String>> = vec![None; jobs.len()];
         let mut goldens: Vec<(usize, BrickSpec, usize, Option<u64>)> = Vec::new();
         let mut others: Vec<(usize, String, Value)> = Vec::new();
@@ -835,7 +840,7 @@ impl Service {
                         }
                         entry_ok(false, &rendered)
                     }
-                    Err(e) => entry_err(&ServeError::internal(e)),
+                    Err(e) => entry_err(&golden_error(e)),
                 });
             }
         }
@@ -1229,6 +1234,16 @@ fn entry_err(e: &ServeError) -> String {
     )
 }
 
+/// A golden failure as served: asking for more work than
+/// [`golden::MAX_NODE_STEPS`] is the caller's error, anything else the
+/// service's.
+fn golden_error(e: BrickError) -> ServeError {
+    match e {
+        BrickError::GoldenTooLarge { .. } => ServeError::bad_request(e.to_string()),
+        e => ServeError::internal(e),
+    }
+}
+
 /// Renders one tool-vs-golden comparison. Both the single endpoint and
 /// the batched path go through this, so a batch entry's `result` is
 /// byte-identical to a lone `golden.compare` reply for the same params.
@@ -1475,18 +1490,34 @@ mod tests {
 
     #[test]
     fn estimate_rejects_bad_specs() {
+        // Both spec endpoints, alone and as a `batch` entry.
         let svc = Service::new(&ServeConfig::default());
         for p in [
             "{}",
             "{\"words\":16}",
             "{\"words\":0,\"bits\":10}",
             "{\"words\":16,\"bits\":10,\"stack\":0}",
+            "{\"words\":16,\"bits\":10,\"stack\":65}",
             "{\"words\":16,\"bits\":10,\"bitcell\":\"9t\"}",
             "{\"words\":1.5,\"bits\":10}",
         ] {
-            let out = svc.call("brick.estimate", &params(p));
-            assert_eq!(out.result.unwrap_err().code, ERR_BAD_REQUEST, "{p}");
+            for method in ["brick.estimate", "golden.compare"] {
+                let out = svc.call(method, &params(p));
+                assert_eq!(out.result.unwrap_err().code, ERR_BAD_REQUEST, "{method} {p}");
+                let batch = format!(
+                    "{{\"requests\":[{{\"method\":\"{method}\",\"params\":{p}}}]}}"
+                );
+                let v = Value::parse(&svc.call("batch", &params(&batch)).result.unwrap()).unwrap();
+                let entry = &v.get("results").and_then(Value::as_array).unwrap()[0];
+                assert_eq!(
+                    entry.get("error").and_then(|e| e.get("code")).and_then(Value::as_f64),
+                    Some(f64::from(ERR_BAD_REQUEST)),
+                    "batch {method} {p}"
+                );
+            }
         }
+        let out = svc.call("golden.compare", &params("{\"words\":16,\"bits\":10,\"stack\":99}"));
+        assert!(out.result.unwrap_err().message.contains("1..=64"));
     }
 
     #[test]
@@ -1561,16 +1592,16 @@ mod tests {
         );
         assert!(again.cached, "batch results must land in the memo");
 
-        // Panel statistics: three golden entries (one pair of distinct
-        // stacks plus a duplicate) = six sims over four panel groups.
+        // Panel statistics: three golden entries (two distinct stacks
+        // plus a duplicate, validated once) = four sims in one panel.
         let stats = svc.stats_value();
         let golden = stats.get("golden").unwrap();
         assert_eq!(golden.get("batches").and_then(Value::as_f64), Some(1.0));
-        assert_eq!(golden.get("sims").and_then(Value::as_f64), Some(6.0));
-        assert_eq!(golden.get("panel_groups").and_then(Value::as_f64), Some(4.0));
+        assert_eq!(golden.get("sims").and_then(Value::as_f64), Some(4.0));
+        assert_eq!(golden.get("panel_groups").and_then(Value::as_f64), Some(1.0));
         assert_eq!(
             golden.get("panel_occupancy").and_then(Value::as_f64),
-            Some(1.5)
+            Some(4.0)
         );
     }
 

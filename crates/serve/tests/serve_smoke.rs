@@ -389,6 +389,59 @@ fn memories_past_the_decoder_bound_get_a_prompt_400() {
 }
 
 #[test]
+fn golden_work_past_the_bound_gets_a_prompt_400() {
+    // A dual-port 1024x256 bank of 64 bricks needs ~1.1e11 golden
+    // node-steps, many minutes of solving. It is refused before any
+    // solve, alone and in place in a batch beside a valid entry.
+    let big = "{\"bitcell\":\"2p\",\"words\":1024,\"bits\":256,\"stack\":64}";
+    let batch = format!(
+        "{{\"requests\":[{{\"method\":\"golden.compare\",\"params\":{big}}},\
+         {{\"method\":\"golden.compare\",\"params\":{{\"words\":16,\"bits\":10,\"stack\":1}}}}]}}"
+    );
+    let bound = lim_brick::golden::MAX_NODE_STEPS.to_string();
+    let bad_request = |err: Option<&Value>, what: &str| {
+        let err = err.unwrap_or_else(|| panic!("{what}: an error"));
+        assert_eq!(
+            err.get("code").and_then(Value::as_f64),
+            Some(ERR_BAD_REQUEST as f64),
+            "{what}"
+        );
+        assert!(
+            err.get("message")
+                .and_then(Value::as_str)
+                .is_some_and(|m| m.contains(&bound)),
+            "{what}: the message names the bound"
+        );
+    };
+    for kind in FRONT_ENDS {
+        let (addr, handles) = boot(kind, &ServeConfig::default());
+        let (mut writer, mut reader) = connect(addr);
+        let started = Instant::now();
+        let response = roundtrip(&mut writer, &mut reader, 1, "golden.compare", big);
+        let v = Value::parse(&response).expect("response parses");
+        bad_request(v.get("error"), &format!("{kind} single: {response}"));
+
+        let response = roundtrip(&mut writer, &mut reader, 2, "batch", &batch);
+        let v = Value::parse(&response).expect("response parses");
+        let results = v
+            .get("result")
+            .and_then(|r| r.get("results"))
+            .and_then(Value::as_array)
+            .expect("results array");
+        bad_request(results[0].get("error"), &format!("{kind} batch: {response}"));
+        assert_eq!(results[1].get("ok"), Some(&Value::Bool(true)), "{kind}: {response}");
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "{kind} took {:?}",
+            started.elapsed()
+        );
+        for handle in handles {
+            handle.shutdown_and_join().expect("clean drain");
+        }
+    }
+}
+
+#[test]
 fn shutdown_request_drains_the_server() {
     let server = Server::bind("127.0.0.1:0", &ServeConfig::default()).expect("bind");
     let addr = server.local_addr();

@@ -38,9 +38,10 @@ LIM_PAR_THREADS=4 BENCH_OUT=/tmp/tier1_bench_t4.json ./scripts/bench.sh --smoke
 cargo run --release --offline -q -p lim-obs --bin obs_check -- \
     --compare /tmp/tier1_bench_t1.json /tmp/tier1_bench_t4.json
 
-# fig4c rows (DSE output) and fig4b rows (the A–E physical flow) must
-# be bit-identical across worker counts.
-for fig in fig4c fig4b; do
+# fig4c rows (DSE output), fig4b rows (the A–E physical flow) and
+# table1 rows (golden panels fanned over lim-par) must be bit-identical
+# across worker counts.
+for fig in fig4c fig4b table1; do
     LIM_PAR_THREADS=1 cargo run --release --offline -q -p lim-bench --bin "$fig" -- --json \
         >"/tmp/tier1_${fig}_t1.json"
     LIM_PAR_THREADS=4 cargo run --release --offline -q -p lim-bench --bin "$fig" -- --json \

@@ -1286,3 +1286,69 @@ fn rtl_infer_reply_digest_is_pinned_on_the_example() {
         assert_eq!((text.len(), fnv1a(text.as_bytes())), verilog, "Verilog {config}");
     }
 }
+
+#[test]
+fn golden_compare_reply_digests_are_pinned() {
+    use lim_obs::json::Value;
+    use lim_serve::protocol::fnv1a;
+    use lim_serve::{ServeConfig, Service};
+
+    // Twelve `golden.compare` entries from perfbench's `golden_sweep`
+    // space (every bitcell, words 16/32/64, stacks 1/2/4/8), the last
+    // repeating the third. Length and FNV-1a of the `batch` reply and
+    // of each distinct lone reply, recorded before the golden solver
+    // batched unlike configurations into one panel.
+    let configs = [
+        ("6t", 16, 8, 1),
+        ("8t", 32, 12, 2),
+        ("2p", 64, 16, 4),
+        ("edram", 16, 20, 8),
+        ("cam", 32, 24, 1),
+        ("6t", 64, 32, 2),
+        ("8t", 16, 10, 4),
+        ("2p", 32, 9, 8),
+        ("edram", 64, 28, 1),
+        ("cam", 16, 14, 2),
+        ("8t", 64, 31, 8),
+        ("2p", 64, 16, 4),
+    ];
+    let param = |(cell, words, bits, stack): (&str, usize, usize, usize)| {
+        format!("{{\"bitcell\":\"{cell}\",\"words\":{words},\"bits\":{bits},\"stack\":{stack}}}")
+    };
+    let entries: Vec<String> = configs
+        .iter()
+        .map(|&c| format!("{{\"method\":\"golden.compare\",\"params\":{}}}", param(c)))
+        .collect();
+    let batch = Value::parse(&format!("{{\"requests\":[{}]}}", entries.join(","))).unwrap();
+    let reply = Service::new(&ServeConfig::default())
+        .call("batch", &batch)
+        .result
+        .expect("the batch is well formed");
+    assert!(!reply.contains("\"ok\":false"), "every entry compares: {reply}");
+    assert_eq!(
+        (reply.len(), fnv1a(reply.as_bytes())),
+        (5_817, 0x8a0a_4cd2_f758_212c),
+        "batch reply"
+    );
+
+    let lone: [(usize, u64); 11] = [
+        (448, 0x015c_84ed_f76b_1eee),
+        (448, 0x75de_679a_93ea_3fe8),
+        (452, 0xca02_b637_59af_ff84),
+        (449, 0x8161_82fa_1b00_bbc0),
+        (447, 0x96db_ebf6_0e48_a18d),
+        (446, 0x9585_4363_d118_890c),
+        (452, 0x4942_e6fd_8c3a_d5c2),
+        (455, 0x731e_a6ac_3081_dcae),
+        (429, 0xce94_a162_d7f1_0a8c),
+        (432, 0xba44_f581_4e3e_9a8d),
+        (450, 0x98b1_0873_99a9_52ff),
+    ];
+    for (&c, &want) in configs.iter().zip(&lone) {
+        let reply = Service::new(&ServeConfig::default())
+            .call("golden.compare", &Value::parse(&param(c)).unwrap())
+            .result
+            .expect("sweep configurations compare");
+        assert_eq!((reply.len(), fnv1a(reply.as_bytes())), want, "lone {c:?}");
+    }
+}
