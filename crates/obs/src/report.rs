@@ -213,7 +213,55 @@ impl Report {
     /// span list is re-emitted in pre-order, so it stays valid
     /// `lim-obs-v1` output.
     pub fn merge(&mut self, other: &Report) {
-        // Rebuild both span lists into one tree keyed by (parent, name).
+        if !self.add_to_matching_spans(other) {
+            self.rebuild_spans(other);
+        }
+        for (name, value) in &other.counters {
+            match self.counters.iter_mut().find(|(n, _)| n == name) {
+                Some((_, v)) => *v = v.saturating_add(*value),
+                None => self.counters.push((name.clone(), *value)),
+            }
+        }
+        self.counters.sort_by(|(a, _), (b, _)| a.cmp(b));
+        for (name, value) in &other.gauges {
+            match self.gauges.iter_mut().find(|(n, _)| n == name) {
+                Some((_, v)) => *v = *value,
+                None => self.gauges.push((name.clone(), *value)),
+            }
+        }
+        self.gauges.sort_by(|(a, _), (b, _)| a.cmp(b));
+    }
+
+    /// The common case of a long-lived merge target: every span of
+    /// `other` already has its row (same depth, name and path — one row
+    /// per tree node in a captured or merged report), so calls and
+    /// totals are added in place instead of rebuilding the whole tree.
+    /// A server's report holds every span path it has seen, so a
+    /// request's merge no longer costs time in proportion to it.
+    /// Returns false, leaving `self` untouched, when some span is new.
+    fn add_to_matching_spans(&mut self, other: &Report) -> bool {
+        let mut rows = Vec::with_capacity(other.spans.len());
+        for row in &other.spans {
+            let found = self
+                .spans
+                .iter()
+                .position(|s| s.depth == row.depth && s.name == row.name && s.path == row.path);
+            match found {
+                Some(i) => rows.push(i),
+                None => return false,
+            }
+        }
+        for (row, i) in other.spans.iter().zip(rows) {
+            let s = &mut self.spans[i];
+            s.calls = s.calls.saturating_add(row.calls);
+            s.total = s.total.saturating_add(row.total);
+        }
+        true
+    }
+
+    /// Rebuilds both span lists into one tree keyed by (parent, name)
+    /// and re-emits it in pre-order.
+    fn rebuild_spans(&mut self, other: &Report) {
         struct Node {
             name: String,
             path: String,
@@ -284,20 +332,6 @@ impl Report {
             }
         }
         self.spans = spans;
-        for (name, value) in &other.counters {
-            match self.counters.iter_mut().find(|(n, _)| n == name) {
-                Some((_, v)) => *v = v.saturating_add(*value),
-                None => self.counters.push((name.clone(), *value)),
-            }
-        }
-        self.counters.sort_by(|(a, _), (b, _)| a.cmp(b));
-        for (name, value) in &other.gauges {
-            match self.gauges.iter_mut().find(|(n, _)| n == name) {
-                Some((_, v)) => *v = *value,
-                None => self.gauges.push((name.clone(), *value)),
-            }
-        }
-        self.gauges.sort_by(|(a, _), (b, _)| a.cmp(b));
     }
 
     /// [`Report::write_json_lines`] into a `String`.
@@ -511,6 +545,51 @@ mod tests {
         assert_eq!(empty.spans.len(), 2);
         assert_eq!(empty.span("flow/place").unwrap().calls, 2);
         assert_eq!(empty.counter("place.moves"), Some(1200));
+    }
+
+    #[test]
+    fn merge_in_place_matches_the_rebuild() {
+        let row = |path: &str, name: &str, depth, calls| SpanRow {
+            path: path.into(),
+            name: name.into(),
+            depth,
+            calls,
+            total: Duration::from_micros(calls),
+        };
+        let mut a = sample_report();
+        a.spans.push(row("serve", "serve", 0, 5));
+        a.spans.push(row("serve/memo", "memo", 1, 4));
+        // Every span of `b` has a row in `a`: added in place, in the
+        // same order the rebuild would produce.
+        let mut b = sample_report();
+        b.spans = vec![row("serve", "serve", 0, 1), row("serve/memo", "memo", 1, 1)];
+        let mut rebuilt = a.clone();
+        rebuilt.rebuild_spans(&b);
+        let mut fast = a.clone();
+        assert!(fast.add_to_matching_spans(&b));
+        assert_eq!(fast.spans, rebuilt.spans);
+        a.merge(&b);
+        assert_eq!(a.spans, rebuilt.spans);
+        assert_eq!(a.span("serve/memo").unwrap().calls, 5);
+        // Same path and depth but another node (a `/` inside a name):
+        // `c` under the root `a/b` is not `b/c` under the root `a`, so
+        // the rebuild adds a row.
+        let mut x = Report {
+            spans: vec![
+                row("a", "a", 0, 1),
+                row("a/b", "a/b", 0, 1),
+                row("a/b/c", "c", 1, 1),
+            ],
+            ..sample_report()
+        };
+        let y = Report {
+            spans: vec![row("a", "a", 0, 1), row("a/b/c", "b/c", 1, 1)],
+            ..sample_report()
+        };
+        assert!(!x.clone().add_to_matching_spans(&y));
+        x.merge(&y);
+        assert_eq!(x.spans.len(), 4);
+        assert_eq!((x.spans[1].name.as_str(), x.spans[1].calls), ("b/c", 1));
     }
 
     #[test]

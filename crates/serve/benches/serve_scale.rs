@@ -6,7 +6,10 @@
 //! pays the full compile + transient solve, `warm_first_request` boots
 //! on a directory populated by an earlier run and must answer from the
 //! disk tier. The gap is what a shard restart costs with and without
-//! the persistent cache.
+//! the persistent cache. `disk_hit_rtl_infer` serves the ~1 MB
+//! `rtl.infer` reply of `examples/smart_mem.v` from a daemon whose
+//! memo is smaller than the reply, so every iteration reads, checks
+//! and frames the disk entry.
 //!
 //! `serve_idle_conns` measures the ping round trip on an active
 //! connection while 1000 idle connections are parked on the same
@@ -109,6 +112,41 @@ fn main() {
         })
     });
     let _ = std::fs::remove_dir_all(&warm_dir);
+
+    let hit_dir = temp_dir("disk-hit");
+    let _ = std::fs::remove_dir_all(&hit_dir);
+    let server = Server::bind(
+        "127.0.0.1:0",
+        &ServeConfig {
+            cache_bytes: 64 << 10,
+            ..disk_config(&hit_dir)
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    let handle = server.spawn();
+    let mut conn = Conn::open(addr);
+    let infer = format!(
+        "{{\"method\":\"rtl.infer\",\"params\":{{\"source\":{},\"brick_words\":[16,32,64]}}}}",
+        lim_obs::json::string(include_str!("../../../examples/smart_mem.v"))
+    );
+    let cold = conn.roundtrip(&infer);
+    assert!(
+        cold.contains("\"cached\":false"),
+        "{}",
+        &cold[..cold.len().min(400)]
+    );
+    for _ in 0..3 {
+        conn.roundtrip(&infer);
+    }
+    c.bench_function("disk_hit_rtl_infer", |b| {
+        b.iter(|| black_box(conn.roundtrip(&infer).len()))
+    });
+    let warm = conn.roundtrip(&infer);
+    assert_eq!(warm, cold.replace("\"cached\":false", "\"cached\":true"));
+    drop(conn);
+    handle.shutdown_and_join().expect("drain");
+    let _ = std::fs::remove_dir_all(&hit_dir);
     c.finish();
 
     // --- serve_idle_conns: ping latency with 1000 parked sockets ---

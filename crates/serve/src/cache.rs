@@ -2,6 +2,10 @@
 //! [`cache_key`](crate::protocol::cache_key) holding fully rendered
 //! result strings under a byte budget.
 //!
+//! Entries are shared (`Arc<String>`), so the service hands a hit to
+//! the reply frame without copying it out of the memo first, and a
+//! fresh result or disk hit goes into the memo without a copy either.
+//!
 //! The list is woven through a slab of slots (index links, no pointer
 //! chasing, no unsafe): `head` is most recently used, `tail` is the
 //! eviction candidate. Accounting charges each entry its value length
@@ -9,6 +13,7 @@
 //! grow the map without bound.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const NIL: usize = usize::MAX;
 /// Fixed accounting overhead charged per cached entry (slot + map
@@ -18,7 +23,7 @@ const SLOT_OVERHEAD: usize = 64;
 #[derive(Debug)]
 struct Slot {
     key: u64,
-    value: String,
+    value: Arc<String>,
     prev: usize,
     next: usize,
 }
@@ -96,12 +101,24 @@ impl ResponseCache {
 
     /// Looks a response up, refreshing its recency on a hit.
     pub fn get(&mut self, key: u64) -> Option<&str> {
+        let i = self.touch(key)?;
+        Some(&self.slots[i].value)
+    }
+
+    /// [`get`](Self::get), sharing the entry instead of borrowing it.
+    pub(crate) fn get_shared(&mut self, key: u64) -> Option<Arc<String>> {
+        let i = self.touch(key)?;
+        Some(Arc::clone(&self.slots[i].value))
+    }
+
+    /// Counts a lookup and, on a hit, moves the entry to the front.
+    fn touch(&mut self, key: u64) -> Option<usize> {
         match self.map.get(&key).copied() {
             Some(i) => {
                 self.hits += 1;
                 self.unlink(i);
                 self.push_front(i);
-                Some(&self.slots[i].value)
+                Some(i)
             }
             None => {
                 self.misses += 1;
@@ -114,6 +131,11 @@ impl ResponseCache {
     /// entries until the budget holds. Values costing more than the
     /// whole budget are dropped rather than cached.
     pub fn insert(&mut self, key: u64, value: String) {
+        self.insert_shared(key, Arc::new(value));
+    }
+
+    /// [`insert`](Self::insert) of an entry the caller keeps sharing.
+    pub(crate) fn insert_shared(&mut self, key: u64, value: Arc<String>) {
         if Self::cost(&value) > self.budget {
             return;
         }
@@ -150,7 +172,7 @@ impl ResponseCache {
             self.unlink(victim);
             self.map.remove(&self.slots[victim].key);
             self.bytes -= Self::cost(&self.slots[victim].value);
-            self.slots[victim].value = String::new();
+            self.slots[victim].value = Arc::default();
             self.free.push(victim);
             self.evictions += 1;
         }

@@ -18,33 +18,64 @@
 //!   serializing the full compiled brick; the fingerprint catches a
 //!   store produced by a different compiler (entry skipped as stale).
 //!
-//! Every file starts with a `lim-disk-v1` stamp. Writes go to
+//! Every file starts with a `lim-disk-v2` stamp. Writes go to
 //! `tmp/<name>.<pid>.<seq>` and are published with `rename(2)`, so a
 //! crash mid-write leaves at worst an orphan tmp file, never a torn
 //! entry. Unreadable entries are counted (`corrupt`), removed
 //! best-effort, and treated as misses; entries with a wrong version
-//! stamp or fingerprint are counted (`stale`) and likewise dropped.
+//! stamp or fingerprint are counted (`stale`) and likewise dropped, so
+//! each entry an older format wrote is recomputed on its first miss.
+//!
+//! # Checking a response without parsing it
+//!
+//! A response file is
+//!
+//! ```text
+//! lim-disk-v2 resp <key:016x> <method> <body length> <digest:016x>
+//! <body>
+//! ```
+//!
+//! with a newline after the body. A hit checks the stamp, the key, the
+//! byte length and the [`digest`] (of the body, xored with the FNV-1a of
+//! the method so the header's one free-form field is covered too), then
+//! reads the body straight into the buffer it returns: one file read,
+//! no JSON parse, no copy. The length catches every torn or truncated
+//! body. Every step of the digest is a bijection of the word it
+//! consumes, so any single changed byte changes it, including a byte
+//! inside a JSON string that a parse would accept. The digest is not
+//! cryptographic: the tier guards against torn writes and bit rot, not
+//! against someone who can write to the cache directory.
 
-use lim_obs::json::Value;
+use crate::protocol::fnv1a;
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Version stamp on every cache file; bump on any layout change.
-pub const DISK_FORMAT: &str = "lim-disk-v1";
+pub const DISK_FORMAT: &str = "lim-disk-v2";
 
-/// A rendered cache file waiting to be published. Building it is cheap
-/// and happens while the request is answered; [`DiskCache::write`]
-/// pays for the file write, `fsync` and rename once the reply is on
-/// its way.
+/// Longest response header a load reads before giving up on finding
+/// its newline; [`DiskCache::store_response`] never writes a longer
+/// one.
+const HEADER_MAX: usize = 256;
+
+/// A cache file waiting to be published. Queuing one is cheap and
+/// happens while the request is answered; [`DiskCache::write`] renders
+/// it (a response's digest included) and pays for the file write,
+/// `fsync` and rename once the reply is on its way.
 #[derive(Debug)]
-pub(crate) struct PendingWrite {
-    dest: PathBuf,
-    bytes: Vec<u8>,
-    /// Library keys are immutable (same name ⇒ same content): the first
-    /// write wins and repeats skip the I/O.
-    first_wins: bool,
+pub(crate) enum PendingWrite {
+    /// A response entry; the body is shared with the memo.
+    Response {
+        key: u64,
+        method: String,
+        body: Arc<String>,
+    },
+    /// A library key line. Keys are immutable (same name ⇒ same
+    /// content): the first write wins and repeats skip the I/O.
+    LibKey { dest: PathBuf, line: String },
 }
 
 /// A persisted library entry: enough to deterministically recompile
@@ -124,9 +155,9 @@ impl DiskCache {
         self.root.join("resp").join(format!("{key:016x}.json"))
     }
 
-    /// Publishes `bytes` at `dest` atomically: write to a unique tmp
-    /// file, flush, rename into place.
-    fn publish(&self, dest: &Path, bytes: &[u8]) -> io::Result<()> {
+    /// Publishes the concatenated `parts` at `dest` atomically: write
+    /// to a unique tmp file, flush, rename into place.
+    fn publish(&self, dest: &Path, parts: &[&[u8]]) -> io::Result<()> {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let name = dest
             .file_name()
@@ -138,7 +169,9 @@ impl DiskCache {
             .join(format!("{name}.{}.{seq}", std::process::id()));
         {
             let mut f = fs::File::create(&tmp)?;
-            f.write_all(bytes)?;
+            for part in parts {
+                f.write_all(part)?;
+            }
             f.sync_all()?;
         }
         match fs::rename(&tmp, dest) {
@@ -158,21 +191,18 @@ impl DiskCache {
     /// corrupt entries — the latter two are counted and removed.
     pub fn load_response(&self, key: u64) -> Option<String> {
         let path = self.resp_path(key);
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        match parse_response(&text, key) {
-            Ok(body) => {
+        match read_response(&path, key) {
+            Ok(Ok(body)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(body)
             }
-            Err(kind) => {
+            Ok(Err(kind)) => {
                 self.count_bad(kind);
                 let _ = fs::remove_file(&path);
+                None
+            }
+            Err(_) => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
@@ -183,7 +213,15 @@ impl DiskCache {
     /// entry. Errors are swallowed: the disk layer is an accelerator,
     /// never a correctness dependency.
     pub fn store_response(&self, key: u64, method: &str, body: &str) {
-        self.write(self.response_write(key, method, body));
+        debug_assert!(!method.is_empty() && !method.contains(char::is_whitespace));
+        let header = format!(
+            "{DISK_FORMAT} resp {key:016x} {method} {} {:016x}\n",
+            body.len(),
+            entry_digest(method, body.as_bytes())
+        );
+        debug_assert!(header.len() <= HEADER_MAX, "header too long: {header}");
+        let parts = [header.as_bytes(), body.as_bytes(), b"\n"];
+        let _ = self.publish(&self.resp_path(key), &parts);
     }
 
     /// Records a compiled library entry under `entry_name` unless one
@@ -193,38 +231,46 @@ impl DiskCache {
         self.write(self.lib_key_write(entry_name, key));
     }
 
-    /// [`store_response`](Self::store_response), rendered but not yet
-    /// written.
-    pub(crate) fn response_write(&self, key: u64, method: &str, body: &str) -> PendingWrite {
-        debug_assert!(!method.contains(char::is_whitespace));
-        PendingWrite {
-            dest: self.resp_path(key),
-            bytes: format!("{DISK_FORMAT} resp {key:016x} {method}\n{body}\n").into_bytes(),
-            first_wins: false,
+    /// [`store_response`](Self::store_response), queued: nothing is
+    /// copied or digested until [`write`](Self::write).
+    pub(crate) fn response_write(
+        &self,
+        key: u64,
+        method: &str,
+        body: &Arc<String>,
+    ) -> PendingWrite {
+        PendingWrite::Response {
+            key,
+            method: method.to_owned(),
+            body: Arc::clone(body),
         }
     }
 
     /// [`store_lib_key`](Self::store_lib_key), rendered but not yet
     /// written.
     pub(crate) fn lib_key_write(&self, entry_name: &str, key: &LibKey) -> PendingWrite {
-        PendingWrite {
+        PendingWrite::LibKey {
             dest: self.root.join("lib").join(format!("{entry_name}.key")),
-            bytes: format!(
+            line: format!(
                 "{DISK_FORMAT} lib {} {} {} {} {:016x}\n",
                 key.bitcell, key.words, key.bits, key.stack, key.fingerprint
-            )
-            .into_bytes(),
-            first_wins: true,
+            ),
         }
     }
 
-    /// Publishes a rendered entry; errors are swallowed like every
-    /// other store.
+    /// Publishes a queued entry; errors are swallowed like every other
+    /// store.
     pub(crate) fn write(&self, entry: PendingWrite) {
-        if entry.first_wins && entry.dest.exists() {
-            return;
+        match entry {
+            PendingWrite::Response { key, method, body } => {
+                self.store_response(key, &method, &body);
+            }
+            PendingWrite::LibKey { dest, line } => {
+                if !dest.exists() {
+                    let _ = self.publish(&dest, &[line.as_bytes()]);
+                }
+            }
         }
-        let _ = self.publish(&entry.dest, &entry.bytes);
     }
 
     /// All persisted `(entry_name, key)` pairs, sorted by file name for
@@ -283,38 +329,175 @@ enum BadEntry {
     Corrupt,
 }
 
-/// Splits a cache file into its stamped header fields and body,
-/// classifying a wrong stamp as stale and a malformed header as
-/// corrupt.
-fn split_header(text: &str) -> Result<(Vec<&str>, &str), BadEntry> {
-    let (header, body) = text.split_once('\n').ok_or(BadEntry::Corrupt)?;
-    let fields: Vec<&str> = header.split(' ').collect();
-    match fields.first() {
-        Some(&stamp) if stamp == DISK_FORMAT => Ok((fields, body)),
-        Some(_) => Err(BadEntry::Stale),
-        None => Err(BadEntry::Corrupt),
+const LANE_1: u64 = 0x9e37_79b1_85eb_ca87;
+const LANE_2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const LANE_3: u64 = 0x1656_67b1_9e37_79f9;
+
+/// One multiply–rotate round: a bijection of `word` for a fixed `acc`,
+/// and of `acc` for a fixed `word`.
+fn round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(LANE_2))
+        .rotate_left(31)
+        .wrapping_mul(LANE_1)
+}
+
+fn le_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("an 8-byte word"))
+}
+
+/// The 64-bit digest a `lim-disk-v2` response header records.
+///
+/// Four independent multiply–rotate lanes take 32-byte blocks as
+/// little-endian `u64` words (so a cache directory reads the same on
+/// any host), the tail goes in a word and then a byte at a time, the
+/// length is folded in, and a final xor-shift–multiply avalanche mixes
+/// the bits. Every step is a bijection of the value it updates, so two
+/// inputs of one length that differ in a single word always digest
+/// differently. The lanes keep the multiplier busy instead of waiting
+/// on one dependency chain, so megabyte bodies digest about twenty
+/// times faster than byte-at-a-time FNV-1a.
+pub fn digest(bytes: &[u8]) -> u64 {
+    let mut lanes = [
+        LANE_1.wrapping_add(LANE_2),
+        LANE_2,
+        0,
+        LANE_1.wrapping_neg(),
+    ];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = round(*lane, le_word(word));
+        }
+    }
+    let mut h = lanes[0]
+        .rotate_left(1)
+        .wrapping_add(lanes[1].rotate_left(7))
+        .wrapping_add(lanes[2].rotate_left(12))
+        .wrapping_add(lanes[3].rotate_left(18))
+        .wrapping_add(bytes.len() as u64);
+    let mut words = blocks.remainder().chunks_exact(8);
+    for word in &mut words {
+        h = (h ^ round(0, le_word(word)))
+            .rotate_left(27)
+            .wrapping_mul(LANE_1)
+            .wrapping_add(LANE_3);
+    }
+    for &b in words.remainder() {
+        h = (h ^ u64::from(b).wrapping_mul(LANE_3))
+            .rotate_left(11)
+            .wrapping_mul(LANE_1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(LANE_2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(LANE_3);
+    h ^ (h >> 32)
+}
+
+/// The header digest of a response: the body's [`digest`] xored with
+/// the FNV-1a of the method (which is injective on one changed byte at
+/// a fixed length), so no single byte of the file goes unchecked.
+fn entry_digest(method: &str, body: &[u8]) -> u64 {
+    digest(body) ^ fnv1a(method.as_bytes())
+}
+
+/// A `u64` written as exactly 16 lowercase hex digits, the only form
+/// the writer produces, so a changed digit never parses to the same
+/// value.
+fn hex16(field: &str) -> Option<u64> {
+    let lower_hex = |b: u8| b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
+    if field.len() != 16 || !field.bytes().all(lower_hex) {
+        return None;
+    }
+    u64::from_str_radix(field, 16).ok()
+}
+
+/// A `usize` written in canonical decimal: digits only, no leading
+/// zero.
+fn decimal(field: &str) -> Option<usize> {
+    if !field.bytes().all(|b| b.is_ascii_digit()) || (field.starts_with('0') && field != "0") {
+        return None;
+    }
+    field.parse().ok()
+}
+
+/// What a response header promises about its body.
+struct RespHeader<'a> {
+    method: &'a str,
+    len: usize,
+    digest: u64,
+}
+
+/// Parses `<stamp> resp <key16hex> <method> <len> <digest16hex>`: a
+/// foreign stamp is stale, anything else off is corrupt.
+fn parse_resp_header(header: &[u8], key: u64) -> Result<RespHeader<'_>, BadEntry> {
+    let header = std::str::from_utf8(header).map_err(|_| BadEntry::Corrupt)?;
+    let fields = stamped_fields(header)?;
+    let &[_, "resp", stored, method, len, digest] = fields.as_slice() else {
+        return Err(BadEntry::Corrupt);
+    };
+    match (hex16(stored), decimal(len), hex16(digest)) {
+        (Some(stored), Some(len), Some(digest)) if stored == key && !method.is_empty() => {
+            Ok(RespHeader {
+                method,
+                len,
+                digest,
+            })
+        }
+        _ => Err(BadEntry::Corrupt),
     }
 }
 
-fn parse_response(text: &str, key: u64) -> Result<String, BadEntry> {
-    let (fields, body) = split_header(text)?;
-    // Header: <stamp> resp <key16hex> <method>
-    if fields.len() != 4 || fields[1] != "resp" {
-        return Err(BadEntry::Corrupt);
+/// Reads and checks the response file at `path`. The outer error is an
+/// I/O failure (absent or unreadable: a miss); the inner one a rejected
+/// entry. The header is read into a stack buffer and the body straight
+/// into the returned string's buffer, sized from the header.
+fn read_response(path: &Path, key: u64) -> io::Result<Result<String, BadEntry>> {
+    let mut file = fs::File::open(path)?;
+    let size = file.metadata()?.len();
+    let mut head = [0u8; HEADER_MAX];
+    let got = size.min(HEADER_MAX as u64) as usize;
+    file.read_exact(&mut head[..got])?;
+    let Some(nl) = head[..got].iter().position(|&b| b == b'\n') else {
+        return Ok(Err(BadEntry::Corrupt));
+    };
+    let header = match parse_resp_header(&head[..nl], key) {
+        Ok(header) => header,
+        Err(kind) => return Ok(Err(kind)),
+    };
+    // Header, newline, body, newline: a torn, truncated or padded file
+    // fails here, before its body is read.
+    let body_start = nl + 1;
+    if Some(size) != header.len.checked_add(body_start + 1).map(|n| n as u64) {
+        return Ok(Err(BadEntry::Corrupt));
     }
-    let stored = u64::from_str_radix(fields[2], 16).map_err(|_| BadEntry::Corrupt)?;
-    if stored != key {
-        return Err(BadEntry::Corrupt);
+    let mut body = Vec::with_capacity(header.len + 1);
+    body.extend_from_slice(&head[body_start..got]);
+    let rest = (header.len + 1 - body.len()) as u64;
+    file.take(rest).read_to_end(&mut body)?;
+    if body.len() != header.len + 1 || body.pop() != Some(b'\n') {
+        return Ok(Err(BadEntry::Corrupt));
     }
-    let body = body.strip_suffix('\n').ok_or(BadEntry::Corrupt)?;
-    // The body must still be one well-formed JSON document — a torn
-    // write that survived the header check dies here.
-    Value::parse(body).map_err(|_| BadEntry::Corrupt)?;
-    Ok(body.to_string())
+    if entry_digest(header.method, &body) != header.digest {
+        return Ok(Err(BadEntry::Corrupt));
+    }
+    Ok(String::from_utf8(body).map_err(|_| BadEntry::Corrupt))
+}
+
+/// The space-separated fields of a header line, the first of which
+/// must be this format's stamp: a foreign stamp is stale.
+fn stamped_fields(header: &str) -> Result<Vec<&str>, BadEntry> {
+    let fields: Vec<&str> = header.split(' ').collect();
+    if fields[0] == DISK_FORMAT {
+        Ok(fields)
+    } else {
+        Err(BadEntry::Stale)
+    }
 }
 
 fn parse_lib_key(text: &str) -> Result<LibKey, BadEntry> {
-    let (fields, rest) = split_header(text)?;
+    let (header, rest) = text.split_once('\n').ok_or(BadEntry::Corrupt)?;
+    let fields = stamped_fields(header)?;
     // Header: <stamp> lib <bitcell> <words> <bits> <stack> <fp16hex>
     if fields.len() != 7 || fields[1] != "lib" || !rest.is_empty() {
         return Err(BadEntry::Corrupt);
@@ -383,6 +566,137 @@ mod tests {
         assert_eq!((s.corrupt, s.stale), (1, 1));
         fs::remove_dir_all(&dir).unwrap();
     }
+
+    /// A v2 response file for `key` whose header promises `promised`
+    /// but which carries `body`.
+    fn v2_entry(key: u64, promised: &str, body: &str) -> String {
+        format!(
+            "{DISK_FORMAT} resp {key:016x} m {} {:016x}\n{body}\n",
+            promised.len(),
+            entry_digest("m", promised.as_bytes())
+        )
+    }
+
+    #[test]
+    fn body_one_byte_short_or_long_is_corrupt_and_removed() {
+        let dir = scratch_dir("len");
+        let cache = DiskCache::open(&dir).unwrap();
+        let body = r#"{"module":"smart_mem","gates":7318}"#;
+        let path = dir.join("resp/0000000000000009.json");
+        // The well-formed entry loads; the same header over a body one
+        // byte short or one byte long does not.
+        fs::write(&path, v2_entry(9, body, body)).unwrap();
+        assert_eq!(cache.load_response(9).as_deref(), Some(body));
+        let short = &body[..body.len() - 1];
+        let long = format!("{body} ");
+        for (n, torn) in [short, long.as_str()].into_iter().enumerate() {
+            fs::write(&path, v2_entry(9, body, torn)).unwrap();
+            assert_eq!(cache.load_response(9), None, "{torn}");
+            assert_eq!(cache.stats().corrupt, n as u64 + 1);
+            assert!(!path.exists(), "corrupt entry left behind");
+        }
+        assert_eq!(cache.stats().hits, 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn flipped_byte_inside_a_json_string_is_corrupt() {
+        let dir = scratch_dir("flip");
+        let cache = DiskCache::open(&dir).unwrap();
+        let body = r#"{"module":"smart_mem","entries":["brick_8t_64_16_x16"]}"#;
+        cache.store_response(11, "rtl.infer", body);
+        let path = dir.join("resp/000000000000000b.json");
+        let mut bytes = fs::read(&path).unwrap();
+        let at = bytes.len() - 1 - body.len() + body.find("smart").unwrap();
+        bytes[at] = b't';
+        let text = String::from_utf8(bytes).unwrap();
+        let (_, flipped) = text.split_once('\n').unwrap();
+        // Still one well-formed JSON document: a parse check (the v1
+        // tier's) would have served it.
+        assert!(lim_obs::json::Value::parse(flipped.trim_end()).is_ok());
+        fs::write(&path, &text).unwrap();
+        assert_eq!(cache.load_response(11), None);
+        assert_eq!(cache.stats().corrupt, 1);
+        assert!(!path.exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn v1_entries_are_stale_and_removed() {
+        let dir = scratch_dir("v1");
+        let cache = DiskCache::open(&dir).unwrap();
+        let path = dir.join("resp/000000000000000c.json");
+        fs::write(
+            &path,
+            "lim-disk-v1 resp 000000000000000c brick.estimate\n{\"area_um2\":12.5}\n",
+        )
+        .unwrap();
+        assert_eq!(cache.load_response(12), None);
+        let s = cache.stats();
+        assert_eq!((s.stale, s.corrupt, s.hits), (1, 0, 0));
+        assert!(!path.exists(), "stale entry left behind");
+        fs::write(
+            dir.join("lib/brick_8t_16_10_x4.key"),
+            "lim-disk-v1 lib 8t 16 10 4 000000000000feed\n",
+        )
+        .unwrap();
+        assert!(cache.lib_keys().is_empty());
+        assert_eq!(cache.stats().stale, 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn header_fields_must_be_canonical() {
+        let dir = scratch_dir("canon");
+        let cache = DiskCache::open(&dir).unwrap();
+        let path = dir.join("resp/00000000000000ab.json");
+        let good = v2_entry(0xab, "{}", "{}");
+        // Each variant parses to the same numbers a lenient reader
+        // would accept: upper-case hex, a signed or zero-padded length.
+        for bad in [
+            good.replace("00000000000000ab", "00000000000000AB"),
+            good.replace(" 2 ", " +2 "),
+            good.replace(" 2 ", " 02 "),
+        ] {
+            assert_ne!(bad, good);
+            fs::write(&path, &bad).unwrap();
+            assert_eq!(cache.load_response(0xab), None, "{bad}");
+        }
+        assert_eq!(cache.stats().corrupt, 3);
+        fs::write(&path, &good).unwrap();
+        assert_eq!(cache.load_response(0xab).as_deref(), Some("{}"));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn digest_is_pinned_and_sees_every_single_byte_change() {
+        // The digest is part of the on-disk format: a change to it
+        // needs a new DISK_FORMAT stamp.
+        assert_eq!(digest(b""), PINNED[0]);
+        assert_eq!(digest(b"lim-disk-v2"), PINNED[1]);
+        let body: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        assert_eq!(digest(&body), PINNED[2]);
+        // Every length class (blocks, tail words, tail bytes) and every
+        // position: one flipped bit, or one replaced byte, moves the
+        // digest.
+        for len in [1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 100] {
+            let base = &body[..len];
+            let d = digest(base);
+            for at in 0..len {
+                for delta in [0x01, 0x80, 0xff] {
+                    let mut changed = base.to_vec();
+                    changed[at] ^= delta;
+                    assert_ne!(digest(&changed), d, "len {len}, byte {at} ^ {delta:#x}");
+                }
+            }
+        }
+    }
+
+    const PINNED: [u64; 3] = [
+        0x9090_306c_6e91_ed59,
+        0xe462_31b8_ef43_44bc,
+        0x5dc7_ecc9_9ec2_be2e,
+    ];
 
     #[test]
     fn lib_keys_roundtrip_sorted_and_skip_corrupt() {

@@ -14,6 +14,20 @@
 //! stack — which is what lets one shard hold thousands of them at
 //! ~zero CPU.
 //!
+//! # One-copy reply frames
+//!
+//! A reply line arrives with room for its newline (see
+//! [`crate::protocol`]). When nothing is queued ahead of it, the line's
+//! own buffer becomes the connection's outbound queue: the newline goes
+//! in place and the whole frame leaves in one write, so a reply is
+//! never copied between the handler and the socket. Only a frame the
+//! socket does not take at once stays queued, flushed under `POLLOUT`;
+//! the queue's buffer is released as soon as it drains, so a
+//! connection that once carried a megabyte reply does not keep a
+//! megabyte while idle. Line and newline always share one write: split
+//! in two, the second write of a small reply would wait out the peer's
+//! delayed ACK on a socket without `TCP_NODELAY`.
+//!
 //! # Inline fast path
 //!
 //! Cheap requests never leave the event thread: control methods and
@@ -164,7 +178,8 @@ fn post(inbox: &Inbox, wake: &mut TcpStream, done: Done) {
     let _ = wake.write(&[1u8]);
 }
 
-/// Bytes queued for a nonblocking socket; `sent` is the flushed prefix.
+/// Frames queued for a nonblocking socket; `sent` is the flushed
+/// prefix. Empty, it holds no buffer.
 #[derive(Default)]
 struct Outbox {
     bytes: Vec<u8>,
@@ -176,12 +191,29 @@ impl Outbox {
         self.sent >= self.bytes.len()
     }
 
-    fn push_line(&mut self, line: &str) {
+    /// Queues `line` and its newline as one frame. An empty outbox
+    /// takes the line's buffer as its own; only a frame behind unsent
+    /// bytes is copied.
+    fn push_line(&mut self, line: String) {
+        if self.bytes.is_empty() {
+            self.bytes = line.into_bytes();
+            self.bytes.push(b'\n');
+        } else {
+            self.copy_line(&line);
+        }
+    }
+
+    /// Queues a copy of `line` and its newline, in at most one
+    /// allocation: a relay keeps its call lines, to resend one over a
+    /// fresh connection when a reused one fails.
+    fn copy_line(&mut self, line: &str) {
+        self.bytes.reserve(line.len() + 1);
         self.bytes.extend_from_slice(line.as_bytes());
         self.bytes.push(b'\n');
     }
 
-    /// Writes what the socket takes without blocking.
+    /// Writes what the socket takes without blocking, and releases the
+    /// buffer once it is all sent.
     fn flush(&mut self, stream: &mut TcpStream) -> io::Result<()> {
         while self.sent < self.bytes.len() {
             match stream.write(&self.bytes[self.sent..]) {
@@ -192,8 +224,7 @@ impl Outbox {
                 Err(e) => return Err(e),
             }
         }
-        self.bytes.clear();
-        self.sent = 0;
+        *self = Outbox::default();
         Ok(())
     }
 }
@@ -399,7 +430,7 @@ impl Relays {
         };
         if let Some(u) = idle {
             let up = self.ups[u].as_mut().expect("idle upstream");
-            up.out.push_line(line);
+            up.out.copy_line(line);
             up.call = Some((rid, i));
             up.reused = true;
             self.flush(u);
@@ -413,7 +444,7 @@ impl Relays {
             call: Some((rid, i)),
             reused: false,
         };
-        up.out.push_line(line);
+        up.out.copy_line(line);
         let addr = addr.clone();
         let u = insert(&mut self.ups, &mut self.free_ups, up);
         // Detached: a connect to an unresponsive host can take minutes
@@ -548,10 +579,10 @@ impl Relays {
     }
 }
 
-/// Appends a response line and opportunistically flushes, so the
-/// common case answers within the same readiness event instead of
-/// waiting a poll cycle for `POLLOUT`.
-fn push_response(conn: &mut Conn, line: &str) {
+/// Queues a response frame and opportunistically flushes, so the
+/// common case answers in one write within the same readiness event
+/// instead of waiting a poll cycle for `POLLOUT`.
+fn push_response(conn: &mut Conn, line: String) {
     conn.out.push_line(line);
     flush(conn);
 }
@@ -567,7 +598,7 @@ fn flush(conn: &mut Conn) {
 fn respond(conn: &mut Conn, tok: u64, answer: Answer, shared: &ServerShared, relays: &mut Relays) {
     match answer {
         Answer::Reply(line, writes) => {
-            push_response(conn, &line);
+            push_response(conn, line);
             shared.backend.publish(writes);
         }
         Answer::Relay(relay) => {
@@ -621,7 +652,7 @@ fn pump(
                 // Answer with a well-formed error line before closing,
                 // then stop parsing this connection for good.
                 let err = ServeError::bad_request(e.message());
-                push_response(conn, &error_line(&Value::Null, &err));
+                push_response(conn, error_line(&Value::Null, &err));
                 conn.buf = LineBuffer::new();
                 conn.discard_until = Some(Instant::now() + DISCARD_GRACE);
                 return;
@@ -641,7 +672,7 @@ fn handle_line(
     let rq = match Request::parse(&line) {
         Ok(rq) => rq,
         Err(e) => {
-            push_response(conn, &error_line(&Value::Null, &e));
+            push_response(conn, error_line(&Value::Null, &e));
             return;
         }
     };
@@ -662,10 +693,7 @@ fn handle_line(
     }) {
         // Workers are gone (teardown race): shed instead of hanging.
         conn.busy = false;
-        push_response(
-            conn,
-            &error_line(&job.rq.id, &ServeError::overloaded()),
-        );
+        push_response(conn, error_line(&job.rq.id, &ServeError::overloaded()));
     }
 }
 
@@ -908,4 +936,71 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<ServerShared>) -> io::Resul
         let _ = handle.join();
     }
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A connected loopback pair: the nonblocking server side the loop
+    /// would own, and a blocking client.
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+        (server, client)
+    }
+
+    #[test]
+    fn a_frame_is_sent_from_its_own_buffer_in_one_piece() {
+        let (mut server, mut client) = socket_pair();
+        let mut out = Outbox::default();
+        let line = crate::protocol::ok_line(&Value::Null, true, "{\"pong\":true}");
+        let built_at = line.as_ptr();
+        out.push_line(line);
+        // Adopted, not copied: the newline went into the spare byte.
+        assert_eq!(out.bytes.as_ptr(), built_at);
+        out.flush(&mut server).unwrap();
+        assert!(out.flushed());
+        let mut got = vec![0u8; 64];
+        let n = client.read(&mut got).unwrap();
+        assert_eq!(
+            &got[..n],
+            b"{\"id\":null,\"ok\":true,\"cached\":true,\"result\":{\"pong\":true}}\n"
+        );
+    }
+
+    #[test]
+    fn outbox_releases_its_buffer_once_a_large_frame_is_flushed() {
+        let (mut server, client) = socket_pair();
+        let mut out = Outbox::default();
+        // Two frames: 8 MiB outruns any loopback socket buffer while
+        // the peer is not reading, so the second frame queues behind
+        // the first one's unsent tail.
+        let big = "x".repeat(8 << 20);
+        out.push_line(big.clone());
+        out.flush(&mut server).unwrap();
+        out.push_line("tail".to_string());
+        let reader = thread::spawn(move || {
+            let mut all = Vec::new();
+            let mut client = client;
+            client.read_to_end(&mut all).unwrap();
+            all
+        });
+        while !out.flushed() {
+            thread::sleep(Duration::from_millis(1));
+            out.flush(&mut server).unwrap();
+        }
+        assert_eq!(
+            out.bytes.capacity(),
+            0,
+            "a flushed outbox must hold no buffer"
+        );
+        assert_eq!(out.sent, 0);
+        drop(server);
+        let all = reader.join().unwrap();
+        assert_eq!(all.len(), big.len() + "\ntail\n".len());
+        assert!(all.ends_with(b"x\ntail\n"));
+    }
 }

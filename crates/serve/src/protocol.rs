@@ -18,6 +18,12 @@
 //! handler, so two responses carrying the same result are byte-identical
 //! after the `"result":` marker regardless of which thread or cache tier
 //! produced them.
+//!
+//! Response lines are built once, at their exact size plus one spare
+//! byte: the event loop appends the newline in place and hands the
+//! buffer to the socket without copying it again. A reply of a
+//! megabyte-sized cached result therefore costs one copy of that
+//! result.
 
 use lim_obs::json::{self, Value};
 use std::fmt;
@@ -180,9 +186,20 @@ pub fn cache_key(method: &str, params: &Value) -> u64 {
     fnv1a(&bytes)
 }
 
-/// Builds a success response line (no trailing newline). `result` must
-/// already be rendered JSON; it is embedded verbatim as the final
-/// member.
+/// Concatenates `pieces` into one line allocated at its exact length
+/// plus one byte, the room the event loop needs for the newline.
+fn frame(pieces: &[&str]) -> String {
+    let len: usize = pieces.iter().map(|p| p.len()).sum();
+    let mut line = String::with_capacity(len + 1);
+    for piece in pieces {
+        line.push_str(piece);
+    }
+    line
+}
+
+/// Builds a success response line (no trailing newline, one spare byte
+/// of capacity for it). `result` must already be rendered JSON; it is
+/// embedded verbatim as the final member.
 pub fn ok_line(id: &Value, cached: bool, result: &str) -> String {
     ok_line_traced(id, cached, None, result)
 }
@@ -196,20 +213,30 @@ pub fn ok_line_traced(id: &Value, cached: bool, trace: Option<&str>, result: &st
         Some(t) => format!(",\"trace\":{}", json::string(t)),
         None => String::new(),
     };
-    format!(
-        "{{\"id\":{},\"ok\":true,\"cached\":{cached}{trace_member},\"result\":{result}}}",
-        json::render(id)
-    )
+    frame(&[
+        "{\"id\":",
+        &json::render(id),
+        ",\"ok\":true,\"cached\":",
+        if cached { "true" } else { "false" },
+        &trace_member,
+        ",\"result\":",
+        result,
+        "}",
+    ])
 }
 
-/// Builds an error response line (no trailing newline).
+/// Builds an error response line (no trailing newline, one spare byte
+/// of capacity for it).
 pub fn error_line(id: &Value, err: &ServeError) -> String {
-    format!(
-        "{{\"id\":{},\"ok\":false,\"error\":{{\"code\":{},\"message\":{}}}}}",
-        json::render(id),
-        err.code,
-        json::string(&err.message)
-    )
+    frame(&[
+        "{\"id\":",
+        &json::render(id),
+        ",\"ok\":false,\"error\":{\"code\":",
+        &err.code.to_string(),
+        ",\"message\":",
+        &json::string(&err.message),
+        "}}",
+    ])
 }
 
 /// Extracts the verbatim `result` member bytes from a success response
@@ -285,6 +312,43 @@ mod tests {
             ok_line_traced(&Value::Null, true, None, "{}"),
             ok_line(&Value::Null, true, "{}")
         );
+    }
+
+    #[test]
+    fn frames_match_the_formatted_layout_with_one_spare_byte() {
+        // A `format!` reference of the wire layout: the exact-size
+        // builders must reproduce it byte for byte.
+        let ids = [
+            Value::Null,
+            Value::Number(7.0),
+            Value::String("a\"b\u{e9}".into()),
+        ];
+        let result = "{\"x\":[1,2],\"s\":\"\u{6c49}\"}";
+        for id in &ids {
+            let rid = json::render(id);
+            for cached in [false, true] {
+                for trace in [None, Some("00ff")] {
+                    let member =
+                        trace.map_or(String::new(), |t| format!(",\"trace\":{}", json::string(t)));
+                    let want = format!(
+                        "{{\"id\":{rid},\"ok\":true,\"cached\":{cached}{member},\"result\":{result}}}"
+                    );
+                    let line = ok_line_traced(id, cached, trace, result);
+                    assert_eq!(line, want);
+                    assert!(line.capacity() > line.len(), "no room for the newline");
+                }
+            }
+            let err = ServeError::bad_request("bad \"x\"");
+            let line = error_line(id, &err);
+            assert_eq!(
+                line,
+                format!(
+                    "{{\"id\":{rid},\"ok\":false,\"error\":{{\"code\":400,\"message\":{}}}}}",
+                    json::string(&err.message)
+                )
+            );
+            assert!(line.capacity() > line.len());
+        }
     }
 
     #[test]

@@ -206,6 +206,14 @@ pub struct CallOutcome {
     pub trace: TraceId,
 }
 
+/// A [`CallOutcome`] whose result still shares its buffer with the
+/// memo.
+struct Deferred {
+    result: Result<Arc<String>, ServeError>,
+    cached: bool,
+    trace: TraceId,
+}
+
 /// The resident synthesis service.
 #[derive(Debug)]
 pub struct Service {
@@ -295,22 +303,26 @@ impl Service {
         params: &Value,
         trace: Option<TraceId>,
     ) -> CallOutcome {
-        let (out, writes) = self.call_deferred(method, params, trace);
+        let (done, writes) = self.call_deferred(method, params, trace);
         Backend::publish(self, writes);
-        out
+        CallOutcome {
+            result: done.result.map(Arc::unwrap_or_clone),
+            cached: done.cached,
+            trace: done.trace,
+        }
     }
 
     /// [`Service::call_traced`] minus the disk writes: the entries the
     /// request produced come back rendered, in the order it produced
     /// them, so a server can send the reply before it
     /// [`publish`](Backend::publish)es them. The memo is already
-    /// updated.
-    pub(crate) fn call_deferred(
+    /// updated, and the result still shares its buffer with it.
+    fn call_deferred(
         &self,
         method: &str,
         params: &Value,
         trace: Option<TraceId>,
-    ) -> (CallOutcome, Vec<PendingWrite>) {
+    ) -> (Deferred, Vec<PendingWrite>) {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let id = trace.unwrap_or_else(TraceId::mint);
         let sw = lim_obs::Stopwatch::start();
@@ -335,7 +347,7 @@ impl Service {
             lim_obs::reset();
         }
         self.record_endpoint(method, elapsed, result.is_err());
-        let out = CallOutcome {
+        let out = Deferred {
             result,
             cached,
             trace: id,
@@ -352,14 +364,14 @@ impl Service {
         method: &str,
         params: &Value,
         writes: &mut Vec<PendingWrite>,
-    ) -> (Result<String, ServeError>, bool) {
+    ) -> (Result<Arc<String>, ServeError>, bool) {
         let Some(key) = memo_key(method, params) else {
-            return (self.dispatch(method, params, writes), false);
+            return (self.dispatch(method, params, writes).map(Arc::new), false);
         };
         if let Some(hit) = self.memo_lookup(key) {
             return (Ok(hit), true);
         }
-        let result = self.dispatch(method, params, writes);
+        let result = self.dispatch(method, params, writes).map(Arc::new);
         if let Ok(rendered) = &result {
             self.memo_store(key, method, rendered, writes);
         }
@@ -369,38 +381,49 @@ impl Service {
     /// Looks `key` up in the memo, then in the persistent tier, and
     /// counts the hit or miss. A disk hit is promoted into the memo and
     /// served as `cached` — byte-identical to a cold compile because
-    /// the stored bytes *are* a cold compile's rendering.
-    fn memo_lookup(&self, key: u64) -> Option<String> {
+    /// the stored bytes *are* a cold compile's rendering. Neither tier
+    /// copies the body: the memo shares it, and the disk tier reads it
+    /// straight into the buffer the memo then shares.
+    fn memo_lookup(&self, key: u64) -> Option<Arc<String>> {
+        let _span = lim_obs::Span::enter("serve.memo_lookup");
         let hit = self
             .cache
             .lock()
             .expect("response cache lock poisoned")
-            .get(key)
-            .map(str::to_owned);
+            .get_shared(key);
         if hit.is_some() {
             lim_obs::counter_add("serve.cache_hits", 1);
             return hit;
         }
-        let body = self.disk.as_ref().and_then(|disk| disk.load_response(key));
-        match &body {
-            Some(body) => {
-                lim_obs::counter_add("serve.disk_hits", 1);
-                self.cache
-                    .lock()
-                    .expect("response cache lock poisoned")
-                    .insert(key, body.clone());
-            }
-            None => lim_obs::counter_add("serve.cache_misses", 1),
-        }
-        body
-    }
-
-    /// Memoizes a freshly computed reply and queues its disk entry.
-    fn memo_store(&self, key: u64, method: &str, rendered: &str, writes: &mut Vec<PendingWrite>) {
+        let body = self.disk.as_ref().and_then(|disk| {
+            let _span = lim_obs::Span::enter("serve.disk_read");
+            disk.load_response(key)
+        });
+        let Some(body) = body else {
+            lim_obs::counter_add("serve.cache_misses", 1);
+            return None;
+        };
+        lim_obs::counter_add("serve.disk_hits", 1);
+        let body = Arc::new(body);
         self.cache
             .lock()
             .expect("response cache lock poisoned")
-            .insert(key, rendered.to_owned());
+            .insert_shared(key, Arc::clone(&body));
+        Some(body)
+    }
+
+    /// Memoizes a freshly computed reply and queues its disk entry.
+    fn memo_store(
+        &self,
+        key: u64,
+        method: &str,
+        rendered: &Arc<String>,
+        writes: &mut Vec<PendingWrite>,
+    ) {
+        self.cache
+            .lock()
+            .expect("response cache lock poisoned")
+            .insert_shared(key, Arc::clone(rendered));
         if let Some(disk) = &self.disk {
             writes.push(disk.response_write(key, method, rendered));
         }
@@ -834,7 +857,7 @@ impl Service {
                 self.record_endpoint("golden.compare", share, res.is_err());
                 slots[*i] = Some(match res {
                     Ok(cmp) => {
-                        let rendered = render_golden(spec, *stack, &cmp);
+                        let rendered = Arc::new(render_golden(spec, *stack, &cmp));
                         if let Some(key) = key {
                             self.memo_store(*key, "golden.compare", &rendered, writes);
                         }
@@ -1112,17 +1135,19 @@ impl Backend for Service {
         lookup(&rq.method).is_some_and(|m| m.inline) || self.memo_probe(&rq.method, &rq.params)
     }
 
+    /// The reply frame is the one copy of the result on its way out:
+    /// built at its exact size from the buffer the memo shares.
     fn answer(&self, rq: &Request, _line: &str, permit: GatePermit<'_>) -> Answer {
         // A client-minted trace id (already hex-validated by the
         // parser) becomes the request's id and is echoed back;
         // untraced requests get a server-minted id that stays
         // server-side, keeping their responses byte-stable.
         let trace = rq.trace.as_deref().and_then(TraceId::parse);
-        let (out, writes) = self.call_deferred(&rq.method, &rq.params, trace);
+        let (done, writes) = self.call_deferred(&rq.method, &rq.params, trace);
         drop(permit);
-        let line = match out.result {
-            Ok(result) => ok_line_traced(&rq.id, out.cached, rq.trace.as_deref(), &result),
-            Err(e) => error_line(&rq.id, &e),
+        let line = match &done.result {
+            Ok(result) => ok_line_traced(&rq.id, done.cached, rq.trace.as_deref(), result),
+            Err(e) => error_line(&rq.id, e),
         };
         Answer::Reply(line, writes)
     }

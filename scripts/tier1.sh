@@ -167,7 +167,8 @@ client_at() { # client_at ADDR [client flags...]
 
 # Restart-warm smoke: a daemon booted on a populated --cache-dir must
 # answer the first repeat of an earlier request cached:true and
-# byte-identical (cached flag aside) to the cold compute.
+# byte-identical (cached flag aside) to the cold compute. The ~1 MB
+# rtl.infer reply byte-checks the large-body path of the disk format.
 echo "== tier1: lim-serve restart-warm smoke =="
 disk_dir=/tmp/tier1_serve_disk
 rm -rf "$disk_dir"
@@ -178,6 +179,10 @@ addr="$(wait_addr /tmp/tier1_serve_addr_disk)"
 cold=$(client_at "$addr" --method golden.compare --params '{"words":24,"bits":9,"stack":2}')
 echo "$cold" | grep -q '"cached":false' \
     || { echo "cold run unexpectedly cached: $cold" >&2; exit 1; }
+rtl_cold=$(client_at "$addr" --method rtl.infer --source-file examples/smart_mem.v \
+    --params '{"brick_words":[16,32,64]}')
+echo "$rtl_cold" | grep -q '"cached":false' \
+    || { echo "cold rtl.infer unexpectedly cached: ${rtl_cold:0:400}" >&2; exit 1; }
 client_at "$addr" --shutdown >/dev/null
 wait "$serve_pid"
 boot_serve /tmp/tier1_serve_addr_disk --cache-dir "$disk_dir"
@@ -189,6 +194,13 @@ echo "$warm" | grep -q '"cached":true' \
 [[ "$warm" == "${cold/\"cached\":false/\"cached\":true}" ]] \
     || { echo "warm answer differs from cold compute" >&2; \
          echo "cold: $cold" >&2; echo "warm: $warm" >&2; exit 1; }
+rtl_warm=$(client_at "$addr" --method rtl.infer --source-file examples/smart_mem.v \
+    --params '{"brick_words":[16,32,64]}')
+echo "$rtl_warm" | grep -q '"cached":true' \
+    || { echo "restarted daemon recomputed rtl.infer: ${rtl_warm:0:400}" >&2; exit 1; }
+[[ "$rtl_warm" == "${rtl_cold/\"cached\":false/\"cached\":true}" ]] \
+    || { echo "warm rtl.infer differs from cold compute" >&2; \
+         echo "cold: ${rtl_cold:0:400}" >&2; echo "warm: ${rtl_warm:0:400}" >&2; exit 1; }
 client_at "$addr" --shutdown >/dev/null
 wait "$serve_pid"
 trap - EXIT

@@ -196,3 +196,74 @@ fn server_connection_accounting_balances_and_reports_timeouts() {
 
     handle.shutdown_and_join().expect("clean drain");
 }
+
+#[test]
+fn traced_disk_hit_attributes_the_cache_tiers() {
+    // A memo budget below the ~1 MB `rtl.infer` reply keeps it out of
+    // the memo, so the repeat is served from the disk tier, and its
+    // trace must say so: a `serve.memo_lookup` span with a
+    // `serve.disk_read` child that took measurable time.
+    use lim_obs::json::Value;
+    use lim_obs::TraceId;
+    use lim_serve::{ServeConfig, Service};
+
+    let dir = std::env::temp_dir().join(format!("lim_obs_disk_hit_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    lim_obs::set_enabled(true);
+    let svc = Service::new(&ServeConfig {
+        cache_bytes: 64 << 10,
+        disk_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    });
+    let params = Value::Object(vec![
+        (
+            "source".to_owned(),
+            Value::String(include_str!("../examples/smart_mem.v").to_owned()),
+        ),
+        (
+            "brick_words".to_owned(),
+            Value::parse("[16,32,64]").unwrap(),
+        ),
+    ]);
+    let cold = svc.call("rtl.infer", &params);
+    assert!(!cold.cached);
+    let cold = cold.result.expect("the example infers");
+    assert!(cold.len() > 64 << 10, "the reply must not fit the memo");
+    let trace = TraceId::mint();
+    let warm = svc.call_traced("rtl.infer", &params, Some(trace));
+    assert!(warm.cached, "the repeat must come off the disk tier");
+    assert_eq!(warm.result.as_deref(), Ok(cold.as_str()));
+    assert_eq!(svc.disk().expect("disk tier").stats().hits, 1);
+
+    let found = svc
+        .call(
+            "server.trace",
+            &Value::Object(vec![("id".to_owned(), Value::String(trace.render()))]),
+        )
+        .result
+        .expect("server.trace answers");
+    let found = Value::parse(&found).unwrap();
+    let spans = found
+        .get("traces")
+        .and_then(Value::as_array)
+        .and_then(|t| t.first())
+        .and_then(|t| t.get("spans"))
+        .and_then(Value::as_array)
+        .unwrap_or_else(|| panic!("trace {} not retained", trace.render()));
+    let total_ns = |path: &str| -> f64 {
+        spans
+            .iter()
+            .find(|s| s.get("path").and_then(Value::as_str) == Some(path))
+            .and_then(|s| s.get("total_ns"))
+            .and_then(Value::as_f64)
+            .unwrap_or_else(|| panic!("no {path} span in {spans:?}"))
+    };
+    let lookup = total_ns("serve.request/serve.memo_lookup");
+    let read = total_ns("serve.request/serve.memo_lookup/serve.disk_read");
+    assert!(read > 0.0, "serve.disk_read recorded no time");
+    assert!(
+        read <= lookup,
+        "the read ({read} ns) is part of the lookup ({lookup} ns)"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1352,3 +1352,189 @@ fn golden_compare_reply_digests_are_pinned() {
         assert_eq!((reply.len(), fnv1a(reply.as_bytes())), want, "lone {c:?}");
     }
 }
+
+/// A fresh scratch directory for one disk-tier property.
+fn disk_scratch(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("lim_props_disk_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A response body for the disk tier: 0 B to 2 MiB, with lengths
+/// clustered on both sides of the digest's 8-byte words and 32-byte
+/// lane blocks, and multi-byte UTF-8 mixed in.
+fn any_body(rng: &mut TestRng) -> String {
+    let target = match rng.gen_range(0usize..4) {
+        0 => rng.gen_range(0usize..=2 << 20),
+        1 => (rng.gen_range(0usize..=16) * 8 + rng.gen_range(0usize..3)).saturating_sub(1),
+        2 => (rng.gen_range(0usize..=16) * 32 + rng.gen_range(0usize..3)).saturating_sub(1),
+        _ => rng.gen_range(0usize..512),
+    };
+    let palette = [
+        'a', 'Z', '0', '{', '}', '"', '\\', ':', ',', ' ', '\n', 'µ', '汉', '🦀',
+    ];
+    let mut body = String::with_capacity(target + 3);
+    while body.len() < target {
+        body.push(palette[rng.gen_range(0..palette.len())]);
+    }
+    body
+}
+
+#[test]
+fn disk_tier_roundtrips_and_counts_every_damaged_entry() {
+    use lim_serve::DiskCache;
+    let dir = disk_scratch("damage");
+    check(
+        "disk_tier_roundtrips_and_counts_every_damaged_entry",
+        |rng| {
+            let cache = DiskCache::open(&dir).unwrap();
+            let key = rng.next_u64();
+            let body = any_body(rng);
+            cache.store_response(key, "rtl.infer", &body);
+            assert_eq!(
+                cache.load_response(key).as_deref(),
+                Some(body.as_str()),
+                "store → load must be byte-identical ({} B)",
+                body.len()
+            );
+            let path = dir.join("resp").join(format!("{key:016x}.json"));
+            let stored = std::fs::read(&path).unwrap();
+            let header = stored.iter().position(|&b| b == b'\n').unwrap() + 1;
+            let rejects = |damaged: &[u8], what: &str| {
+                std::fs::write(&path, damaged).unwrap();
+                let before = cache.stats();
+                assert_eq!(cache.load_response(key), None, "{what} was served");
+                let after = cache.stats();
+                assert_eq!(
+                    after.corrupt + after.stale,
+                    before.corrupt + before.stale + 1,
+                    "{what} was not counted"
+                );
+                assert!(!path.exists(), "{what} was not removed");
+            };
+            // Truncation anywhere: nothing, inside the header, just before
+            // and after its newline, inside the body, one byte short.
+            for cut in [
+                0,
+                rng.gen_range(0..header),
+                header - 1,
+                header,
+                rng.gen_range(header..stored.len()),
+                stored.len() - 1,
+            ] {
+                rejects(
+                    &stored[..cut],
+                    &format!("a cut at {cut} of {}", stored.len()),
+                );
+            }
+            // One changed byte, in the header or anywhere in the file.
+            for _ in 0..8 {
+                let at = if rng.gen_bool(0.5) {
+                    rng.gen_range(0..header)
+                } else {
+                    rng.gen_range(0..stored.len())
+                };
+                let mut damaged = stored.clone();
+                damaged[at] ^= rng.gen_range(1u32..256) as u8;
+                rejects(&damaged, &format!("byte {at} of {} changed", stored.len()));
+            }
+            std::fs::write(&path, &stored).unwrap();
+            assert_eq!(cache.load_response(key).as_deref(), Some(body.as_str()));
+            std::fs::remove_file(&path).unwrap();
+        },
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn disk_tier_survives_hostile_files() {
+    use lim_serve::disk::{digest, DISK_FORMAT};
+    use lim_serve::protocol::fnv1a;
+    use lim_serve::DiskCache;
+    let dir = disk_scratch("hostile");
+    check("disk_tier_survives_hostile_files", |rng| {
+        let cache = DiskCache::open(&dir).unwrap();
+        let key = rng.next_u64() % 4;
+        let path = dir.join("resp").join(format!("{key:016x}.json"));
+        let random_bytes = |rng: &mut TestRng, n: usize| -> Vec<u8> {
+            (0..n).map(|_| rng.next_u32() as u8).collect()
+        };
+        // Either raw bytes, or a header whose fields are each right or
+        // wrong at random over a body that is UTF-8 or not: the entry
+        // must load exactly when every field is right.
+        let (bytes, well_formed) = if rng.gen_bool(0.25) {
+            let n = rng.gen_range(0usize..600);
+            (random_bytes(rng, n), false)
+        } else {
+            let n = rng.gen_range(0usize..300);
+            let body = if rng.gen_bool(0.8) {
+                any_body(rng).into_bytes()
+            } else {
+                random_bytes(rng, n)
+            };
+            let method = "flow.run";
+            let right = [
+                DISK_FORMAT.to_owned(),
+                "resp".to_owned(),
+                format!("{key:016x}"),
+                method.to_owned(),
+                body.len().to_string(),
+                format!("{:016x}", digest(&body) ^ fnv1a(method.as_bytes())),
+            ];
+            let wrong = |rng: &mut TestRng, i: usize| -> String {
+                match rng.gen_range(0usize..4) {
+                    0 => [
+                        "lim-disk-v1",
+                        "lib",
+                        "ffffffffffffffff",
+                        "",
+                        "18446744073709551616",
+                        "0",
+                    ][i]
+                        .to_owned(),
+                    1 => format!("{:x}", rng.next_u64()),
+                    2 => rng.next_u64().to_string(),
+                    _ => String::from_utf8_lossy(&random_bytes(rng, 8)).replace('\n', " "),
+                }
+            };
+            let mut fields = Vec::new();
+            let mut all_right = true;
+            for (i, field) in right.iter().enumerate() {
+                if rng.gen_bool(0.2) {
+                    let w = wrong(rng, i);
+                    all_right &= w == *field;
+                    fields.push(w);
+                } else {
+                    fields.push(field.clone());
+                }
+            }
+            let mut bytes = fields.join(" ").into_bytes();
+            bytes.push(b'\n');
+            bytes.extend_from_slice(&body);
+            bytes.push(b'\n');
+            (bytes, all_right && std::str::from_utf8(&body).is_ok())
+        };
+        std::fs::write(&path, &bytes).unwrap();
+        let before = cache.stats();
+        let got = cache.load_response(key);
+        let after = cache.stats();
+        if well_formed {
+            let body = &bytes[bytes.iter().position(|&b| b == b'\n').unwrap() + 1..bytes.len() - 1];
+            assert_eq!(got.as_deref().map(str::as_bytes), Some(body));
+            assert_eq!(after.hits, before.hits + 1);
+            std::fs::remove_file(&path).unwrap();
+        } else {
+            assert_eq!(got, None, "a hostile file was served");
+            assert_eq!(
+                after.corrupt + after.stale,
+                before.corrupt + before.stale + 1
+            );
+            assert!(!path.exists(), "a hostile file was kept");
+        }
+        // The library-key reader takes hostile files too.
+        let n = rng.gen_range(0usize..120);
+        std::fs::write(dir.join("lib").join("hostile.key"), random_bytes(rng, n)).unwrap();
+        let _ = cache.lib_keys();
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
