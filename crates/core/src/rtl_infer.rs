@@ -260,13 +260,12 @@ pub fn infer_and_synthesize(
             let spec = BrickSpec::new(BitcellKind::Sram8T, plan.brick_words, w)?;
             flow.library_mut().get_or_insert(&tech, &spec, plan.stack)?;
         }
-        lim_obs::gauge_set(&format!("rtl.infer.{}.words", mem.name), plan.words as f64);
-        lim_obs::gauge_set(&format!("rtl.infer.{}.bits", mem.name), plan.bits as f64);
-        lim_obs::gauge_set(
-            &format!("rtl.infer.{}.brick_words", mem.name),
-            plan.brick_words as f64,
-        );
-        lim_obs::gauge_set(&format!("rtl.infer.{}.stack", mem.name), plan.stack as f64);
+        // Fixed names, so the last memory placed wins: array names come
+        // from the source text and never become telemetry keys.
+        lim_obs::gauge_set("rtl.infer.words", plan.words as f64);
+        lim_obs::gauge_set("rtl.infer.bits", plan.bits as f64);
+        lim_obs::gauge_set("rtl.infer.brick_words", plan.brick_words as f64);
+        lim_obs::gauge_set("rtl.infer.stack", plan.stack as f64);
         plans_by_mem.insert(
             mem.name.clone(),
             MemLowering {

@@ -1,113 +1,103 @@
-//! Thread-local collection state: the span tree arena, the open-span
-//! stack, and the counter/gauge maps.
+//! The span aggregate: a `(parent, name)` arena of span nodes plus the
+//! counter and gauge maps. Each thread collects into its own
+//! [`Collector`] (the open-span stack lives there too), and a
+//! long-lived process folds the reports its threads capture into one
+//! more: `lim-serve`'s service-wide report is a [`Collector`] that
+//! [`absorb`](Collector::absorb)s every request's report, so a report
+//! is built by one pre-order walk ([`Collector::report`]) wherever it
+//! comes from.
 
+use crate::report::{Report, SpanRow};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-pub(crate) struct Node {
-    pub(crate) name: String,
-    pub(crate) children: Vec<usize>,
-    pub(crate) calls: u64,
-    pub(crate) total: Duration,
+#[derive(Debug)]
+struct Node {
+    name: String,
+    children: Vec<usize>,
+    calls: u64,
+    total: Duration,
 }
 
-#[derive(Default)]
-pub(crate) struct Collector {
+/// Spans aggregated by `(parent, name)`, with counters (saturating
+/// sums) and gauges (last write wins).
+///
+/// Rows keep their first-seen order: a node's children are listed in
+/// the order they first appeared, so absorbing a report whose span
+/// paths all exist only adds to calls and totals.
+#[derive(Debug, Default)]
+pub struct Collector {
     /// Arena of aggregated span nodes.
-    pub(crate) nodes: Vec<Node>,
+    nodes: Vec<Node>,
     /// Indices of root nodes, in first-entered order.
-    pub(crate) roots: Vec<usize>,
-    /// Stack of currently open node indices.
+    roots: Vec<usize>,
+    /// Stack of currently open node indices (only [`Span`] guards on
+    /// the thread-local collector open nodes).
     stack: Vec<usize>,
-    pub(crate) counters: BTreeMap<String, u64>,
-    pub(crate) gauges: BTreeMap<String, f64>,
+    counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, f64>,
 }
 
 impl Collector {
+    /// The child named `name` under `parent` (a root when `None`),
+    /// created with zero calls when it does not exist yet.
+    fn child(&mut self, parent: Option<usize>, name: &str) -> usize {
+        let siblings = match parent {
+            Some(p) => &self.nodes[p].children,
+            None => &self.roots,
+        };
+        if let Some(i) = siblings
+            .iter()
+            .copied()
+            .find(|&i| self.nodes[i].name == name)
+        {
+            return i;
+        }
+        let idx = self.nodes.len();
+        self.nodes.push(Node {
+            name: name.to_owned(),
+            children: Vec::new(),
+            calls: 0,
+            total: Duration::ZERO,
+        });
+        match parent {
+            Some(p) => self.nodes[p].children.push(idx),
+            None => self.roots.push(idx),
+        }
+        idx
+    }
+
     /// Opens (or re-opens) the child named `name` under the current
     /// stack top, returning its node index.
     fn push(&mut self, name: &str) -> usize {
-        let siblings = match self.stack.last() {
-            Some(&parent) => &self.nodes[parent].children,
-            None => &self.roots,
-        };
-        let found = siblings
-            .iter()
-            .copied()
-            .find(|&i| self.nodes[i].name == name);
-        let idx = match found {
-            Some(i) => i,
-            None => {
-                let idx = self.nodes.len();
-                self.nodes.push(Node {
-                    name: name.to_owned(),
-                    children: Vec::new(),
-                    calls: 0,
-                    total: Duration::ZERO,
-                });
-                match self.stack.last() {
-                    Some(&parent) => self.nodes[parent].children.push(idx),
-                    None => self.roots.push(idx),
-                }
-                idx
-            }
-        };
+        let idx = self.child(self.stack.last().copied(), name);
         self.stack.push(idx);
         idx
     }
 
     /// Grafts a captured report's span tree under the currently open
-    /// span (or at the roots when none is open), aggregating by
-    /// `(parent, name)` exactly like live span entry; counters sum
-    /// saturating and gauges are last-write-wins.
-    fn absorb(&mut self, report: &crate::Report) {
+    /// span (at the roots when none is open), aggregating by
+    /// `(parent, name)` exactly like live span entry. Calls, totals and
+    /// counters sum saturating (a long-lived aggregate never panics on
+    /// an edge value); gauges are last-write-wins.
+    pub fn absorb(&mut self, report: &Report) {
         let base = self.stack.last().copied();
         // Rows are pre-order; track the grafted chain by depth.
         let mut chain: Vec<usize> = Vec::new();
         for row in &report.spans {
             chain.truncate(row.depth);
-            let parent = chain.last().copied().or(base);
-            let siblings = match parent {
-                Some(p) => &self.nodes[p].children,
-                None => &self.roots,
-            };
-            let found = siblings
-                .iter()
-                .copied()
-                .find(|&i| self.nodes[i].name == row.name);
-            let idx = match found {
-                Some(i) => i,
-                None => {
-                    let idx = self.nodes.len();
-                    self.nodes.push(Node {
-                        name: row.name.clone(),
-                        children: Vec::new(),
-                        calls: 0,
-                        total: Duration::ZERO,
-                    });
-                    match parent {
-                        Some(p) => self.nodes[p].children.push(idx),
-                        None => self.roots.push(idx),
-                    }
-                    idx
-                }
-            };
+            let idx = self.child(chain.last().copied().or(base), &row.name);
             let node = &mut self.nodes[idx];
             node.calls = node.calls.saturating_add(row.calls);
             node.total = node.total.saturating_add(row.total);
             chain.push(idx);
         }
         for (name, value) in &report.counters {
-            match self.counters.get_mut(name) {
-                Some(v) => *v = v.saturating_add(*value),
-                None => {
-                    self.counters.insert(name.clone(), *value);
-                }
-            }
+            self.add_counter(name, *value);
         }
         for (name, value) in &report.gauges {
-            self.gauges.insert(name.clone(), *value);
+            self.set_gauge(name, *value);
         }
     }
 
@@ -123,6 +113,62 @@ impl Collector {
         let node = &mut self.nodes[idx];
         node.calls = node.calls.saturating_add(1);
         node.total = node.total.saturating_add(elapsed);
+    }
+
+    fn add_counter(&mut self, name: &str, delta: u64) {
+        match self.counters.get_mut(name) {
+            Some(v) => *v = v.saturating_add(delta),
+            None => {
+                self.counters.insert(name.to_owned(), delta);
+            }
+        }
+    }
+
+    /// Sets the named counter to `value`, replacing its running sum.
+    pub fn set_counter(&mut self, name: &str, value: u64) {
+        self.counters.insert(name.to_owned(), value);
+    }
+
+    /// Sets the named gauge to `value` (last write wins).
+    pub fn set_gauge(&mut self, name: &str, value: f64) {
+        self.gauges.insert(name.to_owned(), value);
+    }
+
+    /// The aggregate as a [`Report`] labelled `source`: spans in
+    /// depth-first pre-order, counters and gauges sorted by name.
+    #[must_use]
+    pub fn report(&self, source: &str) -> Report {
+        let mut spans = Vec::with_capacity(self.nodes.len());
+        let mut stack: Vec<(usize, String, usize)> = self
+            .roots
+            .iter()
+            .rev()
+            .map(|&i| (i, String::new(), 0usize))
+            .collect();
+        while let Some((idx, prefix, depth)) = stack.pop() {
+            let node = &self.nodes[idx];
+            let path = if prefix.is_empty() {
+                node.name.clone()
+            } else {
+                format!("{prefix}/{}", node.name)
+            };
+            for &child in node.children.iter().rev() {
+                stack.push((child, path.clone(), depth + 1));
+            }
+            spans.push(SpanRow {
+                path,
+                name: node.name.clone(),
+                depth,
+                calls: node.calls,
+                total: node.total,
+            });
+        }
+        Report {
+            source: source.to_owned(),
+            spans,
+            counters: self.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
+            gauges: self.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect(),
+        }
     }
 }
 
@@ -178,15 +224,7 @@ pub fn counter_add(name: &str, delta: u64) {
     if !crate::enabled() {
         return;
     }
-    COLLECTOR.with(|c| {
-        let mut c = c.borrow_mut();
-        match c.counters.get_mut(name) {
-            Some(v) => *v = v.saturating_add(delta),
-            None => {
-                c.counters.insert(name.to_owned(), delta);
-            }
-        }
-    });
+    COLLECTOR.with(|c| c.borrow_mut().add_counter(name, delta));
 }
 
 /// Sets the named gauge to `value` (last write wins). No-op while
@@ -195,9 +233,7 @@ pub fn gauge_set(name: &str, value: f64) {
     if !crate::enabled() {
         return;
     }
-    COLLECTOR.with(|c| {
-        c.borrow_mut().gauges.insert(name.to_owned(), value);
-    });
+    COLLECTOR.with(|c| c.borrow_mut().set_gauge(name, value));
 }
 
 /// Grafts `report`'s span tree under this thread's innermost open span
@@ -206,7 +242,7 @@ pub fn gauge_set(name: &str, value: f64) {
 /// adopts its workers' captured spans back into its own request tree,
 /// so a trace covers the whole fan-out. No-op while collection is
 /// disabled.
-pub fn absorb_report(report: &crate::Report) {
+pub fn absorb_report(report: &Report) {
     if !crate::enabled() {
         return;
     }
@@ -216,10 +252,7 @@ pub fn absorb_report(report: &crate::Report) {
 /// Clears the calling thread's spans, counters and gauges. Open span
 /// guards from before the reset are discarded when they close.
 pub fn reset() {
-    COLLECTOR.with(|c| {
-        let mut c = c.borrow_mut();
-        *c = Collector::default();
-    });
+    COLLECTOR.with(|c| *c.borrow_mut() = Collector::default());
 }
 
 #[cfg(test)]

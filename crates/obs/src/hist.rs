@@ -9,34 +9,20 @@
 //! keeping the whole histogram a fixed 129-slot array — no allocation on
 //! the record path, ever.
 //!
-//! Two flavours share the bucket math:
-//!
-//! * [`Histogram`] — plain `u64` counts for single-threaded use (window
-//!   slots, merged snapshots, tests).
-//! * [`SharedHistogram`] — atomic counts striped across
-//!   [`SHARDS`] shards; recording picks a shard from the calling
-//!   thread's id, so concurrent recorders on different threads touch
-//!   different cache lines and never take a lock. Reading merges all
-//!   shards into a [`Histogram`] snapshot. Bucket counts are exact under
-//!   any interleaving — adds are commutative — so merged snapshots are
-//!   deterministic for a given multiset of recorded samples.
-//!
-//! The recorded maximum is tracked exactly (an atomic max), so tail
-//! reporting never suffers bucket rounding; p50/p90/p99 come from the
-//! bucket upper bounds by cumulative rank and are clamped to the exact
-//! max.
+//! The recorded maximum is tracked exactly, so tail reporting never
+//! suffers bucket rounding; p50/p90/p99 come from the bucket upper
+//! bounds by cumulative rank and are clamped to the exact max. A
+//! [`Histogram`] is plain counts: concurrent recorders share one behind
+//! a lock, as [`crate::RollingWindow`] does with its slots and its
+//! lifetime histogram, and bucket counts are exact under any
+//! interleaving (adds commute), so a snapshot is a pure function of the
+//! multiset of recorded samples.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Number of histogram buckets: bucket 0 for zero, plus two per octave
 /// over the 64-bit nanosecond range.
 pub const BUCKETS: usize = 129;
-
-/// Shards in a [`SharedHistogram`]; recording stripes over these by
-/// thread id. A small power of two: enough to keep a handful of server
-/// threads off each other's cache lines without bloating merges.
-pub const SHARDS: usize = 8;
 
 /// The bucket index for a nanosecond sample.
 #[inline]
@@ -75,7 +61,7 @@ pub fn bucket_upper_bound(index: usize) -> u64 {
     }
 }
 
-/// A plain (non-atomic) log-bucketed histogram.
+/// A log-bucketed latency histogram.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     buckets: [u64; BUCKETS],
@@ -218,107 +204,6 @@ pub struct HistSummary {
     pub max_ns: u64,
 }
 
-/// One shard: atomic bucket counts plus count/sum/max.
-struct Shard {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum_ns: AtomicU64,
-    max_ns: AtomicU64,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum_ns: AtomicU64::new(0),
-            max_ns: AtomicU64::new(0),
-        }
-    }
-}
-
-impl std::fmt::Debug for Shard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shard")
-            .field("count", &self.count.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
-
-/// A lock-free concurrent histogram: [`SHARDS`] atomic shards, striped
-/// by thread id on record, merged on read.
-#[derive(Debug)]
-pub struct SharedHistogram {
-    shards: Vec<Shard>,
-}
-
-impl Default for SharedHistogram {
-    fn default() -> Self {
-        SharedHistogram {
-            shards: (0..SHARDS).map(|_| Shard::new()).collect(),
-        }
-    }
-}
-
-thread_local! {
-    /// Cached shard index for this thread (derived once from the
-    /// thread id, so the record path is a TLS read, not a hash).
-    static SHARD: usize = {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        std::thread::current().id().hash(&mut h);
-        (h.finish() as usize) % SHARDS
-    };
-}
-
-impl SharedHistogram {
-    /// An empty shared histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one duration sample. Lock-free: one TLS read to pick the
-    /// shard, then relaxed atomic adds (plus an atomic max).
-    pub fn record(&self, d: Duration) {
-        self.record_ns(duration_ns(d));
-    }
-
-    /// Records one nanosecond sample.
-    pub fn record_ns(&self, ns: u64) {
-        let shard = &self.shards[SHARD.with(|&s| s)];
-        shard.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
-        shard.count.fetch_add(1, Ordering::Relaxed);
-        shard.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        shard.max_ns.fetch_max(ns, Ordering::Relaxed);
-    }
-
-    /// Merges every shard into one plain [`Histogram`] snapshot.
-    #[must_use]
-    pub fn merged(&self) -> Histogram {
-        let mut out = Histogram::default();
-        for shard in &self.shards {
-            for (b, a) in out.buckets.iter_mut().zip(shard.buckets.iter()) {
-                *b = b.saturating_add(a.load(Ordering::Relaxed));
-            }
-            out.count = out.count.saturating_add(shard.count.load(Ordering::Relaxed));
-            out.sum_ns = out
-                .sum_ns
-                .saturating_add(shard.sum_ns.load(Ordering::Relaxed));
-            out.max_ns = out.max_ns.max(shard.max_ns.load(Ordering::Relaxed));
-        }
-        out
-    }
-
-    /// Total samples recorded across all shards.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.shards
-            .iter()
-            .fold(0u64, |acc, s| acc.saturating_add(s.count.load(Ordering::Relaxed)))
-    }
-}
-
 /// Saturating nanosecond conversion (durations past ~584 years clamp).
 #[must_use]
 pub fn duration_ns(d: Duration) -> u64 {
@@ -430,27 +315,6 @@ mod tests {
         let mut c = big.clone();
         c.merge(&big);
         assert_eq!(c.sum_ns(), u64::MAX);
-    }
-
-    #[test]
-    fn shared_histogram_merges_across_threads() {
-        let h = SharedHistogram::new();
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let h = &h;
-                s.spawn(move || {
-                    for i in 0..250u64 {
-                        h.record_ns(t * 1_000 + i);
-                    }
-                });
-            }
-        });
-        let merged = h.merged();
-        assert_eq!(merged.count(), 1_000);
-        assert_eq!(h.count(), 1_000);
-        assert_eq!(merged.max_ns(), 3_249);
-        // Every recorded sample landed in exactly one bucket.
-        assert_eq!(merged.buckets().iter().sum::<u64>(), 1_000);
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //!   human-readable tree ([`Report::render_tree`]) or as hand-rolled
 //!   JSON-lines ([`Report::write_json_lines`], no serde). [`flush`]
 //!   appends the report to the path named by the `LIM_OBS_OUT`
-//!   environment variable.
+//!   environment variable. A thread's state is a [`Collector`]; a
+//!   long-lived process folds the reports its threads capture into one
+//!   more ([`Collector::absorb`]), so every report comes from the same
+//!   `(parent, name)` aggregation and the same pre-order walk.
 //!
 //! Collection is **off by default**: every primitive first checks a
 //! global atomic flag, so a disabled pipeline pays one relaxed atomic
@@ -50,8 +53,8 @@ pub mod window;
 
 mod collect;
 
-pub use collect::{absorb_report, counter_add, gauge_set, reset, Span};
-pub use hist::{hist_json_line, HistSummary, Histogram, SharedHistogram};
+pub use collect::{absorb_report, counter_add, gauge_set, reset, Collector, Span};
+pub use hist::{hist_json_line, HistSummary, Histogram};
 pub use report::{bench_json_line, flush, Report, SpanRow};
 pub use trace::{trace_json_line, Trace, TraceBuffer, TraceId, TraceScope};
 pub use window::{window_json_line, RollingWindow};

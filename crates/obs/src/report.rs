@@ -1,6 +1,13 @@
 //! Snapshots of the collected state, rendered for humans (indented
 //! tree) or machines (JSON-lines, schema `lim-obs-v1`).
 //!
+//! A [`Report`] is a [`Collector`](crate::Collector) rendered by its
+//! one pre-order walk: [`Report::capture`] renders the calling
+//! thread's collector, and a long-lived aggregate that absorbs many
+//! threads' reports renders the same way. Reports do not merge with
+//! each other; they fold into an aggregate
+//! ([`Collector::absorb`](crate::Collector::absorb)).
+//!
 //! # JSON-lines schema (`lim-obs-v1`)
 //!
 //! One JSON object per line, discriminated by `"type"`:
@@ -49,7 +56,8 @@ pub struct SpanRow {
     pub total: Duration,
 }
 
-/// A snapshot of one thread's observability state.
+/// A snapshot of one span aggregate: a thread's collector or a
+/// service-wide one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Report {
     /// Where the report came from (binary or flow name).
@@ -71,41 +79,7 @@ impl Report {
 
     /// [`Report::capture`] with an explicit `source` label.
     pub fn capture_as(source: &str) -> Report {
-        COLLECTOR.with(|c| {
-            let c = c.borrow();
-            let mut spans = Vec::with_capacity(c.nodes.len());
-            // Depth-first pre-order over the aggregated tree.
-            let mut stack: Vec<(usize, String, usize)> = c
-                .roots
-                .iter()
-                .rev()
-                .map(|&i| (i, String::new(), 0usize))
-                .collect();
-            while let Some((idx, prefix, depth)) = stack.pop() {
-                let node = &c.nodes[idx];
-                let path = if prefix.is_empty() {
-                    node.name.clone()
-                } else {
-                    format!("{prefix}/{}", node.name)
-                };
-                spans.push(SpanRow {
-                    path: path.clone(),
-                    name: node.name.clone(),
-                    depth,
-                    calls: node.calls,
-                    total: node.total,
-                });
-                for &child in node.children.iter().rev() {
-                    stack.push((child, path.clone(), depth + 1));
-                }
-            }
-            Report {
-                source: source.to_owned(),
-                spans,
-                counters: c.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-                gauges: c.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            }
-        })
+        COLLECTOR.with(|c| c.borrow().report(source))
     }
 
     /// Looks up a span by its full `/`-joined path.
@@ -203,137 +177,6 @@ impl Report {
         Ok(())
     }
 
-    /// Folds `other` into `self`: spans aggregate by path (calls and
-    /// totals sum), counters sum saturating, gauges are last-write-wins.
-    ///
-    /// This is how a long-lived server adopts per-request reports
-    /// captured on worker threads into one process-wide report: each
-    /// worker runs the request under its own thread-local spans, then
-    /// captures and merges into a shared `Mutex<Report>`. The merged
-    /// span list is re-emitted in pre-order, so it stays valid
-    /// `lim-obs-v1` output.
-    pub fn merge(&mut self, other: &Report) {
-        if !self.add_to_matching_spans(other) {
-            self.rebuild_spans(other);
-        }
-        for (name, value) in &other.counters {
-            match self.counters.iter_mut().find(|(n, _)| n == name) {
-                Some((_, v)) => *v = v.saturating_add(*value),
-                None => self.counters.push((name.clone(), *value)),
-            }
-        }
-        self.counters.sort_by(|(a, _), (b, _)| a.cmp(b));
-        for (name, value) in &other.gauges {
-            match self.gauges.iter_mut().find(|(n, _)| n == name) {
-                Some((_, v)) => *v = *value,
-                None => self.gauges.push((name.clone(), *value)),
-            }
-        }
-        self.gauges.sort_by(|(a, _), (b, _)| a.cmp(b));
-    }
-
-    /// The common case of a long-lived merge target: every span of
-    /// `other` already has its row (same depth, name and path — one row
-    /// per tree node in a captured or merged report), so calls and
-    /// totals are added in place instead of rebuilding the whole tree.
-    /// A server's report holds every span path it has seen, so a
-    /// request's merge no longer costs time in proportion to it.
-    /// Returns false, leaving `self` untouched, when some span is new.
-    fn add_to_matching_spans(&mut self, other: &Report) -> bool {
-        let mut rows = Vec::with_capacity(other.spans.len());
-        for row in &other.spans {
-            let found = self
-                .spans
-                .iter()
-                .position(|s| s.depth == row.depth && s.name == row.name && s.path == row.path);
-            match found {
-                Some(i) => rows.push(i),
-                None => return false,
-            }
-        }
-        for (row, i) in other.spans.iter().zip(rows) {
-            let s = &mut self.spans[i];
-            s.calls = s.calls.saturating_add(row.calls);
-            s.total = s.total.saturating_add(row.total);
-        }
-        true
-    }
-
-    /// Rebuilds both span lists into one tree keyed by (parent, name)
-    /// and re-emits it in pre-order.
-    fn rebuild_spans(&mut self, other: &Report) {
-        struct Node {
-            name: String,
-            path: String,
-            calls: u64,
-            total: Duration,
-            children: Vec<usize>,
-        }
-        let mut nodes: Vec<Node> = Vec::with_capacity(self.spans.len() + other.spans.len());
-        let mut roots: Vec<usize> = Vec::new();
-        for report in [&*self, other] {
-            // Rows are pre-order, so a row's parent is the most recent
-            // shallower row; track the live chain by depth.
-            let mut chain: Vec<usize> = Vec::new();
-            for row in &report.spans {
-                chain.truncate(row.depth);
-                let parent = chain.last().copied();
-                let siblings: &[usize] = match parent {
-                    Some(p) => &nodes[p].children,
-                    None => &roots,
-                };
-                let existing = siblings
-                    .iter()
-                    .copied()
-                    .find(|&i| nodes[i].name == row.name);
-                let idx = match existing {
-                    Some(i) => {
-                        nodes[i].calls = nodes[i].calls.saturating_add(row.calls);
-                        // Saturate: `Duration + Duration` panics on
-                        // overflow, and a long-lived server merging
-                        // per-request reports forever must never panic
-                        // on a counter edge.
-                        nodes[i].total = nodes[i].total.saturating_add(row.total);
-                        i
-                    }
-                    None => {
-                        let idx = nodes.len();
-                        nodes.push(Node {
-                            name: row.name.clone(),
-                            path: row.path.clone(),
-                            calls: row.calls,
-                            total: row.total,
-                            children: Vec::new(),
-                        });
-                        match parent {
-                            Some(p) => nodes[p].children.push(idx),
-                            None => roots.push(idx),
-                        }
-                        idx
-                    }
-                };
-                chain.push(idx);
-            }
-        }
-        let mut spans = Vec::with_capacity(nodes.len());
-        let mut stack: Vec<(usize, usize)> =
-            roots.iter().rev().map(|&i| (i, 0usize)).collect();
-        while let Some((idx, depth)) = stack.pop() {
-            let node = &nodes[idx];
-            spans.push(SpanRow {
-                path: node.path.clone(),
-                name: node.name.clone(),
-                depth,
-                calls: node.calls,
-                total: node.total,
-            });
-            for &child in node.children.iter().rev() {
-                stack.push((child, depth + 1));
-            }
-        }
-        self.spans = spans;
-    }
-
     /// [`Report::write_json_lines`] into a `String`.
     pub fn to_json_lines(&self) -> String {
         let mut buf = Vec::new();
@@ -415,6 +258,7 @@ fn fmt_duration(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Collector;
 
     fn sample_report() -> Report {
         Report {
@@ -473,9 +317,18 @@ mod tests {
         assert_eq!(v.get("median_ns").and_then(crate::json::Value::as_f64), Some(20.0));
     }
 
+    /// Absorbs `reports` in order into an empty aggregate.
+    fn aggregate(reports: &[&Report]) -> Report {
+        let mut agg = Collector::default();
+        for r in reports {
+            agg.absorb(r);
+        }
+        agg.report("unit")
+    }
+
     #[test]
     fn merge_aggregates_spans_counters_and_gauges() {
-        let mut a = sample_report();
+        let a = sample_report();
         let mut b = sample_report();
         // Give b an extra subtree and some new/overlapping scalars.
         b.spans.push(SpanRow {
@@ -487,7 +340,7 @@ mod tests {
         });
         b.counters.push(("serve.requests".into(), 7));
         b.gauges = vec![("route.wirelength_um".into(), 9.0)];
-        a.merge(&b);
+        let a = aggregate(&[&a, &b]);
         // Overlapping spans sum calls and totals.
         let place = a.span("flow/place").unwrap();
         assert_eq!(place.calls, 4);
@@ -523,32 +376,30 @@ mod tests {
             gauges: vec![],
         };
         // Span totals near Duration::MAX would panic with `+=` (Duration
-        // addition panics on overflow); merge must saturate instead.
-        let mut a = edge(u64::MAX, Duration::MAX);
-        let b = edge(u64::MAX, Duration::MAX - Duration::from_nanos(1));
-        a.merge(&b);
+        // addition panics on overflow); absorbing must saturate instead.
+        let a = aggregate(&[
+            &edge(u64::MAX, Duration::MAX),
+            &edge(u64::MAX, Duration::MAX - Duration::from_nanos(1)),
+        ]);
         let s = a.span("s").unwrap();
         assert_eq!(s.calls, u64::MAX);
         assert_eq!(s.total, Duration::MAX);
         assert_eq!(a.counter("c"), Some(u64::MAX));
+        crate::json::validate_lines(&a.to_json_lines()).unwrap();
     }
 
     #[test]
     fn merge_into_empty_adopts_everything() {
-        let mut empty = Report {
-            source: "server".into(),
-            spans: vec![],
-            counters: vec![],
-            gauges: vec![],
-        };
-        empty.merge(&sample_report());
-        assert_eq!(empty.spans.len(), 2);
-        assert_eq!(empty.span("flow/place").unwrap().calls, 2);
-        assert_eq!(empty.counter("place.moves"), Some(1200));
+        let sample = sample_report();
+        let adopted = aggregate(&[&sample]);
+        assert_eq!(adopted, sample);
+        assert_eq!(adopted.span("flow/place").unwrap().calls, 2);
+        assert_eq!(adopted.counter("place.moves"), Some(1200));
+        crate::json::validate_lines(&adopted.to_json_lines()).unwrap();
     }
 
     #[test]
-    fn merge_in_place_matches_the_rebuild() {
+    fn merge_of_known_paths_keeps_row_order() {
         let row = |path: &str, name: &str, depth, calls| SpanRow {
             path: path.into(),
             name: name.into(),
@@ -559,22 +410,27 @@ mod tests {
         let mut a = sample_report();
         a.spans.push(row("serve", "serve", 0, 5));
         a.spans.push(row("serve/memo", "memo", 1, 4));
-        // Every span of `b` has a row in `a`: added in place, in the
-        // same order the rebuild would produce.
+        // Every span of `b` already has a row: absorbing it adds to
+        // calls and totals and leaves every row where it was.
         let mut b = sample_report();
         b.spans = vec![row("serve", "serve", 0, 1), row("serve/memo", "memo", 1, 1)];
-        let mut rebuilt = a.clone();
-        rebuilt.rebuild_spans(&b);
-        let mut fast = a.clone();
-        assert!(fast.add_to_matching_spans(&b));
-        assert_eq!(fast.spans, rebuilt.spans);
-        a.merge(&b);
-        assert_eq!(a.spans, rebuilt.spans);
-        assert_eq!(a.span("serve/memo").unwrap().calls, 5);
+        let mut agg = Collector::default();
+        agg.absorb(&a);
+        let before = agg.report("unit");
+        agg.absorb(&b);
+        let after = agg.report("unit");
+        let paths = |r: &Report| -> Vec<(String, usize)> {
+            r.spans.iter().map(|s| (s.path.clone(), s.depth)).collect()
+        };
+        assert_eq!(paths(&after), paths(&before));
+        assert_eq!(after.span("serve/memo").unwrap().calls, 5);
+        assert_eq!(after.span("serve").unwrap().calls, 6);
+        assert_eq!(after.spans[..2], before.spans[..2]);
+        crate::json::validate_lines(&after.to_json_lines()).unwrap();
         // Same path and depth but another node (a `/` inside a name):
         // `c` under the root `a/b` is not `b/c` under the root `a`, so
-        // the rebuild adds a row.
-        let mut x = Report {
+        // absorbing adds a row.
+        let x = Report {
             spans: vec![
                 row("a", "a", 0, 1),
                 row("a/b", "a/b", 0, 1),
@@ -586,10 +442,10 @@ mod tests {
             spans: vec![row("a", "a", 0, 1), row("a/b/c", "b/c", 1, 1)],
             ..sample_report()
         };
-        assert!(!x.clone().add_to_matching_spans(&y));
-        x.merge(&y);
+        let x = aggregate(&[&x, &y]);
         assert_eq!(x.spans.len(), 4);
         assert_eq!((x.spans[1].name.as_str(), x.spans[1].calls), ("b/c", 1));
+        crate::json::validate_lines(&x.to_json_lines()).unwrap();
     }
 
     #[test]

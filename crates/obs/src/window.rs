@@ -1,21 +1,24 @@
-//! Rolling time windows over latency histograms.
+//! Rolling time windows over latency histograms, with the lifetime
+//! histogram kept beside them.
 //!
 //! A [`RollingWindow`] keeps a fixed ring of [`SLOTS`] slots, each
 //! covering [`SLOT_SECS`] seconds — 30 slots × 10 s = the last five
 //! minutes, of which the newest six slots are the last minute. Recording
-//! stamps the sample into the slot for "now"; reading merges the slots
-//! young enough for the requested window into one [`Histogram`]
-//! snapshot. Slots are lazily recycled: when the ring wraps onto a slot
-//! whose epoch (absolute slot number since the window's anchor) is
-//! stale, the slot is cleared before reuse, so an idle window costs
-//! nothing and a busy one clears at most one slot per rotation.
+//! stamps the sample into the slot for "now" and into the lifetime
+//! histogram; reading merges the slots young enough for the requested
+//! window into one [`Histogram`] snapshot. Slots are lazily recycled:
+//! when the ring wraps onto a slot whose epoch (absolute slot number
+//! since the window's anchor) is stale, the slot is cleared before
+//! reuse, so an idle window costs nothing and a busy one clears at most
+//! one slot per rotation.
 //!
 //! This is what lets `server.stats` distinguish "slow now" from "slow
 //! ever": the lifetime histogram accumulates forever, while the 1 m /
 //! 5 m snapshots age out anything older than the ring.
 //!
-//! The ring sits behind one mutex — rotation and recording are a few
-//! array writes, so the uncontended lock costs far less than the
+//! The ring and the lifetime histogram sit behind one mutex, so a
+//! sample is recorded once under one lock: rotation and recording are
+//! a few array writes, so the uncontended lock costs far less than the
 //! `Instant::now()` read it protects. Tests drive time explicitly
 //! through [`RollingWindow::record_at`] / [`RollingWindow::snapshot_at`];
 //! production callers use the wall-clock entry points.
@@ -39,11 +42,17 @@ struct Slot {
     hist: Histogram,
 }
 
+struct Ring {
+    slots: Vec<Slot>,
+    /// Every sample ever recorded, whatever slot it aged out of.
+    lifetime: Histogram,
+}
+
 /// A ring of per-10 s histograms covering the last [`SLOTS`] ×
-/// [`SLOT_SECS`] seconds.
+/// [`SLOT_SECS`] seconds, plus the lifetime histogram.
 pub struct RollingWindow {
     anchor: Instant,
-    ring: Mutex<Vec<Slot>>,
+    ring: Mutex<Ring>,
 }
 
 impl std::fmt::Debug for RollingWindow {
@@ -67,14 +76,15 @@ impl RollingWindow {
     pub fn new() -> Self {
         RollingWindow {
             anchor: Instant::now(),
-            ring: Mutex::new(
-                (0..SLOTS)
+            ring: Mutex::new(Ring {
+                slots: (0..SLOTS)
                     .map(|_| Slot {
                         epoch: u64::MAX,
                         hist: Histogram::new(),
                     })
                     .collect(),
-            ),
+                lifetime: Histogram::new(),
+            }),
         }
     }
 
@@ -83,7 +93,7 @@ impl RollingWindow {
         self.anchor.elapsed().as_secs() / SLOT_SECS
     }
 
-    /// Records `d` into the current slot.
+    /// Records `d` into the current slot and the lifetime histogram.
     pub fn record(&self, d: Duration) {
         self.record_at(self.now_epoch(), d);
     }
@@ -92,13 +102,24 @@ impl RollingWindow {
     /// (test hook; production uses [`RollingWindow::record`]).
     pub fn record_at(&self, epoch: u64, d: Duration) {
         let mut ring = self.ring.lock().expect("window ring lock poisoned");
-        let slot = &mut ring[(epoch % SLOTS as u64) as usize];
+        let slot = &mut ring.slots[(epoch % SLOTS as u64) as usize];
         if slot.epoch != epoch {
             // The ring wrapped onto a stale slot: recycle it.
             slot.hist.clear();
             slot.epoch = epoch;
         }
         slot.hist.record(d);
+        ring.lifetime.record(d);
+    }
+
+    /// A snapshot of every sample recorded since the window was made.
+    #[must_use]
+    pub fn lifetime(&self) -> Histogram {
+        self.ring
+            .lock()
+            .expect("window ring lock poisoned")
+            .lifetime
+            .clone()
     }
 
     /// Merges the slots covering the last `window_secs` seconds into one
@@ -118,7 +139,7 @@ impl RollingWindow {
         let oldest = now_epoch.saturating_sub(depth.saturating_sub(1));
         let ring = self.ring.lock().expect("window ring lock poisoned");
         let mut out = Histogram::new();
-        for slot in ring.iter() {
+        for slot in &ring.slots {
             if slot.epoch != u64::MAX && slot.epoch >= oldest && slot.epoch <= now_epoch {
                 out.merge(&slot.hist);
             }
@@ -199,6 +220,40 @@ mod tests {
         assert_eq!(summaries.len(), 2);
         assert_eq!(summaries[0].0, 60);
         assert_eq!(summaries[0].1.count, 2);
+    }
+
+    #[test]
+    fn lifetime_keeps_samples_after_their_slots_age_out() {
+        let w = RollingWindow::new();
+        w.record_at(0, Duration::from_micros(100));
+        w.record_at(5, Duration::from_micros(900));
+        // Epoch 30 recycles slot 0; at epoch 100 every slot is stale.
+        w.record_at(30, Duration::from_micros(200));
+        assert_eq!(w.snapshot_at(100, 300).count(), 0);
+        let life = w.lifetime();
+        assert_eq!(life.count(), 3, "aged-out samples stay in the lifetime");
+        assert_eq!(life.sum_ns(), 1_200_000);
+        assert_eq!(life.max_ns(), 900_000);
+    }
+
+    #[test]
+    fn lifetime_histogram_merges_across_threads() {
+        let w = RollingWindow::new();
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let w = &w;
+                s.spawn(move || {
+                    for i in 0..250u64 {
+                        w.record(Duration::from_nanos(t * 1_000 + i));
+                    }
+                });
+            }
+        });
+        let life = w.lifetime();
+        assert_eq!(life.count(), 1_000);
+        assert_eq!(life.max_ns(), 3_249);
+        // Every recorded sample landed in exactly one bucket.
+        assert_eq!(life.buckets().iter().sum::<u64>(), 1_000);
     }
 
     #[test]

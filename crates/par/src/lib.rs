@@ -35,6 +35,10 @@
 //!   open span after the join — in worker-index order, so the adopted
 //!   tree is deterministic for a fixed worker count.
 //!
+//! The surface is the ordered map ([`par_map`], [`par_map_with_threads`],
+//! [`par_for_each`]) and the worker count ([`threads`]); code that
+//! needs ad-hoc spawning calls [`std::thread::scope`] directly.
+//!
 //! # Examples
 //!
 //! ```
@@ -283,17 +287,6 @@ where
     par_map(items, f);
 }
 
-/// Scoped fork-join: hands a [`std::thread::Scope`] to `f`, joining all
-/// spawned threads before returning. A thin veneer over
-/// [`std::thread::scope`] so callers need only this crate for both
-/// batch maps and ad-hoc task spawning.
-pub fn scope<'env, F, R>(f: F) -> R
-where
-    F: for<'scope> FnOnce(&'scope std::thread::Scope<'scope, 'env>) -> R,
-{
-    std::thread::scope(f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,17 +380,6 @@ mod tests {
         assert_eq!(task.calls, 64);
         lim_obs::set_enabled(false);
         lim_obs::reset();
-    }
-
-    #[test]
-    fn scope_joins_spawned_threads() {
-        let mut a = 0u32;
-        let mut b = 0u32;
-        scope(|s| {
-            s.spawn(|| a = 1);
-            s.spawn(|| b = 2);
-        });
-        assert_eq!((a, b), (1, 2));
     }
 
     #[test]

@@ -206,20 +206,6 @@ impl<'a> PhysicalSynthesis<'a> {
         })
     }
 
-    /// Runs floorplan → place → route → STA, exposing the intermediates
-    /// (C-INTERMEDIATE: callers like the DSE engine reuse them).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any stage failure.
-    pub fn run_to_timing(
-        &self,
-        netlist: &Netlist,
-        options: &FlowOptions,
-    ) -> Result<(Floorplan, Placement, Vec<NetRoute>, TimingReport), PhysicalError> {
-        self.stages(netlist, options, &mut FlowStats::default())
-    }
-
     /// Floorplan → place → route → STA, timing each stage into `stats`.
     fn stages(
         &self,

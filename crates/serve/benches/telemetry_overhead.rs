@@ -1,12 +1,12 @@
 //! Bench: the hot-path cost of the telemetry layer.
 //!
-//! Pins the budget the serving loop pays per request: a shared
-//! histogram record (the per-endpoint latency path, target < 100 ns), a
-//! rolling-window record (one mutex lock + a plain histogram record), a
-//! trace-id mint, and the disabled-observability span floor (one
-//! relaxed atomic load, nothing else).
+//! Pins the budget the serving loop pays per request: an endpoint's
+//! latency record (one rolling-window record: a mutex lock, then the
+//! current slot's and the lifetime histogram's record), a trace-id
+//! mint, and the disabled-observability span floor (one relaxed atomic
+//! load, nothing else).
 
-use lim_obs::{RollingWindow, SharedHistogram, Span, TraceId};
+use lim_obs::{RollingWindow, Span, TraceId};
 use lim_testkit::bench::{black_box, Bench};
 use std::time::Duration;
 
@@ -15,16 +15,6 @@ fn main() {
 
     // Walk a mixed latency range so bucket indexing is not trained on a
     // single branch target.
-    let hist = SharedHistogram::new();
-    let mut ns = 1u64;
-    c.bench_function("hist_record", |b| {
-        b.iter(|| {
-            ns = ns.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(7);
-            hist.record_ns(black_box(ns & 0x000f_ffff));
-        })
-    });
-    black_box(hist.count());
-
     let window = RollingWindow::new();
     let mut tick = 0u64;
     c.bench_function("window_record", |b| {

@@ -2,6 +2,17 @@
 //! shared warm [`SharedBrickLibrary`], the content-addressed response
 //! memo, per-endpoint latency accounting, and obs span adoption.
 //!
+//! Every telemetry name comes from the code. A call's method is looked
+//! up in the method table once, as the call enters; the row it finds
+//! (or none) is passed down to the memo key, dispatch, trace retention
+//! and the endpoint record. Latency is kept in one slot per table row
+//! plus one `unknown` slot for every other method, and in one histogram
+//! per fixed compile stage; the dispatch span and the retained trace
+//! take the row's name, or `unknown`. Request span trees fold into one
+//! service-wide [`Collector`], the same aggregate each thread collects
+//! into. So a client that invents method names costs a 404 each and no
+//! memory.
+//!
 //! A [`Service`] is what both the TCP server and in-process callers
 //! (tests, benches) talk to, which is how the smoke test can assert
 //! that a response that crossed the wire is byte-identical to a direct
@@ -24,12 +35,11 @@ use lim_brick::{
 };
 use lim_obs::json::{self, Value};
 use lim_obs::trace::{trace_json_line, Trace, TraceBuffer, TraceId, TraceScope};
-use lim_obs::{hist_json_line, window_json_line, Report, RollingWindow, SharedHistogram};
+use lim_obs::{hist_json_line, window_json_line, Collector, Histogram, Report, RollingWindow};
 use lim_tech::Technology;
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// Traces retained per set (N most recent + N slowest).
@@ -133,16 +143,55 @@ static METHODS: &[Method] = &[
     },
 ];
 
-fn lookup(method: &str) -> Option<&'static Method> {
-    METHODS.iter().find(|m| m.name == method)
+/// The label of every method outside [`METHODS`] in endpoint
+/// telemetry, spans and traces.
+const UNKNOWN: &str = "unknown";
+
+/// A method resolved against [`METHODS`]: its row's index, or
+/// `METHODS.len()` for any other name. It is also the method's slot in
+/// [`Service`]'s endpoint telemetry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Endpoint(usize);
+
+impl Endpoint {
+    fn of(method: &str) -> Endpoint {
+        Endpoint(
+            METHODS
+                .iter()
+                .position(|m| m.name == method)
+                .unwrap_or(METHODS.len()),
+        )
+    }
+
+    fn row(self) -> Option<&'static Method> {
+        METHODS.get(self.0)
+    }
+
+    /// The row's name, or [`UNKNOWN`].
+    fn name(self) -> &'static str {
+        self.row().map_or(UNKNOWN, |m| m.name)
+    }
 }
 
 /// The response-memo key of a request the memo may answer: a `memo`
 /// method without `"nocache":true`.
-fn memo_key(method: &str, params: &Value) -> Option<u64> {
-    let memo = lookup(method).is_some_and(|m| m.memo);
-    (memo && params.get("nocache") != Some(&Value::Bool(true))).then(|| cache_key(method, params))
+fn memo_key(endpoint: Endpoint, params: &Value) -> Option<u64> {
+    let m = endpoint.row().filter(|m| m.memo)?;
+    (params.get("nocache") != Some(&Value::Bool(true))).then(|| cache_key(m.name, params))
 }
+
+/// The compile stages whose latency `server.stats` reports.
+const STAGES: [&str; 9] = [
+    "flow.clock_tree",
+    "flow.floorplan",
+    "flow.place",
+    "flow.power",
+    "flow.route",
+    "flow.sta",
+    "rtl.infer",
+    "rtl.lower",
+    "rtl.parse",
+];
 
 /// Tuning knobs shared by the service and the server front end.
 #[derive(Debug, Clone)]
@@ -173,20 +222,16 @@ impl Default for ServeConfig {
     }
 }
 
-/// Latency telemetry for one endpoint (or flow stage): the lifetime
-/// histogram, the rolling 1 m / 5 m windows, and an error counter. The
-/// registry hands out `Arc`s so recording happens outside the map lock
-/// — the lifetime record path is the lock-free sharded histogram.
+/// Latency telemetry for one endpoint: the rolling 1 m / 5 m windows
+/// with the lifetime histogram inside them, and an error counter.
 #[derive(Debug, Default)]
 struct EndpointTelemetry {
     errors: AtomicU64,
-    lifetime: SharedHistogram,
     window: RollingWindow,
 }
 
 impl EndpointTelemetry {
     fn record(&self, d: Duration, error: bool) {
-        self.lifetime.record(d);
         self.window.record(d);
         if error {
             self.errors.fetch_add(1, Ordering::Relaxed);
@@ -222,12 +267,14 @@ pub struct Service {
     cache: Mutex<ResponseCache>,
     /// Persistent tier under the memo; `None` when no cache dir is set.
     disk: Option<Arc<DiskCache>>,
-    endpoints: Mutex<BTreeMap<String, Arc<EndpointTelemetry>>>,
-    /// Per-flow-stage latency (`flow.floorplan`, `flow.place`, ...),
-    /// fed from each `flow.run`'s per-stage `FlowStats` timings.
-    stages: Mutex<BTreeMap<String, Arc<EndpointTelemetry>>>,
+    /// One slot per [`METHODS`] row plus the `unknown` slot, indexed
+    /// by [`Endpoint`], each made on its endpoint's first request.
+    endpoints: Box<[OnceLock<EndpointTelemetry>]>,
+    /// Lifetime latency per [`STAGES`] entry, fed from each compile's
+    /// own stage timings.
+    stages: [Mutex<Histogram>; STAGES.len()],
     traces: TraceBuffer,
-    obs: Mutex<Report>,
+    obs: Mutex<Collector>,
     requests: AtomicU64,
     golden_batches: AtomicU64,
     golden_sims: AtomicU64,
@@ -256,15 +303,10 @@ impl Service {
             library: SharedBrickLibrary::default(),
             cache: Mutex::new(ResponseCache::new(config.cache_bytes)),
             disk,
-            endpoints: Mutex::new(BTreeMap::new()),
-            stages: Mutex::new(BTreeMap::new()),
+            endpoints: (0..=METHODS.len()).map(|_| OnceLock::new()).collect(),
+            stages: std::array::from_fn(|_| Mutex::new(Histogram::new())),
             traces: TraceBuffer::new(TRACE_RETAIN),
-            obs: Mutex::new(Report {
-                source: "lim-serve".into(),
-                spans: Vec::new(),
-                counters: Vec::new(),
-                gauges: Vec::new(),
-            }),
+            obs: Mutex::new(Collector::default()),
             requests: AtomicU64::new(0),
             golden_batches: AtomicU64::new(0),
             golden_sims: AtomicU64::new(0),
@@ -324,6 +366,7 @@ impl Service {
         trace: Option<TraceId>,
     ) -> (Deferred, Vec<PendingWrite>) {
         self.requests.fetch_add(1, Ordering::Relaxed);
+        let endpoint = Endpoint::of(method);
         let id = trace.unwrap_or_else(TraceId::mint);
         let sw = lim_obs::Stopwatch::start();
         let mut writes = Vec::new();
@@ -331,22 +374,26 @@ impl Service {
             let _trace = TraceScope::enter(id);
             let _rq = lim_obs::Span::enter("serve.request");
             lim_obs::counter_add("serve.requests", 1);
-            self.call_cached(method, params, &mut writes)
+            self.call_cached(endpoint, method, params, &mut writes)
         };
         let elapsed = sw.elapsed();
         if lim_obs::enabled() {
             let thread_report = Report::capture();
-            if lookup(method).is_none_or(|m| m.traced) {
-                self.traces
-                    .push(Trace::from_report(id, method, elapsed, &thread_report));
+            if endpoint.row().is_none_or(|m| m.traced) {
+                self.traces.push(Trace::from_report(
+                    id,
+                    endpoint.name(),
+                    elapsed,
+                    &thread_report,
+                ));
             }
             self.obs
                 .lock()
                 .expect("obs report lock poisoned")
-                .merge(&thread_report);
+                .absorb(&thread_report);
             lim_obs::reset();
         }
-        self.record_endpoint(method, elapsed, result.is_err());
+        self.record_endpoint(endpoint, elapsed, result.is_err());
         let out = Deferred {
             result,
             cached,
@@ -361,19 +408,23 @@ impl Service {
     /// to measure the compute path). Disk entries go to `writes`.
     fn call_cached(
         &self,
+        endpoint: Endpoint,
         method: &str,
         params: &Value,
         writes: &mut Vec<PendingWrite>,
     ) -> (Result<Arc<String>, ServeError>, bool) {
-        let Some(key) = memo_key(method, params) else {
-            return (self.dispatch(method, params, writes).map(Arc::new), false);
+        let Some(key) = memo_key(endpoint, params) else {
+            let result = self.dispatch(endpoint, method, params, writes);
+            return (result.map(Arc::new), false);
         };
         if let Some(hit) = self.memo_lookup(key) {
             return (Ok(hit), true);
         }
-        let result = self.dispatch(method, params, writes).map(Arc::new);
+        let result = self
+            .dispatch(endpoint, method, params, writes)
+            .map(Arc::new);
         if let Ok(rendered) = &result {
-            self.memo_store(key, method, rendered, writes);
+            self.memo_store(key, endpoint.name(), rendered, writes);
         }
         (result, false)
     }
@@ -433,7 +484,11 @@ impl Service {
     /// memo right now. No side effects: recency and hit/miss accounting
     /// stay untouched and the persistent tier is not probed.
     pub fn memo_probe(&self, method: &str, params: &Value) -> bool {
-        memo_key(method, params).is_some_and(|key| {
+        self.memo_holds(Endpoint::of(method), params)
+    }
+
+    fn memo_holds(&self, endpoint: Endpoint, params: &Value) -> bool {
+        memo_key(endpoint, params).is_some_and(|key| {
             self.cache
                 .lock()
                 .expect("response cache lock poisoned")
@@ -441,47 +496,65 @@ impl Service {
         })
     }
 
+    /// Runs the row's handler under a span named for the row; `method`
+    /// is only quoted back in the 404 of a method the table lacks.
     fn dispatch(
         &self,
+        endpoint: Endpoint,
         method: &str,
         params: &Value,
         writes: &mut Vec<PendingWrite>,
     ) -> Result<String, ServeError> {
-        let _span = lim_obs::Span::enter(method);
-        match lookup(method) {
+        let _span = lim_obs::Span::enter(endpoint.name());
+        match endpoint.row() {
             Some(m) => (m.handler)(self, params, writes),
             None => Err(ServeError::unknown_method(method)),
         }
     }
 
-    /// Records one sample into a telemetry registry: a short map lock to
-    /// fetch (or create) the endpoint's `Arc`, then lock-free recording.
-    fn record_into(
-        registry: &Mutex<BTreeMap<String, Arc<EndpointTelemetry>>>,
-        name: &str,
-        d: Duration,
-        error: bool,
-    ) {
-        let stat = {
-            let mut map = registry.lock().expect("telemetry registry lock poisoned");
-            match map.get(name) {
-                Some(stat) => Arc::clone(stat),
-                None => {
-                    let stat = Arc::new(EndpointTelemetry::default());
-                    map.insert(name.to_owned(), Arc::clone(&stat));
-                    stat
-                }
-            }
-        };
-        stat.record(d, error);
-    }
-
-    fn record_endpoint(&self, method: &str, d: Duration, error: bool) {
-        Self::record_into(&self.endpoints, method, d, error);
+    fn record_endpoint(&self, endpoint: Endpoint, d: Duration, error: bool) {
+        self.endpoints[endpoint.0]
+            .get_or_init(EndpointTelemetry::default)
+            .record(d, error);
     }
 
     fn record_stage(&self, stage: &str, d: Duration) {
-        Self::record_into(&self.stages, stage, d, false);
+        let i = STAGES
+            .iter()
+            .position(|&s| s == stage)
+            .expect("every recorded stage is listed in STAGES");
+        self.stages[i]
+            .lock()
+            .expect("stage histogram lock poisoned")
+            .record(d);
+    }
+
+    /// The endpoint slots that have seen a request, in name order.
+    fn endpoint_slots(&self) -> Vec<(&'static str, &EndpointTelemetry)> {
+        let mut slots: Vec<_> = self
+            .endpoints
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| slot.get().map(|t| (Endpoint(i).name(), t)))
+            .collect();
+        slots.sort_unstable_by_key(|&(name, _)| name);
+        slots
+    }
+
+    /// Snapshots of the stage histograms that have seen a sample, in
+    /// name order.
+    fn stage_slots(&self) -> Vec<(&'static str, Histogram)> {
+        let mut slots: Vec<_> = STAGES
+            .iter()
+            .zip(&self.stages)
+            .map(|(&name, h)| {
+                let h = h.lock().expect("stage histogram lock poisoned");
+                (name, h.clone())
+            })
+            .filter(|(_, h)| h.count() > 0)
+            .collect();
+        slots.sort_unstable_by_key(|&(name, _)| name);
+        slots
     }
 
     fn spec_of(&self, params: &Value) -> Result<(BrickSpec, usize), ServeError> {
@@ -815,25 +888,27 @@ impl Service {
         // solved together: the whole sub-batch becomes one golden batch,
         // its sims advancing four to a lockstep panel. Everything else
         // fans out entry-by-entry.
+        let golden = Endpoint::of("golden.compare");
         let mut slots: Vec<Option<String>> = vec![None; jobs.len()];
         let mut goldens: Vec<(usize, BrickSpec, usize, Option<u64>)> = Vec::new();
-        let mut others: Vec<(usize, String, Value)> = Vec::new();
+        let mut others: Vec<(usize, Endpoint, String, Value)> = Vec::new();
         for (i, (method, params)) in jobs.into_iter().enumerate() {
-            if method != "golden.compare" {
-                others.push((i, method, params));
+            let endpoint = Endpoint::of(&method);
+            if endpoint != golden {
+                others.push((i, endpoint, method, params));
                 continue;
             }
             let sw = lim_obs::Stopwatch::start();
             match self.spec_of(&params) {
                 Err(e) => {
-                    self.record_endpoint(&method, sw.elapsed(), true);
+                    self.record_endpoint(golden, sw.elapsed(), true);
                     slots[i] = Some(entry_err(&e));
                 }
                 Ok((spec, stack)) => {
-                    let key = memo_key(&method, &params);
+                    let key = memo_key(golden, &params);
                     match key.and_then(|key| self.memo_lookup(key)) {
                         Some(hit) => {
-                            self.record_endpoint(&method, sw.elapsed(), false);
+                            self.record_endpoint(golden, sw.elapsed(), false);
                             slots[i] = Some(entry_ok(true, &hit));
                         }
                         None => goldens.push((i, spec, stack, key)),
@@ -854,7 +929,7 @@ impl Service {
             // mean share of it.
             let share = sw.elapsed() / goldens.len() as u32;
             for ((i, spec, stack, key), res) in goldens.iter().zip(report.results) {
-                self.record_endpoint("golden.compare", share, res.is_err());
+                self.record_endpoint(golden, share, res.is_err());
                 slots[*i] = Some(match res {
                     Ok(cmp) => {
                         let rendered = Arc::new(render_golden(spec, *stack, &cmp));
@@ -867,11 +942,11 @@ impl Service {
                 });
             }
         }
-        let other_results = lim_par::par_map(others, |(i, method, params)| {
+        let other_results = lim_par::par_map(others, |(i, endpoint, method, params)| {
             let sw = lim_obs::Stopwatch::start();
             let mut entry_writes = Vec::new();
-            let (result, cached) = self.call_cached(&method, &params, &mut entry_writes);
-            self.record_endpoint(&method, sw.elapsed(), result.is_err());
+            let (result, cached) = self.call_cached(endpoint, &method, &params, &mut entry_writes);
+            self.record_endpoint(endpoint, sw.elapsed(), result.is_err());
             let rendered = match result {
                 Ok(rendered) => entry_ok(cached, &rendered),
                 Err(e) => entry_err(&e),
@@ -932,22 +1007,16 @@ impl Service {
         let mut lines = String::from(
             "{\"type\":\"meta\",\"schema\":\"lim-obs-v1\",\"source\":\"lim-serve\"}\n",
         );
-        let snapshot = |registry: &Mutex<BTreeMap<String, Arc<EndpointTelemetry>>>| {
-            let map = registry.lock().expect("telemetry registry lock poisoned");
-            map.iter()
-                .map(|(name, t)| (name.clone(), Arc::clone(t)))
-                .collect::<Vec<_>>()
-        };
-        for (name, t) in snapshot(&self.endpoints) {
-            lines.push_str(&hist_json_line(&name, &t.lifetime.merged().summary()));
+        for (name, t) in self.endpoint_slots() {
+            lines.push_str(&hist_json_line(name, &t.window.lifetime().summary()));
             lines.push('\n');
             for (secs, summary) in t.window.summaries() {
-                lines.push_str(&window_json_line(&name, secs, &summary));
+                lines.push_str(&window_json_line(name, secs, &summary));
                 lines.push('\n');
             }
         }
-        for (name, t) in snapshot(&self.stages) {
-            lines.push_str(&hist_json_line(&name, &t.lifetime.merged().summary()));
+        for (name, h) in self.stage_slots() {
+            lines.push_str(&hist_json_line(name, &h.summary()));
             lines.push('\n');
         }
         let mut seen = Vec::new();
@@ -1022,9 +1091,23 @@ impl Service {
                 }),
             ),
         ]);
-        let endpoints_v = telemetry_value(&self.endpoints, true);
-        let stages_v = telemetry_value(&self.stages, false);
-        let report = self.obs.lock().expect("obs report lock poisoned");
+        let endpoints_v = Value::Object(
+            self.endpoint_slots()
+                .into_iter()
+                .map(|(name, t)| {
+                    let errors = t.errors.load(Ordering::Relaxed);
+                    let latency = latency_value(&t.window.lifetime(), errors, Some(&t.window));
+                    (name.to_owned(), latency)
+                })
+                .collect(),
+        );
+        let stages_v = Value::Object(
+            self.stage_slots()
+                .into_iter()
+                .map(|(name, h)| (name.to_owned(), latency_value(&h, 0, None)))
+                .collect(),
+        );
+        let report = self.obs_report();
         let obs_v = obj(vec![
             (
                 "counters",
@@ -1063,7 +1146,6 @@ impl Service {
                 ),
             ),
         ]);
-        drop(report);
         obj(vec![
             ("requests", num(self.request_count() as f64)),
             ("cache", cache_v),
@@ -1083,36 +1165,13 @@ impl Service {
         ])
     }
 
-    /// A clone of the merged obs report adopted from request threads.
+    /// The service-wide obs report: every request thread's spans,
+    /// counters and gauges, absorbed into one aggregate.
     pub fn obs_report(&self) -> Report {
-        self.obs.lock().expect("obs report lock poisoned").clone()
-    }
-
-    /// Records a gauge directly on the merged service report; the TCP
-    /// front end uses this to expose live in-flight/shed figures.
-    pub fn set_gauge(&self, name: &str, value: f64) {
-        let mut report = self.obs.lock().expect("obs report lock poisoned");
-        match report.gauges.iter_mut().find(|(n, _)| n == name) {
-            Some((_, v)) => *v = value,
-            None => {
-                report.gauges.push((name.to_owned(), value));
-                report.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-            }
-        }
-    }
-
-    /// Records a lifetime counter directly on the merged service report;
-    /// the TCP front end uses this for connection accounting
-    /// (accepted/closed/timed-out totals).
-    pub fn set_counter(&self, name: &str, value: u64) {
-        let mut report = self.obs.lock().expect("obs report lock poisoned");
-        match report.counters.iter_mut().find(|(n, _)| n == name) {
-            Some((_, v)) => *v = value,
-            None => {
-                report.counters.push((name.to_owned(), value));
-                report.counters.sort_by(|a, b| a.0.cmp(&b.0));
-            }
-        }
+        self.obs
+            .lock()
+            .expect("obs report lock poisoned")
+            .report("lim-serve")
     }
 }
 
@@ -1132,7 +1191,8 @@ impl Backend for Service {
     /// An `inline` method, or a probable memo hit: cheaper to answer
     /// on the event thread than to hand to a worker.
     fn runs_inline(&self, rq: &Request) -> bool {
-        lookup(&rq.method).is_some_and(|m| m.inline) || self.memo_probe(&rq.method, &rq.params)
+        let endpoint = Endpoint::of(&rq.method);
+        endpoint.row().is_some_and(|m| m.inline) || self.memo_holds(endpoint, &rq.params)
     }
 
     /// The reply frame is the one copy of the result on its way out:
@@ -1168,12 +1228,15 @@ impl Backend for Service {
 /// counters.
 fn shard_stats(service: &Service, shared: &ServerShared) -> Value {
     let (open, accepted, closed, timed_out) = shared.conns.snapshot();
-    service.set_gauge("serve.in_flight", shared.gate.in_flight() as f64);
-    service.set_gauge("serve.shed", shared.gate.shed_count() as f64);
-    service.set_gauge("serve.conns_open", open as f64);
-    service.set_counter("serve.conns_accepted", accepted);
-    service.set_counter("serve.conns_closed", closed);
-    service.set_counter("serve.conns_timed_out", timed_out);
+    {
+        let mut obs = service.obs.lock().expect("obs report lock poisoned");
+        obs.set_gauge("serve.in_flight", shared.gate.in_flight() as f64);
+        obs.set_gauge("serve.shed", shared.gate.shed_count() as f64);
+        obs.set_gauge("serve.conns_open", open as f64);
+        obs.set_counter("serve.conns_accepted", accepted);
+        obs.set_counter("serve.conns_closed", closed);
+        obs.set_counter("serve.conns_timed_out", timed_out);
+    }
     let mut members = shared.stats_members(true);
     if let Value::Object(service_members) = service.stats_value() {
         members.extend(service_members);
@@ -1195,54 +1258,35 @@ fn us(ns: u64) -> f64 {
     ns as f64 / 1_000.0
 }
 
-/// Renders one telemetry registry for `server.stats`: per entry the
-/// lifetime count/errors/mean/max plus p50/p90/p99, and (for endpoints)
-/// a `last1m`/`last5m` window pair so "slow now" and "slow ever" are
+/// Renders one latency entry for `server.stats`: the lifetime
+/// count/errors/mean/max plus p50/p90/p99, and (for endpoints) a
+/// `last1m`/`last5m` window pair so "slow now" and "slow ever" are
 /// separately visible.
-fn telemetry_value(
-    registry: &Mutex<BTreeMap<String, Arc<EndpointTelemetry>>>,
-    windows: bool,
-) -> Value {
-    let map = registry.lock().expect("telemetry registry lock poisoned");
-    let entries: Vec<(String, Arc<EndpointTelemetry>)> = map
-        .iter()
-        .map(|(name, t)| (name.clone(), Arc::clone(t)))
-        .collect();
-    drop(map);
-    Value::Object(
-        entries
-            .into_iter()
-            .map(|(name, t)| {
-                let lifetime = t.lifetime.merged();
-                let s = lifetime.summary();
-                let mut members = vec![
-                    ("count", num(s.count as f64)),
-                    ("errors", num(t.errors.load(Ordering::Relaxed) as f64)),
-                    ("mean_us", num(lifetime.mean_ns() / 1_000.0)),
-                    ("max_us", num(us(s.max_ns))),
-                    ("p50_us", num(us(s.p50_ns))),
-                    ("p90_us", num(us(s.p90_ns))),
-                    ("p99_us", num(us(s.p99_ns))),
-                ];
-                if windows {
-                    for (secs, w) in t.window.summaries() {
-                        let label = if secs == 60 { "last1m" } else { "last5m" };
-                        members.push((
-                            label,
-                            obj(vec![
-                                ("count", num(w.count as f64)),
-                                ("p50_us", num(us(w.p50_ns))),
-                                ("p90_us", num(us(w.p90_ns))),
-                                ("p99_us", num(us(w.p99_ns))),
-                                ("max_us", num(us(w.max_ns))),
-                            ]),
-                        ));
-                    }
-                }
-                (name, obj(members))
-            })
-            .collect(),
-    )
+fn latency_value(lifetime: &Histogram, errors: u64, window: Option<&RollingWindow>) -> Value {
+    let s = lifetime.summary();
+    let mut members = vec![
+        ("count", num(s.count as f64)),
+        ("errors", num(errors as f64)),
+        ("mean_us", num(lifetime.mean_ns() / 1_000.0)),
+        ("max_us", num(us(s.max_ns))),
+        ("p50_us", num(us(s.p50_ns))),
+        ("p90_us", num(us(s.p90_ns))),
+        ("p99_us", num(us(s.p99_ns))),
+    ];
+    for (secs, w) in window.map(RollingWindow::summaries).unwrap_or_default() {
+        let label = if secs == 60 { "last1m" } else { "last5m" };
+        members.push((
+            label,
+            obj(vec![
+                ("count", num(w.count as f64)),
+                ("p50_us", num(us(w.p50_ns))),
+                ("p90_us", num(us(w.p90_ns))),
+                ("p99_us", num(us(w.p99_ns))),
+                ("max_us", num(us(w.max_ns))),
+            ]),
+        ));
+    }
+    obj(members)
 }
 
 /// Wraps a rendered handler reply as one batch-entry object.
@@ -1947,6 +1991,139 @@ endmodule
                 m.name
             );
         }
+    }
+
+    #[test]
+    fn client_chosen_names_never_become_telemetry_keys() {
+        let _obs = OBS_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
+        let svc = Service::new(&ServeConfig::default());
+        lim_obs::set_enabled(true);
+        lim_obs::reset();
+        let empty = params("{}");
+        let unknown = |i: usize| {
+            let out = svc.call(&format!("made.up.{i}"), &empty);
+            assert_eq!(
+                out.result.unwrap_err().code,
+                ERR_UNKNOWN_METHOD,
+                "made.up.{i}"
+            );
+        };
+        // A one-memory module whose module and array names are new each
+        // time; returns the plan the reply reports.
+        let infer = |k: usize, addr: usize, width: usize| -> Value {
+            let src = format!(
+                "module m{k} (input wire clk, input wire we, \
+                 input wire [{a}:0] waddr, input wire [{a}:0] raddr, \
+                 input wire [{w}:0] din, output reg [{w}:0] dout);\n\
+                 reg [{w}:0] array_{k} [{d}:0];\n\
+                 always @(posedge clk) begin\n\
+                 if (we) array_{k}[waddr] <= din;\n\
+                 dout <= array_{k}[raddr];\nend\nendmodule\n",
+                a = addr - 1,
+                w = width - 1,
+                d = (1 << addr) - 1,
+            );
+            let p = Value::Object(vec![("source".to_owned(), Value::String(src))]);
+            let reply = Value::parse(&svc.call("rtl.infer", &p).result.unwrap()).unwrap();
+            reply.get("memories").and_then(Value::as_array).unwrap()[0].clone()
+        };
+        let sizes = || {
+            let r = svc.obs_report();
+            (r.spans.len(), r.gauges.len())
+        };
+        unknown(0);
+        infer(0, 4, 8);
+        let first = sizes();
+        for i in 1..2000 {
+            unknown(i);
+        }
+        let mut last = Value::Null;
+        for (k, addr, width) in [(1, 5, 10), (2, 6, 6), (3, 7, 4)] {
+            last = infer(k, addr, width);
+        }
+        assert_eq!(sizes(), first, "spans and gauges grew with client names");
+        let spans_before = svc.obs_report().spans;
+        let entries: Vec<String> = (2000..2200)
+            .map(|i| format!("{{\"method\":\"made.up.{i}\"}}"))
+            .collect();
+        let batch = format!("{{\"requests\":[{}]}}", entries.join(","));
+        let reply = Value::parse(&svc.call("batch", &params(&batch)).result.unwrap()).unwrap();
+        let results = reply.get("results").and_then(Value::as_array).unwrap();
+        assert_eq!(results.len(), 200);
+        for r in results {
+            let code = r
+                .get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Value::as_f64);
+            assert_eq!(code, Some(f64::from(ERR_UNKNOWN_METHOD)), "{r:?}");
+        }
+        // The batch adds its own code-named rows and nothing per entry.
+        let report = svc.obs_report();
+        let added: Vec<&str> = report
+            .spans
+            .iter()
+            .map(|row| row.path.as_str())
+            .filter(|path| spans_before.iter().all(|row| row.path != *path))
+            .collect();
+        assert_eq!(
+            added,
+            ["serve.request/batch", "serve.request/batch/unknown"]
+        );
+        for name in report
+            .counters
+            .iter()
+            .map(|c| &c.0)
+            .chain(report.gauges.iter().map(|g| &g.0))
+        {
+            assert!(
+                !name.contains("made.up") && !name.contains("array_"),
+                "{name}"
+            );
+        }
+        // The fixed per-memory gauges hold the last memory placed.
+        for key in ["words", "bits", "brick_words", "stack"] {
+            assert_eq!(
+                report.gauge(&format!("rtl.infer.{key}")),
+                last.get(key).and_then(Value::as_f64),
+                "rtl.infer.{key}"
+            );
+        }
+        assert_eq!(report.gauge("rtl.infer.words"), Some(128.0));
+
+        let stats = svc.stats_value();
+        let Some(Value::Object(endpoints)) = stats.get("endpoints") else {
+            panic!("no endpoints in {stats:?}");
+        };
+        for (name, _) in endpoints {
+            assert!(
+                name == UNKNOWN || METHODS.iter().any(|m| m.name == name),
+                "endpoint key {name:?}"
+            );
+        }
+        let unknown_v = stats.get("endpoints").and_then(|e| e.get(UNKNOWN)).unwrap();
+        for member in ["count", "errors"] {
+            assert_eq!(
+                unknown_v.get(member).and_then(Value::as_f64),
+                Some(2200.0),
+                "{member}"
+            );
+        }
+        for order in ["recent", "slowest"] {
+            let q = format!("{{\"order\":\"{order}\",\"n\":{TRACE_RETAIN}}}");
+            let traces =
+                Value::parse(&svc.call("server.trace", &params(&q)).result.unwrap()).unwrap();
+            let traces = traces.get("traces").and_then(Value::as_array).unwrap();
+            assert!(!traces.is_empty());
+            for t in traces {
+                let method = t.get("method").and_then(Value::as_str).unwrap();
+                assert!(
+                    method == UNKNOWN || METHODS.iter().any(|m| m.name == method),
+                    "trace method {method:?}"
+                );
+            }
+        }
+        lim_obs::set_enabled(false);
+        lim_obs::reset();
     }
 
     #[test]

@@ -133,6 +133,19 @@ echo "$stats" | grep -q '"last1m"' \
 client --method server.trace --params '{"n":3,"order":"slowest"}' \
     | grep -q '"spans"' \
     || { echo "server.trace returned no retained traces" >&2; exit 1; }
+# A made-up method answers 404 and is counted under `unknown`: the name
+# a client picks never becomes a telemetry key. lim-client exits
+# nonzero on the error reply, so capture it without tripping set -e.
+made_up=$(client --method tier1.made.up.method) && made_up_rc=0 || made_up_rc=$?
+[[ "$made_up_rc" -ne 0 ]] && echo "$made_up" | grep -q '"code":404' \
+    || { echo "made-up method did not answer 404: $made_up" >&2; exit 1; }
+stats=$(client --method server.stats)
+echo "$stats" | grep -q '"unknown":{' \
+    || { echo "server.stats lists no unknown endpoint" >&2; exit 1; }
+if echo "$stats" | grep -q 'tier1.made.up.method'; then
+    echo "server.stats holds a client-chosen method name" >&2
+    exit 1
+fi
 client --telemetry-export /tmp/tier1_telemetry.json --quiet
 grep -q '"type":"trace"' /tmp/tier1_telemetry.json \
     || { echo "telemetry export retained no traces" >&2; exit 1; }

@@ -2,13 +2,13 @@
 //! enabled must emit the documented stage-span tree (floorplan, place,
 //! route, STA, power under `physical`) with nonzero counters, the
 //! captured report must serialize to schema-valid `lim-obs-v1` JSON
-//! lines, the telemetry histogram must merge to identical bucket
-//! counts regardless of how many workers recorded into it, and the
-//! serve layer's connection accounting must balance.
+//! lines, a rolling window's lifetime histogram must hold identical
+//! bucket counts regardless of how many workers recorded into it, and
+//! the serve layer's connection accounting must balance.
 
 use lim::flow::LimFlow;
 use lim::sram::SramConfig;
-use lim_obs::{Histogram, Report, SharedHistogram};
+use lim_obs::{Histogram, Report, RollingWindow};
 
 /// Serializes tests that mutate `LIM_PAR_THREADS`: the process
 /// environment is global, so concurrent test threads would race (same
@@ -66,28 +66,30 @@ fn full_flow_emits_stage_span_tree_and_counters() {
 }
 
 #[test]
-fn shared_histogram_buckets_are_identical_across_worker_counts() {
+fn window_lifetime_buckets_are_identical_across_worker_counts() {
     // The determinism contract for telemetry: bucket counts are a pure
-    // function of the recorded values, never of which thread shard
-    // received them or in what order. Record the same latency set under
-    // 1 worker and 4 workers and demand identical merged histograms.
+    // function of the recorded values, never of which thread recorded
+    // them or in what order. Record the same latency set under 1 worker
+    // and 4 workers and demand identical lifetime histograms.
     let _env = ENV_LOCK.lock().unwrap();
     let inputs: Vec<u64> = (0..4096u64)
         .map(|i| (i.wrapping_mul(0x9e37_79b9_7f4a_7c15)) >> 44)
         .collect();
     let run = |threads: &str| -> Histogram {
         std::env::set_var(lim_par::ENV_THREADS, threads);
-        let shared = SharedHistogram::new();
-        lim_par::par_map(inputs.clone(), |ns| shared.record_ns(ns));
+        let window = RollingWindow::new();
+        lim_par::par_map(inputs.clone(), |ns| {
+            window.record(std::time::Duration::from_nanos(ns));
+        });
         std::env::remove_var(lim_par::ENV_THREADS);
-        shared.merged()
+        window.lifetime()
     };
     let one = run("1");
     let four = run("4");
     assert_eq!(
         one.buckets().as_slice(),
         four.buckets().as_slice(),
-        "merged bucket counts must not depend on the worker count"
+        "lifetime bucket counts must not depend on the worker count"
     );
     assert_eq!(one.count(), 4096);
     assert_eq!(one.count(), four.count());
