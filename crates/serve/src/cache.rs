@@ -92,9 +92,9 @@ impl ResponseCache {
     }
 
     /// True when `key` is resident, with no side effects: recency,
-    /// hit and miss accounting are all untouched. The poll loop uses
-    /// this to decide whether a request is a probable memo hit worth
-    /// running inline on the event thread.
+    /// hit and miss accounting are all untouched. A shard uses this to
+    /// decide whether a request is a memo hit worth answering on the
+    /// event thread.
     pub fn contains(&self, key: u64) -> bool {
         self.map.contains_key(&key)
     }

@@ -14,13 +14,15 @@
 //!   `batch`, …) over a process-wide [`lim_brick::SharedBrickLibrary`],
 //!   a content-addressed LRU response memo ([`cache`]), per-endpoint
 //!   latency accounting, and per-request obs span adoption.
-//! * [`gate`] — backpressure: a bounded in-flight gate; requests that
-//!   find it full are shed with an explicit 429-style error instead of
-//!   queueing.
+//! * [`gate`] — backpressure: a shard's bounded in-flight gate;
+//!   requests that find it full are shed with an explicit 429-style
+//!   error instead of queueing.
 //! * [`server`] — the TCP front end and graceful drain. One `poll(2)`
-//!   event loop (one thread, a small worker pool) carries every
-//!   connection of a shard or a router, so thousands of idle clients
-//!   cost ~zero CPU. [`net`] holds the line framing shared by the loop
+//!   event loop carries every connection of a shard or a router, so
+//!   thousands of idle clients cost ~zero CPU. The loop asks its
+//!   backend once per request whether to answer on the event thread or
+//!   on a shard's small worker pool, and writes nothing to disk on the
+//!   event thread. [`net`] holds the line framing shared by the loop
 //!   and its clients. The front end is Linux-only.
 //! * [`disk`] — the persistent compile cache: responses and library
 //!   keys survive restarts, so a rebooted shard answers repeated

@@ -28,17 +28,27 @@
 //! in two, the second write of a small reply would wait out the peer's
 //! delayed ACK on a socket without `TCP_NODELAY`.
 //!
-//! # Inline fast path
+//! # One decision per request
 //!
-//! Cheap requests never leave the event thread: control methods and
-//! whatever the backend's `runs_inline` accepts (for a shard, the
-//! method table's inline methods and memo hits) are answered inline,
-//! so the common cached round trip never pays a thread handoff. An
-//! `inline_only` backend — the router, whose answer only builds a
-//! relay — answers everything inline and gets no worker pool. For the
-//! others, everything else is handed to the pool, sized
-//! `max_in_flight + 2` so the admission gate — not the pool — is what
-//! sheds load.
+//! The loop parses a line and asks the backend once what to do with
+//! it. The backend answers cheap requests now, on the event thread —
+//! for a shard, control methods, the method table's inline methods and
+//! memo hits — so the common cached round trip never pays a thread
+//! handoff. Anything else comes back as work for the pool, carrying
+//! what the backend worked out on the way; the worker admits and
+//! answers it. The pool size is given at bind: a shard's is
+//! `max_in_flight + 2`, so its admission gate — not the pool — is what
+//! sheds load, and the router, which answers everything now, has none.
+//!
+//! # Disk writes stay off the event thread
+//!
+//! A reply can carry disk entries to publish once it is sent. A worker
+//! sends its reply first and publishes after. A reply the event thread
+//! built is sent at once, and its entries go to a worker; that
+//! connection takes no further line until the worker has published
+//! them. So each `fsync` holds up only the client whose request wrote,
+//! and a client streaming cold requests is paced by the disk without
+//! queueing publishes it has outrun.
 //!
 //! # Relays
 //!
@@ -59,8 +69,9 @@
 //! Responses on one connection stay in request order: while a request
 //! is out with a worker or a relay the connection's buffered lines are
 //! not pumped, and completions append to the same outbound queue the
-//! inline path uses. At most one request per connection is in flight
-//! at a time (pipelined lines queue in the [`LineBuffer`]).
+//! event thread's own replies use. At most one request per connection
+//! is in flight at a time (pipelined lines queue in the
+//! [`LineBuffer`]).
 //!
 //! # Framing errors
 //!
@@ -74,14 +85,15 @@
 //!
 //! Shutdown stops accepting, lets busy requests finish, flushes every
 //! outbound queue (bounded by a grace deadline), closes and counts all
-//! connections, and joins the workers. A worker sends each reply
-//! before it publishes the request's disk entries, and finishes those
-//! publishes before its next job, so the join also leaves every
-//! answered request on disk.
+//! connections, and joins the workers. A worker finishes a job's
+//! publishes before its next job, and a worker takes every job queued
+//! before the pool closes, so the join also leaves every answered
+//! request on disk.
 
+use crate::disk::PendingWrite;
 use crate::net::LineBuffer;
 use crate::protocol::{error_line, Request, ServeError};
-use crate::server::{Answer, Gather, Relay, ServerShared};
+use crate::server::{Answer, Gather, Relay, ServerShared, Work};
 use lim_obs::json::Value;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -149,18 +161,20 @@ fn poll_wait(fds: &mut [sys::PollFd], timeout: Duration) -> io::Result<usize> {
     }
 }
 
-/// A request and its raw line handed to the worker pool, tagged with
-/// the connection token its response belongs to.
-struct Job {
-    token: u64,
-    rq: Request,
-    line: String,
+/// A job for the pool, tagged with the token of the connection it
+/// belongs to.
+enum Job {
+    /// Answer a request the backend deferred, then publish its entries.
+    Work(u64, Request, Work),
+    /// Publish the entries of a reply the event thread already sent.
+    Publish(u64, Vec<PendingWrite>),
 }
 
 /// What worker and connect threads hand back to the event thread.
 enum Done {
-    /// A worker's answer for the connection with this token.
-    Answered(u64, Answer),
+    /// The connection with this token may take its next line, once
+    /// this reply line (if any) is queued.
+    Ready(u64, Option<String>),
     /// The connect attempt for this upstream slot finished.
     Connected(usize, io::Result<TcpStream>),
 }
@@ -260,7 +274,8 @@ struct Conn {
     stream: TcpStream,
     buf: LineBuffer,
     out: Outbox,
-    /// A request from this connection is out with a worker or a relay.
+    /// A request from this connection is out with a worker or a relay,
+    /// or its last reply's disk entries are still being published.
     busy: bool,
     eof: bool,
     /// Socket error or forced close: remove at the next sweep.
@@ -329,17 +344,20 @@ fn worker(
             Err(_) => return,
         };
         let Ok(job) = job else { return };
-        match shared.admit(&job.rq, &job.line) {
-            Answer::Reply(line, writes) => {
-                let reply = Answer::Reply(line, Vec::new());
-                post(&inbox, &mut wake, Done::Answered(job.token, reply));
+        match job {
+            Job::Work(token, rq, work) => {
+                let (line, writes) = work(&rq);
+                post(&inbox, &mut wake, Done::Ready(token, Some(line)));
                 // Reply first: the event thread sends the line while
                 // this worker writes and syncs the request's disk
                 // entries. The next job waits for them, so the pool
                 // join at drain leaves every answered request on disk.
                 shared.backend.publish(writes);
             }
-            relay => post(&inbox, &mut wake, Done::Answered(job.token, relay)),
+            Job::Publish(token, writes) => {
+                shared.backend.publish(writes);
+                post(&inbox, &mut wake, Done::Ready(token, None));
+            }
         }
     }
 }
@@ -593,21 +611,6 @@ fn flush(conn: &mut Conn) {
     }
 }
 
-/// Sends a reply (publishing its deferred disk entries after), or
-/// starts a relay that keeps the connection busy until it is built.
-fn respond(conn: &mut Conn, tok: u64, answer: Answer, shared: &ServerShared, relays: &mut Relays) {
-    match answer {
-        Answer::Reply(line, writes) => {
-            push_response(conn, line);
-            shared.backend.publish(writes);
-        }
-        Answer::Relay(relay) => {
-            conn.busy = true;
-            relays.start(tok, relay);
-        }
-    }
-}
-
 /// Drains readable bytes into the line buffer (or the void, in discard
 /// mode).
 fn read_into(conn: &mut Conn, now: Instant) {
@@ -676,39 +679,43 @@ fn handle_line(
             return;
         }
     };
-    if let Some(answer) = shared.backend.control(&rq, shared) {
-        respond(conn, tok, answer, shared, relays);
-        return;
-    }
-    if shared.backend.inline_only() || shared.backend.runs_inline(&rq) {
-        let answer = shared.admit(&rq, &line);
-        respond(conn, tok, answer, shared, relays);
-        return;
-    }
-    conn.busy = true;
-    if let Err(mpsc::SendError(job)) = jobs.send(Job {
-        token: tok,
-        rq,
-        line,
-    }) {
-        // Workers are gone (teardown race): shed instead of hanging.
-        conn.busy = false;
-        push_response(conn, error_line(&job.rq.id, &ServeError::overloaded()));
+    match shared.backend.serve(&rq, line, shared) {
+        Answer::Reply(line, writes) => {
+            push_response(conn, line);
+            // The entries are published on a worker while this
+            // connection waits. With no worker left (teardown race)
+            // they are dropped: the disk tier is an accelerator.
+            if !writes.is_empty() && jobs.send(Job::Publish(tok, writes)).is_ok() {
+                conn.busy = true;
+            }
+        }
+        Answer::Relay(relay) => {
+            conn.busy = true;
+            relays.start(tok, relay);
+        }
+        Answer::Work(work) => {
+            conn.busy = true;
+            if let Err(mpsc::SendError(Job::Work(_, rq, _))) = jobs.send(Job::Work(tok, rq, work)) {
+                // No worker left (teardown race, or a backend bound
+                // with no pool): shed instead of hanging.
+                conn.busy = false;
+                push_response(conn, error_line(&rq.id, &ServeError::overloaded()));
+            }
+        }
     }
 }
 
 /// Runs the event loop until shutdown, then drains. See the module
 /// docs for the life cycle.
-pub(crate) fn run(listener: TcpListener, shared: Arc<ServerShared>) -> io::Result<()> {
+pub(crate) fn run(
+    listener: TcpListener,
+    shared: Arc<ServerShared>,
+    worker_count: usize,
+) -> io::Result<()> {
     let (mut wake_rx, wake_tx) = wake_pair()?;
     let inbox: Inbox = Arc::new(Mutex::new(Vec::new()));
     let (job_tx, job_rx) = mpsc::channel::<Job>();
     let job_rx = Arc::new(Mutex::new(job_rx));
-    let worker_count = if shared.backend.inline_only() {
-        0
-    } else {
-        shared.gate.max_in_flight() + 2
-    };
     let mut workers: Vec<JoinHandle<()>> = Vec::with_capacity(worker_count);
     for _ in 0..worker_count {
         let jobs = Arc::clone(&job_rx);
@@ -717,6 +724,9 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<ServerShared>) -> io::Resul
         let shared = Arc::clone(&shared);
         workers.push(thread::spawn(move || worker(jobs, inbox, wake, shared)));
     }
+    // The workers hold the queue's receiving end: a job sent with none
+    // left fails at once instead of waiting forever.
+    drop(job_rx);
     let mut relays = Relays::new(Arc::clone(&inbox), wake_tx.try_clone()?);
 
     let mut conns: Vec<Option<Conn>> = Vec::new();
@@ -802,35 +812,34 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<ServerShared>) -> io::Resul
             }
             let inbound =
                 std::mem::take(&mut *inbox.lock().unwrap_or_else(PoisonError::into_inner));
-            let mut answers: Vec<(u64, Answer)> = Vec::new();
+            let mut ready: Vec<(u64, Option<String>)> = Vec::new();
             for done in inbound {
                 match done {
-                    Done::Answered(tok, answer) => answers.push((tok, answer)),
+                    Done::Ready(tok, line) => ready.push((tok, line)),
                     Done::Connected(u, stream) => relays.on_connected(u, stream),
                 }
             }
 
-            // Upstream readiness, then every finished answer and relay
-            // goes to its connection.
+            // Upstream readiness, then every finished reply, relay and
+            // publish goes to its connection.
             for (i, &u) in up_slots.iter().enumerate() {
                 let revents = fds[i + 2].revents;
                 if revents != 0 {
                     relays.on_ready(u, revents);
                 }
             }
-            answers.extend(
-                relays
-                    .finished
-                    .drain(..)
-                    .map(|(tok, line)| (tok, Answer::Reply(line, Vec::new()))),
-            );
-            for (tok, answer) in answers {
+            for (tok, line) in relays.finished.drain(..) {
+                ready.push((tok, Some(line)));
+            }
+            for (tok, line) in ready {
                 let slot = (tok >> 32) as usize;
                 let gen = tok as u32;
                 if let Some(Some(c)) = conns.get_mut(slot) {
                     if c.gen == gen {
                         c.busy = false;
-                        respond(c, tok, answer, &shared, &mut relays);
+                        if let Some(line) = line {
+                            push_response(c, line);
+                        }
                         pump(c, tok, &shared, &job_tx, &mut relays);
                     }
                 }
@@ -941,6 +950,9 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<ServerShared>) -> io::Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::{write_line, LineReader};
+    use crate::server::{Backend, Bound};
+    use std::path::PathBuf;
 
     /// A connected loopback pair: the nonblocking server side the loop
     /// would own, and a blocking client.
@@ -1002,5 +1014,64 @@ mod tests {
         let all = reader.join().unwrap();
         assert_eq!(all.len(), big.len() + "\ntail\n".len());
         assert!(all.ends_with(b"x\ntail\n"));
+    }
+
+    /// Answers every request on the event thread with one disk entry,
+    /// whose publish takes [`SlowDisk::PUBLISH`].
+    struct SlowDisk;
+
+    impl SlowDisk {
+        const PUBLISH: Duration = Duration::from_millis(300);
+    }
+
+    impl Backend for SlowDisk {
+        fn serve(&self, rq: &Request, _line: String, _server: &ServerShared) -> Answer {
+            let write = PendingWrite::LibKey {
+                dest: PathBuf::new(),
+                line: String::new(),
+            };
+            let line = crate::protocol::ok_line(&rq.id, false, "{}");
+            Answer::Reply(line, vec![write])
+        }
+
+        fn publish(&self, _writes: Vec<PendingWrite>) {
+            thread::sleep(SlowDisk::PUBLISH);
+        }
+    }
+
+    #[test]
+    fn an_event_thread_replys_disk_writes_hold_up_only_its_connection() {
+        let bound = Bound::new("127.0.0.1:0", Arc::new(SlowDisk), 2, None).unwrap();
+        let addr = bound.addr;
+        let handle = bound.spawn();
+        let connect = || {
+            let stream = TcpStream::connect(addr).unwrap();
+            let reader = LineReader::new(stream.try_clone().unwrap());
+            (stream, reader)
+        };
+        let ask = |(stream, reader): &mut (TcpStream, LineReader)| {
+            write_line(stream, "{\"id\":1,\"method\":\"m\"}").unwrap();
+            reader.read_line().unwrap().expect("a reply line")
+        };
+        let (mut writer, mut other) = (connect(), connect());
+        ask(&mut writer);
+        let replied = Instant::now();
+        // The reply is out and its entry is being published: another
+        // connection is answered meanwhile.
+        ask(&mut other);
+        let waited = replied.elapsed();
+        assert!(
+            waited < Duration::from_millis(100),
+            "another connection waited {waited:?} for the publish"
+        );
+        // The writer's own connection takes its next line only once its
+        // entry is published.
+        ask(&mut writer);
+        let waited = replied.elapsed();
+        assert!(
+            waited >= SlowDisk::PUBLISH - Duration::from_millis(50),
+            "the writer's next request ran after {waited:?}, before its publish"
+        );
+        handle.shutdown_and_join().unwrap();
     }
 }

@@ -16,13 +16,13 @@
 //! The router runs on the shard's own `poll(2)` event loop, as one more
 //! `Backend`, so it gets the shard's connection handling: the
 //! `connections` accounting, the 400 line before closing on an
-//! oversized line, and the drain. Every answer is a `Relay` built on
-//! the event thread; the loop carries it over pooled upstream
-//! connections, one request at a time each, without blocking (see
-//! `crate::poll`), and a scattered batch's sub-batches go out
-//! together. The router sheds nothing itself: its gate only ever holds
-//! the one permit of the answer being built, and the shards' own 429
-//! lines reach the client verbatim.
+//! oversized line, and the drain. Every answer is built on the event
+//! thread, so the router binds with no worker pool; all but its own
+//! `server.stats` are a `Relay`, which the loop carries over pooled
+//! upstream connections, one request at a time each, without blocking
+//! (see `crate::poll`), and a scattered batch's sub-batches go out
+//! together. The router sheds nothing itself: it has no admission
+//! gate, and the shards' own 429 lines reach the client verbatim.
 //!
 //! Known limits: client trace ids are not propagated through a
 //! *scattered* batch (they are through every other request, including
@@ -39,7 +39,6 @@
 //! router with its connection figures, shard addresses and forwarding
 //! counters rather than proxying one shard's view.
 
-use crate::gate::GatePermit;
 use crate::protocol::{cache_key, error_line, ok_line, Request, ServeError};
 use crate::ring::{route_key, HashRing};
 use crate::server::{Answer, Backend, Bound, Relay, ServerHandle, ServerShared};
@@ -92,9 +91,8 @@ impl Router {
             shards,
             counts: Arc::default(),
         };
-        // Every answer only builds a relay, on the event thread, so
-        // one permit at a time is all the gate ever holds.
-        let bound = Bound::new(addr, Arc::new(shared), 1, None)?;
+        // Every answer is built on the event thread: no worker pool.
+        let bound = Bound::new(addr, Arc::new(shared), 0, None)?;
         Ok(Router { bound })
     }
 
@@ -118,8 +116,10 @@ impl Router {
     }
 }
 
+/// Every request is answered now: `server.stats` from the router's own
+/// figures, everything else by a relay to the shards.
 impl Backend for RouterShared {
-    fn control(&self, rq: &Request, server: &ServerShared) -> Option<Answer> {
+    fn serve(&self, rq: &Request, line: String, server: &ServerShared) -> Answer {
         match rq.method.as_str() {
             "server.shutdown" => {
                 // Drain first, so a shard that never answers holds the
@@ -132,30 +132,20 @@ impl Backend for RouterShared {
                     .iter()
                     .map(|addr| (addr.clone(), line.to_owned()))
                     .collect();
-                Some(Answer::Relay(Relay {
+                Answer::Relay(Relay {
                     calls,
                     gather: Box::new(move |_| reply),
-                }))
+                })
             }
-            "server.stats" => Some(Answer::Reply(
+            "server.stats" => Answer::Reply(
                 ok_line(&rq.id, false, &json::render(&stats_value(self, server))),
                 Vec::new(),
-            )),
-            _ => None,
-        }
-    }
-
-    /// Building a relay is cheap; the shards do the work.
-    fn inline_only(&self) -> bool {
-        true
-    }
-
-    fn answer(&self, rq: &Request, line: &str, _permit: GatePermit<'_>) -> Answer {
-        if rq.method == "batch" {
-            scatter_batch(line, rq, self)
-        } else {
-            let shard = self.ring.shard_for(route_key(&rq.method, &rq.params));
-            forward(shard, line, rq, self)
+            ),
+            "batch" => scatter_batch(line, rq, self),
+            _ => {
+                let shard = self.ring.shard_for(route_key(&rq.method, &rq.params));
+                forward(shard, line, rq, self)
+            }
         }
     }
 }
@@ -174,12 +164,12 @@ fn shard_reply(
 }
 
 /// Forwards `line` verbatim to `shard` and relays its reply.
-fn forward(shard: usize, line: &str, rq: &Request, shared: &RouterShared) -> Answer {
+fn forward(shard: usize, line: String, rq: &Request, shared: &RouterShared) -> Answer {
     shared.counts.forwarded.fetch_add(1, Ordering::Relaxed);
     let addr = shared.shards[shard].clone();
     let (id, counts) = (rq.id.clone(), Arc::clone(&shared.counts));
     Answer::Relay(Relay {
-        calls: vec![(addr.clone(), line.to_owned())],
+        calls: vec![(addr.clone(), line)],
         gather: Box::new(move |replies| {
             let reply = replies.into_iter().next().expect("one call");
             shard_reply(&counts, &addr, reply).unwrap_or_else(|e| error_line(&id, &e))
@@ -196,7 +186,7 @@ fn forward(shard: usize, line: &str, rq: &Request, shared: &RouterShared) -> Ans
 /// canonical ones. A batch whose entries all route to one shard is
 /// likewise forwarded verbatim — that path also preserves trace
 /// propagation and whole-batch memo behavior exactly.
-fn scatter_batch(line: &str, rq: &Request, shared: &RouterShared) -> Answer {
+fn scatter_batch(line: String, rq: &Request, shared: &RouterShared) -> Answer {
     let fallback_shard = shared.ring.shard_for(cache_key("batch", &rq.params));
     let forward_whole = |shard: usize| forward(shard, line, rq, shared);
     let Some(Value::Array(requests)) = rq.params.get("requests") else {
@@ -383,11 +373,11 @@ fn split_top_level(s: &str) -> Vec<&str> {
 
 /// Router-level statistics: the connection figures plus shard
 /// addresses and forwarding counters (the router does not proxy shard
-/// stats, and admits everything: its shards do the shedding).
+/// stats, and has no gate: its shards do the shedding).
 fn stats_value(shared: &RouterShared, server: &ServerShared) -> Value {
     let count = |c: &AtomicU64| Value::Number(c.load(Ordering::Relaxed) as f64);
     let mut members = vec![("router".to_owned(), Value::Bool(true))];
-    members.extend(server.stats_members(false));
+    members.extend(server.stats_members(None));
     members.extend([
         (
             "shards".to_owned(),

@@ -1,18 +1,20 @@
 //! The TCP front end: listener setup, the backend interface the event
-//! loop serves, connection accounting, admission gate, and graceful
-//! drain.
+//! loop serves, connection accounting, and graceful drain.
 //!
 //! One `poll(2)`-driven event thread (see `crate::poll`) owns the
 //! listener and every connection socket, for a shard ([`Server`]) and
 //! for the router ([`crate::router::Router`]) alike: idle connections
 //! cost one slab slot and one pollfd each, not a thread, so one process
 //! sustains thousands of them at ~zero CPU. What the loop serves is a
-//! `Backend`; the loop never branches on which one it has. Requests
-//! the backend calls cheap run inline on the event thread, the rest on
-//! a small worker pool, which a backend that answers everything inline
-//! does without. An `Answer` is a reply line, or a `Relay`:
-//! request lines the loop sends to other servers before the reply is
-//! built, which is how the router forwards.
+//! `Backend`; the loop never branches on which one it has. It asks the
+//! backend one question per request, and the backend's `Answer` is a
+//! reply line to send now, a `Relay` (request lines the loop sends to
+//! other servers before the reply is built, which is how the router
+//! forwards), or work for a small worker pool. A shard answers control
+//! methods, its cheap methods and memo hits now, behind its own
+//! admission gate, and defers the rest; the router answers everything
+//! now and binds with no pool. A reply's disk entries are published on
+//! a worker after the reply is sent, never on the event thread.
 //!
 //! `server.shutdown` (or [`ServerHandle::shutdown`]) drains cleanly:
 //! in-flight requests finish, their responses are written and their
@@ -20,9 +22,9 @@
 //! only then does [`Server::run`] return.
 
 use crate::disk::PendingWrite;
-use crate::gate::{Gate, GatePermit};
-use crate::protocol::{error_line, ok_line, Request, ServeError, PROTOCOL};
-use crate::service::{ServeConfig, Service};
+use crate::gate::Gate;
+use crate::protocol::{ok_line, Request, PROTOCOL};
+use crate::service::{ServeConfig, Service, Shard};
 use lim_obs::json::Value;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -34,28 +36,13 @@ use std::time::{Duration, Instant};
 /// What the event loop serves: a shard's [`Service`] or the router's
 /// shard cluster.
 pub(crate) trait Backend: Send + Sync {
-    /// Answers a control method (`server.stats`, `server.shutdown`),
-    /// which bypasses the admission gate; `None` for everything else.
-    fn control(&self, rq: &Request, shared: &ServerShared) -> Option<Answer>;
+    /// Decides one parsed request, on the event thread, once: a reply
+    /// or a relay to start now, or work for a pool worker. `line` is
+    /// the raw request line.
+    fn serve(&self, rq: &Request, line: String, server: &ServerShared) -> Answer;
 
-    /// True when `rq` is cheap enough to answer on the event thread.
-    fn runs_inline(&self, _rq: &Request) -> bool {
-        false
-    }
-
-    /// True for a backend that answers every request on the event
-    /// thread (`runs_inline` is then never asked); the loop starts no
-    /// worker pool for it.
-    fn inline_only(&self) -> bool {
-        false
-    }
-
-    /// Answers one admitted request; `line` is its raw request line.
-    /// Drops `permit` once the admitted work is done.
-    fn answer(&self, rq: &Request, line: &str, permit: GatePermit<'_>) -> Answer;
-
-    /// Publishes the entries an answer deferred, after its reply went
-    /// out.
+    /// Publishes a reply's disk entries, on a pool worker, after the
+    /// reply went out.
     fn publish(&self, _writes: Vec<PendingWrite>) {}
 }
 
@@ -65,7 +52,14 @@ pub(crate) enum Answer {
     Reply(String, Vec<PendingWrite>),
     /// Lines the loop sends to other servers before the reply exists.
     Relay(Relay),
+    /// Work for a pool worker, carrying what the backend already worked
+    /// out about the request.
+    Work(Work),
 }
+
+/// Runs on a pool worker with the request it answers, and returns what
+/// [`Answer::Reply`] holds.
+pub(crate) type Work = Box<dyn FnOnce(&Request) -> (String, Vec<PendingWrite>) + Send>;
 
 /// Request lines for the event loop to send to other servers, all at
 /// once, each over an idle pooled connection to its address or a new
@@ -122,7 +116,6 @@ impl ConnStats {
 /// Everything the event loop and its workers need to answer requests.
 pub(crate) struct ServerShared {
     pub(crate) backend: Arc<dyn Backend>,
-    pub(crate) gate: Gate,
     pub(crate) shutdown: Arc<AtomicBool>,
     started: Instant,
     pub(crate) conns: ConnStats,
@@ -130,12 +123,13 @@ pub(crate) struct ServerShared {
 }
 
 impl ServerShared {
-    /// Runs one non-control request through the gate into the backend.
-    /// Sheds with a 429 when the gate is full.
-    pub(crate) fn admit(&self, rq: &Request, line: &str) -> Answer {
-        match self.gate.try_acquire() {
-            Some(permit) => self.backend.answer(rq, line, permit),
-            None => Answer::Reply(error_line(&rq.id, &ServeError::overloaded()), Vec::new()),
+    pub(crate) fn new(backend: Arc<dyn Backend>, idle_timeout: Option<Duration>) -> ServerShared {
+        ServerShared {
+            backend,
+            shutdown: Arc::new(AtomicBool::new(false)),
+            started: Instant::now(),
+            conns: ConnStats::default(),
+            idle_timeout,
         }
     }
 
@@ -145,9 +139,9 @@ impl ServerShared {
         ok_line(id, false, "{\"draining\":true}")
     }
 
-    /// The transport figures a backend's `server.stats` carries; with
-    /// `admission`, the gate's figures too.
-    pub(crate) fn stats_members(&self, admission: bool) -> Vec<(String, Value)> {
+    /// The transport figures a backend's `server.stats` carries, with
+    /// the figures of its admission gate if it has one.
+    pub(crate) fn stats_members(&self, gate: Option<&Gate>) -> Vec<(String, Value)> {
         let (open, accepted, closed, timed_out) = self.conns.snapshot();
         let num = |x: u64| Value::Number(x as f64);
         let mut members = vec![
@@ -157,14 +151,11 @@ impl ServerShared {
                 num(self.started.elapsed().as_millis() as u64),
             ),
         ];
-        if admission {
+        if let Some(gate) = gate {
             members.extend([
-                ("in_flight".to_owned(), num(self.gate.in_flight() as u64)),
-                (
-                    "max_in_flight".to_owned(),
-                    num(self.gate.max_in_flight() as u64),
-                ),
-                ("shed".to_owned(), num(self.gate.shed_count())),
+                ("in_flight".to_owned(), num(gate.in_flight() as u64)),
+                ("max_in_flight".to_owned(), num(gate.max_in_flight() as u64)),
+                ("shed".to_owned(), num(gate.shed_count())),
             ]);
         }
         members.push((
@@ -186,13 +177,18 @@ pub(crate) struct Bound {
     listener: TcpListener,
     pub(crate) addr: SocketAddr,
     shared: Arc<ServerShared>,
+    /// Pool workers the loop starts; 0 for a backend that defers
+    /// nothing.
+    workers: usize,
 }
 
 impl Bound {
+    /// Binds `addr` for `backend`, whose loop will start `workers` pool
+    /// workers.
     pub(crate) fn new(
         addr: &str,
         backend: Arc<dyn Backend>,
-        max_in_flight: usize,
+        workers: usize,
         idle_timeout: Option<Duration>,
     ) -> io::Result<Bound> {
         let listener = TcpListener::bind(addr)?;
@@ -201,19 +197,13 @@ impl Bound {
         Ok(Bound {
             listener,
             addr,
-            shared: Arc::new(ServerShared {
-                backend,
-                gate: Gate::new(max_in_flight),
-                shutdown: Arc::new(AtomicBool::new(false)),
-                started: Instant::now(),
-                conns: ConnStats::default(),
-                idle_timeout,
-            }),
+            shared: Arc::new(ServerShared::new(backend, idle_timeout)),
+            workers,
         })
     }
 
     pub(crate) fn run(self) -> io::Result<()> {
-        crate::poll::run(self.listener, self.shared)
+        crate::poll::run(self.listener, self.shared, self.workers)
     }
 
     pub(crate) fn spawn(self) -> ServerHandle {
@@ -256,8 +246,15 @@ impl Server {
         service: Arc<Service>,
         config: &ServeConfig,
     ) -> io::Result<Server> {
-        let backend = Arc::clone(&service);
-        let bound = Bound::new(addr, backend, config.max_in_flight, config.idle_timeout)?;
+        let gate = Arc::new(Gate::new(config.max_in_flight));
+        // Two workers more than the gate admits, so the gate, not the
+        // pool, is what sheds load.
+        let workers = gate.max_in_flight() + 2;
+        let shard = Shard {
+            service: Arc::clone(&service),
+            gate,
+        };
+        let bound = Bound::new(addr, Arc::new(shard), workers, config.idle_timeout)?;
         Ok(Server { bound, service })
     }
 

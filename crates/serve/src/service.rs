@@ -16,13 +16,17 @@
 //! A [`Service`] is what both the TCP server and in-process callers
 //! (tests, benches) talk to, which is how the smoke test can assert
 //! that a response that crossed the wire is byte-identical to a direct
-//! library call: both sides are the same [`Service::call`]. Its
-//! `Backend` impl at the end of the file is how a shard's event loop
-//! serves it.
+//! library call: both sides are the same [`Service::call`]. `Shard`,
+//! after the `Service` impl, is how a shard's event loop serves it.
+//!
+//! A request is resolved once, as it enters: one `Call` value holds its
+//! table row, its memo key and its trace id, and the same value decides
+//! whether the event thread answers it, then answers it there or on a
+//! worker. [`Service::call`] resolves its call the same way.
 
 use crate::cache::ResponseCache;
 use crate::disk::{DiskCache, LibKey, PendingWrite};
-use crate::gate::GatePermit;
+use crate::gate::Gate;
 use crate::protocol::{
     cache_key, error_line, fnv1a, ok_line, ok_line_traced, Request, ServeError, PROTOCOL,
 };
@@ -180,6 +184,27 @@ fn memo_key(endpoint: Endpoint, params: &Value) -> Option<u64> {
     (params.get("nocache") != Some(&Value::Bool(true))).then(|| cache_key(m.name, params))
 }
 
+/// A request resolved once, as it enters: its table row, its memo key
+/// when the memo may answer it, and its trace id (the client's, or one
+/// minted here).
+#[derive(Debug, Clone, Copy)]
+struct Call {
+    endpoint: Endpoint,
+    key: Option<u64>,
+    trace: TraceId,
+}
+
+impl Call {
+    fn of(method: &str, params: &Value, trace: Option<TraceId>) -> Call {
+        let endpoint = Endpoint::of(method);
+        Call {
+            endpoint,
+            key: memo_key(endpoint, params),
+            trace: trace.unwrap_or_else(TraceId::mint),
+        }
+    }
+}
+
 /// The compile stages whose latency `server.stats` reports.
 const STAGES: [&str; 9] = [
     "flow.clock_tree",
@@ -249,14 +274,6 @@ pub struct CallOutcome {
     pub cached: bool,
     /// The request's trace id (client-provided or server-minted).
     pub trace: TraceId,
-}
-
-/// A [`CallOutcome`] whose result still shares its buffer with the
-/// memo.
-struct Deferred {
-    result: Result<Arc<String>, ServeError>,
-    cached: bool,
-    trace: TraceId,
 }
 
 /// The resident synthesis service.
@@ -345,43 +362,45 @@ impl Service {
         params: &Value,
         trace: Option<TraceId>,
     ) -> CallOutcome {
-        let (done, writes) = self.call_deferred(method, params, trace);
-        Backend::publish(self, writes);
+        let call = Call::of(method, params, trace);
+        let mut writes = Vec::new();
+        let (result, cached) = self.call_deferred(call, method, params, &mut writes);
+        self.publish(writes);
         CallOutcome {
-            result: done.result.map(Arc::unwrap_or_clone),
-            cached: done.cached,
-            trace: done.trace,
+            result: result.map(Arc::unwrap_or_clone),
+            cached,
+            trace: call.trace,
         }
     }
 
-    /// [`Service::call_traced`] minus the disk writes: the entries the
-    /// request produced come back rendered, in the order it produced
-    /// them, so a server can send the reply before it
-    /// [`publish`](Backend::publish)es them. The memo is already
-    /// updated, and the result still shares its buffer with it.
+    /// [`Service::call_traced`] of a resolved call, minus the disk
+    /// writes: the entries the request produced go to `writes`
+    /// rendered, in the order it produced them, so a server can send
+    /// the reply before it [`publish`](Service::publish)es them. The
+    /// memo is already updated, and the result still shares its buffer
+    /// with it.
     fn call_deferred(
         &self,
+        call: Call,
         method: &str,
         params: &Value,
-        trace: Option<TraceId>,
-    ) -> (Deferred, Vec<PendingWrite>) {
+        writes: &mut Vec<PendingWrite>,
+    ) -> (Result<Arc<String>, ServeError>, bool) {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let endpoint = Endpoint::of(method);
-        let id = trace.unwrap_or_else(TraceId::mint);
+        let endpoint = call.endpoint;
         let sw = lim_obs::Stopwatch::start();
-        let mut writes = Vec::new();
         let (result, cached) = {
-            let _trace = TraceScope::enter(id);
+            let _trace = TraceScope::enter(call.trace);
             let _rq = lim_obs::Span::enter("serve.request");
             lim_obs::counter_add("serve.requests", 1);
-            self.call_cached(endpoint, method, params, &mut writes)
+            self.call_cached(endpoint, call.key, method, params, writes)
         };
         let elapsed = sw.elapsed();
         if lim_obs::enabled() {
             let thread_report = Report::capture();
             if endpoint.row().is_none_or(|m| m.traced) {
                 self.traces.push(Trace::from_report(
-                    id,
+                    call.trace,
                     endpoint.name(),
                     elapsed,
                     &thread_report,
@@ -394,36 +413,27 @@ impl Service {
             lim_obs::reset();
         }
         self.record_endpoint(endpoint, elapsed, result.is_err());
-        let out = Deferred {
-            result,
-            cached,
-            trace: id,
-        };
-        (out, writes)
+        (result, cached)
     }
 
-    /// Memo layer: `memo` methods are served from the response cache
-    /// keyed by the canonical request rendering. `"nocache":true` in
-    /// the params bypasses the memo (used by load generators that want
-    /// to measure the compute path). Disk entries go to `writes`.
+    /// Memo layer: a request with a memo `key` ([`memo_key`]) is served
+    /// from the response cache; one without runs its handler. Disk
+    /// entries go to `writes`.
     fn call_cached(
         &self,
         endpoint: Endpoint,
+        key: Option<u64>,
         method: &str,
         params: &Value,
         writes: &mut Vec<PendingWrite>,
     ) -> (Result<Arc<String>, ServeError>, bool) {
-        let Some(key) = memo_key(endpoint, params) else {
-            let result = self.dispatch(endpoint, method, params, writes);
-            return (result.map(Arc::new), false);
-        };
-        if let Some(hit) = self.memo_lookup(key) {
+        if let Some(hit) = key.and_then(|key| self.memo_lookup(key)) {
             return (Ok(hit), true);
         }
         let result = self
             .dispatch(endpoint, method, params, writes)
             .map(Arc::new);
-        if let Ok(rendered) = &result {
+        if let (Some(key), Ok(rendered)) = (key, &result) {
             self.memo_store(key, endpoint.name(), rendered, writes);
         }
         (result, false)
@@ -478,22 +488,6 @@ impl Service {
         if let Some(disk) = &self.disk {
             writes.push(disk.response_write(key, method, rendered));
         }
-    }
-
-    /// True when `method`+`params` would be answered from the in-memory
-    /// memo right now. No side effects: recency and hit/miss accounting
-    /// stay untouched and the persistent tier is not probed.
-    pub fn memo_probe(&self, method: &str, params: &Value) -> bool {
-        self.memo_holds(Endpoint::of(method), params)
-    }
-
-    fn memo_holds(&self, endpoint: Endpoint, params: &Value) -> bool {
-        memo_key(endpoint, params).is_some_and(|key| {
-            self.cache
-                .lock()
-                .expect("response cache lock poisoned")
-                .contains(key)
-        })
     }
 
     /// Runs the row's handler under a span named for the row; `method`
@@ -672,6 +666,16 @@ impl Service {
     /// The persistent tier, when one is configured.
     pub fn disk(&self) -> Option<&DiskCache> {
         self.disk.as_deref()
+    }
+
+    /// Writes deferred disk entries in order (`write_all`, `sync_all`,
+    /// atomic rename each).
+    fn publish(&self, writes: Vec<PendingWrite>) {
+        if let Some(disk) = &self.disk {
+            for entry in writes {
+                disk.write(entry);
+            }
+        }
     }
 
     fn flow_run(
@@ -945,7 +949,9 @@ impl Service {
         let other_results = lim_par::par_map(others, |(i, endpoint, method, params)| {
             let sw = lim_obs::Stopwatch::start();
             let mut entry_writes = Vec::new();
-            let (result, cached) = self.call_cached(endpoint, &method, &params, &mut entry_writes);
+            let key = memo_key(endpoint, &params);
+            let (result, cached) =
+                self.call_cached(endpoint, key, &method, &params, &mut entry_writes);
             self.record_endpoint(endpoint, sw.elapsed(), result.is_err());
             let rendered = match result {
                 Ok(rendered) => entry_ok(cached, &rendered),
@@ -1175,73 +1181,94 @@ impl Service {
     }
 }
 
-/// A shard serves its [`Service`]: transport stats and drain as
-/// control methods, memo hits and the table's inline methods on the
-/// event thread, and reply-first disk persistence.
-impl Backend for Service {
-    fn control(&self, rq: &Request, shared: &ServerShared) -> Option<Answer> {
-        let line = match rq.method.as_str() {
-            "server.shutdown" => shared.drain(&rq.id),
-            "server.stats" => ok_line(&rq.id, false, &json::render(&shard_stats(self, shared))),
-            _ => return None,
+/// A shard as its event loop serves it: the [`Service`] behind the
+/// admission gate.
+pub(crate) struct Shard {
+    pub(crate) service: Arc<Service>,
+    pub(crate) gate: Arc<Gate>,
+}
+
+impl Shard {
+    /// An `inline` method, or a memo hit in memory: cheaper to answer on
+    /// the event thread than to hand to a worker. Looking does not touch
+    /// the memo's recency or its hit and miss counts, nor the disk.
+    fn answers_now(&self, call: &Call) -> bool {
+        let resident = |key| {
+            let cache = self.service.cache.lock();
+            cache.expect("response cache lock poisoned").contains(key)
         };
-        Some(Answer::Reply(line, Vec::new()))
+        call.endpoint.row().is_some_and(|m| m.inline) || call.key.is_some_and(resident)
     }
 
-    /// An `inline` method, or a probable memo hit: cheaper to answer
-    /// on the event thread than to hand to a worker.
-    fn runs_inline(&self, rq: &Request) -> bool {
-        let endpoint = Endpoint::of(&rq.method);
-        endpoint.row().is_some_and(|m| m.inline) || self.memo_holds(endpoint, &rq.params)
-    }
-
-    /// The reply frame is the one copy of the result on its way out:
-    /// built at its exact size from the buffer the memo shares.
-    fn answer(&self, rq: &Request, _line: &str, permit: GatePermit<'_>) -> Answer {
-        // A client-minted trace id (already hex-validated by the
-        // parser) becomes the request's id and is echoed back;
-        // untraced requests get a server-minted id that stays
-        // server-side, keeping their responses byte-stable.
-        let trace = rq.trace.as_deref().and_then(TraceId::parse);
-        let (done, writes) = self.call_deferred(&rq.method, &rq.params, trace);
-        drop(permit);
-        let line = match &done.result {
-            Ok(result) => ok_line_traced(&rq.id, done.cached, rq.trace.as_deref(), result),
-            Err(e) => error_line(&rq.id, e),
-        };
-        Answer::Reply(line, writes)
-    }
-
-    /// Writes deferred disk entries in order (`write_all`, `sync_all`,
-    /// atomic rename each).
-    fn publish(&self, writes: Vec<PendingWrite>) {
-        if let Some(disk) = &self.disk {
-            for entry in writes {
-                disk.write(entry);
-            }
+    /// Full shard statistics: the transport and gate figures followed
+    /// by the service view, with the live state mirrored into the obs
+    /// gauges and counters.
+    fn stats(&self, server: &ServerShared) -> Value {
+        let (open, accepted, closed, timed_out) = server.conns.snapshot();
+        {
+            let mut obs = self.service.obs.lock().expect("obs report lock poisoned");
+            obs.set_gauge("serve.in_flight", self.gate.in_flight() as f64);
+            obs.set_gauge("serve.shed", self.gate.shed_count() as f64);
+            obs.set_gauge("serve.conns_open", open as f64);
+            obs.set_counter("serve.conns_accepted", accepted);
+            obs.set_counter("serve.conns_closed", closed);
+            obs.set_counter("serve.conns_timed_out", timed_out);
         }
+        let mut members = server.stats_members(Some(&self.gate));
+        if let Value::Object(service_members) = self.service.stats_value() {
+            members.extend(service_members);
+        }
+        Value::Object(members)
     }
 }
 
-/// Full shard statistics: the transport figures followed by the
-/// service view, with the live state mirrored into the obs gauges and
-/// counters.
-fn shard_stats(service: &Service, shared: &ServerShared) -> Value {
-    let (open, accepted, closed, timed_out) = shared.conns.snapshot();
-    {
-        let mut obs = service.obs.lock().expect("obs report lock poisoned");
-        obs.set_gauge("serve.in_flight", shared.gate.in_flight() as f64);
-        obs.set_gauge("serve.shed", shared.gate.shed_count() as f64);
-        obs.set_gauge("serve.conns_open", open as f64);
-        obs.set_counter("serve.conns_accepted", accepted);
-        obs.set_counter("serve.conns_closed", closed);
-        obs.set_counter("serve.conns_timed_out", timed_out);
+/// Transport stats and drain as control methods, ahead of the gate;
+/// `inline` methods and memo hits on the event thread; everything else
+/// on a worker, which admits and answers the call resolved here.
+impl Backend for Shard {
+    fn serve(&self, rq: &Request, _line: String, server: &ServerShared) -> Answer {
+        let line = match rq.method.as_str() {
+            "server.shutdown" => server.drain(&rq.id),
+            "server.stats" => ok_line(&rq.id, false, &json::render(&self.stats(server))),
+            _ => {
+                // A client-minted trace id (already hex-validated by the
+                // parser) becomes the request's id and is echoed back;
+                // untraced requests get a server-minted id that stays
+                // server-side, keeping their responses byte-stable.
+                let trace = rq.trace.as_deref().and_then(TraceId::parse);
+                let call = Call::of(&rq.method, &rq.params, trace);
+                if !self.answers_now(&call) {
+                    let (gate, service) = (Arc::clone(&self.gate), Arc::clone(&self.service));
+                    return Answer::Work(Box::new(move |rq| admit(&gate, &service, rq, call)));
+                }
+                let (line, writes) = admit(&self.gate, &self.service, rq, call);
+                return Answer::Reply(line, writes);
+            }
+        };
+        Answer::Reply(line, Vec::new())
     }
-    let mut members = shared.stats_members(true);
-    if let Value::Object(service_members) = service.stats_value() {
-        members.extend(service_members);
+
+    fn publish(&self, writes: Vec<PendingWrite>) {
+        self.service.publish(writes);
     }
-    Value::Object(members)
+}
+
+/// Admits a resolved call through the gate and answers it, or sheds it
+/// with a 429 when the gate is full. The permit covers the call only.
+/// The reply frame is the one copy of the result on its way out: built
+/// at its exact size from the buffer the memo shares.
+fn admit(gate: &Gate, service: &Service, rq: &Request, call: Call) -> (String, Vec<PendingWrite>) {
+    let Some(permit) = gate.try_acquire() else {
+        return (error_line(&rq.id, &ServeError::overloaded()), Vec::new());
+    };
+    let mut writes = Vec::new();
+    let (result, cached) = service.call_deferred(call, &rq.method, &rq.params, &mut writes);
+    drop(permit);
+    let line = match &result {
+        Ok(result) => ok_line_traced(&rq.id, cached, rq.trace.as_deref(), result),
+        Err(e) => error_line(&rq.id, e),
+    };
+    (line, writes)
 }
 
 /// Content fingerprint of a compiled entry: FNV-1a over the rendered
@@ -1897,26 +1924,6 @@ endmodule
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn memo_probe_sees_residency_without_side_effects() {
-        let svc = Service::new(&ServeConfig::default());
-        let p = params("{\"words\":16,\"bits\":10}");
-        assert!(!svc.memo_probe("brick.estimate", &p));
-        svc.call("brick.estimate", &p);
-        assert!(svc.memo_probe("brick.estimate", &p));
-        // Probing is free: hit/miss accounting is untouched.
-        let stats = svc.stats_value();
-        let cache = stats.get("cache").unwrap();
-        assert_eq!(cache.get("hits").and_then(Value::as_f64), Some(0.0));
-        assert_eq!(cache.get("misses").and_then(Value::as_f64), Some(1.0));
-        // A nocache request never probes true.
-        let nocache = params("{\"words\":16,\"bits\":10,\"nocache\":true}");
-        assert!(!svc.memo_probe("brick.estimate", &nocache));
-    }
-
-    /// Serializes the tests that flip the process-wide obs switch.
-    static OBS_SWITCH: Mutex<()> = Mutex::new(());
-
     fn request(method: &str, params: &Value) -> Request {
         Request {
             id: Value::Null,
@@ -1926,16 +1933,80 @@ endmodule
         }
     }
 
+    /// A shard over `svc` as its event loop serves it, and the loop
+    /// state its entry point reads.
+    fn shard(svc: &Arc<Service>) -> (Arc<Shard>, ServerShared) {
+        let shard = Arc::new(Shard {
+            service: Arc::clone(svc),
+            gate: Arc::new(Gate::new(4)),
+        });
+        let server = ServerShared::new(Arc::clone(&shard) as Arc<dyn Backend>, None);
+        (shard, server)
+    }
+
+    /// The shard's answer to `method`+`params`.
+    fn serve(shard: &Shard, server: &ServerShared, method: &str, params: &Value) -> Answer {
+        shard.serve(&request(method, params), String::new(), server)
+    }
+
+    /// The reply line of an answer sent from the event thread.
+    fn now_line(answer: Answer) -> String {
+        match answer {
+            Answer::Reply(line, _) => line,
+            _ => panic!("expected a reply from the event thread"),
+        }
+    }
+
+    #[test]
+    fn deciding_where_a_request_runs_reads_the_memo_without_counting() {
+        let svc = Arc::new(Service::new(&ServeConfig::default()));
+        let (shard, server) = shard(&svc);
+        let counts = || {
+            let stats = svc.stats_value();
+            let cache = stats.get("cache").unwrap();
+            let count = |member| cache.get(member).and_then(Value::as_f64).unwrap();
+            (count("hits"), count("misses"))
+        };
+        // `golden.compare` is not an inline method: cold, it goes to a
+        // worker, and deciding that counts nothing.
+        let p = params("{\"words\":16,\"bits\":10,\"stack\":1}");
+        let Answer::Work(work) = serve(&shard, &server, "golden.compare", &p) else {
+            panic!("a cold golden.compare must run on a worker");
+        };
+        assert_eq!(counts(), (0.0, 0.0));
+        // The worker's answer counts exactly one miss.
+        let (cold, _) = work(&request("golden.compare", &p));
+        assert!(cold.contains("\"cached\":false"), "{cold}");
+        assert_eq!(counts(), (0.0, 1.0));
+        // Resident now: the repeat is answered on the event thread and
+        // counts exactly one hit and no miss.
+        let warm = now_line(serve(&shard, &server, "golden.compare", &p));
+        assert_eq!(warm, cold.replace("\"cached\":false", "\"cached\":true"));
+        assert_eq!(counts(), (1.0, 1.0));
+        // A nocache request is never a memo hit: it goes to a worker,
+        // and deciding so counts nothing.
+        let nocache = params("{\"words\":16,\"bits\":10,\"stack\":1,\"nocache\":true}");
+        let answer = serve(&shard, &server, "golden.compare", &nocache);
+        assert!(matches!(answer, Answer::Work(_)));
+        assert_eq!(counts(), (1.0, 1.0));
+    }
+
+    /// Serializes the tests that flip the process-wide obs switch.
+    static OBS_SWITCH: Mutex<()> = Mutex::new(());
+
     #[test]
     fn method_table_drives_dispatch_memo_traces_and_inline() {
         let _obs = OBS_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
-        let svc = Service::new(&ServeConfig::default());
+        let svc = Arc::new(Service::new(&ServeConfig::default()));
+        let (shard, server) = shard(&svc);
         let empty = params("{}");
+        let answered_now = |method: &str, params: &Value| {
+            !matches!(serve(&shard, &server, method, params), Answer::Work(_))
+        };
         for m in METHODS {
             // Cold: only the inline flag can put a request on the event
             // thread.
-            let inline = Backend::runs_inline(&svc, &request(m.name, &empty));
-            assert_eq!(inline, m.inline, "{}", m.name);
+            assert_eq!(answered_now(m.name, &empty), m.inline, "{}", m.name);
         }
         lim_obs::set_enabled(true);
         for m in METHODS {
@@ -1946,7 +2017,8 @@ endmodule
                 }
                 if !m.memo {
                     assert!(!out.cached, "{} is not memoized", m.name);
-                    assert!(!svc.memo_probe(m.name, &empty), "{}", m.name);
+                    // Never memoized, so never a memo hit either.
+                    assert_eq!(answered_now(m.name, &empty), m.inline, "{}", m.name);
                 }
             }
         }
@@ -1962,8 +2034,8 @@ endmodule
             let p = params(p);
             assert!(!svc.call(method, &p).cached, "{method} cold");
             assert!(svc.call(method, &p).cached, "{method} repeat");
-            assert!(svc.memo_probe(method, &p), "{method}");
-            assert!(Backend::runs_inline(&svc, &request(method, &p)), "{method}");
+            let line = now_line(serve(&shard, &server, method, &p));
+            assert!(line.contains("\"cached\":true"), "{method}: {line}");
         }
         // Traced methods are retained in `server.trace`, untraced ones
         // never are.

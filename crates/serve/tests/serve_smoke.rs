@@ -480,10 +480,12 @@ fn mem_source(name: &str, words: usize, bits: usize) -> String {
 #[test]
 fn drain_persists_every_reply_sent_before_its_disk_write() {
     // Workers hand each cold reply to the event thread before they
-    // write and sync its disk entries. Once the drain has joined the
-    // pool, every answered request must be on disk all the same: one
-    // response entry per reply plus one key per library entry the
-    // replies compiled, recovered by a restart as cached answers.
+    // write and sync its disk entries, and a cold reply the event
+    // thread answers itself (`brick.estimate`) has its entries written
+    // on a worker after it is sent. Once the drain has joined the pool,
+    // every answered request must be on disk all the same: one response
+    // entry per reply plus one key per library entry the replies
+    // compiled, recovered by a restart as cached answers.
     let dir = std::env::temp_dir().join(format!("lim-serve-smoke-drain-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let config = ServeConfig {
@@ -510,6 +512,16 @@ fn drain_persists_every_reply_sent_before_its_disk_write() {
             format!(
                 "{{\"words\":{words},\"bits\":{bits},\"partitions\":1,\
                  \"brick_words\":{brick_words}}}"
+            ),
+        ));
+    }
+    // 6T bricks: no library entry shared with the 8T requests above.
+    for (words, bits, stack) in [(24, 7, 3), (40, 9, 5), (56, 11, 2), (72, 5, 4)] {
+        requests.push((
+            "brick.estimate",
+            format!(
+                "{{\"words\":{words},\"bits\":{bits},\"stack\":{stack},\
+                 \"bitcell\":\"6t\"}}"
             ),
         ));
     }

@@ -181,7 +181,9 @@ client_at() { # client_at ADDR [client flags...]
 # Restart-warm smoke: a daemon booted on a populated --cache-dir must
 # answer the first repeat of an earlier request cached:true and
 # byte-identical (cached flag aside) to the cold compute. The ~1 MB
-# rtl.infer reply byte-checks the large-body path of the disk format.
+# rtl.infer reply byte-checks the large-body path of the disk format;
+# the brick.estimate is answered on the event thread, and its entries
+# are written by a worker after the reply.
 echo "== tier1: lim-serve restart-warm smoke =="
 disk_dir=/tmp/tier1_serve_disk
 rm -rf "$disk_dir"
@@ -196,6 +198,9 @@ rtl_cold=$(client_at "$addr" --method rtl.infer --source-file examples/smart_mem
     --params '{"brick_words":[16,32,64]}')
 echo "$rtl_cold" | grep -q '"cached":false' \
     || { echo "cold rtl.infer unexpectedly cached: ${rtl_cold:0:400}" >&2; exit 1; }
+est_cold=$(client_at "$addr" --method brick.estimate --params '{"words":48,"bits":11,"stack":3}')
+echo "$est_cold" | grep -q '"cached":false' \
+    || { echo "cold brick.estimate unexpectedly cached: $est_cold" >&2; exit 1; }
 client_at "$addr" --shutdown >/dev/null
 wait "$serve_pid"
 boot_serve /tmp/tier1_serve_addr_disk --cache-dir "$disk_dir"
@@ -214,6 +219,12 @@ echo "$rtl_warm" | grep -q '"cached":true' \
 [[ "$rtl_warm" == "${rtl_cold/\"cached\":false/\"cached\":true}" ]] \
     || { echo "warm rtl.infer differs from cold compute" >&2; \
          echo "cold: ${rtl_cold:0:400}" >&2; echo "warm: ${rtl_warm:0:400}" >&2; exit 1; }
+est_warm=$(client_at "$addr" --method brick.estimate --params '{"words":48,"bits":11,"stack":3}')
+echo "$est_warm" | grep -q '"cached":true' \
+    || { echo "restarted daemon recomputed brick.estimate: $est_warm" >&2; exit 1; }
+[[ "$est_warm" == "${est_cold/\"cached\":false/\"cached\":true}" ]] \
+    || { echo "warm brick.estimate differs from cold compute" >&2; \
+         echo "cold: $est_cold" >&2; echo "warm: $est_warm" >&2; exit 1; }
 client_at "$addr" --shutdown >/dev/null
 wait "$serve_pid"
 trap - EXIT
