@@ -1,8 +1,8 @@
 //! Bench: transient solver scaling with ladder size.
 //!
-//! The golden reference's cost grows with node count (dense LU per
-//! topology change, O(n²) backsolve per step); this bench pins the
-//! scaling so regressions in the solver show up.
+//! The golden reference's cost grows with node count (a tridiagonal LU
+//! per topology change, an O(n) serial substitution per step); this
+//! bench pins the scaling so regressions in the solver show up.
 
 use lim_circuit::{Circuit, TransientSim};
 use lim_tech::units::{Femtofarads, KiloOhms, Picoseconds, Volts};

@@ -7,7 +7,7 @@
 
 use lim_bench::{finish, pct, say, Table};
 use lim_obs::Span;
-use lim_brick::golden::compare_batch;
+use lim_brick::golden::compare_batch_results;
 use lim_brick::{BitcellKind, BrickSpec};
 use lim_tech::Technology;
 
@@ -43,8 +43,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .flat_map(|&spec| stacks.iter().map(move |&stack| (spec, stack)))
         .collect();
-    let results = compare_batch(&tech, &configs)?;
-    for ((spec, stack), cmp) in configs.iter().zip(&results) {
+    let results = compare_batch_results(&tech, &configs).results;
+    for ((spec, stack), cmp) in configs.iter().zip(results) {
+        let cmp = cmp?;
         table.add_row(&[
             format!("{}x{}b", spec.words(), spec.bits()),
             format!("{stack}x"),

@@ -18,7 +18,7 @@
 use crate::error::BrickError;
 use crate::geometry::BrickLayout;
 use crate::BrickSpec;
-use lim_tech::logical_effort::{buffer_chain, Path};
+use lim_tech::logical_effort::buffer_chain;
 use lim_tech::params::BitcellElectrical;
 use lim_tech::units::{Femtofarads, KiloOhms, Microns};
 use lim_tech::wire::RcLadder;
@@ -35,7 +35,7 @@ pub(crate) const CLK_LOAD_PER_BRICK: Femtofarads = Femtofarads::new(9.0);
 /// enable NAND.
 pub(crate) const DWL_PIN_CAP: Femtofarads = Femtofarads::new(2.8);
 /// Sense-amplifier input (trip inverter) capacitance.
-pub(crate) const SENSE_INPUT_CAP: Femtofarads = Femtofarads::new(2.8);
+pub const SENSE_INPUT_CAP: Femtofarads = Femtofarads::new(2.8);
 
 /// Maximum supported stack count for a bank.
 pub const MAX_STACK: usize = 64;
@@ -197,11 +197,6 @@ impl CompiledBrick {
         let taps = self.spec.words() * stack;
         let c_tap = self.cell.bl_cap_per_cell * WBL_TAP_FACTOR;
         RcLadder::from_wire(&self.tech, length, taps, c_tap)
-    }
-
-    /// The wordline driver chain as a logical-effort path.
-    pub fn wl_driver_path(&self) -> Path {
-        Path::inverter_chain(self.wl_chain_stages.max(1))
     }
 
     /// Output resistance of the final wordline driver stage.

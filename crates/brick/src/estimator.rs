@@ -10,9 +10,7 @@
 //! word of alternating bits `<1010…10>`, i.e. half of the data columns
 //! switch.
 
-use crate::compiler::{
-    CompiledBrick, ARBL_TAP_CAP, CLK_LOAD_PER_BRICK, DWL_PIN_CAP, SENSE_INPUT_CAP,
-};
+use crate::compiler::{CompiledBrick, CLK_LOAD_PER_BRICK, DWL_PIN_CAP, SENSE_INPUT_CAP};
 use crate::error::BrickError;
 use crate::BrickSpec;
 use lim_tech::logical_effort::{GateKind, Path, Stage};
@@ -319,11 +317,6 @@ impl CompiledBrick {
         let slew_term = in_slew * 0.15;
         Ok(est.read_delay + extra_load + slew_term)
     }
-}
-
-/// Extra capacitance seen at the ARBL per brick (re-exported for tests).
-pub fn arbl_tap_cap() -> Femtofarads {
-    ARBL_TAP_CAP
 }
 
 #[cfg(test)]

@@ -1,8 +1,10 @@
 //! The golden transient reference (Table 1's "SPICE" column).
 //!
 //! The brick's extracted parasitics — the same ladders the analytic
-//! estimator consumes — are stitched into an explicit RC circuit and
-//! integrated with the backward-Euler solver of `lim-circuit`:
+//! estimator consumes (`CompiledBrick::{wl,rbl,arbl,wbl}_ladder`) — are
+//! appended to explicit RC circuits with
+//! [`append_ladder`](lim_circuit::extract::append_ladder) and integrated
+//! with the backward-Euler engine of `lim-circuit`:
 //!
 //! * the wordline driver's final stage steps the wordline ladder,
 //! * the far cell's read stack (a latching voltage-controlled switch)
@@ -37,11 +39,11 @@ use crate::compiler::{CompiledBrick, SENSE_INPUT_CAP};
 use crate::error::BrickError;
 use crate::estimator::{NOMINAL_OUT_LOAD_X, WRITE_DRIVER_DRIVE};
 use crate::BrickSpec;
-use lim_circuit::extract::recharge_energy;
+use lim_circuit::extract::{append_ladder, recharge_energy};
 use lim_circuit::waveform::Edge;
 use lim_circuit::{
-    run_probed_batch, BatchRun, Circuit, CircuitError, NodeId, SolverKind, SourceId,
-    TransientResult, PANEL_LANES,
+    run_probed_batch, BatchRun, Circuit, CircuitError, NodeId, SourceId, TransientResult,
+    PANEL_LANES,
 };
 use lim_tech::logical_effort::{GateKind, Path, Stage};
 use lim_tech::units::{Femtofarads, Femtojoules, Picoseconds, Volts};
@@ -176,24 +178,12 @@ fn build_sims(brick: &CompiledBrick, stack: usize) -> Result<BankSims, BrickErro
     let e_col_gates = sense_driver_in.switch_energy(vdd);
 
     // ---- Read circuit ---------------------------------------------------
-    let wl_spec = brick.wl_ladder();
-    let rbl_spec = brick.rbl_ladder();
-    let arbl_spec = brick.arbl_ladder(stack);
-
     let mut ckt = Circuit::new();
 
     // Wordline ladder driven by the final driver stage.
     let wl_drv = ckt.add_node("wl.drv");
-    let mut prev = wl_drv;
-    let mut wl_far = wl_drv;
-    for i in 0..wl_spec.segments {
-        let n = ckt.add_node(format!("wl[{i}]"));
-        ckt.add_resistor(prev, n, wl_spec.r_segment);
-        ckt.add_cap(n, wl_spec.c_segment);
-        ckt.add_cap(n, wl_spec.c_tap);
-        prev = n;
-        wl_far = n;
-    }
+    let wl = append_ladder(&mut ckt, Some(wl_drv), "wl", &brick.wl_ladder(), None);
+    let wl_far = *wl.last().unwrap_or(&wl_drv);
     let wl_src = ckt.add_source(wl_drv, brick.wl_driver_resistance(), Volts::ZERO);
     ckt.schedule(wl_src, Picoseconds::ZERO, vdd);
 
@@ -202,41 +192,21 @@ fn build_sims(brick: &CompiledBrick, stack: usize) -> Result<BankSims, BrickErro
     ckt.add_cap(sense_node, SENSE_INPUT_CAP);
     ckt.set_initial(sense_node, vdd);
     let mut rbl_nodes = vec![sense_node];
-    let mut prev = sense_node;
-    let mut rbl_far = sense_node;
-    for i in 0..rbl_spec.segments {
-        let n = ckt.add_node(format!("rbl[{i}]"));
-        ckt.add_resistor(prev, n, rbl_spec.r_segment);
-        ckt.add_cap(n, rbl_spec.c_segment);
-        ckt.add_cap(n, rbl_spec.c_tap);
-        ckt.set_initial(n, vdd);
-        rbl_nodes.push(n);
-        prev = n;
-        rbl_far = n;
-    }
+    rbl_nodes.extend(append_ladder(
+        &mut ckt,
+        Some(sense_node),
+        "rbl",
+        &brick.rbl_ladder(),
+        Some(vdd),
+    ));
+    let rbl_far = *rbl_nodes.last().expect("the sense node heads the bitline");
     // Far cell's read stack, gated by the far wordline tap.
     ckt.add_vc_switch_to_ground(rbl_far, brick.cell().read_stack_r, wl_far, half);
 
     // Shared ARBL, precharged, pulled down by the sense driver when the
     // local bitline trips.
-    let mut arbl_nodes = Vec::with_capacity(arbl_spec.segments);
-    let arbl_near = ckt.add_node("arbl[0]");
-    ckt.add_cap(arbl_near, arbl_spec.c_segment);
-    ckt.add_cap(arbl_near, arbl_spec.c_tap);
-    ckt.set_initial(arbl_near, vdd);
-    arbl_nodes.push(arbl_near);
-    let mut prev = arbl_near;
-    let mut arbl_far = arbl_near;
-    for i in 1..arbl_spec.segments {
-        let n = ckt.add_node(format!("arbl[{i}]"));
-        ckt.add_resistor(prev, n, arbl_spec.r_segment);
-        ckt.add_cap(n, arbl_spec.c_segment);
-        ckt.add_cap(n, arbl_spec.c_tap);
-        ckt.set_initial(n, vdd);
-        arbl_nodes.push(n);
-        prev = n;
-        arbl_far = n;
-    }
+    let arbl_nodes = append_ladder(&mut ckt, None, "arbl", &brick.arbl_ladder(stack), Some(vdd));
+    let (arbl_near, arbl_far) = (arbl_nodes[0], arbl_nodes[arbl_nodes.len() - 1]);
     // Output buffer input load at the far end (the same nominal load the
     // estimator assumes).
     ckt.add_cap(arbl_far, c_unit * NOMINAL_OUT_LOAD_X);
@@ -255,19 +225,16 @@ fn build_sims(brick: &CompiledBrick, stack: usize) -> Result<BankSims, BrickErro
     let dt = Picoseconds::new((est.read_delay.value() / 3000.0).clamp(0.02, 0.5));
 
     // ---- Write circuit ---------------------------------------------------
-    let wbl_spec = brick.wbl_ladder(stack);
     let mut wckt = Circuit::new();
     let wbl_drv = wckt.add_node("wbl.drv");
-    let mut prev = wbl_drv;
-    let mut wbl_far = wbl_drv;
-    for i in 0..wbl_spec.segments {
-        let n = wckt.add_node(format!("wbl[{i}]"));
-        wckt.add_resistor(prev, n, wbl_spec.r_segment);
-        wckt.add_cap(n, wbl_spec.c_segment);
-        wckt.add_cap(n, wbl_spec.c_tap);
-        prev = n;
-        wbl_far = n;
-    }
+    let wbl = append_ladder(
+        &mut wckt,
+        Some(wbl_drv),
+        "wbl",
+        &brick.wbl_ladder(stack),
+        None,
+    );
+    let wbl_far = *wbl.last().unwrap_or(&wbl_drv);
     // Far cell's write port: internal storage cap behind the access device.
     let cell_int = wckt.add_node("cell.int");
     wckt.add_resistor(
@@ -393,7 +360,7 @@ fn finish(
 pub fn measure_bank(brick: &CompiledBrick, stack: usize) -> Result<GoldenMeasurement, BrickError> {
     let sims = build_sims(brick, stack)?;
     let runs = [sims.read_run(), sims.write_run()];
-    let mut out = run_probed_batch(&runs, SolverKind::Auto).map_err(BrickError::Golden)?;
+    let mut out = run_probed_batch(&runs).map_err(BrickError::Golden)?;
     let wres = out.pop().expect("two runs yield two results");
     let res = out.pop().expect("two runs yield two results");
     finish(brick, &sims, &res, &wres)
@@ -532,17 +499,16 @@ pub fn compare_batch_results(
     type Solved = Vec<(usize, bool, Result<TransientResult, CircuitError>)>;
     let solved: Vec<Solved> = lim_par::par_map(panels, |jobs| {
         let runs: Vec<BatchRun<'_>> = jobs.iter().map(|j| j.run).collect();
-        let outs: Vec<Result<TransientResult, CircuitError>> =
-            match run_probed_batch(&runs, SolverKind::Auto) {
-                Ok(rs) => rs.into_iter().map(Ok).collect(),
-                Err(_) => runs
-                    .iter()
-                    .map(|r| {
-                        run_probed_batch(std::slice::from_ref(r), SolverKind::Auto)
-                            .map(|mut v| v.pop().expect("one run yields one result"))
-                    })
-                    .collect(),
-            };
+        let outs: Vec<Result<TransientResult, CircuitError>> = match run_probed_batch(&runs) {
+            Ok(rs) => rs.into_iter().map(Ok).collect(),
+            Err(_) => runs
+                .iter()
+                .map(|r| {
+                    run_probed_batch(std::slice::from_ref(r))
+                        .map(|mut v| v.pop().expect("one run yields one result"))
+                })
+                .collect(),
+        };
         jobs.iter()
             .zip(outs)
             .map(|(j, r)| (j.entry, j.write, r))
@@ -589,27 +555,6 @@ pub fn compare_batch_results(
     }
 }
 
-/// Validates a whole batch of `(spec, stack)` configurations and
-/// collects the results, failing fast.
-///
-/// This is [`compare_batch_results`] with first-error semantics: the
-/// per-configuration outcomes are collapsed into one `Result`, keeping
-/// the first failure in input order.
-///
-/// # Errors
-///
-/// Propagates the first compiler, estimator or golden failure in input
-/// order.
-pub fn compare_batch(
-    tech: &lim_tech::Technology,
-    configs: &[(BrickSpec, usize)],
-) -> Result<Vec<ToolVsGolden>, BrickError> {
-    compare_batch_results(tech, configs)
-        .results
-        .into_iter()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -653,10 +598,11 @@ mod tests {
         let spec = BrickSpec::new(BitcellKind::Sram8T, 16, 10).unwrap();
         let spec32 = BrickSpec::new(BitcellKind::Sram8T, 32, 12).unwrap();
         let configs = [(spec, 1usize), (spec, 4), (spec32, 1), (spec, 4)];
-        let batch = compare_batch(&tech, &configs).unwrap();
+        let batch = compare_batch_results(&tech, &configs).results;
         assert_eq!(batch.len(), 4);
         let compiler = BrickCompiler::new(&tech);
         for (got, &(spec, stack)) in batch.iter().zip(&configs) {
+            let got = got.as_ref().unwrap();
             let brick = compiler.compile(&spec).unwrap();
             let want = compare(&brick, stack).unwrap();
             assert_eq!(got.golden, want.golden, "{spec:?} stack {stack}");

@@ -1,9 +1,10 @@
 //! Property tests for the brick compiler and estimator, on the hermetic
 //! `lim-testkit` harness.
 
+use lim_brick::golden::{compare, compare_batch_results};
 use lim_brick::{BitcellKind, BrickCompiler, BrickSpec};
 use lim_tech::Technology;
-use lim_testkit::prop::check;
+use lim_testkit::prop::{check, check_with, PropConfig};
 use lim_testkit::TestRng;
 
 const KINDS: [BitcellKind; 5] = [
@@ -82,6 +83,38 @@ fn library_lut_is_monotone_in_load_and_slew() {
         let d2 = e.clk_to_q(Femtofarads::new(load_a), Picoseconds::new(slew_a + slew_extra));
         assert!(d1 >= d0);
         assert!(d2 >= d0);
+    });
+}
+
+/// A size in `1..=max` (`max` a power of two), drawn uniformly below a
+/// random power of two so the smallest sizes come up often.
+fn any_size(rng: &mut TestRng, max: usize) -> usize {
+    let top = 1usize << rng.gen_range(0..=max.trailing_zeros());
+    rng.gen_range(1..=top)
+}
+
+#[test]
+fn batched_golden_matches_lone_compare() {
+    // Bricks of every bitcell from 1 word × 1 bit up to 64 × 32 at
+    // stacks 1–8: the smallest build circuits of a few nodes, the largest
+    // a 512-tap write bitline. Each case validates 1–3 of them as one
+    // batch, and every entry must equal a lone `compare` to the bit
+    // (`ToolVsGolden` holds floats and derives `PartialEq`).
+    let cases = PropConfig::with_cases(16);
+    check_with(cases, "batched_golden_matches_lone_compare", |rng| {
+        let tech = Technology::cmos65();
+        let configs: Vec<(BrickSpec, usize)> = (0..rng.gen_range(1..=3))
+            .map(|_| {
+                let spec = BrickSpec::new(any_kind(rng), any_size(rng, 64), any_size(rng, 32));
+                (spec.unwrap(), any_size(rng, 8))
+            })
+            .collect();
+        let batch = compare_batch_results(&tech, &configs).results;
+        let compiler = BrickCompiler::new(&tech);
+        for (got, &(spec, stack)) in batch.iter().zip(&configs) {
+            let want = compare(&compiler.compile(&spec).unwrap(), stack).unwrap();
+            assert_eq!(got.as_ref().unwrap(), &want, "{spec:?} stack {stack}");
+        }
     });
 }
 

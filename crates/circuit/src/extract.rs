@@ -1,197 +1,48 @@
-//! Parasitic extraction builders for memory structures.
+//! Parasitic extraction: RC ladders stitched into circuits.
 //!
-//! These functions turn array geometry into explicit RC circuits — the
-//! equivalent of the paper's "RC extracted bitcell array layouts" that its
-//! SPICE validation runs on. `lim-brick` supplies the numbers (from bitcell
-//! geometry and technology constants); this module only knows ladders,
-//! drivers and switches.
+//! An extracted wordline or bitline is a uniform RC ladder
+//! ([`RcLadder`]), the equivalent of the paper's "RC extracted bitcell
+//! array layouts" that its SPICE validation runs on. `lim-brick` supplies
+//! the numbers (from bitcell geometry and technology constants);
+//! [`append_ladder`] turns a ladder into circuit elements, and
+//! [`recharge_energy`] charges a read for restoring its precharged nodes.
 
-use crate::netlist::{Circuit, NodeId, SourceId};
+use crate::netlist::{Circuit, NodeId};
 use crate::transient::TransientResult;
-use lim_tech::units::{Femtofarads, Femtojoules, KiloOhms, Picoseconds, Volts};
+use lim_tech::units::{Femtojoules, Volts};
+use lim_tech::wire::RcLadder;
 
-/// Geometry-independent description of a uniform RC ladder.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LadderSpec {
-    /// Number of taps (cells) along the line.
-    pub taps: usize,
-    /// Wire resistance of each segment.
-    pub r_segment: KiloOhms,
-    /// Wire capacitance of each segment.
-    pub c_segment: Femtofarads,
-    /// Device load at each tap.
-    pub c_tap: Femtofarads,
-}
-
-/// A ladder stitched into a circuit, with handles to its taps.
-#[derive(Debug, Clone)]
-pub struct DrivenLadder {
-    /// The circuit containing the ladder.
-    pub circuit: Circuit,
-    /// The driver at the near end.
-    pub source: SourceId,
-    /// Tap nodes, near end first.
-    pub taps: Vec<NodeId>,
-}
-
-/// Builds a ladder driven from its near end by a step source (0 → `vdd` at
-/// `t = 0`) behind `r_driver`.
+/// Appends `ladder` to `circuit` behind node `from` and returns its taps,
+/// near end first.
 ///
-/// # Panics
-///
-/// Panics if `spec.taps == 0`.
-pub fn driven_ladder(name: &str, r_driver: KiloOhms, vdd: Volts, spec: LadderSpec) -> DrivenLadder {
-    assert!(spec.taps > 0, "ladder needs at least one tap");
-    let mut circuit = Circuit::new();
-    let mut taps = Vec::with_capacity(spec.taps);
-
-    let first = circuit.add_node(format!("{name}[0]"));
-    circuit.add_cap(first, spec.c_segment);
-    circuit.add_cap(first, spec.c_tap);
-    taps.push(first);
-    let mut prev = first;
-    for i in 1..spec.taps {
-        let n = circuit.add_node(format!("{name}[{i}]"));
-        circuit.add_resistor(prev, n, spec.r_segment);
-        circuit.add_cap(n, spec.c_segment);
-        circuit.add_cap(n, spec.c_tap);
-        taps.push(n);
-        prev = n;
-    }
-    // Driver connects through its own series resistance; the first wire
-    // segment's R is between the driver and tap 0.
-    let drv = circuit.add_node(format!("{name}.drv"));
-    circuit.add_resistor(drv, first, spec.r_segment);
-    let source = circuit.add_source(drv, r_driver, Volts::ZERO);
-    circuit.schedule(source, Picoseconds::ZERO, vdd);
-
-    DrivenLadder {
-        circuit,
-        source,
-        taps,
-    }
-}
-
-/// Full read-path extraction: a wordline ladder whose far cell, once its
-/// gate rises, discharges a precharged bitline ladder sensed at the bottom.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReadPathSpec {
-    /// Wordline ladder across the accessed row (taps = columns).
-    pub wordline: LadderSpec,
-    /// Column of the observed cell (0-based; worst case = last).
-    pub target_column: usize,
-    /// Bitline ladder down the accessed column (taps = rows). Tap 0 is the
-    /// sense end.
-    pub bitline: LadderSpec,
-    /// Row of the accessed cell along the bitline (worst case = far end).
-    pub target_row: usize,
-    /// Wordline driver output resistance.
-    pub r_wl_driver: KiloOhms,
-    /// Equivalent resistance of the cell's read stack.
-    pub r_read_stack: KiloOhms,
-    /// Extra load at the sense end (sense-amp input).
-    pub c_sense: Femtofarads,
-    /// Supply voltage (wordline swing and bitline precharge level).
-    pub vdd: Volts,
-}
-
-/// The circuit built by [`read_path`], with measurement handles.
-#[derive(Debug, Clone)]
-pub struct ReadPathCircuit {
-    /// The composed circuit.
-    pub circuit: Circuit,
-    /// The wordline driver.
-    pub wl_source: SourceId,
-    /// Wordline node at the accessed column.
-    pub wl_at_cell: NodeId,
-    /// Bitline node at the accessed row.
-    pub bl_at_cell: NodeId,
-    /// Bitline sense node (tap 0 + sense load).
-    pub sense: NodeId,
-    /// All bitline taps (for recharge-energy accounting).
-    pub bitline_taps: Vec<NodeId>,
-}
-
-/// Builds the read-path circuit for [`ReadPathSpec`].
-///
-/// The wordline is driven 0 → Vdd at `t = 0`; when the wordline voltage at
-/// the target column passes Vdd/2, the cell's read stack latches on and
-/// discharges the precharged bitline. Measure the read delay as the falling
-/// crossing at [`ReadPathCircuit::sense`].
-///
-/// # Panics
-///
-/// Panics if the target coordinates are out of range.
-pub fn read_path(spec: ReadPathSpec) -> ReadPathCircuit {
-    assert!(
-        spec.target_column < spec.wordline.taps,
-        "target column {} out of range ({} columns)",
-        spec.target_column,
-        spec.wordline.taps
-    );
-    assert!(
-        spec.target_row < spec.bitline.taps,
-        "target row {} out of range ({} rows)",
-        spec.target_row,
-        spec.bitline.taps
-    );
-
-    let mut circuit = Circuit::new();
-
-    // Wordline ladder.
-    let mut wl_taps = Vec::with_capacity(spec.wordline.taps);
-    let wl_drv = circuit.add_node("wl.drv");
-    let mut prev = wl_drv;
-    for i in 0..spec.wordline.taps {
-        let n = circuit.add_node(format!("wl[{i}]"));
-        circuit.add_resistor(prev, n, spec.wordline.r_segment);
-        circuit.add_cap(n, spec.wordline.c_segment);
-        circuit.add_cap(n, spec.wordline.c_tap);
-        wl_taps.push(n);
-        prev = n;
-    }
-    let wl_source = circuit.add_source(wl_drv, spec.r_wl_driver, Volts::ZERO);
-    circuit.schedule(wl_source, Picoseconds::ZERO, spec.vdd);
-
-    // Bitline ladder, precharged to Vdd. Tap 0 is the sense end.
-    let mut bl_taps = Vec::with_capacity(spec.bitline.taps);
-    let sense = circuit.add_node("bl.sense");
-    circuit.add_cap(sense, spec.c_sense);
-    circuit.set_initial(sense, spec.vdd);
-    let mut prev = sense;
-    for i in 0..spec.bitline.taps {
-        let n = circuit.add_node(format!("bl[{i}]"));
-        circuit.add_resistor(prev, n, spec.bitline.r_segment);
-        circuit.add_cap(n, spec.bitline.c_segment);
-        circuit.add_cap(n, spec.bitline.c_tap);
-        circuit.set_initial(n, spec.vdd);
-        bl_taps.push(n);
-        prev = n;
-    }
-
-    // The accessed cell: read stack from the bitline row to ground, gated
-    // by the wordline at its column.
-    let wl_at_cell = wl_taps[spec.target_column];
-    let bl_at_cell = bl_taps[spec.target_row];
-    circuit.add_vc_switch_to_ground(
-        bl_at_cell,
-        spec.r_read_stack,
-        wl_at_cell,
-        Volts::new(spec.vdd.value() / 2.0),
-    );
-
-    ReadPathCircuit {
-        circuit,
-        wl_source,
-        wl_at_cell,
-        bl_at_cell,
-        sense,
-        bitline_taps: {
-            let mut v = vec![sense];
-            v.extend(bl_taps);
-            v
-        },
-    }
+/// Tap `i` is a node named `{name}[i]`. Element by element, it gets one
+/// segment resistance to the tap before it (tap 0 to `from`; with
+/// `from = None` tap 0 is the near end and has none), one segment's wire
+/// capacitance, one tap load and, when `precharge` is given, that initial
+/// voltage.
+pub fn append_ladder(
+    circuit: &mut Circuit,
+    from: Option<NodeId>,
+    name: &str,
+    ladder: &RcLadder,
+    precharge: Option<Volts>,
+) -> Vec<NodeId> {
+    let mut prev = from;
+    (0..ladder.segments)
+        .map(|i| {
+            let tap = circuit.add_node(format!("{name}[{i}]"));
+            if let Some(p) = prev {
+                circuit.add_resistor(p, tap, ladder.r_segment);
+            }
+            circuit.add_cap(tap, ladder.c_segment);
+            circuit.add_cap(tap, ladder.c_tap);
+            if let Some(v) = precharge {
+                circuit.set_initial(tap, v);
+            }
+            prev = Some(tap);
+            tap
+        })
+        .collect()
 }
 
 /// Energy needed to restore the given (partially discharged) nodes to
@@ -219,104 +70,132 @@ mod tests {
     use super::*;
     use crate::transient::TransientSim;
     use crate::waveform::Edge;
+    use lim_tech::units::{Femtofarads, KiloOhms, Picoseconds};
 
-    fn small_spec() -> ReadPathSpec {
-        ReadPathSpec {
-            wordline: LadderSpec {
-                taps: 10,
-                r_segment: KiloOhms::new(0.01),
-                c_segment: Femtofarads::new(0.05),
-                c_tap: Femtofarads::new(0.2),
-            },
-            target_column: 9,
-            bitline: LadderSpec {
-                taps: 16,
-                r_segment: KiloOhms::new(0.005),
-                c_segment: Femtofarads::new(0.03),
-                c_tap: Femtofarads::new(0.15),
-            },
-            target_row: 15,
-            r_wl_driver: KiloOhms::new(1.0),
-            r_read_stack: KiloOhms::new(8.0),
-            c_sense: Femtofarads::new(2.0),
-            vdd: Volts::new(1.2),
+    const VDD: f64 = 1.2;
+
+    fn ladder(segments: usize, r: f64, c_segment: f64, c_tap: f64) -> RcLadder {
+        RcLadder {
+            segments,
+            r_segment: KiloOhms::new(r),
+            c_segment: Femtofarads::new(c_segment),
+            c_tap: Femtofarads::new(c_tap),
         }
+    }
+
+    /// A read path: a driven 10-tap wordline whose cell at `column`, once
+    /// its gate passes Vdd/2, discharges a precharged 16-tap bitline at
+    /// `row`, sensed at the bitline's near end. Returns the circuit, the
+    /// cell's wordline tap, and the bitline nodes (sense node first).
+    fn read_circuit(column: usize, row: usize) -> (Circuit, NodeId, Vec<NodeId>) {
+        let vdd = Volts::new(VDD);
+        let mut ckt = Circuit::new();
+        let drv = ckt.add_node("wl.drv");
+        let wl = append_ladder(
+            &mut ckt,
+            Some(drv),
+            "wl",
+            &ladder(10, 0.01, 0.05, 0.2),
+            None,
+        );
+        let src = ckt.add_source(drv, KiloOhms::new(1.0), Volts::ZERO);
+        ckt.schedule(src, Picoseconds::ZERO, vdd);
+        let sense = ckt.add_node("bl.sense");
+        ckt.add_cap(sense, Femtofarads::new(2.0));
+        ckt.set_initial(sense, vdd);
+        let mut bitline = vec![sense];
+        let bl = ladder(16, 0.005, 0.03, 0.15);
+        bitline.extend(append_ladder(&mut ckt, Some(sense), "bl", &bl, Some(vdd)));
+        let threshold = Volts::new(VDD / 2.0);
+        ckt.add_vc_switch_to_ground(bitline[row + 1], KiloOhms::new(8.0), wl[column], threshold);
+        (ckt, wl[column], bitline)
+    }
+
+    #[test]
+    fn append_ladder_stamps_each_segment_in_order() {
+        let spec = ladder(3, 0.02, 0.1, 0.25);
+        let mut ckt = Circuit::new();
+        let drv = ckt.add_node("drv");
+        let taps = append_ladder(&mut ckt, Some(drv), "bl", &spec, Some(Volts::new(VDD)));
+        assert_eq!(taps.len(), 3);
+        let names: Vec<&str> = taps.iter().map(|&t| ckt.node_name(t)).collect();
+        assert_eq!(names, ["bl[0]", "bl[1]", "bl[2]"]);
+        let ends: Vec<(usize, usize)> = ckt.resistors.iter().map(|r| (r.a, r.b)).collect();
+        assert_eq!(
+            ends,
+            [
+                (drv.0, taps[0].0),
+                (taps[0].0, taps[1].0),
+                (taps[1].0, taps[2].0)
+            ]
+        );
+        for &t in &taps {
+            assert_eq!(ckt.cap_at(t).value(), 0.1 + 0.25);
+            assert_eq!(ckt.initial_v[t.0], VDD);
+        }
+        assert_eq!(ckt.initial_v[drv.0], 0.0);
+
+        // Without a node in front, tap 0 is the near end: no resistor.
+        let mut ckt = Circuit::new();
+        let taps = append_ladder(&mut ckt, None, "arbl", &spec, None);
+        let ends: Vec<(usize, usize)> = ckt.resistors.iter().map(|r| (r.a, r.b)).collect();
+        assert_eq!(ends, [(taps[0].0, taps[1].0), (taps[1].0, taps[2].0)]);
+        assert!(ckt.initial_v.iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn driven_ladder_reaches_vdd() {
-        let spec = LadderSpec {
-            taps: 8,
-            r_segment: KiloOhms::new(0.02),
-            c_segment: Femtofarads::new(0.1),
-            c_tap: Femtofarads::new(0.25),
-        };
-        let l = driven_ladder("wl", KiloOhms::new(2.0), Volts::new(1.2), spec);
-        let res = TransientSim::new(&l.circuit)
+        let mut ckt = Circuit::new();
+        let drv = ckt.add_node("wl.drv");
+        let taps = append_ladder(&mut ckt, Some(drv), "wl", &ladder(8, 0.02, 0.1, 0.25), None);
+        let src = ckt.add_source(drv, KiloOhms::new(2.0), Volts::ZERO);
+        ckt.schedule(src, Picoseconds::ZERO, Volts::new(VDD));
+        let res = TransientSim::new(&ckt)
             .run(Picoseconds::new(200.0), Picoseconds::new(0.05))
             .unwrap();
-        let far = *l.taps.last().unwrap();
-        assert!((res.final_voltage(far).value() - 1.2).abs() < 0.01);
+        let far = *taps.last().unwrap();
+        assert!((res.final_voltage(far).value() - VDD).abs() < 0.01);
         // Farther taps cross later.
-        let t_near = res
-            .cross_time(l.taps[0], Volts::new(0.6), Edge::Rising)
-            .unwrap();
-        let t_far = res.cross_time(far, Volts::new(0.6), Edge::Rising).unwrap();
+        let half = Volts::new(VDD / 2.0);
+        let t_near = res.cross_time(taps[0], half, Edge::Rising).unwrap();
+        let t_far = res.cross_time(far, half, Edge::Rising).unwrap();
         assert!(t_far > t_near);
     }
 
     #[test]
     fn read_path_causally_discharges_bitline() {
-        let rp = read_path(small_spec());
-        let res = TransientSim::new(&rp.circuit)
+        let (ckt, wl_at_cell, bitline) = read_circuit(9, 15);
+        let res = TransientSim::new(&ckt)
             .run(Picoseconds::new(800.0), Picoseconds::new(0.1))
             .unwrap();
-        let vdd = Volts::new(1.2);
+        let half = Volts::new(VDD / 2.0);
         let t_wl = res
-            .cross_time(rp.wl_at_cell, Volts::new(0.6), Edge::Rising)
+            .cross_time(wl_at_cell, half, Edge::Rising)
             .expect("wordline rises");
         let t_sense = res
-            .cross_time(rp.sense, Volts::new(0.6), Edge::Falling)
+            .cross_time(bitline[0], half, Edge::Falling)
             .expect("sense node falls");
         assert!(
             t_sense > t_wl,
             "bitline cannot discharge before the wordline arrives"
         );
         // Recharge energy is positive and bounded by full-swing C·Vdd².
-        let e = recharge_energy(&rp.circuit, &res, &rp.bitline_taps, vdd);
-        let cap: f64 = rp
-            .bitline_taps
-            .iter()
-            .map(|&n| rp.circuit.cap_at(n).value())
-            .sum();
+        let e = recharge_energy(&ckt, &res, &bitline, Volts::new(VDD));
+        let cap: f64 = bitline.iter().map(|&n| ckt.cap_at(n).value()).sum();
         assert!(e.value() > 0.0);
-        assert!(e.value() <= cap * 1.2 * 1.2 + 1e-9);
+        assert!(e.value() <= cap * VDD * VDD + 1e-9);
     }
 
     #[test]
     fn farther_cell_reads_slower() {
-        let near = ReadPathSpec {
-            target_row: 0,
-            target_column: 0,
-            ..small_spec()
-        };
-        let far = small_spec();
-        let run = |s: ReadPathSpec| {
-            let rp = read_path(s);
-            let res = TransientSim::new(&rp.circuit)
+        let read = |column, row| {
+            let (ckt, _, bitline) = read_circuit(column, row);
+            let res = TransientSim::new(&ckt)
                 .run(Picoseconds::new(800.0), Picoseconds::new(0.1))
                 .unwrap();
-            res.cross_time(rp.sense, Volts::new(0.6), Edge::Falling)
+            res.cross_time(bitline[0], Volts::new(VDD / 2.0), Edge::Falling)
                 .unwrap()
         };
-        assert!(run(far) > run(near));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_target_panics() {
-        let mut s = small_spec();
-        s.target_column = 99;
-        let _ = read_path(s);
+        assert!(read(9, 15) > read(0, 0));
     }
 }

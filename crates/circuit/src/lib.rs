@@ -54,5 +54,5 @@ pub use elmore::RcTree;
 pub use error::CircuitError;
 pub use netlist::{Circuit, NodeId, SourceId, SwitchId};
 pub use sparse::PANEL_LANES;
-pub use transient::{run_probed_batch, BatchRun, SolverKind, TransientResult, TransientSim};
+pub use transient::{run_probed_batch, BatchRun, TransientResult, TransientSim};
 pub use waveform::{Edge, Waveform};

@@ -256,37 +256,6 @@ impl Circuit {
         SwitchId(self.switches.len() - 1)
     }
 
-    /// Adds a latching voltage-controlled switch between two nodes that
-    /// closes permanently once `control` falls below `threshold`.
-    ///
-    /// This models a PMOS-style stage firing on a discharged input, e.g. a
-    /// local sense inverter driving the stacked array read bitline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r_on` is not strictly positive or `a == b`.
-    pub fn add_vc_low_switch(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        r_on: KiloOhms,
-        control: NodeId,
-        threshold: Volts,
-    ) -> SwitchId {
-        assert!(r_on.value() > 0.0, "switch on-resistance must be positive");
-        assert_ne!(a, b, "switch endpoints must differ");
-        self.switches.push(Switch {
-            a: a.0,
-            b: SwitchTerminal::Node(b.0),
-            r_on: r_on.value(),
-            control: SwitchControl::VoltageBelow {
-                node: control.0,
-                threshold: threshold.value(),
-            },
-        });
-        SwitchId(self.switches.len() - 1)
-    }
-
     /// Adds a latching voltage-controlled switch from `a` to ground that
     /// closes once `control` falls below `threshold`.
     ///

@@ -19,7 +19,7 @@
 //!   held in a register.
 //!
 //! Factoring a half-bandwidth-`k` system costs `O(n·k²)` and each solve
-//! `O(n·k)`, versus `O(n³)` / `O(n²)` for the dense path — a ~100×
+//! `O(n·k)`, versus `O(n³)` / `O(n²)` for a dense LU — a ~100×
 //! reduction for the tridiagonal-ish ladders the golden flow simulates.
 //! The factorization keeps the reciprocal of each pivot so the
 //! per-step back-substitution multiplies instead of divides; at `k = 1`
@@ -350,8 +350,9 @@ mod tests {
 
     #[test]
     fn rcm_compresses_a_chain_with_appended_driver() {
-        // Chain 0-1-2-3 plus a "driver" node 4 attached to node 0 — the
-        // `driven_ladder` shape, whose natural order has bandwidth n−1.
+        // Chain 0-1-2-3 plus a node 4 attached to node 0 but numbered
+        // last (a ladder's source node added after its taps), so the
+        // natural order has bandwidth n−1.
         let adj = adjacency(5, [(0, 1), (1, 2), (2, 3), (4, 0)].into_iter());
         let order = rcm_order(&adj);
         let pos = positions(&order);

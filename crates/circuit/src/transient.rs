@@ -7,29 +7,26 @@
 //! refreshed only when a switch changes state (conductance topology
 //! change), which makes long RC-ladder simulations cheap.
 //!
-//! Two factorization backends exist. Extracted memory arrays are chains of
-//! RC segments, so after a reverse Cuthill–McKee reordering of the
-//! connectivity graph ([`crate::sparse`]) the system matrix is banded with
-//! a small half-bandwidth; the banded backend then factors in `O(n·k²)`
-//! and solves each step in `O(n·k)` instead of the dense `O(n³)`/`O(n²)`.
-//! [`SolverKind::Auto`] (the default) picks the banded path whenever the
-//! reordered bandwidth is small enough to win and falls back to dense LU
-//! with partial pivoting otherwise; both paths agree to solver tolerance
-//! and are cross-checked by a property test.
+//! There is one engine. Every run's connectivity graph is reordered by
+//! reverse Cuthill–McKee ([`crate::sparse`]); extracted memory arrays are
+//! chains of RC segments, so the reordered system is banded with a small
+//! half-bandwidth `k`, factored in `O(n·k²)` and solved each step in
+//! `O(n·k)`.
 //!
-//! The banded backend is a *lockstep panel engine*. Every banded run
-//! whose reordered system is tridiagonal (half-bandwidth ≤ 1) joins one
-//! panel ([`run_probed_batch`]), whatever its time step, length or node
-//! order. Each panel column keeps its own RCM order, `Δt` (step times,
-//! `C/Δt` and energy integration), row count, switch state and LU; a
-//! column shorter than the panel is padded with inert rows. The
-//! substitution sweep ([`TridiagonalPanel::solve`]) advances
+//! The engine is a *lockstep panel*. Every run whose reordered system is
+//! tridiagonal (half-bandwidth ≤ 1) — every circuit the golden flow
+//! builds — joins one panel ([`run_probed_batch`]), whatever its time
+//! step, length or node order. Each panel column keeps its own RCM order,
+//! `Δt` (step times, `C/Δt` and energy integration), row count, switch
+//! state and LU; a column shorter than the panel is padded with inert
+//! rows. The substitution sweep ([`TridiagonalPanel::solve`]) advances
 //! [`PANEL_LANES`](crate::sparse::PANEL_LANES) columns at a time with
 //! their running values in registers, so their serial recurrences
-//! overlap. A wider banded run advances alone through [`Banded::solve`].
-//! A single [`TransientSim::run`] is the same engine with a one-column
+//! overlap. A wider run advances alone through [`Banded::solve`]. A
+//! single [`TransientSim::run`] is the same engine with a one-column
 //! panel, so batched and sequential results are bit-identical by
-//! construction.
+//! construction. This module's tests check the engine against a dense
+//! LU oracle with partial pivoting.
 //!
 //! Supply energy is integrated alongside: every driver's delivered energy
 //! is `∫ v_target · i dt`, which for a full charge of capacitance C to Vdd
@@ -41,24 +38,10 @@ use crate::sparse::{adjacency, half_bandwidth, positions, rcm_order, Banded, Tri
 use crate::waveform::{Edge, Waveform};
 use lim_tech::units::{Femtojoules, Picoseconds, Volts};
 
-/// Which linear-solver backend a [`TransientSim`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverKind {
-    /// Banded when the RCM-reordered bandwidth is small, dense otherwise.
-    #[default]
-    Auto,
-    /// Always dense LU with partial pivoting.
-    Dense,
-    /// Always banded LU (correct for any circuit, but slower than dense
-    /// when the reordered bandwidth is large).
-    Banded,
-}
-
 /// A transient simulation of a [`Circuit`].
 #[derive(Debug, Clone)]
 pub struct TransientSim<'a> {
     circuit: &'a Circuit,
-    solver: SolverKind,
 }
 
 /// One run in a [`run_probed_batch`] call: a circuit, the nodes whose
@@ -84,21 +67,9 @@ impl BatchRun<'_> {
 }
 
 impl<'a> TransientSim<'a> {
-    /// Prepares a simulation of `circuit` with the [`SolverKind::Auto`]
-    /// backend.
+    /// Prepares a simulation of `circuit`.
     pub fn new(circuit: &'a Circuit) -> Self {
-        TransientSim {
-            circuit,
-            solver: SolverKind::Auto,
-        }
-    }
-
-    /// Overrides the factorization backend (tests cross-check the dense
-    /// and banded paths against each other through this).
-    #[must_use]
-    pub fn with_solver(mut self, solver: SolverKind) -> Self {
-        self.solver = solver;
-        self
+        TransientSim { circuit }
     }
 
     /// Integrates from `t = 0` to `t_end` with fixed step `dt`, recording
@@ -138,30 +109,25 @@ impl<'a> TransientSim<'a> {
             t_end,
             dt,
         };
-        let mut out = run_probed_batch(&[run], self.solver)?;
+        let mut out = run_probed_batch(&[run])?;
         Ok(out.pop().expect("one run yields one result"))
     }
 }
 
-/// Integrates a batch of runs. Every banded run whose reordered system
-/// is tridiagonal joins one lockstep panel, whatever its time step,
-/// length or node order; a wider banded run advances alone, and dense
-/// runs are solved one by one. Each run's result is bit-identical to
-/// running it alone through [`TransientSim::run_probed`] with the same
-/// solver.
+/// Integrates a batch of runs. Every run whose reordered system is
+/// tridiagonal joins one lockstep panel, whatever its time step, length
+/// or node order; a wider run advances alone. Each run's result is
+/// bit-identical to running it alone through
+/// [`TransientSim::run_probed`].
 ///
 /// Observability counters: `transient.batched_runs` (runs submitted),
-/// `transient.batch_groups` (tridiagonal panels formed),
-/// `transient.banded_runs` / `transient.dense_runs` (backend choice) and
+/// `transient.batch_groups` (tridiagonal panels formed) and
 /// `transient.refactorizations`.
 ///
 /// # Errors
 ///
 /// As for [`TransientSim::run`], for any run in the batch.
-pub fn run_probed_batch(
-    runs: &[BatchRun<'_>],
-    solver: SolverKind,
-) -> Result<Vec<TransientResult>, CircuitError> {
+pub fn run_probed_batch(runs: &[BatchRun<'_>]) -> Result<Vec<TransientResult>, CircuitError> {
     lim_obs::counter_add("transient.batched_runs", runs.len() as u64);
     for r in runs {
         r.circuit.validate()?;
@@ -170,14 +136,7 @@ pub fn run_probed_batch(
     let mut results: Vec<Option<TransientResult>> = vec![None; runs.len()];
     let mut panel: Vec<(usize, Column<'_>)> = Vec::new();
     for (i, r) in runs.iter().enumerate() {
-        let sym = analyze(r.circuit, solver);
-        if !sym.banded {
-            lim_obs::counter_add("transient.dense_runs", 1);
-            results[i] = Some(run_dense(r.circuit, resolve_probes(r.probes), r.steps(), r.dt)?);
-            continue;
-        }
-        lim_obs::counter_add("transient.banded_runs", 1);
-        let col = Column::new(r, sym);
+        let col = Column::new(r);
         if col.k == 1 {
             panel.push((i, col));
         } else {
@@ -216,48 +175,6 @@ fn resolve_probes(probes: &[NodeId]) -> Vec<usize> {
     ids
 }
 
-/// Symbolic analysis of a circuit's connectivity: RCM ordering, band
-/// width of the permuted system, and the backend decision.
-struct Symbolic {
-    order: Vec<usize>,
-    pos: Vec<usize>,
-    k: usize,
-    banded: bool,
-}
-
-fn analyze(ckt: &Circuit, solver: SolverKind) -> Symbolic {
-    let n = ckt.node_count();
-    // Connectivity includes every switch whether or not it is closed,
-    // so the band structure is valid for all switch states.
-    let edges = ckt
-        .resistors
-        .iter()
-        .map(|r| (r.a, r.b))
-        .chain(ckt.switches.iter().filter_map(|s| match s.b {
-            SwitchTerminal::Node(b) => Some((s.a, b)),
-            SwitchTerminal::Ground => None,
-        }));
-    let adj = adjacency(n, edges);
-    let order = rcm_order(&adj);
-    let pos = positions(&order);
-    let k = half_bandwidth(&adj, &pos);
-    let banded = match solver {
-        SolverKind::Dense => false,
-        SolverKind::Banded => true,
-        // Banded factor is O(n·k²) vs dense O(n³) and each step's
-        // solve O(n·k) vs O(n²): worth it once the band is a small
-        // fraction of the matrix. Tiny systems stay dense — the
-        // reordering bookkeeping would dominate.
-        SolverKind::Auto => n >= 8 && 4 * k < n,
-    };
-    Symbolic {
-        order,
-        pos,
-        k,
-        banded,
-    }
-}
-
 /// Re-evaluates every switch at time `t` against node voltages `v`,
 /// updating `sw_state` in place. Voltage-controlled switches latch once
 /// triggered, so for those `sw_state` doubles as the latch. Returns
@@ -292,7 +209,7 @@ fn stamp_switches(ckt: &Circuit, sw_state: &[bool], mut add: impl FnMut(usize, u
     }
 }
 
-/// One run inside the banded engine, with its own ordering, step,
+/// One run inside the engine, with its own ordering, step,
 /// switch state and factorization.
 struct Column<'a> {
     ckt: &'a Circuit,
@@ -317,11 +234,24 @@ struct Column<'a> {
 }
 
 impl<'a> Column<'a> {
-    fn new(run: &BatchRun<'a>, sym: Symbolic) -> Column<'a> {
-        let (ckt, dt, pos) = (run.circuit, run.dt.value(), &sym.pos);
+    fn new(run: &BatchRun<'a>) -> Column<'a> {
+        let (ckt, dt) = (run.circuit, run.dt.value());
+        // Connectivity includes every switch whether or not it is closed,
+        // so the band structure is valid for all switch states.
+        let edges = ckt
+            .resistors
+            .iter()
+            .map(|r| (r.a, r.b))
+            .chain(ckt.switches.iter().filter_map(|s| match s.b {
+                SwitchTerminal::Node(b) => Some((s.a, b)),
+                SwitchTerminal::Ground => None,
+            }));
+        let adj = adjacency(ckt.node_count(), edges);
+        let order = rcm_order(&adj);
+        let pos = positions(&order);
         // A diagonal system is stored tridiagonally (zero couplings), so
         // every panel column carries the same kind of factorization.
-        let k = sym.k.max(1);
+        let k = half_bandwidth(&adj, &pos).max(1);
         let mut template = Banded::zeros(ckt.node_count(), k);
         for r in &ckt.resistors {
             let g = 1.0 / r.r;
@@ -349,8 +279,8 @@ impl<'a> Column<'a> {
             .collect();
         Column {
             ckt,
-            order: sym.order,
-            pos: sym.pos,
+            order,
+            pos,
             k,
             dt,
             steps,
@@ -476,101 +406,9 @@ fn run_banded(mut cols: Vec<Column<'_>>) -> Result<Vec<TransientResult>, Circuit
                 final_v: col.final_v,
                 supply_energy: Femtojoules::new(col.supply_energy),
                 source_energy: col.source_energy.into_iter().map(Femtojoules::new).collect(),
-                banded: true,
             }
         })
         .collect())
-}
-
-/// Dense fallback: full LU with partial pivoting, refreshed per
-/// switch-state change.
-fn run_dense(
-    ckt: &Circuit,
-    probed: Vec<usize>,
-    steps: usize,
-    dt: Picoseconds,
-) -> Result<TransientResult, CircuitError> {
-    let dt_v = dt.value();
-    let n = ckt.node_count();
-    // Static conductance stamp (resistors + source conductances).
-    let mut g_static = vec![vec![0.0; n]; n];
-    for r in &ckt.resistors {
-        let g = 1.0 / r.r;
-        g_static[r.a][r.a] += g;
-        g_static[r.b][r.b] += g;
-        g_static[r.a][r.b] -= g;
-        g_static[r.b][r.a] -= g;
-    }
-    for s in &ckt.sources {
-        g_static[s.node][s.node] += 1.0 / s.r_series;
-    }
-
-    let mut v: Vec<f64> = ckt.initial_v.clone();
-    let mut traces: Vec<Vec<f64>> = probed
-        .iter()
-        .map(|&i| {
-            let mut t = Vec::with_capacity(steps + 1);
-            t.push(v[i]);
-            t
-        })
-        .collect();
-
-    let mut lu: Option<(Vec<Vec<f64>>, Vec<usize>)> = None;
-    let mut sw_state = vec![false; ckt.switches.len()];
-    let mut supply_energy = 0.0;
-    let mut source_energy = vec![0.0; ckt.sources.len()];
-    let mut rhs = vec![0.0; n];
-
-    for step in 1..=steps {
-        let t = step as f64 * dt_v;
-
-        if update_switches(ckt, &mut sw_state, t, |node| v[node]) || lu.is_none() {
-            lim_obs::counter_add("transient.refactorizations", 1);
-            let mut a = g_static.clone();
-            stamp_switches(ckt, &sw_state, |i, j, g| a[i][j] += g);
-            for (i, row) in a.iter_mut().enumerate() {
-                row[i] += ckt.caps[i] / dt_v;
-            }
-            let perm = lu_factor(&mut a)?;
-            lu = Some((a, perm));
-        }
-
-        // RHS: history term + source currents at t.
-        for i in 0..n {
-            rhs[i] = ckt.caps[i] / dt_v * v[i];
-        }
-        for s in &ckt.sources {
-            rhs[s.node] += s.target_at(t) / s.r_series;
-        }
-
-        let (a, perm) = lu.as_ref().expect("factorization exists");
-        lu_solve(a, perm, &rhs, &mut v);
-
-        // Energy delivered by each driver over this step.
-        for (k, s) in ckt.sources.iter().enumerate() {
-            let vt = s.target_at(t);
-            let i_out = (vt - v[s.node]) / s.r_series; // mA
-            let e = vt * i_out * dt_v; // fJ
-            source_energy[k] += e;
-            supply_energy += e;
-        }
-
-        for (trace, &i) in traces.iter_mut().zip(&probed) {
-            trace.push(v[i]);
-        }
-    }
-
-    let mut waveforms: Vec<Option<Waveform>> = (0..n).map(|_| None).collect();
-    for (trace, &i) in traces.into_iter().zip(&probed) {
-        waveforms[i] = Some(Waveform::new(Picoseconds::ZERO, dt, trace));
-    }
-    Ok(TransientResult {
-        waveforms,
-        final_v: v,
-        supply_energy: Femtojoules::new(supply_energy),
-        source_energy: source_energy.into_iter().map(Femtojoules::new).collect(),
-        banded: false,
-    })
 }
 
 /// The outcome of a transient run: one waveform per probed node plus the
@@ -581,7 +419,6 @@ pub struct TransientResult {
     final_v: Vec<f64>,
     supply_energy: Femtojoules,
     source_energy: Vec<Femtojoules>,
-    banded: bool,
 }
 
 impl TransientResult {
@@ -638,83 +475,6 @@ impl TransientResult {
     pub fn source_energy(&self, source: SourceId) -> Femtojoules {
         self.source_energy[source.0]
     }
-
-    /// True when the banded backend solved this run (exposed so tests
-    /// and benches can assert which path they exercised).
-    pub fn used_banded_solver(&self) -> bool {
-        self.banded
-    }
-}
-
-/// In-place LU factorization with partial pivoting. Returns the row
-/// permutation.
-fn lu_factor(a: &mut [Vec<f64>]) -> Result<Vec<usize>, CircuitError> {
-    let n = a.len();
-    let mut perm: Vec<usize> = (0..n).collect();
-    for col in 0..n {
-        // Pivot.
-        let mut best = col;
-        let mut best_mag = a[col][col].abs();
-        for (row, a_row) in a.iter().enumerate().skip(col + 1) {
-            let mag = a_row[col].abs();
-            if mag > best_mag {
-                best = row;
-                best_mag = mag;
-            }
-        }
-        // The dense path pivots, so the best candidate is judged
-        // relative to the whole column's magnitude (scale-independent,
-        // like the banded backend's row-relative test): a column whose
-        // candidates all vanished against its upper entries is
-        // (near-)singular, and an all-zero column certainly is.
-        let scale = a.iter().map(|row| row[col].abs()).fold(0.0f64, f64::max);
-        if best_mag < 1e-12 * scale || scale == 0.0 {
-            return Err(CircuitError::SingularSystem {
-                node: col,
-                magnitude: best_mag,
-            });
-        }
-        if best != col {
-            a.swap(best, col);
-            perm.swap(best, col);
-        }
-        let pivot = a[col][col];
-        for row in col + 1..n {
-            let factor = a[row][col] / pivot;
-            a[row][col] = factor;
-            if factor != 0.0 {
-                // Split the row pair to satisfy the borrow checker.
-                let (upper, lower) = a.split_at_mut(row);
-                let (prow, crow) = (&upper[col], &mut lower[0]);
-                for k in col + 1..n {
-                    crow[k] -= factor * prow[k];
-                }
-            }
-        }
-    }
-    Ok(perm)
-}
-
-/// Solves `A x = b` given the LU factorization and permutation from
-/// [`lu_factor`]. The solution lands in `x`; `b` is left untouched.
-fn lu_solve(a: &[Vec<f64>], perm: &[usize], b: &[f64], x: &mut [f64]) {
-    let n = a.len();
-    // Apply permutation and forward-substitute.
-    for i in 0..n {
-        x[i] = b[perm[i]];
-    }
-    for i in 0..n {
-        for k in 0..i {
-            x[i] -= a[i][k] * x[k];
-        }
-    }
-    // Back-substitute.
-    for i in (0..n).rev() {
-        for k in i + 1..n {
-            x[i] -= a[i][k] * x[k];
-        }
-        x[i] /= a[i][i];
-    }
 }
 
 #[cfg(test)]
@@ -725,6 +485,157 @@ mod tests {
     use lim_testkit::rng::TestRng;
 
     const VDD: f64 = 1.2;
+
+    /// The test oracle: the same backward-Euler steps on the dense system
+    /// in the circuit's own node order, LU-factored with partial pivoting
+    /// and refreshed per switch-state change. Records every node.
+    fn dense_oracle(
+        ckt: &Circuit,
+        t_end: Picoseconds,
+        dt: Picoseconds,
+    ) -> Result<TransientResult, CircuitError> {
+        let steps = (t_end.value() / dt.value()).ceil() as usize; // as `BatchRun::steps`
+        let dt_v = dt.value();
+        let n = ckt.node_count();
+        // Static conductance stamp (resistors + source conductances).
+        let mut g_static = vec![vec![0.0; n]; n];
+        for r in &ckt.resistors {
+            let g = 1.0 / r.r;
+            g_static[r.a][r.a] += g;
+            g_static[r.b][r.b] += g;
+            g_static[r.a][r.b] -= g;
+            g_static[r.b][r.a] -= g;
+        }
+        for s in &ckt.sources {
+            g_static[s.node][s.node] += 1.0 / s.r_series;
+        }
+
+        let mut v: Vec<f64> = ckt.initial_v.clone();
+        let mut traces: Vec<Vec<f64>> = v.iter().map(|&x| vec![x]).collect();
+        let mut lu: Option<(Vec<Vec<f64>>, Vec<usize>)> = None;
+        let mut sw_state = vec![false; ckt.switches.len()];
+        let mut supply_energy = 0.0;
+        let mut source_energy = vec![0.0; ckt.sources.len()];
+        let mut rhs = vec![0.0; n];
+
+        for step in 1..=steps {
+            let t = step as f64 * dt_v;
+
+            if update_switches(ckt, &mut sw_state, t, |node| v[node]) || lu.is_none() {
+                let mut a = g_static.clone();
+                stamp_switches(ckt, &sw_state, |i, j, g| a[i][j] += g);
+                for (i, row) in a.iter_mut().enumerate() {
+                    row[i] += ckt.caps[i] / dt_v;
+                }
+                let perm = lu_factor(&mut a)?;
+                lu = Some((a, perm));
+            }
+
+            // RHS: history term + source currents at t.
+            for i in 0..n {
+                rhs[i] = ckt.caps[i] / dt_v * v[i];
+            }
+            for s in &ckt.sources {
+                rhs[s.node] += s.target_at(t) / s.r_series;
+            }
+
+            let (a, perm) = lu.as_ref().expect("factorization exists");
+            lu_solve(a, perm, &rhs, &mut v);
+
+            // Energy delivered by each source over this step.
+            for (k, s) in ckt.sources.iter().enumerate() {
+                let vt = s.target_at(t);
+                let i_out = (vt - v[s.node]) / s.r_series; // mA
+                let e = vt * i_out * dt_v; // fJ
+                source_energy[k] += e;
+                supply_energy += e;
+            }
+            for (trace, &x) in traces.iter_mut().zip(&v) {
+                trace.push(x);
+            }
+        }
+
+        Ok(TransientResult {
+            waveforms: traces
+                .into_iter()
+                .map(|trace| Some(Waveform::new(Picoseconds::ZERO, dt, trace)))
+                .collect(),
+            final_v: v,
+            supply_energy: Femtojoules::new(supply_energy),
+            source_energy: source_energy.into_iter().map(Femtojoules::new).collect(),
+        })
+    }
+
+    /// In-place LU factorization with partial pivoting. Returns the row
+    /// permutation.
+    fn lu_factor(a: &mut [Vec<f64>]) -> Result<Vec<usize>, CircuitError> {
+        let n = a.len();
+        let mut perm: Vec<usize> = (0..n).collect();
+        for col in 0..n {
+            // Pivot.
+            let mut best = col;
+            let mut best_mag = a[col][col].abs();
+            for (row, a_row) in a.iter().enumerate().skip(col + 1) {
+                let mag = a_row[col].abs();
+                if mag > best_mag {
+                    best = row;
+                    best_mag = mag;
+                }
+            }
+            // The best candidate is judged relative to the whole column's
+            // magnitude (scale-independent, like the engine's row-relative
+            // test): a column whose candidates all vanished against its
+            // upper entries is (near-)singular, and an all-zero column
+            // certainly is.
+            let scale = a.iter().map(|row| row[col].abs()).fold(0.0f64, f64::max);
+            if best_mag < 1e-12 * scale || scale == 0.0 {
+                return Err(CircuitError::SingularSystem {
+                    node: col,
+                    magnitude: best_mag,
+                });
+            }
+            if best != col {
+                a.swap(best, col);
+                perm.swap(best, col);
+            }
+            let pivot = a[col][col];
+            for row in col + 1..n {
+                let factor = a[row][col] / pivot;
+                a[row][col] = factor;
+                if factor != 0.0 {
+                    // Split the row pair to satisfy the borrow checker.
+                    let (upper, lower) = a.split_at_mut(row);
+                    let (prow, crow) = (&upper[col], &mut lower[0]);
+                    for k in col + 1..n {
+                        crow[k] -= factor * prow[k];
+                    }
+                }
+            }
+        }
+        Ok(perm)
+    }
+
+    /// Solves `A x = b` given the LU factorization and permutation from
+    /// [`lu_factor`]. The solution lands in `x`; `b` is left untouched.
+    fn lu_solve(a: &[Vec<f64>], perm: &[usize], b: &[f64], x: &mut [f64]) {
+        let n = a.len();
+        // Apply permutation and forward-substitute.
+        for i in 0..n {
+            x[i] = b[perm[i]];
+        }
+        for i in 0..n {
+            for k in 0..i {
+                x[i] -= a[i][k] * x[k];
+            }
+        }
+        // Back-substitute.
+        for i in (0..n).rev() {
+            for k in i + 1..n {
+                x[i] -= a[i][k] * x[k];
+            }
+            x[i] /= a[i][i];
+        }
+    }
 
     fn charge_circuit(r: f64, c: f64) -> (Circuit, NodeId, SourceId) {
         let mut ckt = Circuit::new();
@@ -827,11 +738,10 @@ mod tests {
     fn floating_node_is_singular() {
         let mut ckt = Circuit::new();
         let _ = ckt.add_node("float"); // no cap, no path
-        for kind in [SolverKind::Auto, SolverKind::Dense, SolverKind::Banded] {
-            let err = TransientSim::new(&ckt)
-                .with_solver(kind)
-                .run(Picoseconds::new(1.0), Picoseconds::new(0.1))
-                .unwrap_err();
+        let (t_end, dt) = (Picoseconds::new(1.0), Picoseconds::new(0.1));
+        let engine = TransientSim::new(&ckt).run(t_end, dt).unwrap_err();
+        let oracle = dense_oracle(&ckt, t_end, dt).unwrap_err();
+        for err in [engine, oracle] {
             match err {
                 CircuitError::SingularSystem { node, magnitude } => {
                     assert_eq!(node, 0);
@@ -868,23 +778,9 @@ mod tests {
         assert!((res.final_voltage(b).value() - VDD / 2.0).abs() < 0.01);
     }
 
-    /// Builds a ladder long enough for [`SolverKind::Auto`] to choose the
-    /// banded path.
+    /// An `n`-node ladder of 50 Ω segments driven at its near end.
     fn long_ladder(n: usize) -> (Circuit, NodeId) {
-        let mut ckt = Circuit::new();
-        let mut prev = ckt.add_node("n0");
-        ckt.add_cap(prev, Femtofarads::new(1.0));
-        let src = ckt.add_source(prev, KiloOhms::new(0.5), Volts::ZERO);
-        ckt.schedule(src, Picoseconds::ZERO, Volts::new(VDD));
-        let mut last = prev;
-        for i in 1..n {
-            let node = ckt.add_node(format!("n{i}"));
-            ckt.add_resistor(prev, node, KiloOhms::new(0.05));
-            ckt.add_cap(node, Femtofarads::new(1.0));
-            prev = node;
-            last = node;
-        }
-        (ckt, last)
+        long_ladder_r(n, 0.05)
     }
 
     /// As [`long_ladder`] but with configurable segment resistance, so
@@ -904,21 +800,6 @@ mod tests {
             last = node;
         }
         (ckt, last)
-    }
-
-    #[test]
-    fn auto_picks_banded_for_ladders_and_dense_for_tiny_systems() {
-        let (ladder, _) = long_ladder(40);
-        let res = TransientSim::new(&ladder)
-            .run(Picoseconds::new(50.0), Picoseconds::new(0.1))
-            .unwrap();
-        assert!(res.used_banded_solver());
-
-        let (tiny, _, _) = charge_circuit(1.0, 1.0);
-        let res = TransientSim::new(&tiny)
-            .run(Picoseconds::new(10.0), Picoseconds::new(0.1))
-            .unwrap();
-        assert!(!res.used_banded_solver());
     }
 
     #[test]
@@ -1014,21 +895,20 @@ mod tests {
             BatchRun { circuit: &c, probes: &c_probe, t_end, dt },
             BatchRun { circuit: &d, probes: &d_probe, t_end, dt },
         ];
-        let batch = run_probed_batch(&runs, SolverKind::Auto).unwrap();
+        let batch = run_probed_batch(&runs).unwrap();
         assert_eq!(batch.len(), runs.len());
         for (i, run) in runs.iter().enumerate() {
             let solo = TransientSim::new(run.circuit)
                 .run_probed(run.probes, t_end, dt)
                 .unwrap();
-            assert!(batch[i].used_banded_solver());
             assert_bit_identical(&batch[i], &solo, run.probes[0], &format!("run {i}"));
         }
     }
 
     #[test]
-    fn batch_handles_dense_and_empty_inputs() {
-        assert!(run_probed_batch(&[], SolverKind::Auto).unwrap().is_empty());
-        // Tiny circuits fall back to the dense path inside a batch too.
+    fn batch_handles_tiny_and_empty_inputs() {
+        assert!(run_probed_batch(&[]).unwrap().is_empty());
+        // A one-node circuit is a one-row panel column, batched or alone.
         let (tiny, node, _) = charge_circuit(1.0, 10.0);
         let probes = [node];
         let runs = [BatchRun {
@@ -1037,12 +917,11 @@ mod tests {
             t_end: Picoseconds::new(50.0),
             dt: Picoseconds::new(0.05),
         }];
-        let batch = run_probed_batch(&runs, SolverKind::Auto).unwrap();
-        assert!(!batch[0].used_banded_solver());
+        let batch = run_probed_batch(&runs).unwrap();
         let solo = TransientSim::new(&tiny)
             .run_probed(&probes, Picoseconds::new(50.0), Picoseconds::new(0.05))
             .unwrap();
-        assert_bit_identical(&batch[0], &solo, node, "dense batch run");
+        assert_bit_identical(&batch[0], &solo, node, "tiny batch run");
     }
 
     #[test]
@@ -1066,7 +945,7 @@ mod tests {
                 dt: Picoseconds::new(0.1),
             },
         ];
-        let err = run_probed_batch(&runs, SolverKind::Auto).unwrap_err();
+        let err = run_probed_batch(&runs).unwrap_err();
         assert!(matches!(err, CircuitError::SingularSystem { .. }));
     }
 
@@ -1116,16 +995,8 @@ mod tests {
             let ckt = random_circuit(rng);
             let t_end = Picoseconds::new(60.0);
             let dt = Picoseconds::new(0.1);
-            let dense = TransientSim::new(&ckt)
-                .with_solver(SolverKind::Dense)
-                .run(t_end, dt)
-                .unwrap();
-            let banded = TransientSim::new(&ckt)
-                .with_solver(SolverKind::Banded)
-                .run(t_end, dt)
-                .unwrap();
-            assert!(!dense.used_banded_solver());
-            assert!(banded.used_banded_solver());
+            let dense = dense_oracle(&ckt, t_end, dt).unwrap();
+            let banded = TransientSim::new(&ckt).run(t_end, dt).unwrap();
             for i in 0..ckt.node_count() {
                 let node = NodeId(i);
                 let (a, b) = (dense.waveform(node), banded.waveform(node));
@@ -1174,7 +1045,7 @@ mod tests {
     fn prop_batched_runs_match_sequential() {
         // 1–9 runs per case, each with its own Δt, window and size:
         // ladders share one padded tridiagonal panel and retire at
-        // different steps; chorded random circuits go wide or dense.
+        // different steps; chorded random circuits may go wide.
         prop::check("batch_sequential_agreement", |rng| {
             let count = 1 + rng.bounded(9) as usize;
             let circuits: Vec<(Circuit, NodeId)> = (0..count)
@@ -1204,12 +1075,11 @@ mod tests {
                     dt,
                 })
                 .collect();
-            let batch = run_probed_batch(&runs, SolverKind::Auto).unwrap();
+            let batch = run_probed_batch(&runs).unwrap();
             for (i, run) in runs.iter().enumerate() {
                 let solo = TransientSim::new(run.circuit)
                     .run_probed(run.probes, run.t_end, run.dt)
                     .unwrap();
-                assert_eq!(batch[i].used_banded_solver(), solo.used_banded_solver());
                 for &probe in run.probes {
                     assert_bit_identical(&batch[i], &solo, probe, &format!("run {i} of {count}"));
                 }

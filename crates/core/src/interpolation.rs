@@ -19,6 +19,7 @@
 use crate::error::LimError;
 use crate::flow::{LimBlock, LimFlow};
 use lim_brick::{BitcellKind, BrickLibrary, BrickSpec};
+use lim_rtl::generators::{burst_decoder, complement_rails};
 use lim_rtl::{NetId, Netlist, StdCellKind};
 use lim_tech::Technology;
 
@@ -166,29 +167,11 @@ pub fn generate_lim(
     let frac_bits = config.expansion_factor().trailing_zeros().max(1) as usize;
     let addr: Vec<NetId> = (0..addr_bits).map(|i| n.add_input(format!("addr[{i}]"))).collect();
     let frac: Vec<NetId> = (0..frac_bits).map(|i| n.add_input(format!("frac[{i}]"))).collect();
-    let addr_n: Vec<NetId> = addr
-        .iter()
-        .enumerate()
-        .map(|(i, &a)| n.add_gate(StdCellKind::Inv, 2.0, &[a], format!("addr_n[{i}]")))
-        .collect::<Result<_, _>>()?;
+    let addr_n = complement_rails(&mut n, &addr, "addr")?;
 
     // Burst decoder: wordline w fires for address w and w−1, so rows w
     // and w+1 of the seed table are both read in one access.
-    let mut hot = Vec::with_capacity(config.seed_size);
-    for w in 0..config.seed_size {
-        let lits: Vec<NetId> = (0..addr_bits)
-            .map(|b| if (w >> b) & 1 == 1 { addr[b] } else { addr_n[b] })
-            .collect();
-        hot.push(lim_rtl::generators::and_tree(&mut n, &lits, &format!("d{w}"))?);
-    }
-    let mut dwl = Vec::with_capacity(config.seed_size);
-    for w in 0..config.seed_size {
-        dwl.push(if w == 0 {
-            n.add_gate(StdCellKind::Buf, 2.0, &[hot[0]], "b0")?
-        } else {
-            n.add_gate(StdCellKind::Or2, 1.0, &[hot[w], hot[w - 1]], format!("b{w}"))?
-        });
-    }
+    let dwl = burst_decoder(&mut n, &addr, &addr_n, config.seed_size, "")?;
 
     // Seed bank (reads two rows via the burst lines; the even/odd split
     // of a real design is folded into one macro here).

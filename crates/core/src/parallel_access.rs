@@ -24,7 +24,7 @@
 use crate::error::LimError;
 use crate::flow::{LimBlock, LimFlow};
 use lim_brick::{BitcellKind, BrickLibrary, BrickSpec};
-use lim_rtl::generators::and_tree;
+use lim_rtl::generators::{burst_decoder, complement_rails, minterm};
 use lim_rtl::{NetId, Netlist, StdCellKind};
 use lim_tech::Technology;
 
@@ -138,74 +138,15 @@ fn ensure_bank_entry(
     Ok(name)
 }
 
-/// Shared-decode one-hot of `addr` over `words` outputs, with an
-/// "adjacent activation" OR stage (`out[w] = dec[w] | dec[w−1]`) — the
-/// paper's customized decoder that serves a window straddling two rows.
-fn burst_decoder(
-    n: &mut Netlist,
-    addr: &[NetId],
-    addr_n: &[NetId],
-    words: usize,
-    label: &str,
-) -> Result<Vec<NetId>, LimError> {
-    let bits = addr.len();
-    let mut hot = Vec::with_capacity(words);
-    for w in 0..words {
-        let lits: Vec<NetId> = (0..bits)
-            .map(|b| if (w >> b) & 1 == 1 { addr[b] } else { addr_n[b] })
-            .collect();
-        hot.push(and_tree(n, &lits, &format!("{label}_d{w}"))?);
-    }
-    let mut burst = Vec::with_capacity(words);
-    for w in 0..words {
-        if w == 0 {
-            burst.push(n.add_gate(StdCellKind::Buf, 2.0, &[hot[0]], format!("{label}_b0"))?);
-        } else {
-            burst.push(n.add_gate(
-                StdCellKind::Or2,
-                1.0,
-                &[hot[w], hot[w - 1]],
-                format!("{label}_b{w}"),
-            )?);
-        }
-    }
-    Ok(burst)
-}
-
-/// Plain one-hot decoder (per-bank, the conventional structure).
-fn full_decoder(
-    n: &mut Netlist,
-    addr: &[NetId],
-    addr_n: &[NetId],
-    words: usize,
-    label: &str,
-) -> Result<Vec<NetId>, LimError> {
-    let bits = addr.len();
-    (0..words)
-        .map(|w| {
-            let lits: Vec<NetId> = (0..bits)
-                .map(|b| if (w >> b) & 1 == 1 { addr[b] } else { addr_n[b] })
-                .collect();
-            Ok(and_tree(n, &lits, &format!("{label}_d{w}"))?)
-        })
-        .collect()
-}
-
+/// The bank address bus and its complement rails.
 fn add_inputs(
     n: &mut Netlist,
     cfg: &ParallelAccessConfig,
-) -> (Vec<NetId>, Vec<NetId>) {
+) -> Result<(Vec<NetId>, Vec<NetId>), LimError> {
     let bits = cfg.bank_addr_bits();
     let addr: Vec<NetId> = (0..bits).map(|i| n.add_input(format!("addr[{i}]"))).collect();
-    let addr_n: Vec<NetId> = addr
-        .iter()
-        .enumerate()
-        .map(|(i, &a)| {
-            n.add_gate(StdCellKind::Inv, 2.0, &[a], format!("addr_n[{i}]"))
-                .expect("inverter arity")
-        })
-        .collect();
-    (addr, addr_n)
+    let addr_n = complement_rails(n, &addr, "addr")?;
+    Ok((addr, addr_n))
 }
 
 fn instantiate_bank(
@@ -255,12 +196,13 @@ pub fn generate_lim(
     ));
     let clk = n.add_clock("clk");
     let en = n.add_input("en");
-    let (addr, addr_n) = add_inputs(&mut n, cfg);
+    let (addr, addr_n) = add_inputs(&mut n, cfg)?;
 
-    // One shared burst decoder per bank row; its wordlines fan out to all
-    // n banks of the group.
+    // One shared burst decoder per bank row ("adjacent activation": a
+    // window straddling two rows reads both); its wordlines fan out to
+    // all n banks of the group.
     for row in 0..cfg.window_rows {
-        let dwl = burst_decoder(&mut n, &addr, &addr_n, cfg.words_per_bank(), &format!("r{row}"))?;
+        let dwl = burst_decoder(&mut n, &addr, &addr_n, cfg.words_per_bank(), &format!("r{row}_"))?;
         for col in 0..cfg.window_cols {
             let index = row * cfg.window_cols + col;
             let outs = instantiate_bank(&mut n, clk, en, &dwl, cfg.pixel_bits, &entry, index);
@@ -298,12 +240,14 @@ pub fn generate_conventional(
     ));
     let clk = n.add_clock("clk");
     let en = n.add_input("en");
-    let (addr, addr_n) = add_inputs(&mut n, cfg);
+    let (addr, addr_n) = add_inputs(&mut n, cfg)?;
 
     for index in 0..cfg.banks() {
-        // Private decoder per bank — the duplicated logic the smart
-        // memory eliminates.
-        let dwl = full_decoder(&mut n, &addr, &addr_n, cfg.words_per_bank(), &format!("b{index}"))?;
+        // Private one-hot decoder per bank — the duplicated logic the
+        // smart memory eliminates.
+        let dwl = (0..cfg.words_per_bank())
+            .map(|w| minterm(&mut n, &addr, &addr_n, w, &format!("b{index}_d{w}")))
+            .collect::<Result<Vec<_>, _>>()?;
         let gated: Vec<NetId> = dwl
             .iter()
             .enumerate()

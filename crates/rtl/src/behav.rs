@@ -195,16 +195,6 @@ impl BehavModule {
     pub fn mem(&self, name: &str) -> Option<&MemDecl> {
         self.mems.iter().find(|m| m.name == name)
     }
-
-    /// Input ports excluding `clock`, in declaration order — the input
-    /// vector layout shared by the interpreter, the lowered netlist and
-    /// the smart-memory testbench.
-    pub fn data_inputs<'m>(&'m self, clock: &str) -> Vec<&'m Port> {
-        self.ports
-            .iter()
-            .filter(|p| p.dir == PortDir::Input && p.name != clock)
-            .collect()
-    }
 }
 
 fn mask(width: usize) -> u64 {

@@ -1,7 +1,6 @@
 //! Netlist statistics: the `report_qor` of the mapping stage.
 
 use crate::ir::{CellKind, NetId, Netlist};
-use crate::stdcell::StdCellKind;
 use lim_tech::units::SquareMicrons;
 use lim_tech::Technology;
 use std::collections::BTreeMap;
@@ -111,12 +110,6 @@ impl NetlistStats {
         }
         s
     }
-}
-
-/// Convenience: histogram key for one gate kind (used by callers building
-/// their own views).
-pub fn kind_name(kind: StdCellKind) -> &'static str {
-    kind.name()
 }
 
 #[cfg(test)]

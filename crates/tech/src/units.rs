@@ -263,14 +263,6 @@ impl Femtojoules {
     }
 }
 
-impl Picojoules {
-    /// Converts to femtojoules.
-    #[inline]
-    pub fn to_femtojoules(self) -> Femtojoules {
-        Femtojoules::new(self.value() * 1e3)
-    }
-}
-
 impl Picoseconds {
     /// The clock frequency whose period is this duration.
     ///

@@ -6,12 +6,14 @@
 //! Run with `cargo run --release --example export_artifacts`.
 
 use lim_repro::lim::sram::{self, SramConfig};
+use lim_repro::lim_brick::compiler::SENSE_INPUT_CAP;
 use lim_repro::lim_brick::{liberty, BitcellKind, BrickCompiler, BrickLibrary, BrickSpec};
-use lim_repro::lim_circuit::{extract, vcd, TransientSim};
+use lim_repro::lim_circuit::extract::append_ladder;
+use lim_repro::lim_circuit::{vcd, Circuit, TransientSim};
 use lim_repro::lim_physical::floorplan::{Floorplan, FloorplanOptions};
 use lim_repro::lim_physical::place::{place, PlaceEffort};
 use lim_repro::lim_physical::svg;
-use lim_repro::lim_tech::units::{Femtofarads, KiloOhms, Picoseconds};
+use lim_repro::lim_tech::units::{Picoseconds, Volts};
 use lim_repro::lim_tech::Technology;
 use std::fs;
 use std::path::Path;
@@ -51,36 +53,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fp.height.value()
     );
 
-    // 3. VCD of a wordline/bitline read on an extracted ladder.
+    // 3. VCD of a read on the brick's extracted ladders: a step at the
+    // wordline's near end charges it; once the far cell's gate passes
+    // Vdd/2 its read stack discharges the precharged read bitline,
+    // sensed at the bitline's near end.
     let brick = BrickCompiler::new(&tech).compile(&specs[0])?;
-    let rp = extract::read_path(extract::ReadPathSpec {
-        wordline: extract::LadderSpec {
-            taps: 10,
-            r_segment: KiloOhms::new(0.001),
-            c_segment: Femtofarads::new(0.28),
-            c_tap: brick.cell().wl_cap_per_cell,
-        },
-        target_column: 9,
-        bitline: extract::LadderSpec {
-            taps: 16,
-            r_segment: KiloOhms::new(0.0006),
-            c_segment: Femtofarads::new(0.14),
-            c_tap: brick.cell().bl_cap_per_cell,
-        },
-        target_row: 15,
-        r_wl_driver: brick.wl_driver_resistance(),
-        r_read_stack: brick.cell().read_stack_r,
-        c_sense: Femtofarads::new(2.8),
-        vdd: tech.vdd,
-    });
+    let vdd = tech.vdd;
+    let mut ckt = Circuit::new();
+    let wl_drv = ckt.add_node("wl.drv");
+    let wl = append_ladder(&mut ckt, Some(wl_drv), "wl", &brick.wl_ladder(), None);
+    let wl_src = ckt.add_source(wl_drv, brick.wl_driver_resistance(), Volts::ZERO);
+    ckt.schedule(wl_src, Picoseconds::ZERO, vdd);
+    let sense = ckt.add_node("rbl.sense");
+    ckt.add_cap(sense, SENSE_INPUT_CAP);
+    ckt.set_initial(sense, vdd);
+    let rbl = append_ladder(&mut ckt, Some(sense), "rbl", &brick.rbl_ladder(), Some(vdd));
+    let (wl_at_cell, bl_at_cell) = (wl[wl.len() - 1], rbl[rbl.len() - 1]);
+    let half = Volts::new(vdd.value() / 2.0);
+    ckt.add_vc_switch_to_ground(bl_at_cell, brick.cell().read_stack_r, wl_at_cell, half);
     let dt = Picoseconds::new(0.1);
-    let res = TransientSim::new(&rp.circuit).run(Picoseconds::new(400.0), dt)?;
-    let nodes = [rp.wl_at_cell, rp.bl_at_cell, rp.sense];
-    let vcd_text = vcd::dump_vcd(&rp.circuit, &res, &nodes, dt, 5);
+    let res = TransientSim::new(&ckt).run(Picoseconds::new(400.0), dt)?;
+    let nodes = [wl_at_cell, bl_at_cell, sense];
+    let vcd_text = vcd::dump_vcd(&ckt, &res, &nodes, dt, 5);
     fs::write(out.join("brick_read.vcd"), &vcd_text)?;
     println!("wrote {}", out.join("brick_read.vcd").display());
     // Confirm the read actually happened in the dump.
-    let final_sense = res.final_voltage(rp.sense);
+    let final_sense = res.final_voltage(sense);
     println!(
         "  (sense node discharged to {:.2} — the read completed)",
         final_sense

@@ -10,6 +10,14 @@ cargo build --release --offline
 cargo test -q --workspace --offline
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# perfbench is a workspace of its own that builds against these crates
+# by path. Build and unit-test it here, so a public-API change that
+# breaks it fails tier1 rather than the next benchmark run. --locked
+# keeps its committed Cargo.lock as it is.
+echo "== tier1: perfbench build and unit tests =="
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 # Placement-quality gate: the analytic-seeded placer must keep the
 # flow-bench netlists' final HPWL at or below both the recorded
 # cold-anneal values (22387 / 9605 µm) and the pinned bounds (25402 /

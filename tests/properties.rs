@@ -1288,6 +1288,49 @@ fn rtl_infer_reply_digest_is_pinned_on_the_example() {
 }
 
 #[test]
+fn smart_memory_verilog_digests_are_pinned() {
+    use lim::interpolation::{self, InterpolationConfig};
+    use lim::parallel_access::{self, ParallelAccessConfig};
+    use lim_serve::protocol::fnv1a;
+
+    // Length and FNV-1a of the structural Verilog of the §2.2 smart
+    // memories and the conventional designs they replace, on their
+    // default configurations, recorded before their decoders were built
+    // from the shared `lim_rtl::generators` helpers.
+    let tech = Technology::cmos65();
+    let (pa, ip) = (
+        ParallelAccessConfig::motion_estimation(),
+        InterpolationConfig::sar_default(),
+    );
+    let lib = BrickLibrary::new;
+    for (name, netlist, want) in [
+        (
+            "parallel_access::generate_lim",
+            parallel_access::generate_lim(&tech, &pa, &mut lib()),
+            (176_080, 0xeef0_5376_0355_993du64),
+        ),
+        (
+            "parallel_access::generate_conventional",
+            parallel_access::generate_conventional(&tech, &pa, &mut lib()),
+            (600_822, 0xdc73_2084_5fa2_fb5d),
+        ),
+        (
+            "interpolation::generate_lim",
+            interpolation::generate_lim(&tech, &ip, &mut lib()),
+            (45_783, 0xb093_b7dd_c0b5_1bb9),
+        ),
+        (
+            "interpolation::generate_full_table",
+            interpolation::generate_full_table(&tech, &ip, &mut lib()),
+            (871_769, 0xa926_adcb_57ba_8e56),
+        ),
+    ] {
+        let text = lim_rtl::verilog::emit(&netlist.expect("default configurations generate"));
+        assert_eq!((text.len(), fnv1a(text.as_bytes())), want, "{name}");
+    }
+}
+
+#[test]
 fn golden_compare_reply_digests_are_pinned() {
     use lim_obs::json::Value;
     use lim_serve::protocol::fnv1a;
