@@ -12,11 +12,12 @@
 //! * [`Banded`] — a banded matrix with an in-place LU factorization
 //!   (no pivoting; the stamped systems are symmetric and diagonally
 //!   dominant, for which elimination without pivoting is stable) and an
-//!   in-place triangular solve ([`Banded::solve`]);
+//!   in-place step ([`Banded::step`]) that scales each row as forward
+//!   substitution reaches it, then back-substitutes;
 //! * [`TridiagonalPanel`] — the factors of several tridiagonal systems,
-//!   one per panel column, each with its own row count, swept together
-//!   [`PANEL_LANES`] columns at a time with every column's running value
-//!   held in a register.
+//!   one per panel column, each with its own row count, stepped
+//!   together [`PANEL_LANES`] columns (one lane group) at a time with
+//!   every column's running value held in a register.
 //!
 //! Factoring a half-bandwidth-`k` system costs `O(n·k²)` and each solve
 //! `O(n·k)`, versus `O(n³)` / `O(n²)` for a dense LU — a ~100×
@@ -26,7 +27,10 @@
 //! the division was the single most expensive operation per node-step.
 //! What remains at `k = 1` is a serial recurrence per column (each row
 //! needs the row before it), so a lone tridiagonal solve is bound by
-//! latency; the panel sweep overlaps [`PANEL_LANES`] such recurrences.
+//! latency; the panel step overlaps [`PANEL_LANES`] such recurrences,
+//! folds the transient's `C/Δt` history multiply into its forward pass
+//! (one fewer pass over the panel per step), and sweeps each lane group
+//! only as far as its caller asks.
 
 /// Undirected adjacency lists over `n` nodes built from an edge
 /// iterator. Self-loops are ignored; duplicate edges are deduplicated.
@@ -219,68 +223,74 @@ impl Banded {
         Ok(())
     }
 
-    /// Solves `A x = b` in place given a prior [`Banded::factor`].
-    pub fn solve(&self, b: &mut [f64]) {
+    /// Solves `A y = diag(scale) · x` in place given a prior
+    /// [`Banded::factor`]. Each row is scaled as forward substitution
+    /// reaches it, so a transient step's `C/Δt` history product needs no
+    /// pass of its own; a unit scale leaves its row's bits as they are.
+    pub fn step(&self, x: &mut [f64], scale: &[f64]) {
         let (n, k) = (self.n, self.k);
-        debug_assert_eq!(b.len(), n);
+        debug_assert!(x.len() == n && scale.len() == n);
         // Forward-substitute through L (unit diagonal).
         for i in 0..n {
+            x[i] *= scale[i];
             for j in i.saturating_sub(k)..i {
-                b[i] -= self.get(i, j) * b[j];
+                x[i] -= self.get(i, j) * x[j];
             }
         }
         // Back-substitute through U, scaling by the stored reciprocal
         // pivots instead of dividing.
         for i in (0..n).rev() {
             for j in i + 1..=(i + k).min(n - 1) {
-                b[i] -= self.get(i, j) * b[j];
+                x[i] -= self.get(i, j) * x[j];
             }
-            b[i] *= self.inv_diag[i];
+            x[i] *= self.inv_diag[i];
         }
     }
 }
 
-/// Columns the [`TridiagonalPanel`] sweep advances together.
+/// Columns one lane group of a [`TridiagonalPanel`] steps together.
+///
+/// Four, not eight: two 2-wide SSE2 registers per carried row on the
+/// baseline x86-64 target, and the golden flow cuts its sims into panels
+/// of this many columns that fan out across worker threads. Eight lanes
+/// (one panel per four-configuration batch) measured slower.
 pub const PANEL_LANES: usize = 4;
 
-/// The LU factors of up to `width` tridiagonal systems, one per panel
-/// column, interleaved row-major like the right-hand sides they solve
-/// (`x[row * width + col]`).
+/// One row of a lane group: one value per lane.
+type Lanes = [f64; PANEL_LANES];
+
+/// The LU factors of tridiagonal systems, one per panel column, laid
+/// out like the values they step: lane group `g` (columns
+/// `g·PANEL_LANES ..`) holds `rows` contiguous rows of [`PANEL_LANES`]
+/// values, so column `c`'s row `i` sits at flat index
+/// `(c / PANEL_LANES · rows + i) · PANEL_LANES + c % PANEL_LANES`.
 ///
 /// A column's system may have fewer rows than the panel. The rows past
 /// its end are inert — no couplings and a unit pivot — and so are the
-/// columns past `width` up to the next multiple of [`PANEL_LANES`]. An
-/// inert row whose right-hand side is `+0` stays `+0` and leaves the
-/// column's real rows bit-identical to a lone [`Banded::solve`].
+/// lanes past the last column. An inert row whose value and scale are
+/// `+0` stays `+0` and leaves the column's real rows bit-identical to a
+/// lone [`Banded::step`].
 #[derive(Debug, Clone)]
 pub struct TridiagonalPanel {
     rows: usize,
-    width: usize,
-    /// `L(i, i−1)` per row and column (0 on row 0 and inert rows).
-    l: Vec<f64>,
-    /// `U(i, i+1)` per row and column (0 on a column's last row).
-    u: Vec<f64>,
-    /// `U(i, i)⁻¹` per row and column (1 on inert rows).
-    inv: Vec<f64>,
+    /// `L(i, i−1)` per row and lane (0 on row 0 and inert rows).
+    l: Vec<Lanes>,
+    /// `U(i, i+1)` per row and lane (0 on a column's last row).
+    u: Vec<Lanes>,
+    /// `U(i, i)⁻¹` per row and lane (1 on inert rows).
+    inv: Vec<Lanes>,
 }
 
 impl TridiagonalPanel {
     /// An inert panel of `rows` rows and at least `columns` columns.
     pub fn new(rows: usize, columns: usize) -> TridiagonalPanel {
-        let width = columns.next_multiple_of(PANEL_LANES);
+        let len = rows * columns.div_ceil(PANEL_LANES);
         TridiagonalPanel {
             rows,
-            width,
-            l: vec![0.0; rows * width],
-            u: vec![0.0; rows * width],
-            inv: vec![1.0; rows * width],
+            l: vec![[0.0; PANEL_LANES]; len],
+            u: vec![[0.0; PANEL_LANES]; len],
+            inv: vec![[1.0; PANEL_LANES]; len],
         }
-    }
-
-    /// Columns per panel row: the requested count rounded up to a
-    /// multiple of [`PANEL_LANES`].
-    pub fn width(&self) -> usize {
-        self.width
     }
 
     /// Installs the factorization `lu` (from [`Banded::factor`] of a
@@ -291,53 +301,63 @@ impl TridiagonalPanel {
     /// Panics if `lu` is not stored tridiagonally, is taller than the
     /// panel, or `col` is out of range.
     pub fn set_column(&mut self, col: usize, lu: &Banded) {
-        assert!(lu.k == 1 && lu.n <= self.rows && col < self.width);
-        let w = self.width;
+        assert!(lu.k == 1 && lu.n <= self.rows);
+        let (base, lane) = (col / PANEL_LANES * self.rows, col % PANEL_LANES);
         for i in 0..lu.n {
-            self.l[i * w + col] = if i > 0 { lu.get(i, i - 1) } else { 0.0 };
-            self.u[i * w + col] = if i + 1 < lu.n { lu.get(i, i + 1) } else { 0.0 };
-            self.inv[i * w + col] = lu.inv_diag[i];
+            self.l[base + i][lane] = if i > 0 { lu.get(i, i - 1) } else { 0.0 };
+            self.u[base + i][lane] = if i + 1 < lu.n { lu.get(i, i + 1) } else { 0.0 };
+            self.inv[base + i][lane] = lu.inv_diag[i];
         }
     }
 
-    /// Solves every column's system in place; `x` holds `rows × width`
-    /// right-hand sides, row-major.
+    /// Steps every column in place: `x` and `scale` are flat panel
+    /// arrays, and each column's values become the solution of its
+    /// system for right-hand side `scale · x`, as [`Banded::step`].
+    /// Lane group `g` sweeps only its first `live[g]` rows; its rows at
+    /// and past `live[g]` are left untouched.
     ///
-    /// The sweep walks [`PANEL_LANES`] columns at a time and carries
-    /// their running values in a fixed-size array, so the next row reads
-    /// its predecessor from a register and the lanes' serial recurrences
-    /// overlap. Every column's arithmetic is that of [`Banded::solve`]
-    /// on its own factorization, in the same order; the extra terms at a
-    /// column's first and last row subtract `0 · (+0)`, which changes no
-    /// bit, so each column is bit-identical to its lone solve.
+    /// One step per lane group: a forward pass that scales each row and
+    /// eliminates through L, then a backward pass through U. Each pass
+    /// reads whole [`PANEL_LANES`]-wide rows and carries the lanes'
+    /// running values in a fixed-size array, so the next row reads its
+    /// predecessor from a register and the lanes' serial recurrences
+    /// overlap. Every column no taller than `live` gets the arithmetic
+    /// of [`Banded::step`] on its own factorization, in the same order;
+    /// the extra terms at its first and last row subtract `0 · (+0)`,
+    /// which changes no bit, so each is bit-identical to its lone step.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != rows × width`.
-    pub fn solve(&self, x: &mut [f64]) {
-        assert_eq!(x.len(), self.rows * self.width, "panel shape");
-        let w = self.width;
-        for c0 in (0..w).step_by(PANEL_LANES) {
-            let lanes = c0..c0 + PANEL_LANES;
-            // Forward through L (unit diagonal): x_i −= L(i, i−1)·x_{i−1}.
+    /// Panics if `x` or `scale` is not the panel's shape, or an entry of
+    /// `live` exceeds the panel's row count.
+    pub fn step(&self, x: &mut [f64], scale: &[f64], live: &[usize]) {
+        let (x, []) = x.as_chunks_mut::<PANEL_LANES>() else {
+            panic!("panel shape")
+        };
+        let (scale, []) = scale.as_chunks::<PANEL_LANES>() else {
+            panic!("panel shape")
+        };
+        assert!(x.len() == self.l.len() && scale.len() == self.l.len(), "panel shape");
+        for (g, &rows) in live.iter().enumerate() {
+            assert!(rows <= self.rows, "live rows");
+            let group = g * self.rows..g * self.rows + rows;
+            let x = &mut x[group.clone()];
+            // Forward: x_i = scale_i·x_i − L(i, i−1)·x_{i−1}.
             let mut carry = [0.0; PANEL_LANES];
-            for (row, l) in x.chunks_exact_mut(w).zip(self.l.chunks_exact(w)) {
-                let (row, l) = (&mut row[lanes.clone()], &l[lanes.clone()]);
+            for ((x, m), l) in x.iter_mut().zip(&scale[group.clone()]).zip(&self.l[group.clone()]) {
                 for k in 0..PANEL_LANES {
-                    carry[k] = row[k] - l[k] * carry[k];
-                    row[k] = carry[k];
+                    carry[k] = x[k] * m[k] - l[k] * carry[k];
                 }
+                *x = carry;
             }
-            // Backward through U: x_i = (x_i − U(i, i+1)·x_{i+1})·U(i, i)⁻¹.
+            // Backward: x_i = (x_i − U(i, i+1)·x_{i+1})·U(i, i)⁻¹.
             let mut carry = [0.0; PANEL_LANES];
-            let coeffs = self.u.chunks_exact(w).zip(self.inv.chunks_exact(w));
-            for (row, (u, inv)) in x.chunks_exact_mut(w).zip(coeffs).rev() {
-                let row = &mut row[lanes.clone()];
-                let (u, inv) = (&u[lanes.clone()], &inv[lanes.clone()]);
+            let coeffs = self.u[group.clone()].iter().zip(&self.inv[group]);
+            for (x, (u, inv)) in x.iter_mut().zip(coeffs).rev() {
                 for k in 0..PANEL_LANES {
-                    carry[k] = (row[k] - u[k] * carry[k]) * inv[k];
-                    row[k] = carry[k];
+                    carry[k] = (x[k] - u[k] * carry[k]) * inv[k];
                 }
+                *x = carry;
             }
         }
     }
@@ -442,7 +462,7 @@ mod tests {
         }
         a.factor().unwrap();
         let mut b = vec![1.0, 0.0, 1.0];
-        a.solve(&mut b);
+        a.step(&mut b, &[1.0; 3]);
         for x in b {
             assert!((x - 1.0).abs() < 1e-12, "{x}");
         }
@@ -476,7 +496,7 @@ mod tests {
         }
         a.factor().expect("tiny but well-scaled system must factor");
         let mut b = vec![1e-15, 0.0, 1e-15];
-        a.solve(&mut b);
+        a.step(&mut b, &[1.0; 3]);
         for x in &b {
             assert!((x - 1.0).abs() < 1e-9, "{x}");
         }
@@ -501,26 +521,36 @@ mod tests {
         }
         a.factor().unwrap();
         let mut b = vec![1.0, 2.0, 3.0];
-        a.solve(&mut b);
+        a.step(&mut b, &[1.0; 3]);
         assert_eq!(b, vec![1.0, 1.0, 1.0]);
     }
 
     #[test]
     fn panel_sweep_is_bit_identical_to_lone_solves() {
         // Oracle: random diagonally dominant tridiagonal systems of
-        // unequal heights, one per column at panel widths 1–9,
-        // so most columns are padded with inert rows and most panels
-        // with inert columns. Every column must match its lone
-        // `Banded::solve` to the bit, signed zeros included, and its
-        // inert rows must stay +0.
+        // unequal heights and random row scales (some exactly 0 or 1),
+        // one per column at panel widths 1–9, so most columns are padded
+        // with inert rows and most panels with inert lanes. Some columns
+        // are retired: their scale is 0, as the engine leaves it, and
+        // each lane group sweeps only up to its tallest running column.
+        // Every running column must match its lone `Banded::step` to the
+        // bit, signed zeros included, and its inert rows must stay +0;
+        // a retired column's swept rows end at ±0, and no row past a
+        // group's cut-off changes.
         prop::check("tridiagonal_panel_oracle", |rng| {
             let width = 1 + rng.bounded(9) as usize;
             let heights: Vec<usize> = (0..width).map(|_| 1 + rng.bounded(40) as usize).collect();
+            let retired: Vec<bool> = (0..width).map(|_| rng.gen_bool(0.3)).collect();
             let rows = *heights.iter().max().expect("width >= 1");
+            let groups = width.div_ceil(PANEL_LANES);
+            let at = |c: usize, i: usize| (c / PANEL_LANES * rows + i) * PANEL_LANES + c % PANEL_LANES;
+            let mut live = vec![0; groups];
+            for c in (0..width).filter(|&c| !retired[c]) {
+                live[c / PANEL_LANES] = live[c / PANEL_LANES].max(heights[c]);
+            }
             let mut panel = TridiagonalPanel::new(rows, width);
-            let w = panel.width();
-            assert_eq!(w % PANEL_LANES, 0);
-            let mut x = vec![0.0; rows * w];
+            let mut x = vec![0.0; groups * rows * PANEL_LANES];
+            let mut scale = vec![0.0; x.len()];
             let mut lone = Vec::new();
             for (c, &n) in heights.iter().enumerate() {
                 let mut a = Banded::zeros(n, 1);
@@ -549,20 +579,39 @@ mod tests {
                         _ => rng.unit_f64() * 2.0 - 1.0,
                     })
                     .collect();
-                for (i, &v) in b.iter().enumerate() {
-                    x[i * w + c] = v;
+                let m: Vec<f64> = (0..n)
+                    .map(|_| match rng.bounded(8) {
+                        _ if retired[c] => 0.0,
+                        0 => 0.0,
+                        1 => 1.0,
+                        _ => 0.1 + 5.0 * rng.unit_f64(),
+                    })
+                    .collect();
+                for i in 0..n {
+                    (x[at(c, i)], scale[at(c, i)]) = (b[i], m[i]);
                 }
                 let mut want = b;
-                a.solve(&mut want);
+                a.step(&mut want, &m);
                 lone.push(want);
             }
-            panel.solve(&mut x);
+            let before = x.clone();
+            panel.step(&mut x, &scale, &live);
             for (c, want) in lone.iter().enumerate() {
-                for (i, v) in want.iter().enumerate() {
-                    assert_eq!(x[i * w + c].to_bits(), v.to_bits(), "row {i} col {c}");
+                let cut = live[c / PANEL_LANES];
+                for i in cut..rows {
+                    assert_eq!(x[at(c, i)].to_bits(), before[at(c, i)].to_bits(), "cut row {i} col {c}");
                 }
-                for i in want.len()..rows {
-                    assert_eq!(x[i * w + c].to_bits(), 0, "inert row {i} col {c}");
+                if retired[c] {
+                    for i in 0..cut {
+                        assert_eq!(x[at(c, i)], 0.0, "retired row {i} col {c}");
+                    }
+                    continue;
+                }
+                for (i, v) in want.iter().enumerate() {
+                    assert_eq!(x[at(c, i)].to_bits(), v.to_bits(), "row {i} col {c}");
+                }
+                for i in want.len()..cut {
+                    assert_eq!(x[at(c, i)].to_bits(), 0, "inert row {i} col {c}");
                 }
             }
         });

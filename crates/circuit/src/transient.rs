@@ -19,14 +19,22 @@
 //! step, length or node order. Each panel column keeps its own RCM order,
 //! `Δt` (step times, `C/Δt` and energy integration), row count, switch
 //! state and LU; a column shorter than the panel is padded with inert
-//! rows. The substitution sweep ([`TridiagonalPanel::solve`]) advances
-//! [`PANEL_LANES`](crate::sparse::PANEL_LANES) columns at a time with
-//! their running values in registers, so their serial recurrences
-//! overlap. A wider run advances alone through [`Banded::solve`]. A
+//! rows. A time step is one fused sweep per lane group of
+//! [`PANEL_LANES`] columns ([`TridiagonalPanel::step`]): a forward pass
+//! that multiplies each row by its `C/Δt` (the history term) as it
+//! eliminates through L, then a backward pass through U, both carrying
+//! the lanes' running values in registers so their serial recurrences
+//! overlap. A row that carries a source is finished before the sweep, in
+//! a lone run's order (`C/Δt`, then each source's current), and swept
+//! with a unit multiplier, so no bit moves. A lane group sweeps only the
+//! rows up to its tallest running column, and a retired column's lanes
+//! go inert (a zero multiplier). A wider run advances alone through
+//! [`Banded::step`], whose forward pass applies the same multipliers. A
 //! single [`TransientSim::run`] is the same engine with a one-column
 //! panel, so batched and sequential results are bit-identical by
 //! construction. This module's tests check the engine against a dense
-//! LU oracle with partial pivoting.
+//! LU oracle with partial pivoting and pin its bits on a fixed set of
+//! runs.
 //!
 //! Supply energy is integrated alongside: every driver's delivered energy
 //! is `∫ v_target · i dt`, which for a full charge of capacitance C to Vdd
@@ -34,7 +42,7 @@
 
 use crate::error::CircuitError;
 use crate::netlist::{Circuit, NodeId, SourceId, SwitchControl, SwitchTerminal};
-use crate::sparse::{adjacency, half_bandwidth, positions, rcm_order, Banded, TridiagonalPanel};
+use crate::sparse::{adjacency, half_bandwidth, positions, rcm_order, Banded, TridiagonalPanel, PANEL_LANES};
 use crate::waveform::{Edge, Waveform};
 use lim_tech::units::{Femtojoules, Picoseconds, Volts};
 
@@ -221,6 +229,9 @@ struct Column<'a> {
     steps: usize,
     probed: Vec<usize>,
     traces: Vec<Vec<f64>>,
+    /// Permuted rows that carry a source, ascending and distinct, with
+    /// their `C/Δt`.
+    sourced: Vec<(usize, f64)>,
     /// Static stamp in permuted coordinates, including `C/Δt` on the
     /// diagonal; cloned and switch-stamped on each state change.
     template: Banded,
@@ -267,6 +278,10 @@ impl<'a> Column<'a> {
         for (i, &c) in ckt.caps.iter().enumerate() {
             template.add(pos[i], pos[i], c / dt);
         }
+        let mut sourced: Vec<usize> = ckt.sources.iter().map(|s| pos[s.node]).collect();
+        sourced.sort_unstable();
+        sourced.dedup();
+        let sourced = sourced.into_iter().map(|p| (p, ckt.caps[order[p]] / dt)).collect();
         let steps = run.steps();
         let probed = resolve_probes(run.probes);
         let traces = probed
@@ -286,6 +301,7 @@ impl<'a> Column<'a> {
             steps,
             probed,
             traces,
+            sourced,
             template,
             lu: None,
             sw_state: vec![false; ckt.switches.len()],
@@ -311,72 +327,85 @@ impl<'a> Column<'a> {
 
 /// Advances `cols` in lockstep, one panel column each, and retires each
 /// column after its own step count. Either every column is tridiagonal
-/// and one [`TridiagonalPanel`] sweep solves them all, or a single wider
-/// column solves through its own [`Banded::solve`]. Per-column
+/// and one [`TridiagonalPanel::step`] per step advances them all, or a
+/// single wider column advances through its own [`Banded::step`]. Per-column
 /// arithmetic is independent and ordered exactly as a lone run's, so
 /// results are bit-identical to running each column alone.
+///
+/// Observability counters, each added once per call:
+/// `transient.node_steps` (every column's rows × its steps) and
+/// `transient.row_steps` (rows swept per lane group, summed over steps).
 fn run_banded(mut cols: Vec<Column<'_>>) -> Result<Vec<TransientResult>, CircuitError> {
     let wide = cols.iter().any(|c| c.k > 1);
     debug_assert!(!wide || cols.len() == 1, "a wide run advances alone");
     let n = cols.iter().map(|c| c.order.len()).max().unwrap_or(0);
-    let mut lanes = (!wide).then(|| TridiagonalPanel::new(n, cols.len()));
-    let w = lanes.as_ref().map_or(1, TridiagonalPanel::width);
-    // Voltages and `C/Δt` in each column's permuted coordinates; rows
-    // and columns past a run's end stay inert (+0 voltage, zero `C/Δt`).
-    // Precomputing the division is bit-identical to dividing every step
-    // (same operands) and turns the hottest per-node-step op into a
-    // multiply.
-    let mut x = vec![0.0; n * w];
-    let mut codt = vec![0.0; n * w];
+    let mut panel = (!wide).then(|| TridiagonalPanel::new(n, cols.len()));
+    // Voltages and step scales, lane group by lane group as the panel
+    // lays them out (a wide run is one group of one lane). Row `p` of
+    // column `c` scales by its `C/Δt` — the history term, folded into
+    // the forward pass — or by 1 on a row whose right-hand side is
+    // finished before the step. Rows past a run's end stay inert (+0
+    // voltage and scale); a retired column's scale drops to 0, so its
+    // lanes go to zero too. Precomputing the division is bit-identical
+    // to dividing every step (same operands).
+    let lanes = if wide { 1 } else { PANEL_LANES };
+    let at = |c: usize, p: usize| (c / lanes * n + p) * lanes + c % lanes;
+    let mut live = vec![0; cols.len().div_ceil(lanes)];
+    let mut x = vec![0.0; live.len() * n * lanes];
+    let mut scale = vec![0.0; x.len()];
     for (c, col) in cols.iter().enumerate() {
         for (p, &node) in col.order.iter().enumerate() {
-            x[p * w + c] = col.ckt.initial_v[node];
-            codt[p * w + c] = col.ckt.caps[node] / col.dt;
+            x[at(c, p)] = col.ckt.initial_v[node];
+            scale[at(c, p)] = col.ckt.caps[node] / col.dt;
+        }
+        for &(p, _) in &col.sourced {
+            scale[at(c, p)] = 1.0;
         }
     }
     let max_steps = cols.iter().map(|c| c.steps).max().unwrap_or(0);
+    let node_steps: usize = cols.iter().map(|c| c.order.len() * c.steps).sum();
+    let mut row_steps = 0;
 
     for step in 1..=max_steps {
-        // Switches and refactorization, then the history RHS over the
-        // whole panel and the active columns' source currents. Retired
-        // columns keep being swept (their values are never read again);
-        // skipping them would cost a branch in the hot loops.
+        // Per running column: switches and refactorization, then its
+        // source rows finished in a lone run's order (`C/Δt` history,
+        // then each source's current in source order). Each lane group
+        // sweeps up to its tallest running column.
+        live.fill(0);
         for (c, col) in cols.iter_mut().enumerate() {
             if step > col.steps {
                 continue;
             }
+            live[c / lanes] = live[c / lanes].max(col.order.len());
             let t = step as f64 * col.dt;
-            let pos = &col.pos;
-            let changed = update_switches(col.ckt, &mut col.sw_state, t, |node| x[pos[node] * w + c]);
+            let changed = update_switches(col.ckt, &mut col.sw_state, t, |node| x[at(c, col.pos[node])]);
             if changed || col.lu.is_none() {
                 let lu = col.refactor()?;
-                if let Some(lanes) = &mut lanes {
-                    lanes.set_column(c, lu);
+                if let Some(panel) = &mut panel {
+                    panel.set_column(c, lu);
                 }
             }
-        }
-        for (d, &cdt) in x.iter_mut().zip(&codt) {
-            *d *= cdt;
-        }
-        for (c, col) in cols.iter().enumerate().filter(|(_, col)| step <= col.steps) {
-            let t = step as f64 * col.dt;
+            for &(p, codt) in &col.sourced {
+                x[at(c, p)] *= codt;
+            }
             for src in &col.ckt.sources {
-                x[col.pos[src.node] * w + c] += src.target_at(t) / src.r_series;
+                x[at(c, col.pos[src.node])] += src.target_at(t) / src.r_series;
             }
         }
-        match &lanes {
-            Some(lanes) => lanes.solve(&mut x),
-            None => cols[0].lu.as_ref().expect("factored on the first step").solve(&mut x),
+        row_steps += live.iter().sum::<usize>();
+        match &panel {
+            Some(panel) => panel.step(&mut x, &scale, &live),
+            None => cols[0].lu.as_ref().expect("factored on the first step").step(&mut x, &scale),
         }
 
         // Driver energies, probes, and final voltages of columns
-        // finishing this step.
+        // finishing this step, whose lanes then go inert.
         for (c, col) in cols.iter_mut().enumerate() {
             if step > col.steps {
                 continue;
             }
             let t = step as f64 * col.dt;
-            let v = |node: usize| x[col.pos[node] * w + c];
+            let v = |node: usize| x[at(c, col.pos[node])];
             for (ki, src) in col.ckt.sources.iter().enumerate() {
                 let vt = src.target_at(t);
                 let i_out = (vt - v(src.node)) / src.r_series; // mA
@@ -389,9 +418,14 @@ fn run_banded(mut cols: Vec<Column<'_>>) -> Result<Vec<TransientResult>, Circuit
             }
             if step == col.steps {
                 col.final_v = (0..col.order.len()).map(v).collect();
+                for p in 0..col.order.len() {
+                    scale[at(c, p)] = 0.0;
+                }
             }
         }
     }
+    lim_obs::counter_add("transient.node_steps", node_steps as u64);
+    lim_obs::counter_add("transient.row_steps", row_steps as u64);
 
     Ok(cols
         .into_iter()
@@ -1039,6 +1073,146 @@ mod tests {
             ckt.add_vc_switch_to_ground(far, KiloOhms::new(1.0 + rng.unit_f64()), chain[n / 2], Volts::new(VDD / 2.0));
         }
         (ckt, far)
+    }
+
+    #[test]
+    fn sweep_work_counters() {
+        // One lane group: a 5-row column for 4 steps and a 3-row column
+        // for 10. Node-steps are 5·4 + 3·10; the group sweeps 5 rows for
+        // 4 steps, then 3 rows for the 6 steps after the tall one retires.
+        let (tall, _) = long_ladder(5);
+        let (short, _) = long_ladder(3);
+        let probes = [NodeId(0)];
+        let dt = Picoseconds::new(0.5);
+        let runs = [
+            BatchRun { circuit: &tall, probes: &probes, t_end: Picoseconds::new(2.0), dt },
+            BatchRun { circuit: &short, probes: &probes, t_end: Picoseconds::new(5.0), dt },
+        ];
+        assert_eq!(runs.map(|r| r.steps()), [4, 10]);
+        lim_obs::set_enabled(true);
+        lim_obs::reset();
+        run_probed_batch(&runs).unwrap();
+        let report = lim_obs::Report::capture();
+        assert_eq!(report.counter("transient.node_steps"), Some(50));
+        assert_eq!(report.counter("transient.row_steps"), Some(4 * 5 + 6 * 3));
+    }
+
+    /// FNV-1a over the bits of every probed sample (probes in node
+    /// order), every final voltage and every source's energy.
+    fn result_digest(res: &TransientResult) -> u64 {
+        let samples = res.waveforms.iter().flatten().flat_map(Waveform::samples);
+        let energies = res.source_energy.iter().map(|e| e.value());
+        samples
+            .chain(&res.final_v)
+            .copied()
+            .chain(energies)
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+
+    /// A driven ladder whose far end a switch pulls down: at 30 ps when
+    /// `timed`, else once the middle node rises past half-Vdd.
+    fn switched_ladder(n: usize, timed: bool) -> (Circuit, NodeId) {
+        let (mut ckt, far) = long_ladder_r(n, 0.07);
+        if timed {
+            ckt.add_switch_to_ground(far, KiloOhms::new(1.0), Picoseconds::new(30.0));
+        } else {
+            ckt.add_vc_switch_to_ground(far, KiloOhms::new(1.5), NodeId(n / 2), Volts::new(VDD / 2.0));
+        }
+        (ckt, far)
+    }
+
+    /// A 30-node ladder with a chord every fifth node, so its RCM order
+    /// has half-bandwidth above 1, and a timed switch mid-run.
+    fn chorded_ladder() -> (Circuit, NodeId) {
+        let (mut ckt, far) = long_ladder_r(30, 0.06);
+        for i in (0..26).step_by(5) {
+            ckt.add_resistor(NodeId(i), NodeId(i + 3), KiloOhms::new(0.4));
+        }
+        ckt.add_switch_to_ground(NodeId(12), KiloOhms::new(2.0), Picoseconds::new(15.0));
+        (ckt, far)
+    }
+
+    #[test]
+    fn engine_bits_are_pinned() {
+        // Recorded before the panel step fused `C/Δt` into its forward
+        // pass and cut its rows at the tallest running column. Every
+        // node is probed in the lone runs.
+        let window = |t_end: f64, dt: f64| (Picoseconds::new(t_end), Picoseconds::new(dt));
+        let lone = |ckt: &Circuit, (t_end, dt): (Picoseconds, Picoseconds)| {
+            result_digest(&TransientSim::new(ckt).run(t_end, dt).unwrap())
+        };
+        let mut got: Vec<(String, u64)> = Vec::new();
+        for n in [16, 64, 160] {
+            // The `transient_ladder` bench circuit and window.
+            got.push((format!("ladder_{n}"), lone(&long_ladder(n).0, window(200.0, 0.1))));
+        }
+        got.push(("timed_switch".into(), lone(&switched_ladder(40, true).0, window(80.0, 0.1))));
+        got.push(("vc_switch".into(), lone(&switched_ladder(48, false).0, window(60.0, 0.05))));
+        let (wide, wide_far) = chorded_ladder();
+        let wide_probes = [wide_far];
+        let wide_run = BatchRun {
+            circuit: &wide,
+            probes: &wide_probes,
+            t_end: Picoseconds::new(60.0),
+            dt: Picoseconds::new(0.1),
+        };
+        assert!(Column::new(&wide_run).k > 1, "the chorded ladder goes wide");
+        got.push(("wide".into(), lone(&wide, window(60.0, 0.1))));
+
+        // Nine tridiagonal runs, three lane groups: the tallest column
+        // retires first, every run has its own Δt and window, and the
+        // last one carries two sources on one node and a third mid-way.
+        let (mut multi, multi_far) = long_ladder_r(24, 0.09);
+        let extra = multi.add_source(NodeId(0), KiloOhms::new(0.8), Volts::new(VDD));
+        multi.schedule(extra, Picoseconds::new(25.0), Volts::ZERO);
+        let mid = multi.add_source(NodeId(12), KiloOhms::new(2.0), Volts::ZERO);
+        multi.schedule(mid, Picoseconds::new(10.0), Volts::new(VDD / 2.0));
+        let mix: Vec<((Circuit, NodeId), f64, f64)> = vec![
+            (long_ladder(120), 30.0, 0.1),
+            (long_ladder_r(80, 0.08), 60.0, 0.07),
+            (switched_ladder(40, true), 80.0, 0.1),
+            (long_ladder(16), 100.0, 0.13),
+            (switched_ladder(48, false), 50.0, 0.05),
+            (long_ladder_r(64, 0.03), 90.0, 0.2),
+            (long_ladder(1), 20.0, 0.05),
+            (long_ladder_r(100, 0.05), 40.0, 0.11),
+            ((multi, multi_far), 70.0, 0.09),
+        ];
+        let probes: Vec<[NodeId; 2]> = mix.iter().map(|((_, far), _, _)| [NodeId(0), *far]).collect();
+        let runs: Vec<BatchRun<'_>> = mix
+            .iter()
+            .zip(&probes)
+            .map(|(((ckt, _), t_end, dt), p)| BatchRun {
+                circuit: ckt,
+                probes: p,
+                t_end: Picoseconds::new(*t_end),
+                dt: Picoseconds::new(*dt),
+            })
+            .collect();
+        for (i, res) in run_probed_batch(&runs).unwrap().iter().enumerate() {
+            got.push((format!("batch_{i}"), result_digest(res)));
+        }
+
+        let want: [(&str, u64); 15] = [
+            ("ladder_16", 0x986c_8afb_2710_2b11),
+            ("ladder_64", 0xbbcd_a46e_6753_3362),
+            ("ladder_160", 0x3420_c298_e9e8_0c69),
+            ("timed_switch", 0xdf3b_d642_fae6_7323),
+            ("vc_switch", 0x6088_4e87_0879_dc2b),
+            ("wide", 0x196e_53fd_111d_ecd3),
+            ("batch_0", 0x7389_7380_6b8f_d011),
+            ("batch_1", 0x12dd_ab53_f762_e755),
+            ("batch_2", 0xe49a_f5aa_bff6_367f),
+            ("batch_3", 0x522c_e0a3_1d4c_4d9f),
+            ("batch_4", 0x3007_b6d6_5480_d14e),
+            ("batch_5", 0xda98_d3ae_dbab_4bbf),
+            ("batch_6", 0x8fa7_13eb_2037_cdb3),
+            ("batch_7", 0xa946_f0a3_0823_e98b),
+            ("batch_8", 0x20dd_1db0_56e5_7f64),
+        ];
+        let want: Vec<(String, u64)> = want.iter().map(|&(n, d)| (n.to_string(), d)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! The golden solver's waveforms become inspectable in any standard
 //! waveform viewer: node voltages are dumped as VCD `real` variables.
 //! Useful when debugging why a brick's golden measurement disagrees with
-//! the estimator.
+//! the estimator. Times are whole femtoseconds, so a dump sampled finer
+//! than a picosecond keeps one distinct timestamp per emitted sample.
 
 use crate::netlist::{Circuit, NodeId};
 use crate::transient::TransientResult;
@@ -59,7 +60,7 @@ pub fn dump_vcd_with_tolerance(
 
     let mut s = String::new();
     let _ = writeln!(s, "$comment lim-circuit transient dump $end");
-    let _ = writeln!(s, "$timescale 1ps $end");
+    let _ = writeln!(s, "$timescale 1fs $end");
     let _ = writeln!(s, "$scope module lim $end");
     let codes: Vec<String> = nodes.iter().enumerate().map(|(i, _)| shortcode(i)).collect();
     for (node, code) in nodes.iter().zip(&codes) {
@@ -85,7 +86,7 @@ pub fn dump_vcd_with_tolerance(
             }
         }
         if !changes.is_empty() {
-            let t = (i as f64 * dt.value()).round() as u64;
+            let t = (i as f64 * dt.value() * 1e3).round() as u64; // fs
             let _ = writeln!(s, "#{t}");
             s.push_str(&changes);
         }
@@ -114,7 +115,7 @@ mod tests {
     fn vcd_structure_is_well_formed() {
         let (ckt, n, res, dt) = charged();
         let vcd = dump_vcd(&ckt, &res, &[n], dt, 10);
-        assert!(vcd.contains("$timescale 1ps $end"));
+        assert!(vcd.contains("$timescale 1fs $end"));
         assert!(vcd.contains("$var real 64 ! out_node $end"));
         assert!(vcd.contains("$enddefinitions $end"));
         // Timestamps strictly increase.
@@ -140,7 +141,29 @@ mod tests {
             .parse()
             .unwrap();
         // 1 mV of headroom remains after ~71 ps (10 ps RC, 1.2 V swing).
-        assert!(last_time < 120, "tail should be quiescent, last #{last_time}");
+        assert!(last_time < 120_000, "tail should be quiescent, last #{last_time}");
+    }
+
+    #[test]
+    fn sub_picosecond_samples_keep_distinct_timestamps() {
+        // The `export_artifacts` dump: 0.1 ps steps, every fifth sample.
+        // Whole-picosecond stamps would read #0, #1, #1, #2, #2, …
+        let mut ckt = Circuit::new();
+        let n = ckt.add_node("out");
+        ckt.add_cap(n, Femtofarads::new(10.0));
+        let s = ckt.add_source(n, KiloOhms::new(1.0), Volts::ZERO);
+        ckt.schedule(s, Picoseconds::ZERO, Volts::new(1.2));
+        let dt = Picoseconds::new(0.1);
+        let res = TransientSim::new(&ckt).run(Picoseconds::new(20.0), dt).unwrap();
+        let vcd = dump_vcd_with_tolerance(&ckt, &res, &[n], dt, 5, 0.0);
+        let times: Vec<u64> = vcd
+            .lines()
+            .filter(|l| l.starts_with('#'))
+            .map(|l| l[1..].parse().unwrap())
+            .collect();
+        assert_eq!(times.len(), 41, "every fifth of 201 samples changes");
+        assert!(times.windows(2).all(|w| w[1] > w[0]), "{times:?}");
+        assert_eq!(times[..4], [0, 500, 1000, 1500]);
     }
 
     #[test]
