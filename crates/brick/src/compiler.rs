@@ -13,7 +13,9 @@
 //!
 //! The result is a [`CompiledBrick`], from which the analytic estimator
 //! ([`estimate_bank`](CompiledBrick::estimate_bank)) and the golden
-//! transient reference (`golden::measure_bank`) both derive.
+//! transient reference ([`measure_bank`](crate::golden::measure_bank))
+//! both derive: they read the same extracted ladders and one model of
+//! the pre-array periphery, and differ only in how they treat the array.
 
 use crate::error::BrickError;
 use crate::geometry::BrickLayout;
@@ -212,9 +214,12 @@ impl CompiledBrick {
     /// The `stack` parameter is accepted for interface stability but
     /// does not change the sizing.
     pub fn sense_driver_resistance(&self, _stack: usize) -> KiloOhms {
-        let load = self.arbl_ladder(2).total_cap();
-        let drive = (load.value() / (4.0 * self.tech.c_unit.value())).max(2.0);
-        self.tech.drive_resistance(drive)
+        self.tech.drive_resistance(self.sense_driver_drive())
+    }
+
+    /// Drive strength of the sense/ARBL driver, sized for a 2x bank.
+    pub(crate) fn sense_driver_drive(&self) -> f64 {
+        (self.arbl_ladder(2).total_cap().value() / (4.0 * self.tech.c_unit.value())).max(2.0)
     }
 
     /// Validates a stack count.

@@ -9,6 +9,9 @@
 //! Energy convention follows Table 1's measurement setup: reading/writing a
 //! word of alternating bits `<1010…10>`, i.e. half of the data columns
 //! switch.
+//!
+//! The pre-array periphery is one model, read by this estimator and the
+//! golden reference alike; only the array terms differ between them.
 
 use crate::compiler::{CompiledBrick, CLK_LOAD_PER_BRICK, DWL_PIN_CAP, SENSE_INPUT_CAP};
 use crate::error::BrickError;
@@ -105,7 +108,62 @@ impl BankEstimate {
     }
 }
 
+/// The pre-array periphery of a bank: every gate-level term the
+/// estimator and the golden reference share. Each side composes these
+/// with its own array terms.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Periphery {
+    /// Clock buffer + enable/DWL gating in the control block.
+    pub control: Picoseconds,
+    /// Wordline driver chain (all stages before the final driver).
+    pub wl_chain: Picoseconds,
+    /// Local sense: trip inverter driving the ARBL driver gate.
+    pub sense: Picoseconds,
+    /// Output buffer into the nominal library load.
+    pub output: Picoseconds,
+    /// Gate capacitance of the ARBL sense driver.
+    pub sense_driver_in: Femtofarads,
+    /// Clock energy of the bank's control blocks.
+    pub clock_energy: Femtojoules,
+    /// DWL pin plus driver-chain capacitance switched per access.
+    pub chain_cap: Femtofarads,
+}
+
 impl CompiledBrick {
+    /// The pre-array periphery of a bank of `stack` bricks.
+    pub(crate) fn periphery(&self, stack: usize) -> Periphery {
+        let tech = &self.tech;
+        let c_unit = tech.c_unit;
+        // Control: clock buffer inverter + enable/DWL gating NAND.
+        let control = Path::new()
+            .push(Stage::new(GateKind::Inv))
+            .push(Stage::new(GateKind::Nand2))
+            .min_delay(tech, c_unit * 2.0, DWL_PIN_CAP);
+        // Wordline driver chain: all stages before the final driver.
+        let final_in = Femtofarads::new(self.wl_driver_drive * c_unit.value());
+        let wl_chain = if self.wl_chain_stages > 1 {
+            Path::inverter_chain(self.wl_chain_stages - 1).min_delay(tech, DWL_PIN_CAP, final_in)
+        } else {
+            Picoseconds::ZERO
+        };
+        let sense_driver_in = Femtofarads::new(self.sense_driver_drive() * c_unit.value());
+        Periphery {
+            control,
+            wl_chain,
+            sense: Path::inverter_chain(1).min_delay(tech, SENSE_INPUT_CAP, sense_driver_in),
+            output: Path::inverter_chain(1).min_delay(
+                tech,
+                c_unit * 2.0,
+                c_unit * (2.0 * NOMINAL_OUT_LOAD_X),
+            ),
+            sense_driver_in,
+            clock_energy: (CLK_LOAD_PER_BRICK * stack as f64).switch_energy(tech.vdd),
+            chain_cap: Femtofarads::new(
+                DWL_PIN_CAP.value() * 1.5 + self.wl_driver_drive * c_unit.value(),
+            ),
+        }
+    }
+
     /// Runs the analytic estimator for a bank of `stack` bricks.
     ///
     /// # Errors
@@ -119,22 +177,9 @@ impl CompiledBrick {
         let tech = &self.tech;
         let vdd = tech.vdd;
         let c_unit = tech.c_unit;
+        let p = self.periphery(stack);
 
         // ---- Read path ---------------------------------------------------
-        // Control: clock buffer inverter + enable/DWL gating NAND.
-        let control_path = Path::new()
-            .push(Stage::new(GateKind::Inv))
-            .push(Stage::new(GateKind::Nand2));
-        let t_control = control_path.min_delay(tech, c_unit * 2.0, DWL_PIN_CAP);
-
-        // Wordline driver chain: all stages before the final driver.
-        let final_in = Femtofarads::new(self.wl_driver_drive * c_unit.value());
-        let t_chain = if self.wl_chain_stages > 1 {
-            Path::inverter_chain(self.wl_chain_stages - 1).min_delay(tech, DWL_PIN_CAP, final_in)
-        } else {
-            Picoseconds::ZERO
-        };
-
         // Final driver into the wordline ladder.
         let wl = self.wl_ladder();
         let t_wl = wl.elmore_to_end(self.wl_driver_resistance()) * K_LADDER_RESPONSE;
@@ -149,33 +194,18 @@ impl CompiledBrick {
                         * (0.5 * rbl.total_cap().value() + SENSE_INPUT_CAP.value())),
         );
 
-        // Local sense: trip inverter driving the ARBL driver gate.
-        let sense_driver_in = Femtofarads::new(
-            (self.arbl_ladder(2).total_cap().value() / (4.0 * c_unit.value())).max(2.0)
-                * c_unit.value(),
-        );
-        let t_sense =
-            Path::inverter_chain(1).min_delay(tech, SENSE_INPUT_CAP, sense_driver_in);
-
         // ARBL across the stack, driven by the (re-sized) sense driver.
         let arbl = self.arbl_ladder(stack);
         let t_arbl = arbl.elmore_to_end(self.sense_driver_resistance(stack)) * K_LADDER_RESPONSE;
 
-        // Output buffer into the nominal library load.
-        let t_out = Path::inverter_chain(1).min_delay(
-            tech,
-            c_unit * 2.0,
-            c_unit * (2.0 * NOMINAL_OUT_LOAD_X),
-        );
-
         let breakdown = DelayBreakdown {
-            control: t_control,
-            wl_chain: t_chain,
+            control: p.control,
+            wl_chain: p.wl_chain,
             wl_wire: t_wl,
             cell_rbl: t_cell,
-            sense: t_sense,
+            sense: p.sense,
             arbl: t_arbl,
-            output: t_out,
+            output: p.output,
         };
         let read_delay = breakdown.total();
 
@@ -188,22 +218,18 @@ impl CompiledBrick {
                 * self.cell.read_stack_r.value() / 2.0
                 * self.cell.write_internal_cap.value(),
         );
-        let write_delay = t_control + t_chain + t_wl + t_wbl + t_flip;
+        let write_delay = p.control + p.wl_chain + t_wl + t_wbl + t_flip;
 
         // ---- Energy (alternating data word: half the columns switch) -----
         let sc = 1.0 + tech.short_circuit_fraction;
         let bits = self.spec.bits() as f64;
 
-        let e_clock = (CLK_LOAD_PER_BRICK * stack as f64).switch_energy(vdd);
-        let chain_cap = Femtofarads::new(
-            DWL_PIN_CAP.value() * 1.5 + self.wl_driver_drive * c_unit.value(),
-        );
-        let e_wl = (wl.total_cap() + chain_cap).switch_energy(vdd);
+        let e_wl = (wl.total_cap() + p.chain_cap).switch_energy(vdd);
         let e_rbl_col = (rbl.total_cap() + SENSE_INPUT_CAP).switch_energy(vdd);
-        let e_arbl_col =
-            (arbl.total_cap() + sense_driver_in + c_unit * NOMINAL_OUT_LOAD_X).switch_energy(vdd);
+        let e_arbl_col = (arbl.total_cap() + p.sense_driver_in + c_unit * NOMINAL_OUT_LOAD_X)
+            .switch_energy(vdd);
         let read_energy = Femtojoules::new(
-            sc * (e_clock.value()
+            sc * (p.clock_energy.value()
                 + e_wl.value()
                 + 0.5 * bits * (e_rbl_col.value() + e_arbl_col.value())),
         );
@@ -211,7 +237,7 @@ impl CompiledBrick {
         let e_wbl_col = wbl.total_cap().switch_energy(vdd);
         let e_cell_flip = self.cell.write_internal_cap.switch_energy(vdd);
         let write_energy = Femtojoules::new(
-            sc * (e_clock.value()
+            sc * (p.clock_energy.value()
                 + e_wl.value()
                 + 0.5 * bits * (e_wbl_col.value() + e_cell_flip.value())),
         );
@@ -237,7 +263,7 @@ impl CompiledBrick {
             );
             // Match-detection stage (priority-decode input).
             let t_det = Path::inverter_chain(1).min_delay(tech, c_unit * 2.0, c_unit * 6.0);
-            let t_match = t_control + t_sl + t_ml + t_det;
+            let t_match = p.control + t_sl + t_ml + t_det;
 
             // Worst case: all words but the matching one discharge their
             // matchline; every search line toggles with activity 1/2.
@@ -246,14 +272,14 @@ impl CompiledBrick {
             let e_ml =
                 Femtojoules::new((words - 1.0).max(1.0) * ml.total_cap().switch_energy(vdd).value());
             let e_match =
-                Femtojoules::new(sc * (e_clock.value() + e_sl.value() + e_ml.value()));
+                Femtojoules::new(sc * (p.clock_energy.value() + e_sl.value() + e_ml.value()));
             (Some(t_match), Some(e_match))
         } else {
             (None, None)
         };
 
         // ---- Static -------------------------------------------------------
-        let setup = t_control + Picoseconds::new(10.0);
+        let setup = p.control + Picoseconds::new(10.0);
         let hold = Picoseconds::new(5.0);
         let cells = (self.spec.cells() * stack) as f64;
         let periph_drive = self.wl_driver_drive
@@ -298,16 +324,15 @@ impl CompiledBrick {
         })
     }
 
-    /// Read delay re-evaluated for an explicit output load and input slew,
-    /// used when tabulating library LUTs. The base estimate assumes the
-    /// nominal load and a sharp input edge.
+    /// The read delay of `est`, a bank of this brick, re-evaluated for an
+    /// explicit output load and input slew, used when tabulating library
+    /// LUTs. The estimate assumes the nominal load and a sharp input edge.
     pub(crate) fn read_delay_with(
         &self,
-        stack: usize,
+        est: &BankEstimate,
         out_load: Femtofarads,
         in_slew: Picoseconds,
-    ) -> Result<Picoseconds, BrickError> {
-        let est = self.estimate_bank(stack)?;
+    ) -> Picoseconds {
         let r_out = self.tech.drive_resistance(2.0 * NOMINAL_OUT_LOAD_X);
         let nominal = self.tech.c_unit * (2.0 * NOMINAL_OUT_LOAD_X);
         let extra_load = Picoseconds::new(
@@ -315,7 +340,7 @@ impl CompiledBrick {
         );
         // Slew degradation of the first (control) stage.
         let slew_term = in_slew * 0.15;
-        Ok(est.read_delay + extra_load + slew_term)
+        est.read_delay + extra_load + slew_term
     }
 }
 
@@ -408,15 +433,10 @@ mod tests {
     #[test]
     fn load_and_slew_increase_library_delay() {
         let b = compiled(BitcellKind::Sram8T, 16, 10);
-        let base = b
-            .read_delay_with(1, Femtofarads::new(11.2), Picoseconds::ZERO)
-            .unwrap();
-        let loaded = b
-            .read_delay_with(1, Femtofarads::new(50.0), Picoseconds::ZERO)
-            .unwrap();
-        let slewed = b
-            .read_delay_with(1, Femtofarads::new(11.2), Picoseconds::new(100.0))
-            .unwrap();
+        let est = b.estimate_bank(1).unwrap();
+        let base = b.read_delay_with(&est, Femtofarads::new(11.2), Picoseconds::ZERO);
+        let loaded = b.read_delay_with(&est, Femtofarads::new(50.0), Picoseconds::ZERO);
+        let slewed = b.read_delay_with(&est, Femtofarads::new(11.2), Picoseconds::new(100.0));
         assert!(loaded > base);
         assert!(slewed > base);
     }

@@ -2,9 +2,8 @@
 //!
 //! The brick's extracted parasitics — the same ladders the analytic
 //! estimator consumes (`CompiledBrick::{wl,rbl,arbl,wbl}_ladder`) — are
-//! appended to explicit RC circuits with
-//! [`append_ladder`](lim_circuit::extract::append_ladder) and integrated
-//! with the backward-Euler engine of `lim-circuit`:
+//! appended to explicit RC circuits with [`append_ladder`] and
+//! integrated with the backward-Euler engine of `lim-circuit`:
 //!
 //! * the wordline driver's final stage steps the wordline ladder,
 //! * the far cell's read stack (a latching voltage-controlled switch)
@@ -12,32 +11,36 @@
 //! * the local sense (a falling-threshold switch) pulls the shared array
 //!   read bitline, which is measured at its far end.
 //!
-//! The pre-array periphery (clock/control gating and the driver chain up
-//! to its final stage) is evaluated with the same gate-level formulas in
-//! both the tool and the golden flow, mirroring the paper's setup where
-//! only the bitcell array is RC-extracted; consequently the reported
-//! tool-vs-golden error isolates the array modeling gap, exactly what
-//! Table 1 quantifies.
+//! The pre-array periphery (clock/control gating, the driver chain up to
+//! its final stage, the local sense and output stages, the clock and
+//! chain loads) is not simulated: it is the estimator's own periphery
+//! model, computed once per bank and read by both sides, mirroring the
+//! paper's setup where only the bitcell array is RC-extracted.
+//! Consequently the reported tool-vs-golden error isolates the array
+//! modeling gap, exactly what Table 1 quantifies. The estimate that
+//! sizes a bank's simulation windows is the comparison's tool column,
+//! so each bank is estimated once.
 //!
 //! # Batched validation
 //!
 //! Each configuration contributes two independent transients (read and
 //! write). [`compare_batch_results`] drops repeated configurations,
-//! builds every circuit up front, sorts all the simulations by size
-//! (rows, then steps, largest first) and cuts them into panels of
-//! [`PANEL_LANES`]; each panel is one [`run_probed_batch`] call, whose
-//! columns advance in lockstep whatever their time step or length, and
-//! the panels fan out over `lim-par`. Results are bit-identical to
-//! running [`compare`] per configuration: the panel solver applies the
-//! exact same operations in the exact same order to each column as a
-//! lone solve does.
+//! compiles each distinct spec once, builds every circuit up front,
+//! sorts all the simulations by size (rows, then steps, largest first)
+//! and cuts them into panels of [`PANEL_LANES`]; each panel is one
+//! [`run_probed_batch`] call, whose columns advance in lockstep whatever
+//! their time step or length, and the panels fan out over `lim-par`.
+//! [`compare`] and [`measure_bank`] solve one bank through the same
+//! routine. A batch's results are bit-identical to lone [`compare`]
+//! calls: the panel solver applies the exact same operations in the
+//! exact same order to each column whatever its panel-mates.
 //!
 //! A configuration whose simulations would integrate more than
 //! [`MAX_NODE_STEPS`] node-steps is refused before anything is solved.
 
-use crate::compiler::{CompiledBrick, SENSE_INPUT_CAP};
+use crate::compiler::{BrickCompiler, CompiledBrick, SENSE_INPUT_CAP};
 use crate::error::BrickError;
-use crate::estimator::{NOMINAL_OUT_LOAD_X, WRITE_DRIVER_DRIVE};
+use crate::estimator::{BankEstimate, Periphery, NOMINAL_OUT_LOAD_X, WRITE_DRIVER_DRIVE};
 use crate::BrickSpec;
 use lim_circuit::extract::{append_ladder, recharge_energy};
 use lim_circuit::waveform::Edge;
@@ -45,8 +48,7 @@ use lim_circuit::{
     run_probed_batch, BatchRun, Circuit, CircuitError, NodeId, SourceId, TransientResult,
     PANEL_LANES,
 };
-use lim_tech::logical_effort::{GateKind, Path, Stage};
-use lim_tech::units::{Femtofarads, Femtojoules, Picoseconds, Volts};
+use lim_tech::units::{Femtojoules, Picoseconds, Volts};
 
 /// Golden (transient-simulated) figures for a bank of stacked bricks.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,11 +75,12 @@ pub struct GoldenMeasurement {
 pub const MAX_NODE_STEPS: u64 = 1 << 31;
 
 /// The two golden circuits of one bank configuration, built but not yet
-/// integrated, together with every analytic term the finishing pass
-/// needs to turn raw transients into a [`GoldenMeasurement`].
+/// integrated, together with the estimate that sized them (the tool
+/// side of the comparison) and the periphery the finishing pass adds to
+/// the simulated array.
 struct BankSims {
-    spec: BrickSpec,
-    stack: usize,
+    tool: BankEstimate,
+    periphery: Periphery,
     // Read transient.
     read_ckt: Circuit,
     read_probes: [NodeId; 2], // [arbl_far, wl_far]
@@ -95,13 +98,6 @@ struct BankSims {
     wdt: Picoseconds,
     wbl_src: SourceId,
     cell_int: NodeId,
-    // Shared pre-array periphery terms.
-    t_front: Picoseconds,
-    t_sense: Picoseconds,
-    t_out: Picoseconds,
-    e_clock: Femtojoules,
-    e_chain: Femtojoules,
-    e_col_gates: Femtojoules,
 }
 
 impl BankSims {
@@ -132,50 +128,15 @@ impl BankSims {
     }
 }
 
-/// Builds the read and write circuits of a bank plus the analytic
-/// periphery terms, without running anything, and refuses a bank whose
-/// simulations exceed [`MAX_NODE_STEPS`].
+/// Estimates a bank and builds its read and write circuits, without
+/// running anything, and refuses a bank whose simulations exceed
+/// [`MAX_NODE_STEPS`].
 fn build_sims(brick: &CompiledBrick, stack: usize) -> Result<BankSims, BrickError> {
-    brick.check_stack(stack)?;
+    // The estimate checks the stack count and sizes both windows.
+    let tool = brick.estimate_bank(stack)?;
     let tech = brick.technology();
     let vdd = tech.vdd;
     let half = Volts::new(vdd.value() / 2.0);
-    let c_unit = tech.c_unit;
-
-    // ---- Shared pre-array periphery (identical in tool and golden) -----
-    let control_path = Path::new()
-        .push(Stage::new(GateKind::Inv))
-        .push(Stage::new(GateKind::Nand2));
-    let t_control = control_path.min_delay(tech, c_unit * 2.0, crate::compiler::DWL_PIN_CAP);
-    let final_in = Femtofarads::new(brick.wl_driver_drive * c_unit.value());
-    let t_chain = if brick.wl_chain_stages > 1 {
-        Path::inverter_chain(brick.wl_chain_stages - 1).min_delay(
-            tech,
-            crate::compiler::DWL_PIN_CAP,
-            final_in,
-        )
-    } else {
-        Picoseconds::ZERO
-    };
-    let arbl_total = brick.arbl_ladder(2).total_cap();
-    let sense_driver_in =
-        Femtofarads::new((arbl_total.value() / (4.0 * c_unit.value())).max(2.0) * c_unit.value());
-    let t_sense = Path::inverter_chain(1).min_delay(tech, SENSE_INPUT_CAP, sense_driver_in);
-    let t_out = Path::inverter_chain(1).min_delay(
-        tech,
-        c_unit * 2.0,
-        c_unit * (2.0 * NOMINAL_OUT_LOAD_X),
-    );
-    let t_front = t_control + t_chain;
-
-    let e_clock = (crate::compiler::CLK_LOAD_PER_BRICK * stack as f64).switch_energy(vdd);
-    let chain_cap = Femtofarads::new(
-        crate::compiler::DWL_PIN_CAP.value() * 1.5 + brick.wl_driver_drive * c_unit.value(),
-    );
-    let e_chain = chain_cap.switch_energy(vdd);
-    // The output load is already a node cap in the simulated ARBL, so only
-    // the sense-driver gate remains analytic here.
-    let e_col_gates = sense_driver_in.switch_energy(vdd);
 
     // ---- Read circuit ---------------------------------------------------
     let mut ckt = Circuit::new();
@@ -209,7 +170,7 @@ fn build_sims(brick: &CompiledBrick, stack: usize) -> Result<BankSims, BrickErro
     let (arbl_near, arbl_far) = (arbl_nodes[0], arbl_nodes[arbl_nodes.len() - 1]);
     // Output buffer input load at the far end (the same nominal load the
     // estimator assumes).
-    ckt.add_cap(arbl_far, c_unit * NOMINAL_OUT_LOAD_X);
+    ckt.add_cap(arbl_far, tech.c_unit * NOMINAL_OUT_LOAD_X);
     ckt.add_vc_low_switch_to_ground(
         arbl_near,
         brick.sense_driver_resistance(stack),
@@ -220,9 +181,8 @@ fn build_sims(brick: &CompiledBrick, stack: usize) -> Result<BankSims, BrickErro
     // Simulation window sized from the analytic estimate. Only the two
     // crossing-measurement nodes need waveforms; energies come from
     // per-node final voltages, which the probed runs keep for every node.
-    let est = brick.estimate_bank(stack)?;
-    let t_end = Picoseconds::new(est.read_delay.value() * 3.0 + 300.0);
-    let dt = Picoseconds::new((est.read_delay.value() / 3000.0).clamp(0.02, 0.5));
+    let t_end = Picoseconds::new(tool.read_delay.value() * 3.0 + 300.0);
+    let dt = Picoseconds::new((tool.read_delay.value() / 3000.0).clamp(0.02, 0.5));
 
     // ---- Write circuit ---------------------------------------------------
     let mut wckt = Circuit::new();
@@ -250,12 +210,12 @@ fn build_sims(brick: &CompiledBrick, stack: usize) -> Result<BankSims, BrickErro
     );
     wckt.schedule(wbl_src, Picoseconds::ZERO, vdd);
 
-    let w_end = Picoseconds::new(est.write_delay.value() * 3.0 + 300.0);
-    let wdt = Picoseconds::new((est.write_delay.value() / 3000.0).clamp(0.02, 0.5));
+    let w_end = Picoseconds::new(tool.write_delay.value() * 3.0 + 300.0);
+    let wdt = Picoseconds::new((tool.write_delay.value() / 3000.0).clamp(0.02, 0.5));
 
     let sims = BankSims {
-        spec: *brick.spec(),
-        stack,
+        tool,
+        periphery: brick.periphery(stack),
         read_ckt: ckt,
         read_probes: [arbl_far, wl_far],
         t_end,
@@ -271,12 +231,6 @@ fn build_sims(brick: &CompiledBrick, stack: usize) -> Result<BankSims, BrickErro
         wdt,
         wbl_src,
         cell_int,
-        t_front,
-        t_sense,
-        t_out,
-        e_clock,
-        e_chain,
-        e_col_gates,
     };
     let node_steps = sims.node_steps();
     if node_steps > MAX_NODE_STEPS {
@@ -296,6 +250,7 @@ fn finish(
     let tech = brick.technology();
     let vdd = tech.vdd;
     let half = Volts::new(vdd.value() / 2.0);
+    let p = &sims.periphery;
 
     let t_array = res
         .cross_time(sims.arbl_far, half, Edge::Falling)
@@ -303,20 +258,23 @@ fn finish(
             dt: sims.dt.value(),
             t_end: sims.t_end.value(),
         }))?;
-    let read_delay = sims.t_front + t_array + sims.t_sense + sims.t_out;
+    let read_delay = p.control + p.wl_chain + t_array + p.sense + p.output;
 
     // Read energy: simulated wordline + per-column bitline recharges, plus
-    // the shared control/clock and gate-cap terms the tool also uses.
+    // the periphery's clock, chain and sense-driver gate terms. The output
+    // load is already a node cap in the simulated ARBL.
     let sc = 1.0 + tech.short_circuit_fraction;
     let bits = brick.spec().bits() as f64;
+    let e_chain = p.chain_cap.switch_energy(vdd);
+    let e_col_gates = p.sense_driver_in.switch_energy(vdd);
     let e_wl_sim = res.source_energy(sims.wl_src);
     let e_rbl_sim = recharge_energy(&sims.read_ckt, res, &sims.rbl_nodes, vdd);
     let e_arbl_sim = recharge_energy(&sims.read_ckt, res, &sims.arbl_nodes, vdd);
     let read_energy = Femtojoules::new(
-        sc * (sims.e_clock.value()
-            + sims.e_chain.value()
+        sc * (p.clock_energy.value()
+            + e_chain.value()
             + e_wl_sim.value()
-            + 0.5 * bits * (e_rbl_sim.value() + e_arbl_sim.value() + sims.e_col_gates.value())),
+            + 0.5 * bits * (e_rbl_sim.value() + e_arbl_sim.value() + e_col_gates.value())),
     );
 
     let t_cell_written = wres
@@ -329,20 +287,20 @@ fn finish(
     let t_wl_sim = res
         .cross_time(sims.wl_far, half, Edge::Rising)
         .unwrap_or(Picoseconds::ZERO);
-    let write_delay = sims.t_front + t_wl_sim + t_cell_written;
+    let write_delay = p.control + p.wl_chain + t_wl_sim + t_cell_written;
 
     let e_wbl_sim = wres.source_energy(sims.wbl_src);
     let e_cell_flip = brick.cell().write_internal_cap.switch_energy(vdd);
     let write_energy = Femtojoules::new(
-        sc * (sims.e_clock.value()
-            + sims.e_chain.value()
+        sc * (p.clock_energy.value()
+            + e_chain.value()
             + e_wl_sim.value()
             + 0.5 * bits * (e_wbl_sim.value() + e_cell_flip.value())),
     );
 
     Ok(GoldenMeasurement {
-        spec: sims.spec,
-        stack: sims.stack,
+        spec: sims.tool.spec,
+        stack: sims.tool.stack,
         read_delay,
         read_energy,
         write_delay,
@@ -350,7 +308,8 @@ fn finish(
     })
 }
 
-/// Runs the golden transient measurement of a bank.
+/// Runs the golden transient measurement of a bank: [`compare`] without
+/// the tool figures.
 ///
 /// # Errors
 ///
@@ -358,19 +317,14 @@ fn finish(
 /// [`BrickError::GoldenTooLarge`] past [`MAX_NODE_STEPS`], or
 /// [`BrickError::Golden`] if the transient solver rejects the circuit.
 pub fn measure_bank(brick: &CompiledBrick, stack: usize) -> Result<GoldenMeasurement, BrickError> {
-    let sims = build_sims(brick, stack)?;
-    let runs = [sims.read_run(), sims.write_run()];
-    let mut out = run_probed_batch(&runs).map_err(BrickError::Golden)?;
-    let wres = out.pop().expect("two runs yield two results");
-    let res = out.pop().expect("two runs yield two results");
-    finish(brick, &sims, &res, &wres)
+    compare(brick, stack).map(|cmp| cmp.golden)
 }
 
 /// Tool-vs-golden comparison for one configuration — one row of Table 1.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ToolVsGolden {
     /// The analytic estimate.
-    pub tool: crate::estimator::BankEstimate,
+    pub tool: BankEstimate,
     /// The transient measurement.
     pub golden: GoldenMeasurement,
 }
@@ -395,16 +349,14 @@ impl ToolVsGolden {
     }
 }
 
-/// Runs both the estimator and the golden reference on a bank.
+/// Runs both the estimator and the golden reference on a bank: a batch
+/// of one.
 ///
 /// # Errors
 ///
 /// Propagates any estimator or golden failure.
 pub fn compare(brick: &CompiledBrick, stack: usize) -> Result<ToolVsGolden, BrickError> {
-    Ok(ToolVsGolden {
-        tool: brick.estimate_bank(stack)?,
-        golden: measure_bank(brick, stack)?,
-    })
+    solve([Ok((brick, stack))]).results.remove(0)
 }
 
 /// Outcome of a batched golden validation, with panel statistics.
@@ -424,10 +376,10 @@ pub struct GoldenBatchReport {
 /// Validates a whole batch of `(spec, stack)` configurations — the
 /// Table 1 workload — through the lockstep panel solver.
 ///
-/// Repeated configurations are validated once. Each spec is compiled
-/// once on the calling thread (compilation is cheap and cached work is
-/// shared). All read and write circuits are built up front, sorted by
-/// size (rows, then steps, largest first) so panel-mates pad and retire
+/// Repeated configurations are validated once, and each distinct spec
+/// is compiled once on the calling thread and shared by its stacks.
+/// All read and write circuits are built up front, sorted by size
+/// (rows, then steps, largest first) so panel-mates pad and retire
 /// little, and cut into panels of [`PANEL_LANES`]; each panel is one
 /// [`run_probed_batch`] call, and the panels fan out across the
 /// `lim-par` pool. Per-configuration failures (bad stack, work bound,
@@ -450,54 +402,60 @@ pub fn compare_batch_results(
         })
         .collect();
 
-    let compiler = crate::compiler::BrickCompiler::new(tech);
-    let mut compiled: Vec<(BrickSpec, Result<CompiledBrick, BrickError>)> = Vec::new();
-    struct Entry {
-        brick: CompiledBrick,
-        sims: BankSims,
+    // Each distinct spec compiles once; its stacks borrow the brick.
+    let compiler = BrickCompiler::new(tech);
+    let mut bricks: Vec<(BrickSpec, Result<CompiledBrick, BrickError>)> = Vec::new();
+    for &(spec, _) in &distinct {
+        if bricks.iter().all(|(s, _)| *s != spec) {
+            bricks.push((spec, compiler.compile(&spec)));
+        }
     }
-    let entries: Vec<Result<Entry, BrickError>> = distinct
-        .iter()
-        .map(|&(spec, stack)| {
-            let brick = match compiled.iter().find(|(s, _)| *s == spec) {
-                Some((_, b)) => b.clone(),
-                None => {
-                    let b = compiler.compile(&spec);
-                    compiled.push((spec, b.clone()));
-                    b
-                }
-            };
-            brick.and_then(|brick| {
-                let sims = build_sims(&brick, stack)?;
-                Ok(Entry { brick, sims })
-            })
+    let banks = distinct.iter().map(|&(spec, stack)| {
+        let (_, brick) = bricks.iter().find(|(s, _)| *s == spec).expect("every spec compiled");
+        brick.as_ref().map(|b| (b, stack)).map_err(Clone::clone)
+    });
+    let mut report = solve(banks);
+    report.results = slot.iter().map(|&d| report.results[d].clone()).collect();
+    report
+}
+
+/// Validates `banks` (each a compiled brick and a stack count, or the
+/// error that stopped its compile) through the lockstep panel solver;
+/// results come back in input order.
+fn solve<'a>(
+    banks: impl IntoIterator<Item = Result<(&'a CompiledBrick, usize), BrickError>>,
+) -> GoldenBatchReport {
+    let built: Vec<Result<(&CompiledBrick, BankSims), BrickError>> = banks
+        .into_iter()
+        .map(|bank| {
+            let (brick, stack) = bank?;
+            Ok((brick, build_sims(brick, stack)?))
         })
         .collect();
 
     // Every sim, largest first, cut into panels.
     struct Job<'a> {
-        entry: usize,
+        bank: usize,
         write: bool,
         run: BatchRun<'a>,
     }
-    let mut jobs: Vec<Job<'_>> = entries
+    let mut jobs: Vec<Job<'_>> = built
         .iter()
         .enumerate()
-        .filter_map(|(i, e)| e.as_ref().ok().map(|e| (i, e)))
-        .flat_map(|(entry, e)| {
-            [(false, e.sims.read_run()), (true, e.sims.write_run())]
-                .map(|(write, run)| Job { entry, write, run })
+        .filter_map(|(bank, b)| Some((bank, &b.as_ref().ok()?.1)))
+        .flat_map(|(bank, sims)| {
+            [(false, sims.read_run()), (true, sims.write_run())]
+                .map(|(write, run)| Job { bank, write, run })
         })
         .collect();
     jobs.sort_by_key(|j| std::cmp::Reverse((j.run.circuit.node_count(), j.run.steps())));
     let panels: Vec<&[Job<'_>]> = jobs.chunks(PANEL_LANES).collect();
-    let (n_sims, n_panels) = (jobs.len(), panels.len());
+    let (sims, groups) = (jobs.len(), panels.len());
 
     // One solve per panel, fanned across the worker pool. A panel
     // failure falls back to per-sim solves so the error lands only on
     // the configuration that caused it.
-    type Solved = Vec<(usize, bool, Result<TransientResult, CircuitError>)>;
-    let solved: Vec<Solved> = lim_par::par_map(panels, |jobs| {
+    let solved = lim_par::par_map(panels, |jobs| {
         let runs: Vec<BatchRun<'_>> = jobs.iter().map(|j| j.run).collect();
         let outs: Vec<Result<TransientResult, CircuitError>> = match run_probed_batch(&runs) {
             Ok(rs) => rs.into_iter().map(Ok).collect(),
@@ -511,47 +469,34 @@ pub fn compare_batch_results(
         };
         jobs.iter()
             .zip(outs)
-            .map(|(j, r)| (j.entry, j.write, r))
-            .collect()
+            .map(|(j, r)| (j.bank, j.write, r))
+            .collect::<Vec<_>>()
     });
-
-    let mut read_res: Vec<Option<Result<TransientResult, CircuitError>>> =
-        entries.iter().map(|_| None).collect();
-    let mut write_res: Vec<Option<Result<TransientResult, CircuitError>>> =
-        entries.iter().map(|_| None).collect();
-    for (entry, write, r) in solved.into_iter().flatten() {
-        if write {
-            write_res[entry] = Some(r);
-        } else {
-            read_res[entry] = Some(r);
-        }
+    // Each bank's read and write results, in that order.
+    let mut outs: Vec<[Option<Result<TransientResult, CircuitError>>; 2]> =
+        built.iter().map(|_| [None, None]).collect();
+    for (bank, write, r) in solved.into_iter().flatten() {
+        outs[bank][usize::from(write)] = Some(r);
     }
 
-    let outcomes: Vec<Result<ToolVsGolden, BrickError>> = entries
-        .iter()
-        .enumerate()
-        .map(|(i, e)| {
-            let entry = e.as_ref().map_err(Clone::clone)?;
-            let res = read_res[i]
-                .take()
-                .expect("every built entry was simulated")
-                .map_err(BrickError::Golden)?;
-            let wres = write_res[i]
-                .take()
-                .expect("every built entry was simulated")
-                .map_err(BrickError::Golden)?;
-            let golden = finish(&entry.brick, &entry.sims, &res, &wres)?;
+    let results = built
+        .into_iter()
+        .zip(outs)
+        .map(|(b, outs)| {
+            let (brick, sims) = b?;
+            let [res, wres] = outs
+                .map(|r| r.expect("every built bank was simulated").map_err(BrickError::Golden));
+            let golden = finish(brick, &sims, &res?, &wres?)?;
             Ok(ToolVsGolden {
-                tool: entry.brick.estimate_bank(entry.sims.stack)?,
+                tool: sims.tool,
                 golden,
             })
         })
         .collect();
-
     GoldenBatchReport {
-        results: slot.iter().map(|&d| outcomes[d].clone()).collect(),
-        sims: n_sims,
-        groups: n_panels,
+        results,
+        sims,
+        groups,
     }
 }
 
@@ -608,6 +553,30 @@ mod tests {
             assert_eq!(got.golden, want.golden, "{spec:?} stack {stack}");
             assert_eq!(got.tool, want.tool, "{spec:?} stack {stack}");
         }
+    }
+
+    #[test]
+    fn each_distinct_config_is_estimated_once() {
+        // A bank's estimate sizes its simulation windows and is its tool
+        // column: N distinct configurations run the estimator N times
+        // however often they repeat, and each spec compiles once.
+        lim_obs::set_enabled(true);
+        lim_obs::reset();
+        let tech = Technology::cmos65();
+        let spec = BrickSpec::new(BitcellKind::Sram8T, 16, 10).unwrap();
+        let spec32 = BrickSpec::new(BitcellKind::Sram8T, 32, 12).unwrap();
+        let configs = [(spec, 1usize), (spec, 4), (spec32, 1), (spec, 4)];
+        let report = compare_batch_results(&tech, &configs);
+        assert!(report.results.iter().all(Result::is_ok));
+        let counts = lim_obs::Report::capture();
+        assert_eq!(counts.counter("brick.characterizations"), Some(3));
+        assert_eq!(counts.counter("brick.compiles"), Some(2));
+        // A lone comparison is a batch of one.
+        let brick = compiled(16, 10);
+        lim_obs::reset();
+        compare(&brick, 2).unwrap();
+        let counts = lim_obs::Report::capture();
+        assert_eq!(counts.counter("brick.characterizations"), Some(1));
     }
 
     #[test]

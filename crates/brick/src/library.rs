@@ -6,7 +6,8 @@
 //! subsequent synthesis flow" (§3). A [`BrickLibrary`] is that artifact:
 //! one [`LibraryEntry`] per (spec, stack) pair, with NLDM-style
 //! clock-to-output LUTs, energies, pin capacitances, area and blockage,
-//! ready for `lim-rtl` mapping and `lim-physical` timing.
+//! ready for `lim-rtl` mapping and `lim-physical` timing. A new entry
+//! runs the estimator once and tabulates its LUT from that estimate.
 
 use crate::compiler::{BrickCompiler, CLK_LOAD_PER_BRICK, DWL_PIN_CAP};
 use crate::error::BrickError;
@@ -100,8 +101,8 @@ impl BrickLibrary {
     /// Generates a library covering every `(spec, stack)` combination.
     ///
     /// This is the paper's "instantaneous generation of the necessary
-    /// synthesis files": each entry compiles the brick, runs the
-    /// estimator and tabulates the NLDM LUTs.
+    /// synthesis files": each spec is compiled once, and each entry runs
+    /// the estimator once and tabulates its NLDM LUT from the estimate.
     ///
     /// # Errors
     ///
@@ -151,21 +152,16 @@ impl BrickLibrary {
         let estimate = brick.estimate_bank(stack)?;
         let loads = vec![2.0, 8.0, 24.0, 64.0, 160.0];
         let slews = vec![0.0, 40.0, 120.0, 300.0];
-        // Tabulate the estimator across the grid (errors inside the closure
-        // are impossible once the base estimate succeeded, but guard
-        // anyway by falling back to the scalar estimate). CAM bricks time
-        // their slower match operation, which is what downstream logic
-        // waits for.
-        let base = estimate.read_delay;
+        // Tabulate the estimate's read delay across the grid. CAM bricks
+        // time their slower match operation, which is what downstream
+        // logic waits for.
         let cam_offset = estimate
             .match_delay
             .map(|m| (m.value() - estimate.read_delay.value()).max(0.0))
             .unwrap_or(0.0);
         let clk_to_q = Lut2D::tabulate(loads, slews, |load, slew| {
-            brick
-                .read_delay_with(stack, Femtofarads::new(load), Picoseconds::new(slew))
-                .map(|d| d.value() + cam_offset)
-                .unwrap_or_else(|_| base.value() + cam_offset)
+            let (load, slew) = (Femtofarads::new(load), Picoseconds::new(slew));
+            brick.read_delay_with(&estimate, load, slew).value() + cam_offset
         })
         .expect("static axes are well-formed");
 
@@ -245,7 +241,7 @@ impl BrickLibrary {
     /// Hit/miss counters are summed.
     ///
     /// This is how a resident server merges the library a checked-out
-    /// [`LimFlow`-style] run grew back into its shared warm cache:
+    /// flow run grew back into its shared warm cache:
     /// snapshot out, run, absorb back. A checkout begins with the very
     /// entries (by pointer) of the library it came from, so that
     /// common prefix is skipped without a name probe and the cost is
@@ -475,6 +471,21 @@ mod tests {
         // Heavier load is slower, slower input slew is slower.
         assert!(e.clk_to_q(Femtofarads::new(160.0), Picoseconds::ZERO) > got);
         assert!(e.clk_to_q(Femtofarads::new(11.2), Picoseconds::new(300.0)) > got);
+    }
+
+    #[test]
+    fn a_new_entry_runs_the_estimator_once() {
+        // The clk-to-q LUT is tabulated from the estimate the entry
+        // holds, and a hit runs nothing.
+        lim_obs::set_enabled(true);
+        lim_obs::reset();
+        let mut lib = BrickLibrary::new();
+        let spec = BrickSpec::new(BitcellKind::Cam, 16, 10).unwrap();
+        lib.get_or_insert(&tech(), &spec, 4).unwrap();
+        lib.get_or_insert(&tech(), &spec, 4).unwrap();
+        let report = lim_obs::Report::capture();
+        assert_eq!(report.counter("brick.characterizations"), Some(1));
+        assert_eq!(report.counter("brick.compiles"), Some(1));
     }
 
     #[test]

@@ -180,7 +180,7 @@ impl Banded {
     /// # Errors
     ///
     /// Returns a [`PivotError`] naming the offending row when a pivot
-    /// magnitude falls below [`REL_PIVOT_TOL`] of its row's largest
+    /// magnitude falls below `REL_PIVOT_TOL` (1e-12) of its row's largest
     /// assembled magnitude (a singular system, e.g. a floating node).
     pub fn factor(&mut self) -> Result<(), PivotError> {
         let (n, k) = (self.n, self.k);

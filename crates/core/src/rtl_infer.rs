@@ -6,7 +6,8 @@
 //! stack: for every inferred memory it sweeps the caller's brick-depth
 //! candidates through the analytic DSE estimator ([`crate::dse`]),
 //! picks the decomposition minimizing the delay·energy·area product,
-//! registers the winning bank entries in the flow's [`BrickLibrary`],
+//! registers the winning bank entries in the flow's
+//! [`BrickLibrary`](lim_brick::BrickLibrary),
 //! lowers the module, and drives the full [`LimFlow`] physical
 //! synthesis. The whole path is deterministic: the DSE sweep, the
 //! tie-break (smaller brick first) and the flow are all byte-stable

@@ -42,7 +42,7 @@ static MINT_SEED: OnceLock<u64> = OnceLock::new();
 impl TraceId {
     /// Mints a fresh id: a per-process random-looking seed (pid mixed
     /// with wall-clock nanos) plus an atomic counter, finalized through
-    /// [`splitmix64`]. Ids from concurrent processes (clients and the
+    /// the SplitMix64 mixer. Ids from concurrent processes (clients and the
     /// server) collide only if both seed and counter collide.
     #[must_use]
     pub fn mint() -> TraceId {

@@ -17,7 +17,7 @@
 //! Fixed pins — macro centers and the floorplan's primary-I/O pads —
 //! enter the model as constants: their edge weights fold into the
 //! diagonal and right-hand side, anchoring the system. A weak pull
-//! ([`CENTER_ANCHOR`]) toward the die center keeps the matrix
+//! (`CENTER_ANCHOR`) toward the die center keeps the matrix
 //! positive-definite even for components with no fixed pin.
 //!
 //! # Determinism

@@ -45,9 +45,10 @@ fn steiner_factor(pins: usize) -> f64 {
 /// stored flat (CSR), so per-net queries are slice lookups instead of
 /// fresh allocations and full-netlist rescans.
 ///
-/// Matches [`net_pin_positions`] pin for pin: one pin per (cell, net)
-/// incidence regardless of how many cell pins the net drives, cells
-/// without a resolvable position skipped, port pins appended last.
+/// Matches [`net_pin_positions`](crate::place::net_pin_positions) pin
+/// for pin: one pin per (cell, net) incidence regardless of how many
+/// cell pins the net drives, cells without a resolvable position
+/// skipped, port pins appended last.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetPinIndex {
     offsets: Vec<usize>,

@@ -1,6 +1,6 @@
 //! Behavioral IR for the memory-inference frontend.
 //!
-//! [`crate::parse`] produces a [`BehavModule`] from a behavioral Verilog
+//! [`crate::parse()`] produces a [`BehavModule`] from a behavioral Verilog
 //! subset; [`crate::infer`] recognizes the 2-D register arrays in it and
 //! [`crate::smartmem`] lowers the whole module to a brick-backed
 //! structural [`crate::Netlist`]. This module also carries the *reference

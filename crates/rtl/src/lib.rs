@@ -29,7 +29,7 @@
 //! The memory-inference frontend turns *behavioral* Verilog into the
 //! structural world above:
 //!
-//! * [`parse`] — a hand-rolled parser for a behavioral subset
+//! * [`parse`](mod@parse) — a hand-rolled parser for a behavioral subset
 //!   (`module`/ports, `reg [W-1:0] mem [D-1:0]` arrays, clocked `always`
 //!   write blocks, sync read ports) into [`behav::BehavModule`].
 //! * [`behav`] — the frontend IR plus [`behav::BehavInterp`], the

@@ -91,7 +91,7 @@ static METHODS: &[Method] = &[
     },
     Method {
         name: "golden.compare",
-        handler: Service::golden_compare,
+        handler: |svc, params, _| svc.golden_batch(&[svc.spec_of(params)?]).remove(0),
         memo: true,
         inline: false,
         traced: true,
@@ -580,21 +580,20 @@ impl Service {
         Ok(json::render(&estimate_value(&spec, stack, &estimate)))
     }
 
-    fn golden_compare(
-        &self,
-        params: &Value,
-        writes: &mut Vec<PendingWrite>,
-    ) -> Result<String, ServeError> {
-        let (spec, stack) = self.spec_of(params)?;
-        let (brick, estimate) = self
-            .library
-            .with_entry(&self.tech, &spec, stack, |e| {
-                (e.brick.clone(), e.estimate.clone())
-            })
-            .map_err(ServeError::internal)?;
-        self.persist_lib(&spec, stack, &estimate, writes);
-        let cmp = golden::compare(&brick, stack).map_err(golden_error)?;
-        Ok(render_golden(&spec, stack, &cmp))
+    /// Every `golden.compare` reply, in input order, from one golden
+    /// batch, counted in `golden.*`: a lone request is a batch of one.
+    /// The batch compiles its own bricks, so the shared library and the
+    /// persisted library keys stay as they were.
+    fn golden_batch(&self, configs: &[(BrickSpec, usize)]) -> Vec<Result<String, ServeError>> {
+        let report = golden::compare_batch_results(&self.tech, configs);
+        self.golden_batches.fetch_add(1, Ordering::Relaxed);
+        self.golden_sims.fetch_add(report.sims as u64, Ordering::Relaxed);
+        self.golden_groups.fetch_add(report.groups as u64, Ordering::Relaxed);
+        report
+            .results
+            .into_iter()
+            .map(|r| r.map(|cmp| render_golden(&cmp)).map_err(golden_error))
+            .collect()
     }
 
     /// Queues one compiled entry's key and estimate fingerprint for the
@@ -894,7 +893,7 @@ impl Service {
         // fans out entry-by-entry.
         let golden = Endpoint::of("golden.compare");
         let mut slots: Vec<Option<String>> = vec![None; jobs.len()];
-        let mut goldens: Vec<(usize, BrickSpec, usize, Option<u64>)> = Vec::new();
+        let mut goldens: Vec<(usize, (BrickSpec, usize), Option<u64>)> = Vec::new();
         let mut others: Vec<(usize, Endpoint, String, Value)> = Vec::new();
         for (i, (method, params)) in jobs.into_iter().enumerate() {
             let endpoint = Endpoint::of(&method);
@@ -908,14 +907,14 @@ impl Service {
                     self.record_endpoint(golden, sw.elapsed(), true);
                     slots[i] = Some(entry_err(&e));
                 }
-                Ok((spec, stack)) => {
+                Ok(config) => {
                     let key = memo_key(golden, &params);
                     match key.and_then(|key| self.memo_lookup(key)) {
                         Some(hit) => {
                             self.record_endpoint(golden, sw.elapsed(), false);
                             slots[i] = Some(entry_ok(true, &hit));
                         }
-                        None => goldens.push((i, spec, stack, key)),
+                        None => goldens.push((i, config, key)),
                     }
                 }
             }
@@ -924,25 +923,22 @@ impl Service {
             let _span = lim_obs::Span::enter("golden.compare");
             let sw = lim_obs::Stopwatch::start();
             let configs: Vec<(BrickSpec, usize)> =
-                goldens.iter().map(|&(_, spec, stack, _)| (spec, stack)).collect();
-            let report = golden::compare_batch_results(&self.tech, &configs);
-            self.golden_batches.fetch_add(1, Ordering::Relaxed);
-            self.golden_sims.fetch_add(report.sims as u64, Ordering::Relaxed);
-            self.golden_groups.fetch_add(report.groups as u64, Ordering::Relaxed);
+                goldens.iter().map(|&(_, config, _)| config).collect();
+            let results = self.golden_batch(&configs);
             // The panel solve is shared work; each entry is billed its
             // mean share of it.
             let share = sw.elapsed() / goldens.len() as u32;
-            for ((i, spec, stack, key), res) in goldens.iter().zip(report.results) {
+            for ((i, _, key), res) in goldens.iter().zip(results) {
                 self.record_endpoint(golden, share, res.is_err());
                 slots[*i] = Some(match res {
-                    Ok(cmp) => {
-                        let rendered = Arc::new(render_golden(spec, *stack, &cmp));
+                    Ok(rendered) => {
+                        let rendered = Arc::new(rendered);
                         if let Some(key) = key {
                             self.memo_store(*key, "golden.compare", &rendered, writes);
                         }
                         entry_ok(false, &rendered)
                     }
-                    Err(e) => entry_err(&golden_error(e)),
+                    Err(e) => entry_err(&e),
                 });
             }
         }
@@ -1340,10 +1336,8 @@ fn golden_error(e: BrickError) -> ServeError {
     }
 }
 
-/// Renders one tool-vs-golden comparison. Both the single endpoint and
-/// the batched path go through this, so a batch entry's `result` is
-/// byte-identical to a lone `golden.compare` reply for the same params.
-fn render_golden(spec: &BrickSpec, stack: usize, cmp: &golden::ToolVsGolden) -> String {
+/// Renders one tool-vs-golden comparison as its `golden.compare` reply.
+fn render_golden(cmp: &golden::ToolVsGolden) -> String {
     let bank = |rd: f64, re: f64, wd: f64, we: f64| {
         obj(vec![
             ("read_delay_ps", num(rd)),
@@ -1353,8 +1347,8 @@ fn render_golden(spec: &BrickSpec, stack: usize, cmp: &golden::ToolVsGolden) -> 
         ])
     };
     json::render(&obj(vec![
-        ("spec", Value::String(spec.to_string())),
-        ("stack", num(stack as f64)),
+        ("spec", Value::String(cmp.tool.spec.to_string())),
+        ("stack", num(cmp.tool.stack as f64)),
         (
             "tool",
             bank(
@@ -1922,6 +1916,60 @@ endmodule
             cold_out.replace("\"cached\":false", "\"cached\":true")
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every file under `dir`, as (path relative to `dir`, contents),
+    /// sorted by path.
+    fn tree(dir: &std::path::Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files = Vec::new();
+        let mut todo = vec![dir.to_path_buf()];
+        while let Some(at) = todo.pop() {
+            for entry in std::fs::read_dir(&at).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    todo.push(path);
+                } else {
+                    let rel = path.strip_prefix(dir).unwrap().to_path_buf();
+                    files.push((rel, std::fs::read(&path).unwrap()));
+                }
+            }
+        }
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn lone_golden_compare_is_a_batch_of_one() {
+        // A lone `golden.compare` and the same config as the only entry
+        // of a `batch` leave two `--cache-dir` services in the same
+        // state: the same reply bytes, the same disk files, the same
+        // `golden.*` counts, and no library entry or library key.
+        let p = "{\"words\":24,\"bits\":9,\"stack\":2}";
+        let (lone_config, lone_dir) = disk_config("lone_golden");
+        let lone = Service::new(&lone_config);
+        let reply = lone.call("golden.compare", &params(p)).result.unwrap();
+        let (batch_config, batch_dir) = disk_config("batched_golden");
+        let batched = Service::new(&batch_config);
+        let batch = format!("{{\"requests\":[{{\"method\":\"golden.compare\",\"params\":{p}}}]}}");
+        let batch_reply = batched.call("batch", &params(&batch)).result.unwrap();
+        assert_eq!(batch_reply, format!("{{\"results\":[{}]}}", entry_ok(false, &reply)));
+
+        for svc in [&lone, &batched] {
+            assert_eq!(svc.library().len(), 0, "golden.compare adds no library entry");
+            assert!(svc.disk().unwrap().lib_keys().is_empty(), "and no library key");
+            let stats = svc.stats_value();
+            let golden = stats.get("golden").unwrap();
+            let count = |member| golden.get(member).and_then(Value::as_f64);
+            assert_eq!(
+                (count("batches"), count("sims"), count("panel_groups")),
+                (Some(1.0), Some(2.0), Some(1.0))
+            );
+        }
+        let files = tree(&lone_dir);
+        assert_eq!(files.len(), 1, "one response entry: {files:?}");
+        assert_eq!(files, tree(&batch_dir));
+        std::fs::remove_dir_all(&lone_dir).unwrap();
+        std::fs::remove_dir_all(&batch_dir).unwrap();
     }
 
     fn request(method: &str, params: &Value) -> Request {

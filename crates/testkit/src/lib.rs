@@ -13,7 +13,7 @@
 //! - [`prop`] — a minimal property-testing harness: N seeded cases per
 //!   property, failing-seed reporting, environment overrides for
 //!   reproduction (`LIM_TESTKIT_SEED`, `LIM_TESTKIT_CASES`).
-//! - [`bench`] — a wall-clock timing harness (warmup, auto-batched
+//! - [`bench`](mod@bench) — a wall-clock timing harness (warmup, auto-batched
 //!   samples, median/p95 report) for `harness = false` bench targets.
 //!
 //! Nothing here depends on anything outside `std`.

@@ -9,6 +9,8 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline
 cargo test -q --workspace --offline
 cargo clippy --workspace --all-targets --offline -- -D warnings
+# The API docs must build clean: no broken or private intra-doc links.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # perfbench is a workspace of its own that builds against these crates
 # by path. Build and unit-test it here, so a public-API change that
