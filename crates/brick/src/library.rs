@@ -237,8 +237,7 @@ impl BrickLibrary {
 
     /// Folds every entry of `other` that this library does not already
     /// hold (by macro name) into `self`, together with the compiled
-    /// brick each one models, and returns the entries it added.
-    /// Hit/miss counters are summed.
+    /// brick each one models. Hit/miss counters are summed.
     ///
     /// This is how a resident server merges the library a checked-out
     /// flow run grew back into its shared warm cache:
@@ -246,8 +245,7 @@ impl BrickLibrary {
     /// entries (by pointer) of the library it came from, so that
     /// common prefix is skipped without a name probe and the cost is
     /// one probe per entry the run appended.
-    pub fn absorb(&mut self, other: BrickLibrary) -> &[Arc<LibraryEntry>] {
-        let before = self.entries.len();
+    pub fn absorb(&mut self, other: BrickLibrary) {
         let common = self
             .entries
             .iter()
@@ -264,7 +262,6 @@ impl BrickLibrary {
         }
         self.hits = self.hits.saturating_add(other.hits);
         self.misses = self.misses.saturating_add(other.misses);
-        &self.entries[before..]
     }
 
     /// Times [`BrickLibrary::get_or_insert`] found an existing entry.
@@ -392,16 +389,14 @@ impl SharedBrickLibrary {
         }
     }
 
-    /// Folds `grown` back into the shared library and returns the
-    /// entries it added — the ones the run appended past its checkout
-    /// that no other run folded back first; see
-    /// [`BrickLibrary::absorb`].
-    pub fn absorb(&self, grown: BrickLibrary) -> Vec<Arc<LibraryEntry>> {
+    /// Folds `grown` back into the shared library: the entries the run
+    /// appended past its checkout that no other run folded back first;
+    /// see [`BrickLibrary::absorb`].
+    pub fn absorb(&self, grown: BrickLibrary) {
         self.inner
             .write()
             .expect("library lock poisoned")
-            .absorb(grown)
-            .to_vec()
+            .absorb(grown);
     }
 
     /// Times [`SharedBrickLibrary::with_entry`] found an existing entry.

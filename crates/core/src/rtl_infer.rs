@@ -93,9 +93,9 @@ fn bad(reason: impl Into<String>) -> LimError {
     }
 }
 
-/// Picks the brick decomposition for one memory: sweeps every candidate
-/// depth that tiles it through the analytic estimator and keeps the
-/// delay·energy·area minimum (ties to the shallower brick).
+/// Picks the brick decomposition for one memory: sweeps every distinct
+/// candidate depth that tiles it through the analytic estimator and
+/// keeps the delay·energy·area minimum (ties to the shallower brick).
 fn choose_decomposition(
     flow: &LimFlow,
     mem: &lim_rtl::InferredMemory,
@@ -103,17 +103,21 @@ fn choose_decomposition(
 ) -> Result<MemoryPlan, LimError> {
     let lanes = mem.lanes();
     let lane_bits: Vec<usize> = lanes.iter().map(|l| l.width()).collect();
-    let candidates: Vec<usize> = brick_options
-        .iter()
-        .copied()
-        .filter(|&bw| {
-            bw > 0
-                && mem.words.is_multiple_of(bw)
-                && (1..=MAX_STACK).contains(&(mem.words / bw))
-                && BrickSpec::new(BitcellKind::Sram8T, bw, *lane_bits.iter().max().unwrap())
-                    .is_ok()
-        })
-        .collect();
+    let widest = *lane_bits.iter().max().unwrap();
+    // A repeated depth is dropped, first occurrence kept: it would add
+    // nothing but sweep points. The kept list only holds depths that
+    // divide the memory, so the `contains` scan stays short.
+    let mut candidates: Vec<usize> = Vec::new();
+    for &bw in brick_options {
+        if !candidates.contains(&bw)
+            && bw > 0
+            && mem.words.is_multiple_of(bw)
+            && (1..=MAX_STACK).contains(&(mem.words / bw))
+            && BrickSpec::new(BitcellKind::Sram8T, bw, widest).is_ok()
+        {
+            candidates.push(bw);
+        }
+    }
     if candidates.is_empty() {
         return Err(bad(format!(
             "no brick depth in {brick_options:?} tiles memory `{}` ({} words, stack ≤ {MAX_STACK})",

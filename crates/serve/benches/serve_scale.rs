@@ -18,8 +18,8 @@
 //! batches 10 pings per sample to average out scheduler noise).
 //!
 //! `serve_library` measures a `nocache` `flow.run` on a daemon whose
-//! disk-backed brick library already holds 400 entries, the state a
-//! long-lived shard reaches. Each run checks the library out and folds
+//! brick library already holds 400 entries, the state a long-lived
+//! shard reaches. Each run checks the library out and folds
 //! it back, so this row shows what that costs as the library grows.
 
 use lim_serve::net::{write_line, LineReader};
@@ -225,8 +225,8 @@ fn main() {
     let addr = server.local_addr();
     let handle = server.spawn();
     let mut conn = Conn::open(addr);
-    // 20 specs × 20 stack heights, compiled and persisted through the
-    // ordinary endpoint.
+    // 20 specs × 20 stack heights, compiled through the ordinary
+    // endpoint.
     let estimates: Vec<String> = [8, 16, 32, 64]
         .iter()
         .flat_map(|words| [4, 6, 8, 12, 24].map(|bits| (words, bits)))

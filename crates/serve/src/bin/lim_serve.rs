@@ -12,10 +12,10 @@
 //! and counter data. The process exits after a `server.shutdown`
 //! request has drained all connections.
 //!
-//! `--cache-dir` points at the persistent compile cache: responses and
-//! library keys written by earlier runs are served (and the brick
-//! library re-warmed on a background thread) so a restarted daemon
-//! answers repeated requests byte-identically without recompiling.
+//! `--cache-dir` points at the persistent compile cache: replies
+//! written by earlier runs are served from it, so a restarted daemon
+//! answers repeated requests byte-identically without recompiling. A
+//! cold request compiles its bricks on demand, as in a fresh daemon.
 //! `--idle-timeout-secs` closes connections that stay silent that long
 //! (off by default; idle connections are cheap under the poll loop).
 
@@ -117,19 +117,6 @@ fn main() -> ExitCode {
                 None => String::new(),
             }
         );
-    }
-    // Re-warm the brick library from the persistent cache off the
-    // serving path: first requests race the warmer and never wait on
-    // it (a not-yet-recompiled entry just compiles on demand).
-    if args.config.disk_dir.is_some() {
-        let service = server.service();
-        let quiet = args.quiet;
-        std::thread::spawn(move || {
-            let warmed = service.warm_from_disk();
-            if !quiet && warmed > 0 {
-                println!("lim-serve: re-warmed {warmed} library entries from disk");
-            }
-        });
     }
     match server.run() {
         Ok(()) => {

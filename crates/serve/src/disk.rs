@@ -1,30 +1,26 @@
-//! Persistent compile cache: a content-addressed on-disk store that
-//! lets a restarted daemon come up warm.
+//! Persistent compile cache: a content-addressed on-disk store of
+//! rendered replies that lets a restarted daemon come up warm.
 //!
-//! Two kinds of entries live under one cache root:
-//!
-//! * **Responses** (`resp/<key:016x>.json`): the canonical response
-//!   bytes for one memoizable request, keyed by the same FNV-1a
-//!   canonical-params key the in-memory [`crate::ResponseCache`] uses.
-//!   Probed lazily on a memo miss, so only keys that recur after a
-//!   restart pay the disk read; a hit is pinned byte-identical to the
-//!   cold compile by construction (the stored bytes *are* the rendered
-//!   response).
-//! * **Library keys** (`lib/<entry>.key`): one line per compiled
-//!   [`lim_brick::library::LibraryEntry`] recording `(bitcell, words,
-//!   bits, stack)` plus an FNV-1a fingerprint of the rendered estimate.
-//!   Compilation is a pure function of `(tech, spec)`, so persisting
-//!   the key and recompiling on load is both smaller and safer than
-//!   serializing the full compiled brick; the fingerprint catches a
-//!   store produced by a different compiler (entry skipped as stale).
+//! Each entry is a **response** (`resp/<key:016x>.json`): the canonical
+//! response bytes for one memoizable request, keyed by the same FNV-1a
+//! canonical-params key the in-memory [`crate::ResponseCache`] uses.
+//! Probed lazily on a memo miss, so only keys that recur after a
+//! restart pay the disk read; a hit is pinned byte-identical to the
+//! cold compile by construction (the stored bytes *are* the rendered
+//! response). The brick library is not persisted: a compile is a pure
+//! function of `(tech, spec)`, so a restarted daemon compiles a brick
+//! the first time a cold request needs one, as a fresh daemon does.
+//! [`DiskCache::store_lib_key`] writes a `lib/<entry>.key` line for
+//! callers outside the service; the service neither writes nor reads
+//! `lib/`.
 //!
 //! Every file starts with a `lim-disk-v2` stamp. Writes go to
 //! `tmp/<name>.<pid>.<seq>` and are published with `rename(2)`, so a
 //! crash mid-write leaves at worst an orphan tmp file, never a torn
 //! entry. Unreadable entries are counted (`corrupt`), removed
 //! best-effort, and treated as misses; entries with a wrong version
-//! stamp or fingerprint are counted (`stale`) and likewise dropped, so
-//! each entry an older format wrote is recomputed on its first miss.
+//! stamp are counted (`stale`) and likewise dropped, so each entry an
+//! older format wrote is recomputed on its first miss.
 //!
 //! # Checking a response without parsing it
 //!
@@ -61,25 +57,32 @@ pub const DISK_FORMAT: &str = "lim-disk-v2";
 /// one.
 const HEADER_MAX: usize = 256;
 
-/// A cache file waiting to be published. Queuing one is cheap and
+/// A response entry waiting to be published. Queuing one is cheap and
 /// happens while the request is answered; [`DiskCache::write`] renders
-/// it (a response's digest included) and pays for the file write,
-/// `fsync` and rename once the reply is on its way.
+/// it (its digest included) and pays for the file write, `fsync` and
+/// rename once the reply is on its way. The body is shared with the
+/// memo.
 #[derive(Debug)]
-pub(crate) enum PendingWrite {
-    /// A response entry; the body is shared with the memo.
-    Response {
-        key: u64,
-        method: String,
-        body: Arc<String>,
-    },
-    /// A library key line. Keys are immutable (same name ⇒ same
-    /// content): the first write wins and repeats skip the I/O.
-    LibKey { dest: PathBuf, line: String },
+pub(crate) struct PendingWrite {
+    key: u64,
+    method: &'static str,
+    body: Arc<String>,
 }
 
-/// A persisted library entry: enough to deterministically recompile
-/// the brick, plus a fingerprint to detect a foreign store.
+impl PendingWrite {
+    /// [`DiskCache::store_response`], queued: nothing is copied or
+    /// digested until [`DiskCache::write`].
+    pub(crate) fn new(key: u64, method: &'static str, body: &Arc<String>) -> PendingWrite {
+        PendingWrite {
+            key,
+            method,
+            body: Arc::clone(body),
+        }
+    }
+}
+
+/// A library key line's fields: enough to deterministically recompile
+/// the brick, plus a fingerprint of its rendered estimate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LibKey {
     pub bitcell: String,
@@ -228,88 +231,20 @@ impl DiskCache {
     /// is already present (entries are immutable: same name ⇒ same
     /// content, so first write wins and repeats skip the I/O).
     pub fn store_lib_key(&self, entry_name: &str, key: &LibKey) {
-        self.write(self.lib_key_write(entry_name, key));
-    }
-
-    /// [`store_response`](Self::store_response), queued: nothing is
-    /// copied or digested until [`write`](Self::write).
-    pub(crate) fn response_write(
-        &self,
-        key: u64,
-        method: &str,
-        body: &Arc<String>,
-    ) -> PendingWrite {
-        PendingWrite::Response {
-            key,
-            method: method.to_owned(),
-            body: Arc::clone(body),
-        }
-    }
-
-    /// [`store_lib_key`](Self::store_lib_key), rendered but not yet
-    /// written.
-    pub(crate) fn lib_key_write(&self, entry_name: &str, key: &LibKey) -> PendingWrite {
-        PendingWrite::LibKey {
-            dest: self.root.join("lib").join(format!("{entry_name}.key")),
-            line: format!(
+        let dest = self.root.join("lib").join(format!("{entry_name}.key"));
+        if !dest.exists() {
+            let line = format!(
                 "{DISK_FORMAT} lib {} {} {} {} {:016x}\n",
                 key.bitcell, key.words, key.bits, key.stack, key.fingerprint
-            ),
+            );
+            let _ = self.publish(&dest, &[line.as_bytes()]);
         }
     }
 
-    /// Publishes a queued entry; errors are swallowed like every other
-    /// store.
+    /// Publishes a queued response; errors are swallowed like every
+    /// other store.
     pub(crate) fn write(&self, entry: PendingWrite) {
-        match entry {
-            PendingWrite::Response { key, method, body } => {
-                self.store_response(key, &method, &body);
-            }
-            PendingWrite::LibKey { dest, line } => {
-                if !dest.exists() {
-                    let _ = self.publish(&dest, &[line.as_bytes()]);
-                }
-            }
-        }
-    }
-
-    /// All persisted `(entry_name, key)` pairs, sorted by file name for
-    /// a deterministic warm order. Unreadable entries are counted and
-    /// removed.
-    pub fn lib_keys(&self) -> Vec<(String, LibKey)> {
-        let dir = self.root.join("lib");
-        let mut names: Vec<PathBuf> = match fs::read_dir(&dir) {
-            Ok(rd) => rd.filter_map(|e| e.ok().map(|e| e.path())).collect(),
-            Err(_) => return Vec::new(),
-        };
-        names.sort();
-        let mut keys = Vec::with_capacity(names.len());
-        for path in names {
-            let text = match fs::read_to_string(&path) {
-                Ok(t) => t,
-                Err(_) => continue,
-            };
-            let name = path
-                .file_stem()
-                .and_then(|n| n.to_str())
-                .unwrap_or_default()
-                .to_string();
-            match parse_lib_key(&text) {
-                Ok(key) => keys.push((name, key)),
-                Err(kind) => {
-                    self.count_bad(kind);
-                    let _ = fs::remove_file(&path);
-                }
-            }
-        }
-        keys
-    }
-
-    /// Drops one persisted library entry whose recompiled fingerprint
-    /// did not match (counted as stale).
-    pub fn drop_stale_lib(&self, entry_name: &str) {
-        self.stale.fetch_add(1, Ordering::Relaxed);
-        let _ = fs::remove_file(self.root.join("lib").join(format!("{entry_name}.key")));
+        self.store_response(entry.key, entry.method, &entry.body);
     }
 
     fn count_bad(&self, kind: BadEntry) {
@@ -495,23 +430,6 @@ fn stamped_fields(header: &str) -> Result<Vec<&str>, BadEntry> {
     }
 }
 
-fn parse_lib_key(text: &str) -> Result<LibKey, BadEntry> {
-    let (header, rest) = text.split_once('\n').ok_or(BadEntry::Corrupt)?;
-    let fields = stamped_fields(header)?;
-    // Header: <stamp> lib <bitcell> <words> <bits> <stack> <fp16hex>
-    if fields.len() != 7 || fields[1] != "lib" || !rest.is_empty() {
-        return Err(BadEntry::Corrupt);
-    }
-    let parse_usize = |s: &str| s.parse::<usize>().map_err(|_| BadEntry::Corrupt);
-    Ok(LibKey {
-        bitcell: fields[2].to_string(),
-        words: parse_usize(fields[3])?,
-        bits: parse_usize(fields[4])?,
-        stack: parse_usize(fields[5])?,
-        fingerprint: u64::from_str_radix(fields[6], 16).map_err(|_| BadEntry::Corrupt)?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -635,13 +553,6 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.stale, s.corrupt, s.hits), (1, 0, 0));
         assert!(!path.exists(), "stale entry left behind");
-        fs::write(
-            dir.join("lib/brick_8t_16_10_x4.key"),
-            "lim-disk-v1 lib 8t 16 10 4 000000000000feed\n",
-        )
-        .unwrap();
-        assert!(cache.lib_keys().is_empty());
-        assert_eq!(cache.stats().stale, 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -699,42 +610,28 @@ mod tests {
     ];
 
     #[test]
-    fn lib_keys_roundtrip_sorted_and_skip_corrupt() {
+    fn store_lib_key_first_write_wins() {
         let dir = scratch_dir("lib");
         let cache = DiskCache::open(&dir).unwrap();
-        let k1 = LibKey {
+        let key = LibKey {
             bitcell: "8t".into(),
             words: 16,
             bits: 10,
             stack: 4,
             fingerprint: 0xfeed,
         };
-        let k2 = LibKey {
-            bitcell: "cam9t".into(),
-            words: 32,
-            bits: 12,
-            stack: 1,
+        cache.store_lib_key("brick_8t_16_10_x4", &key);
+        // A repeat under the same name is a no-op, whatever it carries.
+        let other = LibKey {
             fingerprint: 0xbeef,
+            ..key.clone()
         };
-        cache.store_lib_key("brick_8t_16_10_x4", &k1);
-        cache.store_lib_key("brick_cam9t_32_12_x1", &k2);
-        // Duplicate store is a cheap no-op.
-        cache.store_lib_key("brick_8t_16_10_x4", &k1);
-        fs::write(dir.join("lib/garbage.key"), "not a cache file").unwrap();
-        let keys = cache.lib_keys();
+        cache.store_lib_key("brick_8t_16_10_x4", &other);
         assert_eq!(
-            keys,
-            vec![
-                ("brick_8t_16_10_x4".to_string(), k1.clone()),
-                ("brick_cam9t_32_12_x1".to_string(), k2),
-            ]
+            fs::read_to_string(dir.join("lib/brick_8t_16_10_x4.key")).unwrap(),
+            format!("{DISK_FORMAT} lib 8t 16 10 4 000000000000feed\n")
         );
-        assert_eq!(cache.stats().corrupt, 1);
-        assert!(!dir.join("lib/garbage.key").exists());
-        // Fingerprint mismatch path: drop_stale_lib removes and counts.
-        cache.drop_stale_lib("brick_8t_16_10_x4");
-        assert_eq!(cache.stats().stale, 1);
-        assert_eq!(cache.lib_keys().len(), 1);
+        assert_eq!(cache.stats().writes, 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 

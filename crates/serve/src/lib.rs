@@ -24,9 +24,9 @@
 //!   on a shard's small worker pool, and writes nothing to disk on the
 //!   event thread. [`net`] holds the line framing shared by the loop
 //!   and its clients. The front end is Linux-only.
-//! * [`disk`] — the persistent compile cache: responses and library
-//!   keys survive restarts, so a rebooted shard answers repeated
-//!   requests from disk, byte-identical, without recompiling.
+//! * [`disk`] — the persistent compile cache: rendered replies survive
+//!   restarts, so a rebooted shard answers repeated requests from disk,
+//!   byte-identical, without recompiling.
 //! * [`ring`]/[`router`] — cluster mode: `lim-router` consistent-hashes
 //!   brick keys across shards and scatter/gathers `batch` requests, on
 //!   the same event loop as a shard.

@@ -952,7 +952,6 @@ mod tests {
     use super::*;
     use crate::net::{write_line, LineReader};
     use crate::server::{Backend, Bound};
-    use std::path::PathBuf;
 
     /// A connected loopback pair: the nonblocking server side the loop
     /// would own, and a blocking client.
@@ -1026,10 +1025,7 @@ mod tests {
 
     impl Backend for SlowDisk {
         fn serve(&self, rq: &Request, _line: String, _server: &ServerShared) -> Answer {
-            let write = PendingWrite::LibKey {
-                dest: PathBuf::new(),
-                line: String::new(),
-            };
+            let write = PendingWrite::new(0, "m", &Arc::new(String::new()));
             let line = crate::protocol::ok_line(&rq.id, false, "{}");
             Answer::Reply(line, vec![write])
         }

@@ -2,6 +2,12 @@
 //! shared warm [`SharedBrickLibrary`], the content-addressed response
 //! memo, per-endpoint latency accounting, and obs span adoption.
 //!
+//! A memoizable reply is the one thing the service persists: with a
+//! cache dir, each one computed is queued as a response entry for the
+//! disk tier ([`crate::disk`]) under the memo. The brick library lives
+//! in memory only and fills as cold requests compile, in a restarted
+//! service as in a fresh one.
+//!
 //! Every telemetry name comes from the code. A call's method is looked
 //! up in the method table once, as the call enters; the row it finds
 //! (or none) is passed down to the memo key, dispatch, trace retention
@@ -25,18 +31,16 @@
 //! worker. [`Service::call`] resolves its call the same way.
 
 use crate::cache::ResponseCache;
-use crate::disk::{DiskCache, LibKey, PendingWrite};
+use crate::disk::{DiskCache, PendingWrite};
 use crate::gate::Gate;
 use crate::protocol::{
-    cache_key, error_line, fnv1a, ok_line, ok_line_traced, Request, ServeError, PROTOCOL,
+    cache_key, error_line, ok_line, ok_line_traced, Request, ServeError, PROTOCOL,
 };
 use crate::server::{Answer, Backend, ServerShared};
 use lim::dse::{self, DsePoint};
 use lim::{LimBlock, LimError, LimFlow, MemoryPlan, SramConfig};
 use lim_brick::compiler::MAX_STACK;
-use lim_brick::{
-    golden, BankEstimate, BitcellKind, BrickError, BrickLibrary, BrickSpec, SharedBrickLibrary,
-};
+use lim_brick::{golden, BankEstimate, BitcellKind, BrickError, BrickSpec, SharedBrickLibrary};
 use lim_obs::json::{self, Value};
 use lim_obs::trace::{trace_json_line, Trace, TraceBuffer, TraceId, TraceScope};
 use lim_obs::{hist_json_line, window_json_line, Collector, Histogram, Report, RollingWindow};
@@ -84,7 +88,7 @@ static METHODS: &[Method] = &[
     },
     Method {
         name: "brick.estimate",
-        handler: Service::brick_estimate,
+        handler: |svc, params, _| svc.brick_estimate(params),
         memo: true,
         inline: true,
         traced: true,
@@ -98,7 +102,7 @@ static METHODS: &[Method] = &[
     },
     Method {
         name: "flow.run",
-        handler: Service::flow_run,
+        handler: |svc, params, _| svc.flow_run(params),
         memo: true,
         inline: false,
         traced: true,
@@ -112,7 +116,7 @@ static METHODS: &[Method] = &[
     },
     Method {
         name: "rtl.infer",
-        handler: Service::rtl_infer,
+        handler: |svc, params, _| svc.rtl_infer(params),
         memo: true,
         inline: false,
         traced: true,
@@ -477,7 +481,7 @@ impl Service {
     fn memo_store(
         &self,
         key: u64,
-        method: &str,
+        method: &'static str,
         rendered: &Arc<String>,
         writes: &mut Vec<PendingWrite>,
     ) {
@@ -485,8 +489,8 @@ impl Service {
             .lock()
             .expect("response cache lock poisoned")
             .insert_shared(key, Arc::clone(rendered));
-        if let Some(disk) = &self.disk {
-            writes.push(disk.response_write(key, method, rendered));
+        if self.disk.is_some() {
+            writes.push(PendingWrite::new(key, method, rendered));
         }
     }
 
@@ -566,24 +570,19 @@ impl Service {
         Ok((spec, stack))
     }
 
-    fn brick_estimate(
-        &self,
-        params: &Value,
-        writes: &mut Vec<PendingWrite>,
-    ) -> Result<String, ServeError> {
+    fn brick_estimate(&self, params: &Value) -> Result<String, ServeError> {
         let (spec, stack) = self.spec_of(params)?;
         let estimate = self
             .library
             .with_entry(&self.tech, &spec, stack, |e| e.estimate.clone())
             .map_err(ServeError::internal)?;
-        self.persist_lib(&spec, stack, &estimate, writes);
         Ok(json::render(&estimate_value(&spec, stack, &estimate)))
     }
 
     /// Every `golden.compare` reply, in input order, from one golden
     /// batch, counted in `golden.*`: a lone request is a batch of one.
-    /// The batch compiles its own bricks, so the shared library and the
-    /// persisted library keys stay as they were.
+    /// The batch compiles its own bricks, so the shared library stays as
+    /// it was.
     fn golden_batch(&self, configs: &[(BrickSpec, usize)]) -> Vec<Result<String, ServeError>> {
         let report = golden::compare_batch_results(&self.tech, configs);
         self.golden_batches.fetch_add(1, Ordering::Relaxed);
@@ -594,72 +593,6 @@ impl Service {
             .into_iter()
             .map(|r| r.map(|cmp| render_golden(&cmp)).map_err(golden_error))
             .collect()
-    }
-
-    /// Queues one compiled entry's key and estimate fingerprint for the
-    /// persistent tier (no-op without a disk cache, cheap when already
-    /// recorded).
-    fn persist_lib(
-        &self,
-        spec: &BrickSpec,
-        stack: usize,
-        estimate: &BankEstimate,
-        writes: &mut Vec<PendingWrite>,
-    ) {
-        let Some(disk) = &self.disk else { return };
-        writes.push(disk.lib_key_write(
-            &lim_brick::library::entry_name(spec, stack),
-            &LibKey {
-                bitcell: spec.bitcell().short_name().into(),
-                words: spec.words(),
-                bits: spec.bits(),
-                stack,
-                fingerprint: estimate_fingerprint(spec, stack, estimate),
-            },
-        ));
-    }
-
-    /// Folds a checked-out run's library back into the shared one and
-    /// queues the keys of the entries that were new to it. Entries the
-    /// run found already present were persisted when they arrived, so
-    /// the cost is proportional to what this run compiled.
-    fn fold_back(&self, grown: BrickLibrary, writes: &mut Vec<PendingWrite>) {
-        for e in self.library.absorb(grown) {
-            self.persist_lib(e.brick.spec(), e.stack, &e.estimate, writes);
-        }
-    }
-
-    /// Recompiles every library entry recorded in the persistent tier,
-    /// verifying each against its stored estimate fingerprint; entries
-    /// that no longer reproduce (foreign store, changed compiler) are
-    /// dropped as stale. Returns the number of entries warmed.
-    ///
-    /// The daemon runs this on a background thread at startup, so
-    /// requests arriving mid-warm simply race the compile through the
-    /// shared library's exactly-once `with_entry`.
-    pub fn warm_from_disk(&self) -> usize {
-        let Some(disk) = &self.disk else { return 0 };
-        let mut warmed = 0;
-        for (name, key) in disk.lib_keys() {
-            let spec = BitcellKind::all()
-                .into_iter()
-                .find(|k| k.short_name() == key.bitcell)
-                .and_then(|b| BrickSpec::new(b, key.words, key.bits).ok());
-            let ok = key.stack >= 1
-                && spec.is_some_and(|spec| {
-                    self.library
-                        .with_entry(&self.tech, &spec, key.stack, |e| e.estimate.clone())
-                        .is_ok_and(|est| {
-                            estimate_fingerprint(&spec, key.stack, &est) == key.fingerprint
-                        })
-                });
-            if ok {
-                warmed += 1;
-            } else {
-                disk.drop_stale_lib(&name);
-            }
-        }
-        warmed
     }
 
     /// The persistent tier, when one is configured.
@@ -677,11 +610,7 @@ impl Service {
         }
     }
 
-    fn flow_run(
-        &self,
-        params: &Value,
-        writes: &mut Vec<PendingWrite>,
-    ) -> Result<String, ServeError> {
+    fn flow_run(&self, params: &Value) -> Result<String, ServeError> {
         let bitcell = bitcell_param(params)?;
         let words = req_usize(params, "words")?;
         let bits = req_usize(params, "bits")?;
@@ -696,7 +625,7 @@ impl Service {
         let block = flow
             .synthesize_sram(&config)
             .map_err(ServeError::internal)?;
-        self.fold_back(flow.into_library(), writes);
+        self.library.absorb(flow.into_library());
         self.record_flow_stages(&block);
         Ok(json::render(&block_value(&block)))
     }
@@ -726,11 +655,7 @@ impl Service {
     /// memo like `flow.run`; parse and inference rejections come back
     /// as bad-request errors carrying `line:col` diagnostics and are
     /// never cached.
-    fn rtl_infer(
-        &self,
-        params: &Value,
-        writes: &mut Vec<PendingWrite>,
-    ) -> Result<String, ServeError> {
+    fn rtl_infer(&self, params: &Value) -> Result<String, ServeError> {
         let source = match params.get("source") {
             Some(Value::String(s)) => s,
             Some(_) => return Err(ServeError::bad_request("\"source\" must be a string")),
@@ -763,7 +688,7 @@ impl Service {
                 LimError::BadConfig { .. } => ServeError::bad_request(e.to_string()),
                 other => ServeError::internal(other),
             })?;
-        self.fold_back(flow.into_library(), writes);
+        self.library.absorb(flow.into_library());
         for (stage, d) in [
             ("rtl.parse", report.timings.parse),
             ("rtl.infer", report.timings.infer),
@@ -1265,14 +1190,6 @@ fn admit(gate: &Gate, service: &Service, rq: &Request, call: Call) -> (String, V
         Err(e) => error_line(&rq.id, e),
     };
     (line, writes)
-}
-
-/// Content fingerprint of a compiled entry: FNV-1a over the rendered
-/// estimate JSON — the exact bytes `brick.estimate` serves — so a
-/// persisted library key only warms a restart if recompilation
-/// reproduces the original entry bit-exactly.
-fn estimate_fingerprint(spec: &BrickSpec, stack: usize, est: &BankEstimate) -> u64 {
-    fnv1a(json::render(&estimate_value(spec, stack, est)).as_bytes())
 }
 
 /// Microsecond view of a nanosecond figure (stats are reported in µs to
@@ -1844,6 +1761,44 @@ endmodule
         assert!(err.message.contains("source"), "{}", err.message);
     }
 
+    #[test]
+    fn repeated_brick_words_depths_are_swept_once() {
+        // Two lane widths, so each listed depth is two sweep points.
+        const SRC: &str = "\
+module lanes (
+  input wire clk,
+  input wire [1:0] we,
+  input wire [3:0] waddr,
+  input wire [3:0] raddr,
+  input wire [15:0] din,
+  output reg [15:0] dout
+);
+  reg [15:0] mem [15:0];
+  always @(posedge clk) begin
+    if (we[0]) mem[waddr][11:0] <= din[11:0];
+    if (we[1]) mem[waddr][15:12] <= din[15:12];
+    dout <= mem[raddr];
+  end
+endmodule
+";
+        let svc = Service::new(&ServeConfig::default());
+        let reply = |copies: usize| {
+            let p = Value::Object(vec![
+                ("source".to_owned(), Value::String(SRC.to_owned())),
+                (
+                    "brick_words".to_owned(),
+                    Value::Array(vec![num(16.0); copies]),
+                ),
+            ]);
+            let out = svc.call("rtl.infer", &p);
+            assert!(!out.cached);
+            out.result.unwrap()
+        };
+        let once = reply(1);
+        assert!(once.contains("\"candidates\":1,"), "{}", &once[..400]);
+        assert_eq!(reply(2000), once);
+    }
+
     fn disk_config(tag: &str) -> (ServeConfig, PathBuf) {
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
@@ -1886,11 +1841,10 @@ endmodule
         assert!(third.cached);
         assert_eq!(disk.stats().hits, 1, "memo now fronts the disk");
 
-        // Library warming recompiles the persisted key and verifies the
-        // fingerprint.
-        let rewarmed = Service::new(&config);
-        assert_eq!(rewarmed.warm_from_disk(), 1);
-        assert_eq!(rewarmed.library().len(), 1);
+        // The restart served the reply alone: nothing re-warmed the
+        // library and nothing was compiled.
+        assert!(warm.library().is_empty(), "a restart re-warms no entry");
+        assert_eq!(warm.library().cache_misses(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1943,7 +1897,7 @@ endmodule
         // A lone `golden.compare` and the same config as the only entry
         // of a `batch` leave two `--cache-dir` services in the same
         // state: the same reply bytes, the same disk files, the same
-        // `golden.*` counts, and no library entry or library key.
+        // `golden.*` counts, and no library entry.
         let p = "{\"words\":24,\"bits\":9,\"stack\":2}";
         let (lone_config, lone_dir) = disk_config("lone_golden");
         let lone = Service::new(&lone_config);
@@ -1956,7 +1910,6 @@ endmodule
 
         for svc in [&lone, &batched] {
             assert_eq!(svc.library().len(), 0, "golden.compare adds no library entry");
-            assert!(svc.disk().unwrap().lib_keys().is_empty(), "and no library key");
             let stats = svc.stats_value();
             let golden = stats.get("golden").unwrap();
             let count = |member| golden.get(member).and_then(Value::as_f64);

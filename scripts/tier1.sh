@@ -31,13 +31,6 @@ cargo test -q --release --offline --test place_quality
 # BENCH_report.json (full-run medians) is left untouched.
 BENCH_OUT=/tmp/tier1_bench_smoke.json ./scripts/bench.sh --smoke
 
-# Perf gate: every smoke median must stay within 1.5x of the committed
-# full-run median, failing the run loudly on large physical-flow or
-# spgemm regressions while tolerating machine noise on the fast rows.
-echo "== tier1: bench regression gate (1.5x vs committed medians) =="
-cargo run --release --offline -q -p lim-obs --bin obs_check -- \
-    --compare BENCH_report.json /tmp/tier1_bench_smoke.json --max-regress 1.5
-
 # Parallel-determinism smoke: the bench suite must emit the same row
 # set (timings aside) whether lim-par runs 1 worker or 4, and
 # obs_check --compare must accept the pair. A huge --max-regress keeps
@@ -192,8 +185,8 @@ client_at() { # client_at ADDR [client flags...]
 # answer the first repeat of an earlier request cached:true and
 # byte-identical (cached flag aside) to the cold compute. The ~1 MB
 # rtl.infer reply byte-checks the large-body path of the disk format;
-# the brick.estimate is answered on the event thread, and its entries
-# are written by a worker after the reply.
+# the brick.estimate is answered on the event thread, and its response
+# entry is written by a worker after the reply.
 echo "== tier1: lim-serve restart-warm smoke =="
 disk_dir=/tmp/tier1_serve_disk
 rm -rf "$disk_dir"
@@ -294,3 +287,13 @@ client_at "$single" --shutdown >/dev/null
 wait "$single_pid"
 trap - EXIT
 echo "== tier1: lim-serve cluster smoke OK =="
+
+# Perf gate: every smoke median (taken above, before the determinism
+# smoke) must stay within 1.5x of the committed full-run median,
+# failing the run loudly on large physical-flow or spgemm regressions
+# while tolerating machine noise on the fast rows. It runs last: a
+# gate failure still fails tier1, after every functional check above
+# has run.
+echo "== tier1: bench regression gate (1.5x vs committed medians) =="
+cargo run --release --offline -q -p lim-obs --bin obs_check -- \
+    --compare BENCH_report.json /tmp/tier1_bench_smoke.json --max-regress 1.5

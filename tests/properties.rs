@@ -1574,10 +1574,6 @@ fn disk_tier_survives_hostile_files() {
             );
             assert!(!path.exists(), "a hostile file was kept");
         }
-        // The library-key reader takes hostile files too.
-        let n = rng.gen_range(0usize..120);
-        std::fs::write(dir.join("lib").join("hostile.key"), random_bytes(rng, n)).unwrap();
-        let _ = cache.lib_keys();
     });
     let _ = std::fs::remove_dir_all(&dir);
 }
