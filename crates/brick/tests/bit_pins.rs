@@ -110,42 +110,44 @@ fn golden_digest(g: &GoldenMeasurement) -> u64 {
 }
 
 /// One pinned configuration: `(bitcell, words, bits, stack)` and the
-/// digests of its estimate, its clk-to-q LUT and its golden measurement,
-/// recorded before the estimator and golden layer shared one periphery
-/// model.
+/// digests of its estimate, its clk-to-q LUT and its golden measurement.
+/// The first two were recorded before the estimator and golden layer
+/// shared one periphery model, the golden digests when the panel solver
+/// began eliminating each column from both ends (the figures they moved
+/// from are `LU_GOLDEN`).
 type Pin = (BitcellKind, usize, usize, usize, u64, u64, u64);
 
 const PINS: [Pin; 30] = [
-    (Sram6T, 16, 10, 1, 0xf57d_d360_42e0_9398, 0x8286_7826_5e40_a4a8, 0xcd82_21bf_4bd7_59a8),
-    (Sram6T, 16, 10, 4, 0xff96_9c4d_bd51_4832, 0xb5d5_c226_b1a8_01ef, 0x16bc_7b3f_3755_1d77),
-    (Sram6T, 16, 10, 16, 0xd9e8_5dc5_7998_844d, 0xc212_768a_c8ee_a809, 0x995a_5084_3c7b_a92e),
-    (Sram6T, 64, 16, 1, 0xafb9_7bae_4028_df6d, 0xa032_294b_a414_4cd5, 0x66ce_37b6_e3d7_d5ab),
-    (Sram6T, 64, 16, 4, 0x882e_803e_3759_a945, 0x3fb0_d742_60ed_268c, 0xec4e_563f_2f4d_5a25),
-    (Sram6T, 64, 16, 16, 0x0b95_f303_84bc_b0bc, 0xc2e2_f36f_79f7_94bd, 0x5747_c87d_a7b6_bdae),
-    (Sram8T, 16, 10, 1, 0xc35b_39f2_2e34_89dc, 0xc38f_bf55_e9cd_4f79, 0x6760_cd14_e17b_6f06),
-    (Sram8T, 16, 10, 4, 0xda90_30f3_7603_e053, 0x7dc1_a711_08a9_575a, 0x714a_3313_9212_d25f),
-    (Sram8T, 16, 10, 16, 0xc8c8_5f1b_0d58_6755, 0x0fe8_d72c_c6db_a0e9, 0xdd22_c279_3933_7998),
-    (Sram8T, 64, 16, 1, 0xc7d5_2ea3_b40d_bde8, 0x9017_6905_1e6b_3edd, 0x6959_0495_d8c3_8eac),
-    (Sram8T, 64, 16, 4, 0x26d2_4b72_58b2_bbbd, 0x33ab_2794_2c3f_8f6d, 0x36a7_6cec_21ef_c138),
-    (Sram8T, 64, 16, 16, 0xc2ed_8e6b_c295_ac98, 0xc194_5d7a_1a0a_c69a, 0x42bd_cd73_74ec_3c8f),
-    (Cam, 16, 10, 1, 0xc55d_bd22_f55c_f2a4, 0x7882_3902_7fd3_2c28, 0xf1e9_e2fd_0293_2a2d),
-    (Cam, 16, 10, 4, 0x89e4_a0ab_c058_2b9a, 0x7882_3902_7fd3_2c28, 0x6eeb_d49d_a5bc_ab46),
-    (Cam, 16, 10, 16, 0xbd98_c9e8_c317_5479, 0x7882_3902_7fd3_2c28, 0xee2d_1627_7c35_d886),
-    (Cam, 64, 16, 1, 0x8ad5_af43_2d24_4aa5, 0xd77b_1c07_bc4a_1fe6, 0xce4f_7ecc_f011_9e4b),
-    (Cam, 64, 16, 4, 0xaadd_ea10_0a81_6eac, 0xd77b_1c07_bc4a_1fe6, 0x9dd7_240a_3e57_d697),
-    (Cam, 64, 16, 16, 0x51f4_0bc9_808e_2f92, 0x744e_edc0_8b03_1263, 0xf6ea_06f0_becf_a595),
-    (Edram, 16, 10, 1, 0xa1cd_3732_f68e_66a1, 0xeb5a_e871_d95c_c358, 0x473d_35ba_7f69_9a67),
-    (Edram, 16, 10, 4, 0x034d_0c06_e037_6080, 0x5041_e5fd_4dd2_7998, 0x42ce_20eb_270a_5ddb),
-    (Edram, 16, 10, 16, 0xc4d7_48aa_1fd9_bc99, 0xff2f_de9e_8abf_2faf, 0xda18_62f9_3d09_1ae9),
-    (Edram, 64, 16, 1, 0x86d0_9b7d_55c2_70b1, 0xe494_7d75_6833_6199, 0xddbb_6fee_e90f_45c4),
-    (Edram, 64, 16, 4, 0x64dc_c1f9_a57e_4c3e, 0xda6a_01ed_f1a7_456f, 0xf50f_c3de_e759_ea4e),
-    (Edram, 64, 16, 16, 0xfb37_b7bc_0691_10aa, 0xb75e_ff1e_d06e_5a43, 0x57a3_7ceb_523e_b436),
-    (DualPort, 16, 10, 1, 0x1626_348e_644d_006e, 0x4d9d_0dca_1978_ffd5, 0x15ed_4c1b_4784_79b0),
-    (DualPort, 16, 10, 4, 0x8a24_c404_fc21_f293, 0xb708_c1c4_47eb_5584, 0xb271_5153_e7ef_6b52),
-    (DualPort, 16, 10, 16, 0xbf02_baf4_cd46_642b, 0x6b39_e7d3_2afe_2e28, 0x6495_de69_04b7_2bf4),
-    (DualPort, 64, 16, 1, 0xbaf6_f50b_942d_ba23, 0x4437_cb9d_cfd0_279f, 0x3793_dfe0_99a3_53fa),
-    (DualPort, 64, 16, 4, 0xdcf9_528f_ce83_4ba9, 0x92b2_f94e_2762_6b62, 0x9d32_d74f_6f12_5b24),
-    (DualPort, 64, 16, 16, 0xb33b_9898_837a_5940, 0x4c88_4829_02ab_5693, 0x8920_a1d5_ecb6_cb38),
+    (Sram6T, 16, 10, 1, 0xf57d_d360_42e0_9398, 0x8286_7826_5e40_a4a8, 0x3ac6_4f10_0858_2ced),
+    (Sram6T, 16, 10, 4, 0xff96_9c4d_bd51_4832, 0xb5d5_c226_b1a8_01ef, 0x0277_8d43_48e9_7303),
+    (Sram6T, 16, 10, 16, 0xd9e8_5dc5_7998_844d, 0xc212_768a_c8ee_a809, 0x1b2e_67b6_fe4c_27ab),
+    (Sram6T, 64, 16, 1, 0xafb9_7bae_4028_df6d, 0xa032_294b_a414_4cd5, 0x676d_b8d9_5491_1552),
+    (Sram6T, 64, 16, 4, 0x882e_803e_3759_a945, 0x3fb0_d742_60ed_268c, 0xf732_207b_ae6c_26d0),
+    (Sram6T, 64, 16, 16, 0x0b95_f303_84bc_b0bc, 0xc2e2_f36f_79f7_94bd, 0xa06f_445b_03c8_eb52),
+    (Sram8T, 16, 10, 1, 0xc35b_39f2_2e34_89dc, 0xc38f_bf55_e9cd_4f79, 0xd316_4e7e_eafa_580b),
+    (Sram8T, 16, 10, 4, 0xda90_30f3_7603_e053, 0x7dc1_a711_08a9_575a, 0x3bb1_2723_86df_0c2d),
+    (Sram8T, 16, 10, 16, 0xc8c8_5f1b_0d58_6755, 0x0fe8_d72c_c6db_a0e9, 0x7d60_e07e_201b_d280),
+    (Sram8T, 64, 16, 1, 0xc7d5_2ea3_b40d_bde8, 0x9017_6905_1e6b_3edd, 0x5bc4_9106_b546_eda9),
+    (Sram8T, 64, 16, 4, 0x26d2_4b72_58b2_bbbd, 0x33ab_2794_2c3f_8f6d, 0xaa3e_065d_5705_ab63),
+    (Sram8T, 64, 16, 16, 0xc2ed_8e6b_c295_ac98, 0xc194_5d7a_1a0a_c69a, 0xc5a9_0187_be4f_34c5),
+    (Cam, 16, 10, 1, 0xc55d_bd22_f55c_f2a4, 0x7882_3902_7fd3_2c28, 0xa119_8f44_4815_b985),
+    (Cam, 16, 10, 4, 0x89e4_a0ab_c058_2b9a, 0x7882_3902_7fd3_2c28, 0x9630_cf06_c028_16c4),
+    (Cam, 16, 10, 16, 0xbd98_c9e8_c317_5479, 0x7882_3902_7fd3_2c28, 0x4227_3420_a571_0938),
+    (Cam, 64, 16, 1, 0x8ad5_af43_2d24_4aa5, 0xd77b_1c07_bc4a_1fe6, 0x1c6f_39a1_d4d2_c9e1),
+    (Cam, 64, 16, 4, 0xaadd_ea10_0a81_6eac, 0xd77b_1c07_bc4a_1fe6, 0x8b68_a0e7_d507_5888),
+    (Cam, 64, 16, 16, 0x51f4_0bc9_808e_2f92, 0x744e_edc0_8b03_1263, 0x8ed8_1aaa_473c_8443),
+    (Edram, 16, 10, 1, 0xa1cd_3732_f68e_66a1, 0xeb5a_e871_d95c_c358, 0x60a4_e1ab_06e0_a739),
+    (Edram, 16, 10, 4, 0x034d_0c06_e037_6080, 0x5041_e5fd_4dd2_7998, 0x7002_4a12_8ce9_5f6f),
+    (Edram, 16, 10, 16, 0xc4d7_48aa_1fd9_bc99, 0xff2f_de9e_8abf_2faf, 0xeb69_f197_747c_f082),
+    (Edram, 64, 16, 1, 0x86d0_9b7d_55c2_70b1, 0xe494_7d75_6833_6199, 0xdb37_1a68_d41f_cce1),
+    (Edram, 64, 16, 4, 0x64dc_c1f9_a57e_4c3e, 0xda6a_01ed_f1a7_456f, 0x0a46_0e5e_27e2_265b),
+    (Edram, 64, 16, 16, 0xfb37_b7bc_0691_10aa, 0xb75e_ff1e_d06e_5a43, 0xfcbe_0bfd_5fc9_e3f5),
+    (DualPort, 16, 10, 1, 0x1626_348e_644d_006e, 0x4d9d_0dca_1978_ffd5, 0x446f_ed15_1e18_e8a1),
+    (DualPort, 16, 10, 4, 0x8a24_c404_fc21_f293, 0xb708_c1c4_47eb_5584, 0x8f77_90f9_977c_7a21),
+    (DualPort, 16, 10, 16, 0xbf02_baf4_cd46_642b, 0x6b39_e7d3_2afe_2e28, 0xb884_0393_14ea_50fc),
+    (DualPort, 64, 16, 1, 0xbaf6_f50b_942d_ba23, 0x4437_cb9d_cfd0_279f, 0xd074_edae_5835_0a80),
+    (DualPort, 64, 16, 4, 0xdcf9_528f_ce83_4ba9, 0x92b2_f94e_2762_6b62, 0x658e_5e67_6a15_72a6),
+    (DualPort, 64, 16, 16, 0xb33b_9898_837a_5940, 0x4c88_4829_02ab_5693, 0xece9_5d60_04a7_d64f),
 ];
 
 fn configs() -> Vec<(BrickSpec, usize)> {
@@ -211,3 +213,88 @@ fn golden_measurements_are_pinned() {
         .collect();
     check("golden", &got, |p| p.6);
 }
+
+#[test]
+fn golden_figures_stay_within_the_drift_bound_of_the_lu_engine() {
+    // The golden solver's elimination order may change the last bits of
+    // its figures, never the physics: every figure must stay within
+    // 1e-9 relative of the one-ended LU engine's, recorded below before
+    // the two-ended sweep replaced it, and every Table 1 error must read
+    // the same to 0.01%.
+    let tech = Technology::cmos65();
+    let report = compare_batch_results(&tech, &configs());
+    let percent = |tool: f64, golden: f64| format!("{:.2}", 100.0 * (tool - golden) / golden);
+    for ((r, want), (spec, stack)) in report.results.iter().zip(&LU_GOLDEN).zip(configs()) {
+        let cmp = r.as_ref().unwrap();
+        let g = &cmp.golden;
+        let got = [
+            g.read_delay.value(),
+            g.read_energy.value(),
+            g.write_delay.value(),
+            g.write_energy.value(),
+        ];
+        let want = want.map(f64::from_bits);
+        let at = format!(
+            "{:?} {}x{} x{stack}",
+            spec.bitcell(),
+            spec.words(),
+            spec.bits()
+        );
+        for (figure, (got, want)) in got.iter().zip(want).enumerate() {
+            let drift = ((got - want) / want).abs();
+            assert!(
+                drift <= 1e-9,
+                "{at} figure {figure}: {got} vs {want} ({drift:.1e})"
+            );
+        }
+        let t = &cmp.tool;
+        let tool = [
+            t.read_delay.value(),
+            t.read_energy.value(),
+            t.write_energy.value(),
+        ];
+        for (i, (&tool, figure)) in tool.iter().zip([0, 1, 3]).enumerate() {
+            assert_eq!(
+                percent(tool, got[figure]),
+                percent(tool, want[figure]),
+                "{at} error {i}"
+            );
+        }
+    }
+}
+
+/// The golden figures (read delay, read energy, write delay, write
+/// energy, as `to_bits`) of the pinned configurations, in pin order, as
+/// the one-ended LU panel sweep computed them.
+const LU_GOLDEN: [[u64; 4]; 30] = [
+    [0x406e_94ab_7f8a_9d8e, 0x406f_e6e0_c708_4fdf, 0x4049_60f9_3aed_987a, 0x4051_cf50_2d11_efb3], // Sram6T 16x10 x1
+    [0x4070_a0d3_f9e3_993e, 0x4081_0ed2_84a3_2a4f, 0x404a_fb75_7675_c4d1, 0x406b_8a8e_5469_0d4e], // Sram6T 16x10 x4
+    [0x4076_71ca_814b_b425, 0x409a_acd9_45cc_aae2, 0x4050_bf0b_f160_ab54, 0x4089_8589_d321_13e7], // Sram6T 16x10 x16
+    [0x4080_462c_cfc8_ebda, 0x4084_59c6_5b2a_070d, 0x404c_0f4d_2b13_666a, 0x406e_d8e6_9780_06be], // Sram6T 64x16 x1
+    [0x4081_0316_96be_d202, 0x4094_3d5c_05ce_2152, 0x4050_c9aa_2e80_2218, 0x408c_0698_c499_4b10], // Sram6T 64x16 x4
+    [0x4085_0f4d_cbbb_5bb2, 0x40ae_3dee_754c_2648, 0x4061_ed20_403e_0ff4, 0x40ab_4d49_cf09_2cfb], // Sram6T 64x16 x16
+    [0x406a_857d_3e73_7e14, 0x4070_3a76_7be9_fcae, 0x4049_07a2_d8f0_0539, 0x4051_e0fb_48a5_8c16], // Sram8T 16x10 x1
+    [0x406d_36a8_c3e2_0fcb, 0x4081_8e6f_b2b0_e963, 0x404a_a24a_7326_1109, 0x406b_8046_07a8_c168], // Sram8T 16x10 x4
+    [0x4074_93b4_eabe_14c6, 0x409b_a308_3c31_1e75, 0x4050_bd56_7ed9_a386, 0x4089_6fd9_e540_500f], // Sram8T 16x10 x16
+    [0x407a_bf06_35fb_f125, 0x4085_549e_1321_5244, 0x404b_e2cf_8d56_40fd, 0x406e_c464_d26e_ea98], // Sram8T 64x16 x1
+    [0x407c_48b7_8c2f_2d2e, 0x4095_e2a4_cd95_ce94, 0x4050_d8f2_22e8_0730, 0x408b_e2e2_291a_0771], // Sram8T 64x16 x4
+    [0x4082_c3fd_cd09_d97c, 0x40b0_af24_688f_09ec, 0x4063_559d_d1e4_28da, 0x40ab_2361_e8af_d888], // Sram8T 64x16 x16
+    [0x4070_f026_b423_06ea, 0x4070_b75d_50f7_0898, 0x404b_98bf_72d4_8635, 0x4054_16a8_df53_8ecd], // Cam 16x10 x1
+    [0x4072_4a50_7c3a_5e72, 0x4081_cd9a_0b4b_092b, 0x404d_716d_2cdd_61d8, 0x406d_5dc1_27ee_702f], // Cam 16x10 x4
+    [0x4078_42a8_a308_026e, 0x409b_c68a_36c2_c778, 0x4052_8aa1_a899_6f62, 0x408a_a9dd_0232_9d2b], // Cam 16x10 x16
+    [0x4082_9919_43f6_1740, 0x4085_fbe6_c87c_5240, 0x404e_4f02_f8eb_d346, 0x4070_e84a_b149_ad54], // Cam 64x16 x1
+    [0x4083_5e7e_c976_a347, 0x4096_36db_fc3d_b2e2, 0x4052_7149_f23b_e850, 0x408d_dd5b_a173_a950], // Cam 64x16 x4
+    [0x4087_fcce_1eb5_d5f8, 0x40b0_c64c_f759_c257, 0x4064_d481_aecb_d0ec, 0x40ac_d7db_a718_8d51], // Cam 64x16 x16
+    [0x4070_a694_11b0_3d56, 0x406d_291b_7f2f_dd54, 0x4047_9141_0896_340e, 0x404d_8aa6_4c2e_7cd4], // Edram 16x10 x1
+    [0x4071_fa31_f4a6_eb23, 0x4080_02fa_6e3a_de84, 0x4048_de65_4ae5_810e, 0x4066_4b78_0347_6336], // Edram 16x10 x4
+    [0x4077_a4ee_b5fd_352c, 0x4099_6f25_1add_67d1, 0x404e_2566_eed6_1c62, 0x4084_7bac_7109_d471], // Edram 16x10 x16
+    [0x4080_ed2b_853b_22c4, 0x4080_b9f4_911e_cc30, 0x404a_2c00_e7ed_0d32, 0x4066_558c_68d5_ca96], // Edram 64x16 x1
+    [0x4081_a3d1_4360_72f3, 0x4091_43b5_0897_b66d, 0x404e_85f3_5bc9_87a4, 0x4083_ef35_bcf6_3ab8], // Edram 64x16 x4
+    [0x4085_3292_d225_b0c9, 0x40aa_6e1e_9091_a308, 0x405a_9deb_cf8f_28f4, 0x40a3_5565_fab1_22a9], // Edram 64x16 x16
+    [0x406b_725f_d526_4d0d, 0x4070_958a_70a7_452d, 0x404a_3079_2cd0_ec0e, 0x4052_e3a2_9c79_94a4], // DualPort 16x10 x1
+    [0x406e_256a_3337_1227, 0x4081_dae7_86aa_0ec8, 0x404b_ea3a_2843_d724, 0x406c_de4f_7661_1f0f], // DualPort 16x10 x4
+    [0x4075_18ba_4d18_a28a, 0x409c_076f_925f_687a, 0x4051_ae85_70d3_1018, 0x408a_a412_0596_e5f3], // DualPort 16x10 x16
+    [0x407c_2581_d7fc_7efc, 0x4086_443b_1513_f926, 0x404c_7782_d66d_1ad0, 0x4070_8256_2330_6cd6], // DualPort 64x16 x1
+    [0x407d_b7f2_aed3_6870, 0x4096_bdab_d0b7_8398, 0x4051_6b58_94f0_00d5, 0x408d_d416_da4b_22ad], // DualPort 64x16 x4
+    [0x4083_af81_22fb_5576, 0x40b1_4940_21e9_35ed, 0x4064_ee08_ce17_feac, 0x40ac_fce4_f689_29b7], // DualPort 64x16 x16
+];

@@ -14,23 +14,28 @@
 //!   dominant, for which elimination without pivoting is stable) and an
 //!   in-place step ([`Banded::step`]) that scales each row as forward
 //!   substitution reaches it, then back-substitutes;
-//! * [`TridiagonalPanel`] — the factors of several tridiagonal systems,
-//!   one per panel column, each with its own row count, stepped
-//!   together [`PANEL_LANES`] columns (one lane group) at a time with
-//!   every column's running value held in a register.
+//! * [`TridiagonalPanel`] — several tridiagonal systems, one per panel
+//!   column, each with its own row count, factored from both ends
+//!   ([`TridiagonalPanel::set_column`]) and stepped together
+//!   [`PANEL_LANES`] columns (one lane group) at a time with every
+//!   chain's running value held in a register.
 //!
 //! Factoring a half-bandwidth-`k` system costs `O(n·k²)` and each solve
 //! `O(n·k)`, versus `O(n³)` / `O(n²)` for a dense LU — a ~100×
 //! reduction for the tridiagonal-ish ladders the golden flow simulates.
-//! The factorization keeps the reciprocal of each pivot so the
+//! The factorizations keep the reciprocal of each pivot so the
 //! per-step back-substitution multiplies instead of divides; at `k = 1`
 //! the division was the single most expensive operation per node-step.
-//! What remains at `k = 1` is a serial recurrence per column (each row
-//! needs the row before it), so a lone tridiagonal solve is bound by
-//! latency; the panel step overlaps [`PANEL_LANES`] such recurrences,
-//! folds the transient's `C/Δt` history multiply into its forward pass
-//! (one fewer pass over the panel per step), and sweeps each lane group
-//! only as far as its caller asks.
+//! What remains at `k = 1` is a serial recurrence (each row needs the
+//! row before it), so a tridiagonal solve is bound by latency, not by
+//! arithmetic. The panel shortens and overlaps those recurrences: each
+//! column is eliminated from its first row downward and from its last
+//! row upward to a middle row ([`middle_row`]), so a step is two
+//! independent chains of about `n/2` rows per column, and one sweep
+//! advances the 2·[`PANEL_LANES`] chains of a lane group together. The
+//! sweep folds the transient's `C/Δt` history multiply into its forward
+//! pass (one fewer pass over the panel per step) and goes only as far
+//! as its caller asks.
 
 /// Undirected adjacency lists over `n` nodes built from an edge
 /// iterator. Self-loops are ignored; duplicate edges are deduplicated.
@@ -113,7 +118,8 @@ pub fn half_bandwidth(adj: &[Vec<usize>], pos: &[usize]) -> usize {
     k
 }
 
-/// A pivot rejected by [`Banded::factor`]: the permuted row whose pivot
+/// A pivot rejected by [`Banded::factor`] or
+/// [`TridiagonalPanel::set_column`]: the permuted row whose pivot
 /// magnitude fell below the row-relative threshold, with the offending
 /// magnitude itself (so callers can report *how* singular the system
 /// was, not just where).
@@ -130,6 +136,20 @@ pub struct PivotError {
 /// scale-dependent: a femtofarad-scaled system (entries ~1e-15) would
 /// false-trip it, while a badly scaled one could pass a garbage pivot.
 const REL_PIVOT_TOL: f64 = 1e-12;
+
+/// The reciprocal of `pivot`, the eliminated diagonal of `row`, whose
+/// assembled row's largest magnitude is `scale`; or the error naming
+/// the row when the pivot is below `REL_PIVOT_TOL` of that scale (a
+/// singular system, e.g. a floating node).
+fn checked_inverse(row: usize, pivot: f64, scale: f64) -> Result<f64, PivotError> {
+    if pivot.abs() < REL_PIVOT_TOL * scale || scale == 0.0 {
+        return Err(PivotError {
+            row,
+            magnitude: pivot.abs(),
+        });
+    }
+    Ok(1.0 / pivot)
+}
 
 /// A square banded matrix of half-bandwidth `k`, stored row-major with
 /// `2k+1` slots per row. Doubles as its own LU container after
@@ -174,6 +194,16 @@ impl Banded {
         self.data[idx] += v;
     }
 
+    /// Largest magnitude stored in row `i`: the scale the relative
+    /// pivot test compares against, read before elimination rewrites
+    /// the row.
+    fn row_scale(&self, i: usize) -> f64 {
+        let width = 2 * self.k + 1;
+        self.data[i * width..(i + 1) * width]
+            .iter()
+            .fold(0.0f64, |m, v| m.max(v.abs()))
+    }
+
     /// In-place LU factorization without pivoting. Also records the
     /// reciprocal of each pivot for the solves.
     ///
@@ -187,23 +217,12 @@ impl Banded {
         // Row scales from the assembled matrix, before elimination
         // rewrites it: the relative pivot test compares against what
         // the row originally looked like.
-        let width = 2 * k + 1;
-        let row_scale: Vec<f64> = self
-            .data
-            .chunks_exact(width)
-            .map(|row| row.iter().fold(0.0f64, |m, v| m.max(v.abs())))
-            .collect();
+        let row_scale: Vec<f64> = (0..n).map(|i| self.row_scale(i)).collect();
         self.inv_diag.clear();
         self.inv_diag.reserve(n);
         for (col, &scale) in row_scale.iter().enumerate() {
             let pivot = self.get(col, col);
-            if pivot.abs() < REL_PIVOT_TOL * scale || scale == 0.0 {
-                return Err(PivotError {
-                    row: col,
-                    magnitude: pivot.abs(),
-                });
-            }
-            self.inv_diag.push(1.0 / pivot);
+            self.inv_diag.push(checked_inverse(col, pivot, scale)?);
             let row_end = (col + k).min(n.saturating_sub(1));
             for row in col + 1..=row_end {
                 let factor = self.get(row, col) / pivot;
@@ -250,111 +269,320 @@ impl Banded {
 
 /// Columns one lane group of a [`TridiagonalPanel`] steps together.
 ///
-/// Four, not eight: two 2-wide SSE2 registers per carried row on the
-/// baseline x86-64 target, and the golden flow cuts its sims into panels
-/// of this many columns that fan out across worker threads. Eight lanes
-/// (one panel per four-configuration batch) measured slower.
+/// Four, not eight: each lane carries two chains (the top and bottom
+/// halves of its column), so a group already advances eight
+/// recurrences at once — four 2-wide SSE2 registers per carried row on
+/// the baseline x86-64 target — and the golden flow cuts its sims into
+/// panels of this many columns that fan out across worker threads.
+/// Eight lanes (one panel per four-configuration batch) measured slower
+/// when each lane carried one chain.
 pub const PANEL_LANES: usize = 4;
 
-/// One row of a lane group: one value per lane.
-type Lanes = [f64; PANEL_LANES];
+/// One panel row of a lane group: a value per chain, the top chains of
+/// the group's lanes first, then their bottom chains.
+type Chains = [f64; 2 * PANEL_LANES];
 
-/// The LU factors of tridiagonal systems, one per panel column, laid
-/// out like the values they step: lane group `g` (columns
-/// `g·PANEL_LANES ..`) holds `rows` contiguous rows of [`PANEL_LANES`]
-/// values, so column `c`'s row `i` sits at flat index
-/// `(c / PANEL_LANES · rows + i) · PANEL_LANES + c % PANEL_LANES`.
+/// The middle row of an `n`-row tridiagonal column, where the two
+/// chains of its elimination meet: rows `0..n/2` form the top chain and
+/// rows `n/2 + 1..n` the bottom one, so the top chain is never the
+/// shorter and neither has more than `n/2` rows.
+pub fn middle_row(n: usize) -> usize {
+    n / 2
+}
+
+/// A lane's column height and the coefficients of its middle row `m`,
+/// which joins the last row of each chain.
+#[derive(Debug, Clone, Copy)]
+struct Middle {
+    /// Rows of the lane's column (0 on a lane past the last column).
+    height: usize,
+    /// `A(m, m−1)` over the top chain's last pivot (0 without a top
+    /// chain).
+    from_top: f64,
+    /// `A(m, m+1)` over the bottom chain's last pivot (0 without a
+    /// bottom chain).
+    from_bottom: f64,
+    /// The middle pivot's reciprocal (1 on an inert lane).
+    inv: f64,
+    /// `A(m−1, m)`: the top chain's coupling to the middle row.
+    to_top: f64,
+    /// `A(m+1, m)`: the bottom chain's coupling to the middle row.
+    to_bottom: f64,
+}
+
+impl Middle {
+    const INERT: Middle = Middle {
+        height: 0,
+        from_top: 0.0,
+        from_bottom: 0.0,
+        inv: 1.0,
+        to_top: 0.0,
+        to_bottom: 0.0,
+    };
+
+    /// Rows of the top and bottom chains.
+    fn chains(&self) -> (usize, usize) {
+        let top = middle_row(self.height);
+        (top, self.height.saturating_sub(top + 1))
+    }
+}
+
+/// Tridiagonal systems factored from both ends, one per panel column,
+/// laid out like the values they step.
 ///
-/// A column's system may have fewer rows than the panel. The rows past
-/// its end are inert — no couplings and a unit pivot — and so are the
-/// lanes past the last column. An inert row whose value and scale are
+/// Column `c` of `n` rows is eliminated downward from row 0 to the row
+/// above its middle row `m` ([`middle_row`]) — its top chain — and
+/// upward from row `n−1` to the row below `m` — its bottom chain — and
+/// `m` is eliminated last against both neighbours. Its bottom half is
+/// stored reversed, so both chains start on panel row 0 whatever the
+/// column's height: in lane group `g` (columns `g·PANEL_LANES ..`),
+/// panel row `j` holds each lane's top-chain row `j` and then each
+/// lane's bottom-chain row `j` (system row `n−1−j`), and the group's
+/// [`PANEL_LANES`] middle rows follow its last panel row.
+/// [`TridiagonalPanel::slot`] maps a column's row to its flat index.
+///
+/// A chain may be shorter than the panel. The rows past its end are
+/// inert — no couplings and a unit pivot — and so is every row of a
+/// lane past the last column. An inert row whose value and scale are
 /// `+0` stays `+0` and leaves the column's real rows bit-identical to a
-/// lone [`Banded::step`].
+/// one-column panel of the column's own height.
 #[derive(Debug, Clone)]
 pub struct TridiagonalPanel {
+    /// Panel rows per lane group: the tallest column's top chain.
     rows: usize,
-    /// `L(i, i−1)` per row and lane (0 on row 0 and inert rows).
-    l: Vec<Lanes>,
-    /// `U(i, i+1)` per row and lane (0 on a column's last row).
-    u: Vec<Lanes>,
-    /// `U(i, i)⁻¹` per row and lane (1 on inert rows).
-    inv: Vec<Lanes>,
+    /// Per panel row and chain: the eliminator of the chain's previous
+    /// row (0 on a chain's first row and on inert rows).
+    l: Vec<Chains>,
+    /// Per panel row and chain: the coupling to the chain's next row
+    /// toward the middle (0 on a chain's last row, whose coupling to
+    /// the middle row is its lane's [`Middle`], and on inert rows).
+    u: Vec<Chains>,
+    /// Per panel row and chain: the pivot's reciprocal (1 on inert
+    /// rows).
+    inv: Vec<Chains>,
+    /// Per lane.
+    middle: Vec<Middle>,
 }
 
 impl TridiagonalPanel {
-    /// An inert panel of `rows` rows and at least `columns` columns.
-    pub fn new(rows: usize, columns: usize) -> TridiagonalPanel {
-        let len = rows * columns.div_ceil(PANEL_LANES);
+    /// An inert panel whose column `c` has `heights[c]` rows.
+    pub fn new(heights: &[usize]) -> TridiagonalPanel {
+        let rows = heights.iter().map(|&n| middle_row(n)).max().unwrap_or(0);
+        let groups = heights.len().div_ceil(PANEL_LANES);
+        let mut middle = vec![Middle::INERT; groups * PANEL_LANES];
+        for (m, &height) in middle.iter_mut().zip(heights) {
+            m.height = height;
+        }
+        let len = groups * rows;
         TridiagonalPanel {
             rows,
-            l: vec![[0.0; PANEL_LANES]; len],
-            u: vec![[0.0; PANEL_LANES]; len],
-            inv: vec![[1.0; PANEL_LANES]; len],
+            l: vec![[0.0; 2 * PANEL_LANES]; len],
+            u: vec![[0.0; 2 * PANEL_LANES]; len],
+            inv: vec![[1.0; 2 * PANEL_LANES]; len],
+            middle,
         }
     }
 
-    /// Installs the factorization `lu` (from [`Banded::factor`] of a
-    /// half-bandwidth-1 matrix) as column `col`'s system.
+    /// Values per lane group in the flat arrays: its panel rows, then
+    /// its middle rows.
+    fn stride(&self) -> usize {
+        (2 * self.rows + 1) * PANEL_LANES
+    }
+
+    /// Length of the flat value and scale arrays that
+    /// [`TridiagonalPanel::step`] takes.
+    pub fn slots(&self) -> usize {
+        self.middle.len() / PANEL_LANES * self.stride()
+    }
+
+    /// Flat index of column `col`'s row `row` in the arrays that
+    /// [`TridiagonalPanel::step`] takes.
     ///
     /// # Panics
     ///
-    /// Panics if `lu` is not stored tridiagonally, is taller than the
-    /// panel, or `col` is out of range.
-    pub fn set_column(&mut self, col: usize, lu: &Banded) {
-        assert!(lu.k == 1 && lu.n <= self.rows);
-        let (base, lane) = (col / PANEL_LANES * self.rows, col % PANEL_LANES);
-        for i in 0..lu.n {
-            self.l[base + i][lane] = if i > 0 { lu.get(i, i - 1) } else { 0.0 };
-            self.u[base + i][lane] = if i + 1 < lu.n { lu.get(i, i + 1) } else { 0.0 };
-            self.inv[base + i][lane] = lu.inv_diag[i];
+    /// Panics if `col` is out of range; `row` must be below the
+    /// column's height.
+    pub fn slot(&self, col: usize, row: usize) -> usize {
+        let m = self.middle[col];
+        debug_assert!(row < m.height, "row {row} of a {}-row column", m.height);
+        let (base, lane) = (col / PANEL_LANES * self.stride(), col % PANEL_LANES);
+        let (top, bottom) = m.chains();
+        let chain = 2 * PANEL_LANES;
+        match row.cmp(&top) {
+            std::cmp::Ordering::Less => base + row * chain + lane,
+            std::cmp::Ordering::Equal => base + self.rows * chain + lane,
+            std::cmp::Ordering::Greater => base + (top + bottom - row) * chain + PANEL_LANES + lane,
         }
+    }
+
+    /// Factors `a`, the assembled (not yet factored) tridiagonal system
+    /// of column `col`, from both ends and installs its factors.
+    ///
+    /// The top chain is eliminated downward from row 0 and the bottom
+    /// chain upward from the last row, each as [`Banded::factor`]
+    /// eliminates (so the top chain's factors are its LU's); the middle
+    /// row then subtracts both neighbours' eliminators. Every pivot
+    /// passes the relative test of [`Banded::factor`] against its own
+    /// assembled row.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`PivotError`] naming the first rejected row in
+    /// elimination order — the top chain downward, the bottom chain
+    /// upward, then the middle row. The column's factors are then
+    /// partly rewritten and must be set again before it is stepped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not stored tridiagonally, `col` is out of range,
+    /// or `a`'s row count is not the column's height.
+    pub fn set_column(&mut self, col: usize, a: &Banded) -> Result<(), PivotError> {
+        let n = a.n;
+        assert!(a.k == 1 && n == self.middle[col].height, "column shape");
+        if n == 0 {
+            return Ok(());
+        }
+        let (base, lane) = (col / PANEL_LANES * self.rows, col % PANEL_LANES);
+        let m = middle_row(n);
+        let (top, bottom) = self.middle[col].chains();
+        let check = |row: usize, pivot: f64| checked_inverse(row, pivot, a.row_scale(row));
+        // Top chain: row i eliminates row i−1.
+        let mut pivot = 0.0;
+        for i in 0..top {
+            let (mut l, mut d) = (0.0, a.get(i, i));
+            if i > 0 {
+                l = a.get(i, i - 1) / pivot;
+                d -= l * a.get(i - 1, i);
+            }
+            let inv = check(i, d)?;
+            self.l[base + i][lane] = l;
+            self.u[base + i][lane] = if i + 1 < top { a.get(i, i + 1) } else { 0.0 };
+            self.inv[base + i][lane] = inv;
+            pivot = d;
+        }
+        let top_pivot = pivot;
+        // Bottom chain, reversed: system row i = n−1−j eliminates row
+        // i+1.
+        for j in 0..bottom {
+            let i = n - 1 - j;
+            let (mut l, mut d) = (0.0, a.get(i, i));
+            if j > 0 {
+                l = a.get(i, i + 1) / pivot;
+                d -= l * a.get(i + 1, i);
+            }
+            let inv = check(i, d)?;
+            let chain = PANEL_LANES + lane;
+            self.l[base + j][chain] = l;
+            self.u[base + j][chain] = if j + 1 < bottom { a.get(i, i - 1) } else { 0.0 };
+            self.inv[base + j][chain] = inv;
+            pivot = d;
+        }
+        let bottom_pivot = pivot;
+        // The middle row, against the last row of each chain.
+        let mid = &mut self.middle[col];
+        let mut d = a.get(m, m);
+        if top > 0 {
+            mid.to_top = a.get(m - 1, m);
+            mid.from_top = a.get(m, m - 1) / top_pivot;
+            d -= mid.from_top * mid.to_top;
+        }
+        if bottom > 0 {
+            mid.to_bottom = a.get(m + 1, m);
+            mid.from_bottom = a.get(m, m + 1) / bottom_pivot;
+            d -= mid.from_bottom * mid.to_bottom;
+        }
+        mid.inv = check(m, d)?;
+        Ok(())
     }
 
     /// Steps every column in place: `x` and `scale` are flat panel
-    /// arrays, and each column's values become the solution of its
-    /// system for right-hand side `scale · x`, as [`Banded::step`].
-    /// Lane group `g` sweeps only its first `live[g]` rows; its rows at
-    /// and past `live[g]` are left untouched.
+    /// arrays ([`TridiagonalPanel::slot`]), and each column's values
+    /// become the solution of its system for right-hand side
+    /// `scale · x`.
     ///
-    /// One step per lane group: a forward pass that scales each row and
-    /// eliminates through L, then a backward pass through U. Each pass
-    /// reads whole [`PANEL_LANES`]-wide rows and carries the lanes'
-    /// running values in a fixed-size array, so the next row reads its
-    /// predecessor from a register and the lanes' serial recurrences
-    /// overlap. Every column no taller than `live` gets the arithmetic
-    /// of [`Banded::step`] on its own factorization, in the same order;
-    /// the extra terms at its first and last row subtract `0 · (+0)`,
-    /// which changes no bit, so each is bit-identical to its lone step.
+    /// `live[g]` is the height of lane group `g`'s tallest running
+    /// column, and the group sweeps only the panel rows that column's
+    /// chains reach: the panel rows past them, and the middle row of
+    /// any (retired) column whose chains reach further, are left
+    /// untouched. A group whose `live` is 0 is skipped.
+    ///
+    /// One step per lane group: a forward pass from both ends of every
+    /// column toward its middle that scales each row and eliminates the
+    /// one before it, then each lane's middle row, solved from the last
+    /// row of both its chains and folded back into them, then a
+    /// backward pass from the middle out to both ends. Each pass reads
+    /// whole panel rows and carries its chains' running values in a
+    /// fixed-size array, so the next row reads its predecessor from a
+    /// register and the group's 2·[`PANEL_LANES`] serial recurrences
+    /// overlap. A column's real rows come before its inert ones on the
+    /// way in, and on the way out the carry reaching a chain's last row
+    /// is `+0` and meets a zero coupling (the middle's term was already
+    /// folded in), which changes no bit: each column is bit-identical
+    /// to a one-column panel of its own height.
     ///
     /// # Panics
     ///
-    /// Panics if `x` or `scale` is not the panel's shape, or an entry of
-    /// `live` exceeds the panel's row count.
+    /// Panics if `x` or `scale` is not the panel's shape, or `live` has
+    /// more entries than the panel has lane groups or an entry taller
+    /// than the panel's tallest column.
     pub fn step(&self, x: &mut [f64], scale: &[f64], live: &[usize]) {
-        let (x, []) = x.as_chunks_mut::<PANEL_LANES>() else {
-            panic!("panel shape")
-        };
-        let (scale, []) = scale.as_chunks::<PANEL_LANES>() else {
-            panic!("panel shape")
-        };
-        assert!(x.len() == self.l.len() && scale.len() == self.l.len(), "panel shape");
-        for (g, &rows) in live.iter().enumerate() {
+        let stride = self.stride();
+        assert!(
+            x.len() == self.slots() && scale.len() == x.len(),
+            "panel shape"
+        );
+        assert!(live.len() <= self.middle.len() / PANEL_LANES, "live groups");
+        let body = self.rows * 2 * PANEL_LANES;
+        for (g, &tall) in live.iter().enumerate() {
+            if tall == 0 {
+                continue;
+            }
+            let rows = middle_row(tall);
             assert!(rows <= self.rows, "live rows");
-            let group = g * self.rows..g * self.rows + rows;
-            let x = &mut x[group.clone()];
-            // Forward: x_i = scale_i·x_i − L(i, i−1)·x_{i−1}.
-            let mut carry = [0.0; PANEL_LANES];
-            for ((x, m), l) in x.iter_mut().zip(&scale[group.clone()]).zip(&self.l[group.clone()]) {
-                for k in 0..PANEL_LANES {
+            let (x, mid) = x[g * stride..(g + 1) * stride].split_at_mut(body);
+            let (scale, mid_scale) = scale[g * stride..(g + 1) * stride].split_at(body);
+            let (x, _) = x.as_chunks_mut::<{ 2 * PANEL_LANES }>();
+            let (scale, _) = scale.as_chunks::<{ 2 * PANEL_LANES }>();
+            let x = &mut x[..rows];
+            let coeffs = g * self.rows..g * self.rows + rows;
+            // Forward: x_j = scale_j·x_j − l_j·x_{j−1} along every chain.
+            let mut carry = [0.0; 2 * PANEL_LANES];
+            for ((x, m), l) in x.iter_mut().zip(scale).zip(&self.l[coeffs.clone()]) {
+                for k in 0..2 * PANEL_LANES {
                     carry[k] = x[k] * m[k] - l[k] * carry[k];
                 }
                 *x = carry;
             }
-            // Backward: x_i = (x_i − U(i, i+1)·x_{i+1})·U(i, i)⁻¹.
-            let mut carry = [0.0; PANEL_LANES];
-            let coeffs = self.u[group.clone()].iter().zip(&self.inv[group]);
+            // Middle rows: solved from both chains' last rows, then
+            // folded into them so the backward pass starts there.
+            let lanes = &self.middle[g * PANEL_LANES..(g + 1) * PANEL_LANES];
+            for (k, m) in lanes.iter().enumerate() {
+                let (top, bottom) = m.chains();
+                if top > rows || bottom > rows {
+                    continue;
+                }
+                let mut v = mid[k] * mid_scale[k];
+                if top > 0 {
+                    v -= m.from_top * x[top - 1][k];
+                }
+                if bottom > 0 {
+                    v -= m.from_bottom * x[bottom - 1][PANEL_LANES + k];
+                }
+                v *= m.inv;
+                mid[k] = v;
+                if top > 0 {
+                    x[top - 1][k] -= m.to_top * v;
+                }
+                if bottom > 0 {
+                    x[bottom - 1][PANEL_LANES + k] -= m.to_bottom * v;
+                }
+            }
+            // Backward: x_j = (x_j − u_j·x_{j+1})·inv_j from the middle
+            // out.
+            let mut carry = [0.0; 2 * PANEL_LANES];
+            let coeffs = self.u[coeffs.clone()].iter().zip(&self.inv[coeffs]);
             for (x, (u, inv)) in x.iter_mut().zip(coeffs).rev() {
-                for k in 0..PANEL_LANES {
+                for k in 0..2 * PANEL_LANES {
                     carry[k] = (x[k] - u[k] * carry[k]) * inv[k];
                 }
                 *x = carry;
@@ -525,53 +753,69 @@ mod tests {
         assert_eq!(b, vec![1.0, 1.0, 1.0]);
     }
 
+    /// A random diagonally dominant tridiagonal system of `n` rows,
+    /// some of whose couplings are exactly zero, as in a diagonal one.
+    fn random_tridiagonal(rng: &mut lim_testkit::rng::TestRng, n: usize) -> Banded {
+        let mut a = Banded::zeros(n, 1);
+        let off: Vec<f64> = (0..n)
+            .map(|_| {
+                if rng.gen_bool(0.2) {
+                    0.0
+                } else {
+                    rng.unit_f64() * 2.0 - 1.0
+                }
+            })
+            .collect();
+        for i in 0..n {
+            let mut diag = 0.5 + 3.0 * rng.unit_f64();
+            if i + 1 < n {
+                a.add(i, i + 1, off[i]);
+                a.add(i + 1, i, off[i]);
+                diag += off[i].abs();
+            }
+            if i > 0 {
+                diag += off[i - 1].abs();
+            }
+            a.add(i, i, diag);
+        }
+        a
+    }
+
     #[test]
     fn panel_sweep_is_bit_identical_to_lone_solves() {
         // Oracle: random diagonally dominant tridiagonal systems of
-        // unequal heights and random row scales (some exactly 0 or 1),
-        // one per column at panel widths 1–9, so most columns are padded
-        // with inert rows and most panels with inert lanes. Some columns
-        // are retired: their scale is 0, as the engine leaves it, and
-        // each lane group sweeps only up to its tallest running column.
-        // Every running column must match its lone `Banded::step` to the
-        // bit, signed zeros included, and its inert rows must stay +0;
-        // a retired column's swept rows end at ±0, and no row past a
+        // unequal heights (1–3 rows often, both parities) and random row
+        // scales (some exactly 0 or 1), one per column at panel widths
+        // 1–9, so most chains are padded with inert rows and most panels
+        // with inert lanes. Some columns are retired: their scale is 0,
+        // as the engine leaves it, and each lane group sweeps only as far
+        // as its tallest running column. Every running column must match
+        // a one-column panel of its own height to the bit, signed zeros
+        // included, and its LU solve to rounding; inert slots must stay
+        // +0; a retired column's swept rows end at ±0, and no row past a
         // group's cut-off changes.
         prop::check("tridiagonal_panel_oracle", |rng| {
             let width = 1 + rng.bounded(9) as usize;
-            let heights: Vec<usize> = (0..width).map(|_| 1 + rng.bounded(40) as usize).collect();
+            let heights: Vec<usize> = (0..width)
+                .map(|_| {
+                    let tallest = if rng.gen_bool(0.3) { 3 } else { 40 };
+                    1 + rng.bounded(tallest) as usize
+                })
+                .collect();
             let retired: Vec<bool> = (0..width).map(|_| rng.gen_bool(0.3)).collect();
-            let rows = *heights.iter().max().expect("width >= 1");
-            let groups = width.div_ceil(PANEL_LANES);
-            let at = |c: usize, i: usize| (c / PANEL_LANES * rows + i) * PANEL_LANES + c % PANEL_LANES;
-            let mut live = vec![0; groups];
+            let mut live = vec![0; width.div_ceil(PANEL_LANES)];
             for c in (0..width).filter(|&c| !retired[c]) {
                 live[c / PANEL_LANES] = live[c / PANEL_LANES].max(heights[c]);
             }
-            let mut panel = TridiagonalPanel::new(rows, width);
-            let mut x = vec![0.0; groups * rows * PANEL_LANES];
+            let mut panel = TridiagonalPanel::new(&heights);
+            let mut x = vec![0.0; panel.slots()];
             let mut scale = vec![0.0; x.len()];
             let mut lone = Vec::new();
             for (c, &n) in heights.iter().enumerate() {
-                let mut a = Banded::zeros(n, 1);
-                // Some couplings are exactly zero, as in a diagonal system.
-                let off: Vec<f64> = (0..n)
-                    .map(|_| if rng.gen_bool(0.2) { 0.0 } else { rng.unit_f64() * 2.0 - 1.0 })
-                    .collect();
-                for i in 0..n {
-                    let mut diag = 0.5 + 3.0 * rng.unit_f64();
-                    if i + 1 < n {
-                        a.add(i, i + 1, off[i]);
-                        a.add(i + 1, i, off[i]);
-                        diag += off[i].abs();
-                    }
-                    if i > 0 {
-                        diag += off[i - 1].abs();
-                    }
-                    a.add(i, i, diag);
-                }
-                a.factor().expect("diagonally dominant systems factor");
-                panel.set_column(c, &a);
+                let a = random_tridiagonal(rng, n);
+                panel
+                    .set_column(c, &a)
+                    .expect("diagonally dominant systems factor");
                 let b: Vec<f64> = (0..n)
                     .map(|_| match rng.bounded(8) {
                         0 => 0.0,
@@ -588,32 +832,86 @@ mod tests {
                     })
                     .collect();
                 for i in 0..n {
-                    (x[at(c, i)], scale[at(c, i)]) = (b[i], m[i]);
+                    (x[panel.slot(c, i)], scale[panel.slot(c, i)]) = (b[i], m[i]);
                 }
-                let mut want = b;
-                a.step(&mut want, &m);
+                let mut alone = TridiagonalPanel::new(&[n]);
+                alone
+                    .set_column(0, &a)
+                    .expect("the same system factors alone");
+                let (mut ax, mut am) = (vec![0.0; alone.slots()], vec![0.0; alone.slots()]);
+                for i in 0..n {
+                    (ax[alone.slot(0, i)], am[alone.slot(0, i)]) = (b[i], m[i]);
+                }
+                alone.step(&mut ax, &am, &[n]);
+                let want: Vec<f64> = (0..n).map(|i| ax[alone.slot(0, i)]).collect();
+                let mut lu = a.clone();
+                lu.factor().expect("and by LU");
+                let mut by_lu = b;
+                lu.step(&mut by_lu, &m);
+                let norm = by_lu.iter().fold(0.0f64, |s, v| s.max(v.abs()));
+                for (i, (v, u)) in want.iter().zip(&by_lu).enumerate() {
+                    assert!(
+                        (v - u).abs() <= 1e-12 * norm,
+                        "row {i} of {n}: {v} vs LU {u}"
+                    );
+                }
                 lone.push(want);
             }
             let before = x.clone();
             panel.step(&mut x, &scale, &live);
+            let mut owned = vec![false; x.len()];
             for (c, want) in lone.iter().enumerate() {
-                let cut = live[c / PANEL_LANES];
-                for i in cut..rows {
-                    assert_eq!(x[at(c, i)].to_bits(), before[at(c, i)].to_bits(), "cut row {i} col {c}");
-                }
-                if retired[c] {
-                    for i in 0..cut {
-                        assert_eq!(x[at(c, i)], 0.0, "retired row {i} col {c}");
-                    }
-                    continue;
-                }
+                let (n, cut) = (heights[c], middle_row(live[c / PANEL_LANES]));
                 for (i, v) in want.iter().enumerate() {
-                    assert_eq!(x[at(c, i)].to_bits(), v.to_bits(), "row {i} col {c}");
-                }
-                for i in want.len()..cut {
-                    assert_eq!(x[at(c, i)].to_bits(), 0, "inert row {i} col {c}");
+                    let at = panel.slot(c, i);
+                    owned[at] = true;
+                    let m = middle_row(n);
+                    let swept = live[c / PANEL_LANES] > 0
+                        && match i.cmp(&m) {
+                            std::cmp::Ordering::Less => i < cut,
+                            std::cmp::Ordering::Equal => m <= cut,
+                            std::cmp::Ordering::Greater => n - 1 - i < cut,
+                        };
+                    if !swept {
+                        assert_eq!(x[at].to_bits(), before[at].to_bits(), "cut row {i} col {c}");
+                    } else if retired[c] {
+                        assert_eq!(x[at], 0.0, "retired row {i} col {c}");
+                    } else {
+                        assert_eq!(x[at].to_bits(), v.to_bits(), "row {i} col {c}");
+                    }
                 }
             }
+            for (at, v) in x.iter().enumerate().filter(|&(at, _)| !owned[at]) {
+                assert_eq!(v.to_bits(), 0, "inert slot {at}");
+            }
         });
+    }
+
+    #[test]
+    fn panel_rejects_a_singular_row_wherever_the_elimination_reaches_it() {
+        // A 7-row chain whose row `bad` is zeroed: its pivot is rejected
+        // whether it lies in the top chain, in the bottom chain or is the
+        // middle row, and the error names it.
+        for bad in 0..7 {
+            let mut a = Banded::zeros(7, 1);
+            for i in 0..7 {
+                if i != bad {
+                    a.add(i, i, 2.0);
+                    if i + 1 < 7 && i + 1 != bad {
+                        a.add(i, i + 1, -0.5);
+                        a.add(i + 1, i, -0.5);
+                    }
+                }
+            }
+            let mut panel = TridiagonalPanel::new(&[7]);
+            assert_eq!(
+                panel.set_column(0, &a),
+                Err(PivotError {
+                    row: bad,
+                    magnitude: 0.0
+                }),
+                "row {bad}"
+            );
+        }
     }
 }

@@ -18,23 +18,30 @@
 //! builds — joins one panel ([`run_probed_batch`]), whatever its time
 //! step, length or node order. Each panel column keeps its own RCM order,
 //! `Δt` (step times, `C/Δt` and energy integration), row count, switch
-//! state and LU; a column shorter than the panel is padded with inert
-//! rows. A time step is one fused sweep per lane group of
-//! [`PANEL_LANES`] columns ([`TridiagonalPanel::step`]): a forward pass
+//! state and factorization. A column is factored from both ends
+//! ([`TridiagonalPanel::set_column`]): rows above its middle row are
+//! eliminated downward from the first row, rows below it upward from the
+//! last, and the middle row last, so each step solves two independent
+//! chains of about half the column's rows. Both chains start on the
+//! panel's first row (the bottom half is stored reversed), and a chain
+//! shorter than the panel is padded with inert rows. A time step is one
+//! fused sweep per lane group of [`PANEL_LANES`] columns
+//! ([`TridiagonalPanel::step`]): a forward pass along all eight chains
 //! that multiplies each row by its `C/Δt` (the history term) as it
-//! eliminates through L, then a backward pass through U, both carrying
-//! the lanes' running values in registers so their serial recurrences
-//! overlap. A row that carries a source is finished before the sweep, in
-//! a lone run's order (`C/Δt`, then each source's current), and swept
-//! with a unit multiplier, so no bit moves. A lane group sweeps only the
-//! rows up to its tallest running column, and a retired column's lanes
-//! go inert (a zero multiplier). A wider run advances alone through
-//! [`Banded::step`], whose forward pass applies the same multipliers. A
-//! single [`TransientSim::run`] is the same engine with a one-column
-//! panel, so batched and sequential results are bit-identical by
-//! construction. This module's tests check the engine against a dense
-//! LU oracle with partial pivoting and pin its bits on a fixed set of
-//! runs.
+//! eliminates, then each column's middle row, then a backward pass out
+//! to both ends, both passes carrying the chains' running values in
+//! registers so their serial recurrences overlap. A row that carries a
+//! source is finished before the sweep, in a lone run's order (`C/Δt`,
+//! then each source's current), and swept with a unit multiplier, so no
+//! bit moves. A lane group sweeps only as far as its tallest running
+//! column's chains reach, and a retired column's lanes go inert (a zero
+//! multiplier). A wider run is LU-factored ([`Banded::factor`]) and
+//! advances alone through [`Banded::step`], whose forward pass applies
+//! the same multipliers. A single [`TransientSim::run`] is the same
+//! engine with a one-column panel, so batched and sequential results are
+//! bit-identical by construction. This module's tests check the engine
+//! against a dense LU oracle with partial pivoting and pin its bits on a
+//! fixed set of runs.
 //!
 //! Supply energy is integrated alongside: every driver's delivered energy
 //! is `∫ v_target · i dt`, which for a full charge of capacitance C to Vdd
@@ -235,8 +242,6 @@ struct Column<'a> {
     /// Static stamp in permuted coordinates, including `C/Δt` on the
     /// diagonal; cloned and switch-stamped on each state change.
     template: Banded,
-    /// The current factorization (`None` before the first step).
-    lu: Option<Banded>,
     sw_state: Vec<bool>,
     supply_energy: f64,
     source_energy: Vec<f64>,
@@ -303,7 +308,6 @@ impl<'a> Column<'a> {
             traces,
             sourced,
             template,
-            lu: None,
             sw_state: vec![false; ckt.switches.len()],
             supply_energy: 0.0,
             source_energy: vec![0.0; ckt.sources.len()],
@@ -311,17 +315,26 @@ impl<'a> Column<'a> {
         }
     }
 
-    /// Restamps and refactors after a switch-state change.
-    fn refactor(&mut self) -> Result<&Banded, CircuitError> {
+    /// Restamps after a switch-state change and refactors: into panel
+    /// column `c` for a tridiagonal run, or into `lu` for a wider one.
+    fn refactor(
+        &self,
+        c: usize,
+        panel: Option<&mut TridiagonalPanel>,
+        lu: &mut Option<Banded>,
+    ) -> Result<(), CircuitError> {
         lim_obs::counter_add("transient.refactorizations", 1);
         let mut a = self.template.clone();
         let pos = &self.pos;
         stamp_switches(self.ckt, &self.sw_state, |i, j, g| a.add(pos[i], pos[j], g));
-        a.factor().map_err(|e| CircuitError::SingularSystem {
+        match panel {
+            Some(panel) => panel.set_column(c, &a),
+            None => a.factor().map(|()| *lu = Some(a)),
+        }
+        .map_err(|e| CircuitError::SingularSystem {
             node: self.order[e.row],
             magnitude: e.magnitude,
-        })?;
-        Ok(self.lu.insert(a))
+        })
     }
 }
 
@@ -334,25 +347,35 @@ impl<'a> Column<'a> {
 ///
 /// Observability counters, each added once per call:
 /// `transient.node_steps` (every column's rows × its steps) and
-/// `transient.row_steps` (rows swept per lane group, summed over steps).
+/// `transient.row_steps` (per lane group, the rows of its tallest
+/// running column, summed over steps).
 fn run_banded(mut cols: Vec<Column<'_>>) -> Result<Vec<TransientResult>, CircuitError> {
     let wide = cols.iter().any(|c| c.k > 1);
     debug_assert!(!wide || cols.len() == 1, "a wide run advances alone");
-    let n = cols.iter().map(|c| c.order.len()).max().unwrap_or(0);
-    let mut panel = (!wide).then(|| TridiagonalPanel::new(n, cols.len()));
-    // Voltages and step scales, lane group by lane group as the panel
-    // lays them out (a wide run is one group of one lane). Row `p` of
-    // column `c` scales by its `C/Δt` — the history term, folded into
-    // the forward pass — or by 1 on a row whose right-hand side is
-    // finished before the step. Rows past a run's end stay inert (+0
-    // voltage and scale); a retired column's scale drops to 0, so its
+    let heights: Vec<usize> = cols.iter().map(|c| c.order.len()).collect();
+    let mut panel = (!wide).then(|| TridiagonalPanel::new(&heights));
+    let mut lu = None;
+    // Voltages and step scales, as the panel lays them out (a wide run
+    // keeps its own order): `slots[c][p]` is the flat index of column
+    // `c`'s permuted row `p`. Row `p` scales by its `C/Δt` — the history
+    // term, folded into the forward pass — or by 1 on a row whose
+    // right-hand side is finished before the step. Inert rows stay +0
+    // (voltage and scale); a retired column's scale drops to 0, so its
     // lanes go to zero too. Precomputing the division is bit-identical
     // to dividing every step (same operands).
-    let lanes = if wide { 1 } else { PANEL_LANES };
-    let at = |c: usize, p: usize| (c / lanes * n + p) * lanes + c % lanes;
-    let mut live = vec![0; cols.len().div_ceil(lanes)];
-    let mut x = vec![0.0; live.len() * n * lanes];
-    let mut scale = vec![0.0; x.len()];
+    let (slots, len): (Vec<Vec<usize>>, usize) = match &panel {
+        Some(panel) => (
+            (heights.iter().enumerate())
+                .map(|(c, &n)| (0..n).map(|p| panel.slot(c, p)).collect())
+                .collect(),
+            panel.slots(),
+        ),
+        None => (vec![(0..heights[0]).collect()], heights[0]),
+    };
+    let at = |c: usize, p: usize| slots[c][p];
+    let mut live = vec![0; cols.len().div_ceil(PANEL_LANES)];
+    let mut x = vec![0.0; len];
+    let mut scale = vec![0.0; len];
     for (c, col) in cols.iter().enumerate() {
         for (p, &node) in col.order.iter().enumerate() {
             x[at(c, p)] = col.ckt.initial_v[node];
@@ -370,20 +393,18 @@ fn run_banded(mut cols: Vec<Column<'_>>) -> Result<Vec<TransientResult>, Circuit
         // Per running column: switches and refactorization, then its
         // source rows finished in a lone run's order (`C/Δt` history,
         // then each source's current in source order). Each lane group
-        // sweeps up to its tallest running column.
+        // sweeps as far as its tallest running column reaches.
         live.fill(0);
         for (c, col) in cols.iter_mut().enumerate() {
             if step > col.steps {
                 continue;
             }
-            live[c / lanes] = live[c / lanes].max(col.order.len());
+            let g = c / PANEL_LANES;
+            live[g] = live[g].max(col.order.len());
             let t = step as f64 * col.dt;
             let changed = update_switches(col.ckt, &mut col.sw_state, t, |node| x[at(c, col.pos[node])]);
-            if changed || col.lu.is_none() {
-                let lu = col.refactor()?;
-                if let Some(panel) = &mut panel {
-                    panel.set_column(c, lu);
-                }
+            if changed || step == 1 {
+                col.refactor(c, panel.as_mut(), &mut lu)?;
             }
             for &(p, codt) in &col.sourced {
                 x[at(c, p)] *= codt;
@@ -395,7 +416,10 @@ fn run_banded(mut cols: Vec<Column<'_>>) -> Result<Vec<TransientResult>, Circuit
         row_steps += live.iter().sum::<usize>();
         match &panel {
             Some(panel) => panel.step(&mut x, &scale, &live),
-            None => cols[0].lu.as_ref().expect("factored on the first step").step(&mut x, &scale),
+            None => lu
+                .as_ref()
+                .expect("factored on the first step")
+                .step(&mut x, &scale),
         }
 
         // Driver energies, probes, and final voltages of columns
@@ -786,6 +810,127 @@ mod tests {
         }
     }
 
+    /// The node a run reports as singular and the rejected pivot's
+    /// magnitude, the node checked against the dense oracle's when
+    /// `oracle` is set.
+    fn singular_node(ckt: &Circuit, oracle: bool) -> (usize, f64) {
+        let (t_end, dt) = (Picoseconds::new(1.0), Picoseconds::new(0.1));
+        let err = TransientSim::new(ckt).run(t_end, dt).unwrap_err();
+        let CircuitError::SingularSystem { node, magnitude } = err else {
+            panic!("expected SingularSystem, got {err:?}");
+        };
+        if oracle {
+            let dense = dense_oracle(ckt, t_end, dt).unwrap_err();
+            assert!(matches!(dense, CircuitError::SingularSystem { node: n, .. } if n == node));
+        }
+        (node, magnitude)
+    }
+
+    /// Where `node`'s permuted row lies against the middle row of
+    /// `ckt`'s tridiagonal system.
+    fn side_of_middle(ckt: &Circuit, node: usize) -> std::cmp::Ordering {
+        let run = BatchRun {
+            circuit: ckt,
+            probes: &[],
+            t_end: Picoseconds::new(1.0),
+            dt: Picoseconds::new(0.1),
+        };
+        let column = Column::new(&run);
+        assert_eq!(column.k, 1, "a tridiagonal system joins the panel");
+        column.pos[node].cmp(&crate::sparse::middle_row(ckt.node_count()))
+    }
+
+    #[test]
+    fn floating_node_is_singular_wherever_its_row_falls() {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        // Isolated nodes, every one capped but the floating one: RCM
+        // orders them by index, reversed, so the floating node's row
+        // walks from the bottom chain through the middle row into the
+        // top chain. At both parities the panel names the node.
+        for n in [5, 6] {
+            let mut sides = Vec::new();
+            for floating in 0..n {
+                let mut ckt = Circuit::new();
+                for i in 0..n {
+                    let node = ckt.add_node(format!("n{i}"));
+                    if i != floating {
+                        ckt.add_cap(node, Femtofarads::new(1.0 + i as f64));
+                    }
+                }
+                sides.push(side_of_middle(&ckt, floating));
+                assert_eq!(
+                    singular_node(&ckt, true),
+                    (floating, 0.0),
+                    "{n} rows, node {floating}"
+                );
+            }
+            for side in [Less, Equal, Greater] {
+                assert!(
+                    sides.contains(&side),
+                    "{n} rows: no floating row {side:?} the middle"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn floating_island_names_one_of_its_nodes() {
+        // A two-node island — a resistor, no cap, no driver — beside a
+        // driven ladder of 0–6 nodes, added before or after it: the
+        // island's rows land in either chain or across the middle row,
+        // and the error names one of its two nodes.
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        let mut placements = Vec::new();
+        for ladder in 0..7 {
+            for island_first in [false, true] {
+                let mut ckt = Circuit::new();
+                let mut island = Vec::new();
+                let mut add_island = |ckt: &mut Circuit| {
+                    let (a, b) = (ckt.add_node("ia"), ckt.add_node("ib"));
+                    ckt.add_resistor(a, b, KiloOhms::new(1.0));
+                    island = vec![a.0, b.0];
+                };
+                if island_first {
+                    add_island(&mut ckt);
+                }
+                let mut prev: Option<NodeId> = None;
+                for i in 0..ladder {
+                    let node = ckt.add_node(format!("n{i}"));
+                    ckt.add_cap(node, Femtofarads::new(1.0));
+                    match prev {
+                        Some(p) => ckt.add_resistor(p, node, KiloOhms::new(0.1)),
+                        None => {
+                            let src = ckt.add_source(node, KiloOhms::new(0.5), Volts::ZERO);
+                            ckt.schedule(src, Picoseconds::ZERO, Volts::new(VDD));
+                        }
+                    }
+                    prev = Some(node);
+                }
+                if !island_first {
+                    add_island(&mut ckt);
+                }
+                placements.push(
+                    island
+                        .iter()
+                        .map(|&i| side_of_middle(&ckt, i))
+                        .collect::<Vec<_>>(),
+                );
+                let (node, _) = singular_node(&ckt, false);
+                assert!(
+                    island.contains(&node),
+                    "ladder {ladder}: node {node} not in {island:?}"
+                );
+            }
+        }
+        assert!(
+            placements.contains(&vec![Less, Less]) && placements.contains(&vec![Greater, Greater])
+        );
+        assert!(
+            placements.iter().any(|rows| rows.contains(&Equal)),
+            "no island on the middle row"
+        );
+    }
+
     #[test]
     fn bad_time_step_rejected() {
         let (ckt, _, _) = charge_circuit(1.0, 1.0);
@@ -1135,9 +1280,9 @@ mod tests {
 
     #[test]
     fn engine_bits_are_pinned() {
-        // Recorded before the panel step fused `C/Δt` into its forward
-        // pass and cut its rows at the tallest running column. Every
-        // node is probed in the lone runs.
+        // Recorded when the panel began eliminating each column from
+        // both ends; the wide run (an LU) and the one-row column kept
+        // their digests. Every node is probed in the lone runs.
         let window = |t_end: f64, dt: f64| (Picoseconds::new(t_end), Picoseconds::new(dt));
         let lone = |ckt: &Circuit, (t_end, dt): (Picoseconds, Picoseconds)| {
             result_digest(&TransientSim::new(ckt).run(t_end, dt).unwrap())
@@ -1195,21 +1340,21 @@ mod tests {
         }
 
         let want: [(&str, u64); 15] = [
-            ("ladder_16", 0x986c_8afb_2710_2b11),
-            ("ladder_64", 0xbbcd_a46e_6753_3362),
-            ("ladder_160", 0x3420_c298_e9e8_0c69),
-            ("timed_switch", 0xdf3b_d642_fae6_7323),
-            ("vc_switch", 0x6088_4e87_0879_dc2b),
+            ("ladder_16", 0x6239_7743_019d_c451),
+            ("ladder_64", 0x5b60_9dc7_48cc_208b),
+            ("ladder_160", 0x3818_8bb6_38a5_e1c8),
+            ("timed_switch", 0xe232_19d9_c97c_0077),
+            ("vc_switch", 0x5b8d_76af_7b22_46e8),
             ("wide", 0x196e_53fd_111d_ecd3),
-            ("batch_0", 0x7389_7380_6b8f_d011),
-            ("batch_1", 0x12dd_ab53_f762_e755),
-            ("batch_2", 0xe49a_f5aa_bff6_367f),
-            ("batch_3", 0x522c_e0a3_1d4c_4d9f),
-            ("batch_4", 0x3007_b6d6_5480_d14e),
-            ("batch_5", 0xda98_d3ae_dbab_4bbf),
+            ("batch_0", 0x5cd5_9932_2313_0cfc),
+            ("batch_1", 0x44f3_0b1c_4b6b_a319),
+            ("batch_2", 0x7857_00d4_c6a1_44d3),
+            ("batch_3", 0xaf74_ffca_f341_12ed),
+            ("batch_4", 0x872e_a717_72a4_7267),
+            ("batch_5", 0x3edd_87fd_f1f8_aca8),
             ("batch_6", 0x8fa7_13eb_2037_cdb3),
-            ("batch_7", 0xa946_f0a3_0823_e98b),
-            ("batch_8", 0x20dd_1db0_56e5_7f64),
+            ("batch_7", 0x245f_cfd4_cbb7_44b5),
+            ("batch_8", 0xb42f_6eae_97a7_3b81),
         ];
         let want: Vec<(String, u64)> = want.iter().map(|&(n, d)| (n.to_string(), d)).collect();
         assert_eq!(got, want);

@@ -92,9 +92,7 @@ impl ResponseCache {
     }
 
     /// True when `key` is resident, with no side effects: recency,
-    /// hit and miss accounting are all untouched. A shard uses this to
-    /// decide whether a request is a memo hit worth answering on the
-    /// event thread.
+    /// hit and miss accounting are all untouched.
     pub fn contains(&self, key: u64) -> bool {
         self.map.contains_key(&key)
     }
@@ -111,20 +109,38 @@ impl ResponseCache {
         Some(Arc::clone(&self.slots[i].value))
     }
 
+    /// The entry for `key` if it is resident, refreshing its recency
+    /// but counting nothing: the caller decides whether the lookup
+    /// ends in a hit ([`count_hit`](Self::count_hit)) or is repeated
+    /// where the request is answered. A shard decides with this whether
+    /// a request is a memo hit worth answering on the event thread, and
+    /// answers it from the entry returned.
+    pub(crate) fn peek_shared(&mut self, key: u64) -> Option<Arc<String>> {
+        let i = self.refresh(key)?;
+        Some(Arc::clone(&self.slots[i].value))
+    }
+
+    /// Counts a hit on an entry taken by [`peek_shared`](Self::peek_shared).
+    pub(crate) fn count_hit(&mut self) {
+        self.hits += 1;
+    }
+
     /// Counts a lookup and, on a hit, moves the entry to the front.
     fn touch(&mut self, key: u64) -> Option<usize> {
-        match self.map.get(&key).copied() {
-            Some(i) => {
-                self.hits += 1;
-                self.unlink(i);
-                self.push_front(i);
-                Some(i)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let found = self.refresh(key);
+        match found {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
+        found
+    }
+
+    /// Moves `key`'s entry, if resident, to the front.
+    fn refresh(&mut self, key: u64) -> Option<usize> {
+        let i = self.map.get(&key).copied()?;
+        self.unlink(i);
+        self.push_front(i);
+        Some(i)
     }
 
     /// Inserts (or refreshes) a response, evicting least-recently-used

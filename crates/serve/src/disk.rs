@@ -14,20 +14,25 @@
 //! callers outside the service; the service neither writes nor reads
 //! `lib/`.
 //!
-//! Every file starts with a `lim-disk-v2` stamp. Writes go to
+//! Every file starts with a `lim-disk-v3` stamp. Writes go to
 //! `tmp/<name>.<pid>.<seq>` and are published with `rename(2)`, so a
 //! crash mid-write leaves at worst an orphan tmp file, never a torn
 //! entry. Unreadable entries are counted (`corrupt`), removed
 //! best-effort, and treated as misses; entries with a wrong version
 //! stamp are counted (`stale`) and likewise dropped, so each entry an
-//! older format wrote is recomputed on its first miss.
+//! older format wrote is recomputed on its first miss. The stamp also
+//! stands for the bytes a reply holds: a change that moves any reply
+//! byte bumps it, so a daemon restarted on an old directory serves
+//! nothing the old build computed. v3 has v2's layout; it was bumped
+//! when the golden solver's elimination order moved the last digits of
+//! `golden.compare` replies.
 //!
 //! # Checking a response without parsing it
 //!
 //! A response file is
 //!
 //! ```text
-//! lim-disk-v2 resp <key:016x> <method> <body length> <digest:016x>
+//! lim-disk-v3 resp <key:016x> <method> <body length> <digest:016x>
 //! <body>
 //! ```
 //!
@@ -49,8 +54,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Version stamp on every cache file; bump on any layout change.
-pub const DISK_FORMAT: &str = "lim-disk-v2";
+/// Version stamp on every cache file; bump on any layout change and on
+/// any change to the bytes of a reply.
+pub const DISK_FORMAT: &str = "lim-disk-v3";
 
 /// Longest response header a load reads before giving up on finding
 /// its newline; [`DiskCache::store_response`] never writes a longer
@@ -280,7 +286,7 @@ fn le_word(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes.try_into().expect("an 8-byte word"))
 }
 
-/// The 64-bit digest a `lim-disk-v2` response header records.
+/// The 64-bit digest a response header records (since `lim-disk-v2`).
 ///
 /// Four independent multiply–rotate lanes take 32-byte blocks as
 /// little-endian `u64` words (so a cache directory reads the same on
@@ -485,8 +491,8 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A v2 response file for `key` whose header promises `promised`
-    /// but which carries `body`.
+    /// A current-format (v2 layout) response file for `key` whose
+    /// header promises `promised` but which carries `body`.
     fn v2_entry(key: u64, promised: &str, body: &str) -> String {
         format!(
             "{DISK_FORMAT} resp {key:016x} m {} {:016x}\n{body}\n",
@@ -541,6 +547,8 @@ mod tests {
 
     #[test]
     fn v1_entries_are_stale_and_removed() {
+        // A v1 entry, and a v2 entry well formed in every other field
+        // (v3 kept v2's layout but not its reply bytes).
         let dir = scratch_dir("v1");
         let cache = DiskCache::open(&dir).unwrap();
         let path = dir.join("resp/000000000000000c.json");
@@ -553,6 +561,16 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.stale, s.corrupt, s.hits), (1, 0, 0));
         assert!(!path.exists(), "stale entry left behind");
+        let path = dir.join("resp/000000000000000d.json");
+        let v3 = v2_entry(13, "{}", "{}");
+        assert!(v3.starts_with("lim-disk-v3 "));
+        fs::write(&path, v3.replacen("lim-disk-v3 ", "lim-disk-v2 ", 1)).unwrap();
+        assert_eq!(cache.load_response(13), None);
+        let s = cache.stats();
+        assert_eq!((s.stale, s.corrupt, s.hits), (2, 0, 0));
+        assert!(!path.exists(), "stale v2 entry left behind");
+        fs::write(&path, &v3).unwrap();
+        assert_eq!(cache.load_response(13).as_deref(), Some("{}"));
         fs::remove_dir_all(&dir).unwrap();
     }
 

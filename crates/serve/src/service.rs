@@ -368,7 +368,7 @@ impl Service {
     ) -> CallOutcome {
         let call = Call::of(method, params, trace);
         let mut writes = Vec::new();
-        let (result, cached) = self.call_deferred(call, method, params, &mut writes);
+        let (result, cached) = self.call_deferred(call, None, method, params, &mut writes);
         self.publish(writes);
         CallOutcome {
             result: result.map(Arc::unwrap_or_clone),
@@ -382,10 +382,12 @@ impl Service {
     /// rendered, in the order it produced them, so a server can send
     /// the reply before it [`publish`](Service::publish)es them. The
     /// memo is already updated, and the result still shares its buffer
-    /// with it.
+    /// with it. `resident` is the memo entry the caller already took for
+    /// this call ([`Shard::place`]), answered without a second lookup.
     fn call_deferred(
         &self,
         call: Call,
+        resident: Option<Arc<String>>,
         method: &str,
         params: &Value,
         writes: &mut Vec<PendingWrite>,
@@ -397,7 +399,7 @@ impl Service {
             let _trace = TraceScope::enter(call.trace);
             let _rq = lim_obs::Span::enter("serve.request");
             lim_obs::counter_add("serve.requests", 1);
-            self.call_cached(endpoint, call.key, method, params, writes)
+            self.call_cached(endpoint, call.key, resident, method, params, writes)
         };
         let elapsed = sw.elapsed();
         if lim_obs::enabled() {
@@ -421,17 +423,19 @@ impl Service {
     }
 
     /// Memo layer: a request with a memo `key` ([`memo_key`]) is served
-    /// from the response cache; one without runs its handler. Disk
-    /// entries go to `writes`.
+    /// from the response cache (`resident`, when the caller already
+    /// took its entry); one without runs its handler. Disk entries go
+    /// to `writes`.
     fn call_cached(
         &self,
         endpoint: Endpoint,
         key: Option<u64>,
+        resident: Option<Arc<String>>,
         method: &str,
         params: &Value,
         writes: &mut Vec<PendingWrite>,
     ) -> (Result<Arc<String>, ServeError>, bool) {
-        if let Some(hit) = key.and_then(|key| self.memo_lookup(key)) {
+        if let Some(hit) = key.and_then(|key| self.memo_lookup(key, resident)) {
             return (Ok(hit), true);
         }
         let result = self
@@ -448,14 +452,22 @@ impl Service {
     /// served as `cached` — byte-identical to a cold compile because
     /// the stored bytes *are* a cold compile's rendering. Neither tier
     /// copies the body: the memo shares it, and the disk tier reads it
-    /// straight into the buffer the memo then shares.
-    fn memo_lookup(&self, key: u64) -> Option<Arc<String>> {
+    /// straight into the buffer the memo then shares. A `resident`
+    /// entry, taken from the memo by the caller's own lookup, is the
+    /// hit: the memo is not searched again, so an eviction since then
+    /// cannot turn it into a disk read or a handler run.
+    fn memo_lookup(&self, key: u64, resident: Option<Arc<String>>) -> Option<Arc<String>> {
         let _span = lim_obs::Span::enter("serve.memo_lookup");
-        let hit = self
-            .cache
-            .lock()
-            .expect("response cache lock poisoned")
-            .get_shared(key);
+        let hit = {
+            let mut cache = self.cache.lock().expect("response cache lock poisoned");
+            match resident {
+                Some(hit) => {
+                    cache.count_hit();
+                    Some(hit)
+                }
+                None => cache.get_shared(key),
+            }
+        };
         if hit.is_some() {
             lim_obs::counter_add("serve.cache_hits", 1);
             return hit;
@@ -834,7 +846,7 @@ impl Service {
                 }
                 Ok(config) => {
                     let key = memo_key(golden, &params);
-                    match key.and_then(|key| self.memo_lookup(key)) {
+                    match key.and_then(|key| self.memo_lookup(key, None)) {
                         Some(hit) => {
                             self.record_endpoint(golden, sw.elapsed(), false);
                             slots[i] = Some(entry_ok(true, &hit));
@@ -872,7 +884,7 @@ impl Service {
             let mut entry_writes = Vec::new();
             let key = memo_key(endpoint, &params);
             let (result, cached) =
-                self.call_cached(endpoint, key, &method, &params, &mut entry_writes);
+                self.call_cached(endpoint, key, None, &method, &params, &mut entry_writes);
             self.record_endpoint(endpoint, sw.elapsed(), result.is_err());
             let rendered = match result {
                 Ok(rendered) => entry_ok(cached, &rendered),
@@ -1109,16 +1121,37 @@ pub(crate) struct Shard {
     pub(crate) gate: Arc<Gate>,
 }
 
+/// Where a shard answers a call.
+enum Place {
+    /// On the event thread: an `inline` method, or a memo hit in memory
+    /// with the entry the deciding lookup took.
+    Now(Option<Arc<String>>),
+    /// On a worker.
+    Worker,
+}
+
 impl Shard {
-    /// An `inline` method, or a memo hit in memory: cheaper to answer on
-    /// the event thread than to hand to a worker. Looking does not touch
-    /// the memo's recency or its hit and miss counts, nor the disk.
-    fn answers_now(&self, call: &Call) -> bool {
-        let resident = |key| {
+    /// An `inline` method, or a memo hit in memory, is cheaper to answer
+    /// on the event thread than to hand to a worker. The memo is looked
+    /// up once, here, and a hit is answered from the entry this lookup
+    /// returns however the memo changes before the reply is built; a
+    /// call that is not in memory goes to a worker, even when its body
+    /// is on disk. Deciding refreshes a hit's recency but counts
+    /// nothing (the answer counts its hit), and never reads the disk.
+    fn place(&self, call: &Call) -> Place {
+        if call.endpoint.row().is_some_and(|m| m.inline) {
+            return Place::Now(None);
+        }
+        let peek = |key| {
             let cache = self.service.cache.lock();
-            cache.expect("response cache lock poisoned").contains(key)
+            cache
+                .expect("response cache lock poisoned")
+                .peek_shared(key)
         };
-        call.endpoint.row().is_some_and(|m| m.inline) || call.key.is_some_and(resident)
+        match call.key.and_then(peek) {
+            Some(hit) => Place::Now(Some(hit)),
+            None => Place::Worker,
+        }
     }
 
     /// Full shard statistics: the transport and gate figures followed
@@ -1158,11 +1191,13 @@ impl Backend for Shard {
                 // server-side, keeping their responses byte-stable.
                 let trace = rq.trace.as_deref().and_then(TraceId::parse);
                 let call = Call::of(&rq.method, &rq.params, trace);
-                if !self.answers_now(&call) {
+                let Place::Now(resident) = self.place(&call) else {
                     let (gate, service) = (Arc::clone(&self.gate), Arc::clone(&self.service));
-                    return Answer::Work(Box::new(move |rq| admit(&gate, &service, rq, call)));
-                }
-                let (line, writes) = admit(&self.gate, &self.service, rq, call);
+                    return Answer::Work(Box::new(move |rq| {
+                        admit(&gate, &service, rq, call, None)
+                    }));
+                };
+                let (line, writes) = admit(&self.gate, &self.service, rq, call, resident);
                 return Answer::Reply(line, writes);
             }
         };
@@ -1174,16 +1209,24 @@ impl Backend for Shard {
     }
 }
 
-/// Admits a resolved call through the gate and answers it, or sheds it
-/// with a 429 when the gate is full. The permit covers the call only.
-/// The reply frame is the one copy of the result on its way out: built
-/// at its exact size from the buffer the memo shares.
-fn admit(gate: &Gate, service: &Service, rq: &Request, call: Call) -> (String, Vec<PendingWrite>) {
+/// Admits a resolved call through the gate and answers it (from
+/// `resident`, the memo entry [`Shard::place`] took, when it took one),
+/// or sheds it with a 429 when the gate is full. The permit covers the
+/// call only. The reply frame is the one copy of the result on its way
+/// out: built at its exact size from the buffer the memo shares.
+fn admit(
+    gate: &Gate,
+    service: &Service,
+    rq: &Request,
+    call: Call,
+    resident: Option<Arc<String>>,
+) -> (String, Vec<PendingWrite>) {
     let Some(permit) = gate.try_acquire() else {
         return (error_line(&rq.id, &ServeError::overloaded()), Vec::new());
     };
     let mut writes = Vec::new();
-    let (result, cached) = service.call_deferred(call, &rq.method, &rq.params, &mut writes);
+    let (result, cached) =
+        service.call_deferred(call, resident, &rq.method, &rq.params, &mut writes);
     drop(permit);
     let line = match &result {
         Ok(result) => ok_line_traced(&rq.id, cached, rq.trace.as_deref(), result),
@@ -1990,6 +2033,96 @@ endmodule
         let answer = serve(&shard, &server, "golden.compare", &nocache);
         assert!(matches!(answer, Answer::Work(_)));
         assert_eq!(counts(), (1.0, 1.0));
+    }
+
+    /// The memo's lifetime hit and miss counts.
+    fn memo_counts(svc: &Service) -> (u64, u64) {
+        let cache = svc.cache.lock().unwrap();
+        (cache.hits(), cache.misses())
+    }
+
+    #[test]
+    fn an_event_thread_hit_is_answered_from_the_entry_that_decided_it() {
+        // The entry is evicted between the decision and the reply: the
+        // reply is still the memo's bytes, counted as one hit, with no
+        // handler run and no disk entry written on the event thread.
+        let svc = Arc::new(Service::new(&ServeConfig {
+            cache_bytes: 64 << 10,
+            ..ServeConfig::default()
+        }));
+        let (shard, server) = shard(&svc);
+        let p = params("{\"words\":16,\"bits\":10,\"stack\":1}");
+        let Answer::Work(work) = serve(&shard, &server, "golden.compare", &p) else {
+            panic!("a cold golden.compare must run on a worker");
+        };
+        let (cold, _) = work(&request("golden.compare", &p));
+        assert_eq!(memo_counts(&svc), (0, 1));
+        let call = Call::of("golden.compare", &p, None);
+        let Place::Now(Some(resident)) = shard.place(&call) else {
+            panic!("a resident hit is answered on the event thread");
+        };
+        assert_eq!(memo_counts(&svc), (0, 1), "deciding counts nothing");
+        {
+            let mut cache = svc.cache.lock().unwrap();
+            let key = call.key.unwrap();
+            for filler in 1.. {
+                cache.insert(key ^ filler, "x".repeat(1 << 10));
+                if !cache.contains(key) {
+                    break;
+                }
+            }
+        }
+        let (line, writes) = admit(
+            &shard.gate,
+            &svc,
+            &request("golden.compare", &p),
+            call,
+            Some(resident),
+        );
+        assert_eq!(line, cold.replace("\"cached\":false", "\"cached\":true"));
+        assert!(writes.is_empty());
+        assert_eq!(memo_counts(&svc), (1, 1));
+    }
+
+    #[test]
+    fn a_memoized_call_only_on_disk_goes_to_a_worker() {
+        // Every memoized method the table keeps off the event thread,
+        // with its body in `resp/` and not in memory: deciding reads no
+        // disk and counts nothing, the worker's answer is one disk hit.
+        let dir = std::env::temp_dir().join(format!("lim_serve_place_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let svc = Arc::new(Service::new(&ServeConfig {
+            disk_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        }));
+        let (shard, server) = shard(&svc);
+        let disk = Arc::clone(svc.disk.as_ref().expect("the cache dir opens"));
+        let p = params("{\"words\":16,\"bits\":10,\"stack\":1}");
+        let off_thread: Vec<&Method> = METHODS.iter().filter(|m| m.memo && !m.inline).collect();
+        assert!(off_thread.len() >= 4, "golden, flow, dse and rtl");
+        for (done, m) in off_thread.iter().enumerate() {
+            let key = Call::of(m.name, &p, None)
+                .key
+                .expect("a memoized call has a key");
+            disk.store_response(key, m.name, "{\"stored\":true}");
+            let Answer::Work(work) = serve(&shard, &server, m.name, &p) else {
+                panic!("{}: a body only on disk must be read on a worker", m.name);
+            };
+            assert_eq!(
+                (disk.stats().hits, memo_counts(&svc)),
+                (done as u64, (0, done as u64))
+            );
+            let (line, _) = work(&request(m.name, &p));
+            assert!(
+                line.contains("\"cached\":true,\"result\":{\"stored\":true}"),
+                "{line}"
+            );
+            assert_eq!(
+                (disk.stats().hits, memo_counts(&svc)),
+                (done as u64 + 1, (0, done as u64 + 1))
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Serializes the tests that flip the process-wide obs switch.

@@ -1339,8 +1339,8 @@ fn golden_compare_reply_digests_are_pinned() {
     // Twelve `golden.compare` entries from perfbench's `golden_sweep`
     // space (every bitcell, words 16/32/64, stacks 1/2/4/8), the last
     // repeating the third. Length and FNV-1a of the `batch` reply and
-    // of each distinct lone reply, recorded before the golden solver
-    // batched unlike configurations into one panel.
+    // of each distinct lone reply, recorded when the golden solver
+    // began eliminating each tridiagonal column from both ends.
     let configs = [
         ("6t", 16, 8, 1),
         ("8t", 32, 12, 2),
@@ -1370,22 +1370,22 @@ fn golden_compare_reply_digests_are_pinned() {
     assert!(!reply.contains("\"ok\":false"), "every entry compares: {reply}");
     assert_eq!(
         (reply.len(), fnv1a(reply.as_bytes())),
-        (5_817, 0x8a0a_4cd2_f758_212c),
+        (5_814, 0x589e_5b14_5f9c_9bd0),
         "batch reply"
     );
 
     let lone: [(usize, u64); 11] = [
-        (448, 0x015c_84ed_f76b_1eee),
-        (448, 0x75de_679a_93ea_3fe8),
-        (452, 0xca02_b637_59af_ff84),
-        (449, 0x8161_82fa_1b00_bbc0),
-        (447, 0x96db_ebf6_0e48_a18d),
-        (446, 0x9585_4363_d118_890c),
-        (452, 0x4942_e6fd_8c3a_d5c2),
-        (455, 0x731e_a6ac_3081_dcae),
-        (429, 0xce94_a162_d7f1_0a8c),
-        (432, 0xba44_f581_4e3e_9a8d),
-        (450, 0x98b1_0873_99a9_52ff),
+        (448, 0x49df_7978_3eca_7bc1),
+        (447, 0x07e6_83e2_f9b9_f391),
+        (452, 0x8178_c3ec_19ec_1a4e),
+        (449, 0x2694_c116_d0f7_7d0c),
+        (447, 0xf55d_0ef0_a1f7_cfad),
+        (446, 0x25cf_7348_1082_d1c6),
+        (451, 0x2bf1_0a9f_0341_cd71),
+        (455, 0xa799_84d2_4441_409a),
+        (431, 0x1230_97df_07f4_77e2),
+        (432, 0xf69e_e51d_d1af_e77c),
+        (447, 0x78cb_ddf3_b083_b0f7),
     ];
     for (&c, &want) in configs.iter().zip(&lone) {
         let reply = Service::new(&ServeConfig::default())
