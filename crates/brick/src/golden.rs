@@ -50,6 +50,8 @@ use lim_circuit::{
 };
 use lim_tech::units::{Femtojoules, Picoseconds, Volts};
 
+pub use lim_circuit::sparse::panel_kernel;
+
 /// Golden (transient-simulated) figures for a bank of stacked bricks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GoldenMeasurement {

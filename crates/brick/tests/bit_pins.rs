@@ -112,42 +112,42 @@ fn golden_digest(g: &GoldenMeasurement) -> u64 {
 /// One pinned configuration: `(bitcell, words, bits, stack)` and the
 /// digests of its estimate, its clk-to-q LUT and its golden measurement.
 /// The first two were recorded before the estimator and golden layer
-/// shared one periphery model, the golden digests when the panel solver
-/// began eliminating each column from both ends (the figures they moved
-/// from are `LU_GOLDEN`).
+/// shared one periphery model, the golden digests when each row of the
+/// panel solver's two-ended sweep became one fused multiply-add (the
+/// one-ended LU figures of `LU_GOLDEN` are the drift reference).
 type Pin = (BitcellKind, usize, usize, usize, u64, u64, u64);
 
 const PINS: [Pin; 30] = [
-    (Sram6T, 16, 10, 1, 0xf57d_d360_42e0_9398, 0x8286_7826_5e40_a4a8, 0x3ac6_4f10_0858_2ced),
-    (Sram6T, 16, 10, 4, 0xff96_9c4d_bd51_4832, 0xb5d5_c226_b1a8_01ef, 0x0277_8d43_48e9_7303),
-    (Sram6T, 16, 10, 16, 0xd9e8_5dc5_7998_844d, 0xc212_768a_c8ee_a809, 0x1b2e_67b6_fe4c_27ab),
-    (Sram6T, 64, 16, 1, 0xafb9_7bae_4028_df6d, 0xa032_294b_a414_4cd5, 0x676d_b8d9_5491_1552),
-    (Sram6T, 64, 16, 4, 0x882e_803e_3759_a945, 0x3fb0_d742_60ed_268c, 0xf732_207b_ae6c_26d0),
-    (Sram6T, 64, 16, 16, 0x0b95_f303_84bc_b0bc, 0xc2e2_f36f_79f7_94bd, 0xa06f_445b_03c8_eb52),
-    (Sram8T, 16, 10, 1, 0xc35b_39f2_2e34_89dc, 0xc38f_bf55_e9cd_4f79, 0xd316_4e7e_eafa_580b),
-    (Sram8T, 16, 10, 4, 0xda90_30f3_7603_e053, 0x7dc1_a711_08a9_575a, 0x3bb1_2723_86df_0c2d),
-    (Sram8T, 16, 10, 16, 0xc8c8_5f1b_0d58_6755, 0x0fe8_d72c_c6db_a0e9, 0x7d60_e07e_201b_d280),
-    (Sram8T, 64, 16, 1, 0xc7d5_2ea3_b40d_bde8, 0x9017_6905_1e6b_3edd, 0x5bc4_9106_b546_eda9),
-    (Sram8T, 64, 16, 4, 0x26d2_4b72_58b2_bbbd, 0x33ab_2794_2c3f_8f6d, 0xaa3e_065d_5705_ab63),
-    (Sram8T, 64, 16, 16, 0xc2ed_8e6b_c295_ac98, 0xc194_5d7a_1a0a_c69a, 0xc5a9_0187_be4f_34c5),
-    (Cam, 16, 10, 1, 0xc55d_bd22_f55c_f2a4, 0x7882_3902_7fd3_2c28, 0xa119_8f44_4815_b985),
-    (Cam, 16, 10, 4, 0x89e4_a0ab_c058_2b9a, 0x7882_3902_7fd3_2c28, 0x9630_cf06_c028_16c4),
-    (Cam, 16, 10, 16, 0xbd98_c9e8_c317_5479, 0x7882_3902_7fd3_2c28, 0x4227_3420_a571_0938),
-    (Cam, 64, 16, 1, 0x8ad5_af43_2d24_4aa5, 0xd77b_1c07_bc4a_1fe6, 0x1c6f_39a1_d4d2_c9e1),
-    (Cam, 64, 16, 4, 0xaadd_ea10_0a81_6eac, 0xd77b_1c07_bc4a_1fe6, 0x8b68_a0e7_d507_5888),
-    (Cam, 64, 16, 16, 0x51f4_0bc9_808e_2f92, 0x744e_edc0_8b03_1263, 0x8ed8_1aaa_473c_8443),
-    (Edram, 16, 10, 1, 0xa1cd_3732_f68e_66a1, 0xeb5a_e871_d95c_c358, 0x60a4_e1ab_06e0_a739),
-    (Edram, 16, 10, 4, 0x034d_0c06_e037_6080, 0x5041_e5fd_4dd2_7998, 0x7002_4a12_8ce9_5f6f),
-    (Edram, 16, 10, 16, 0xc4d7_48aa_1fd9_bc99, 0xff2f_de9e_8abf_2faf, 0xeb69_f197_747c_f082),
-    (Edram, 64, 16, 1, 0x86d0_9b7d_55c2_70b1, 0xe494_7d75_6833_6199, 0xdb37_1a68_d41f_cce1),
-    (Edram, 64, 16, 4, 0x64dc_c1f9_a57e_4c3e, 0xda6a_01ed_f1a7_456f, 0x0a46_0e5e_27e2_265b),
-    (Edram, 64, 16, 16, 0xfb37_b7bc_0691_10aa, 0xb75e_ff1e_d06e_5a43, 0xfcbe_0bfd_5fc9_e3f5),
-    (DualPort, 16, 10, 1, 0x1626_348e_644d_006e, 0x4d9d_0dca_1978_ffd5, 0x446f_ed15_1e18_e8a1),
-    (DualPort, 16, 10, 4, 0x8a24_c404_fc21_f293, 0xb708_c1c4_47eb_5584, 0x8f77_90f9_977c_7a21),
-    (DualPort, 16, 10, 16, 0xbf02_baf4_cd46_642b, 0x6b39_e7d3_2afe_2e28, 0xb884_0393_14ea_50fc),
-    (DualPort, 64, 16, 1, 0xbaf6_f50b_942d_ba23, 0x4437_cb9d_cfd0_279f, 0xd074_edae_5835_0a80),
-    (DualPort, 64, 16, 4, 0xdcf9_528f_ce83_4ba9, 0x92b2_f94e_2762_6b62, 0x658e_5e67_6a15_72a6),
-    (DualPort, 64, 16, 16, 0xb33b_9898_837a_5940, 0x4c88_4829_02ab_5693, 0xece9_5d60_04a7_d64f),
+    (Sram6T, 16, 10, 1, 0xf57d_d360_42e0_9398, 0x8286_7826_5e40_a4a8, 0x2037_1a70_6de5_c22c),
+    (Sram6T, 16, 10, 4, 0xff96_9c4d_bd51_4832, 0xb5d5_c226_b1a8_01ef, 0x3ba1_de61_6e22_edfb),
+    (Sram6T, 16, 10, 16, 0xd9e8_5dc5_7998_844d, 0xc212_768a_c8ee_a809, 0x378b_b3ef_416e_e6f7),
+    (Sram6T, 64, 16, 1, 0xafb9_7bae_4028_df6d, 0xa032_294b_a414_4cd5, 0x3b47_710c_bda4_49f6),
+    (Sram6T, 64, 16, 4, 0x882e_803e_3759_a945, 0x3fb0_d742_60ed_268c, 0xe1c9_c7e0_6d9d_0066),
+    (Sram6T, 64, 16, 16, 0x0b95_f303_84bc_b0bc, 0xc2e2_f36f_79f7_94bd, 0x69d5_c702_0dc7_d920),
+    (Sram8T, 16, 10, 1, 0xc35b_39f2_2e34_89dc, 0xc38f_bf55_e9cd_4f79, 0x16f7_4f94_da9d_8afc),
+    (Sram8T, 16, 10, 4, 0xda90_30f3_7603_e053, 0x7dc1_a711_08a9_575a, 0x6a2c_0b69_56b7_cc54),
+    (Sram8T, 16, 10, 16, 0xc8c8_5f1b_0d58_6755, 0x0fe8_d72c_c6db_a0e9, 0xfbf3_8545_1bee_a92d),
+    (Sram8T, 64, 16, 1, 0xc7d5_2ea3_b40d_bde8, 0x9017_6905_1e6b_3edd, 0x4277_b614_b52c_7324),
+    (Sram8T, 64, 16, 4, 0x26d2_4b72_58b2_bbbd, 0x33ab_2794_2c3f_8f6d, 0x9913_8c74_95ab_0de9),
+    (Sram8T, 64, 16, 16, 0xc2ed_8e6b_c295_ac98, 0xc194_5d7a_1a0a_c69a, 0xd9b9_d5c6_1494_51d9),
+    (Cam, 16, 10, 1, 0xc55d_bd22_f55c_f2a4, 0x7882_3902_7fd3_2c28, 0xb7c0_4d68_ed1d_68bf),
+    (Cam, 16, 10, 4, 0x89e4_a0ab_c058_2b9a, 0x7882_3902_7fd3_2c28, 0x2d62_b202_9ac6_68a9),
+    (Cam, 16, 10, 16, 0xbd98_c9e8_c317_5479, 0x7882_3902_7fd3_2c28, 0x38e3_059b_83e4_c700),
+    (Cam, 64, 16, 1, 0x8ad5_af43_2d24_4aa5, 0xd77b_1c07_bc4a_1fe6, 0xd186_69f4_bd49_186a),
+    (Cam, 64, 16, 4, 0xaadd_ea10_0a81_6eac, 0xd77b_1c07_bc4a_1fe6, 0xccc6_180e_2de0_e7b1),
+    (Cam, 64, 16, 16, 0x51f4_0bc9_808e_2f92, 0x744e_edc0_8b03_1263, 0x3051_464e_e63c_1a7b),
+    (Edram, 16, 10, 1, 0xa1cd_3732_f68e_66a1, 0xeb5a_e871_d95c_c358, 0x98ed_78b6_ddf2_9a37),
+    (Edram, 16, 10, 4, 0x034d_0c06_e037_6080, 0x5041_e5fd_4dd2_7998, 0x23b5_d3f7_d60f_08fa),
+    (Edram, 16, 10, 16, 0xc4d7_48aa_1fd9_bc99, 0xff2f_de9e_8abf_2faf, 0xc06a_cdfd_b01c_8fc6),
+    (Edram, 64, 16, 1, 0x86d0_9b7d_55c2_70b1, 0xe494_7d75_6833_6199, 0x8296_1b79_ff3c_9582),
+    (Edram, 64, 16, 4, 0x64dc_c1f9_a57e_4c3e, 0xda6a_01ed_f1a7_456f, 0x2ee9_5e80_44ea_47b7),
+    (Edram, 64, 16, 16, 0xfb37_b7bc_0691_10aa, 0xb75e_ff1e_d06e_5a43, 0x0801_cfe2_5b2e_9bc6),
+    (DualPort, 16, 10, 1, 0x1626_348e_644d_006e, 0x4d9d_0dca_1978_ffd5, 0x1bc9_0925_9702_477c),
+    (DualPort, 16, 10, 4, 0x8a24_c404_fc21_f293, 0xb708_c1c4_47eb_5584, 0xe010_9bbf_98b9_9732),
+    (DualPort, 16, 10, 16, 0xbf02_baf4_cd46_642b, 0x6b39_e7d3_2afe_2e28, 0x9f79_4884_b6a9_50e7),
+    (DualPort, 64, 16, 1, 0xbaf6_f50b_942d_ba23, 0x4437_cb9d_cfd0_279f, 0x57d7_de06_6bef_670d),
+    (DualPort, 64, 16, 4, 0xdcf9_528f_ce83_4ba9, 0x92b2_f94e_2762_6b62, 0x6344_4e47_af1c_a0f5),
+    (DualPort, 64, 16, 16, 0xb33b_9898_837a_5940, 0x4c88_4829_02ab_5693, 0xe1f0_3f3a_bcbe_e14a),
 ];
 
 fn configs() -> Vec<(BrickSpec, usize)> {

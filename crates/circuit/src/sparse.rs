@@ -32,10 +32,14 @@
 //! column is eliminated from its first row downward and from its last
 //! row upward to a middle row ([`middle_row`]), so a step is two
 //! independent chains of about `n/2` rows per column, and one sweep
-//! advances the 2·[`PANEL_LANES`] chains of a lane group together. The
-//! sweep folds the transient's `C/Δt` history multiply into its forward
-//! pass (one fewer pass over the panel per step) and goes only as far
-//! as its caller asks.
+//! advances the 2·[`PANEL_LANES`] chains of a lane group together. Each
+//! row of a chain is one fused multiply-add on its predecessor's value,
+//! so a recurrence step waits on one rounding, not two or three; the
+//! step runs the copy compiled for FMA3 where the CPU has it and the
+//! baseline copy, with the same bits, elsewhere. The sweep folds the
+//! transient's `C/Δt` history multiply into its forward pass (one fewer
+//! pass over the panel per step) and goes only as far as its caller
+//! asks.
 
 /// Undirected adjacency lists over `n` nodes built from an edge
 /// iterator. Self-loops are ignored; duplicate edges are deduplicated.
@@ -267,13 +271,36 @@ impl Banded {
     }
 }
 
+/// Whether the CPU runs fused multiply-adds in hardware; cached by the
+/// standard library after the first call.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+fn fma_detected() -> bool {
+    std::arch::is_x86_feature_detected!("fma")
+}
+
+/// The copy of [`TridiagonalPanel::step`] this host runs: `"fma"` for
+/// the one compiled with the x86 `fma` target feature, on a CPU that
+/// reports it, and `"portable"` for the baseline copy everywhere else.
+/// Both compute the same bits. On a target whose baseline has a fused
+/// multiply-add instruction (aarch64) the baseline copy uses it; on an
+/// x86-64 CPU without FMA3 each of its fused steps is a call to libm's
+/// `fma`, and the step is about 11x slower.
+pub fn panel_kernel() -> &'static str {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if fma_detected() {
+        return "fma";
+    }
+    "portable"
+}
+
 /// Columns one lane group of a [`TridiagonalPanel`] steps together.
 ///
 /// Four, not eight: each lane carries two chains (the top and bottom
 /// halves of its column), so a group already advances eight
-/// recurrences at once — four 2-wide SSE2 registers per carried row on
-/// the baseline x86-64 target — and the golden flow cuts its sims into
-/// panels of this many columns that fan out across worker threads.
+/// recurrences at once — two 4-wide AVX registers per carried row in
+/// the FMA copy of [`TridiagonalPanel::step`] — and the golden flow
+/// cuts its sims into panels of this many columns that fan out across
+/// worker threads.
 /// Eight lanes (one panel per four-configuration batch) measured slower
 /// when each lane carried one chain.
 pub const PANEL_LANES: usize = 4;
@@ -354,8 +381,9 @@ pub struct TridiagonalPanel {
     /// row (0 on a chain's first row and on inert rows).
     l: Vec<Chains>,
     /// Per panel row and chain: the coupling to the chain's next row
-    /// toward the middle (0 on a chain's last row, whose coupling to
-    /// the middle row is its lane's [`Middle`], and on inert rows).
+    /// toward the middle times the row's reciprocal pivot (0 on a
+    /// chain's last row, whose coupling to the middle row is its lane's
+    /// [`Middle`], and on inert rows).
     u: Vec<Chains>,
     /// Per panel row and chain: the pivot's reciprocal (1 on inert
     /// rows).
@@ -420,10 +448,15 @@ impl TridiagonalPanel {
     ///
     /// The top chain is eliminated downward from row 0 and the bottom
     /// chain upward from the last row, each as [`Banded::factor`]
-    /// eliminates (so the top chain's factors are its LU's); the middle
-    /// row then subtracts both neighbours' eliminators. Every pivot
-    /// passes the relative test of [`Banded::factor`] against its own
-    /// assembled row.
+    /// eliminates (so the top chain's eliminators and pivots are its
+    /// LU's); the middle row then subtracts both neighbours'
+    /// eliminators. Every pivot passes the relative test of
+    /// [`Banded::factor`] against its own assembled row. Each chain
+    /// row's coupling toward the middle is stored pre-scaled, as
+    /// `u′ = u·(1/pivot)`, so the backward pass of
+    /// [`TridiagonalPanel::step`] is one fused multiply-add per row,
+    /// `fma(−u′, carry, x·inv)`, where `(x − u·carry)·inv` took a
+    /// multiply, a subtract and a multiply in series.
     ///
     /// # Errors
     ///
@@ -456,7 +489,7 @@ impl TridiagonalPanel {
             }
             let inv = check(i, d)?;
             self.l[base + i][lane] = l;
-            self.u[base + i][lane] = if i + 1 < top { a.get(i, i + 1) } else { 0.0 };
+            self.u[base + i][lane] = if i + 1 < top { a.get(i, i + 1) * inv } else { 0.0 };
             self.inv[base + i][lane] = inv;
             pivot = d;
         }
@@ -473,7 +506,7 @@ impl TridiagonalPanel {
             let inv = check(i, d)?;
             let chain = PANEL_LANES + lane;
             self.l[base + j][chain] = l;
-            self.u[base + j][chain] = if j + 1 < bottom { a.get(i, i - 1) } else { 0.0 };
+            self.u[base + j][chain] = if j + 1 < bottom { a.get(i, i - 1) * inv } else { 0.0 };
             self.inv[base + j][chain] = inv;
             pivot = d;
         }
@@ -507,18 +540,39 @@ impl TridiagonalPanel {
     /// untouched. A group whose `live` is 0 is skipped.
     ///
     /// One step per lane group: a forward pass from both ends of every
-    /// column toward its middle that scales each row and eliminates the
-    /// one before it, then each lane's middle row, solved from the last
-    /// row of both its chains and folded back into them, then a
-    /// backward pass from the middle out to both ends. Each pass reads
-    /// whole panel rows and carries its chains' running values in a
+    /// column toward its middle, then each lane's middle row, solved
+    /// from the last row of both its chains and folded back into them,
+    /// then a backward pass from the middle out to both ends. Each row
+    /// of a pass is one fused multiply-add on the chain's carried
+    /// value, rounded once: `fma(−l, carry, x·scale)` on the way in
+    /// (the row's scaled right-hand side less its eliminator times the
+    /// chain's previous row) and `fma(−u′, carry, x·inv)` on the way
+    /// out, with the pre-scaled coupling `u′` that
+    /// [`TridiagonalPanel::set_column`] stores. Each pass reads whole
+    /// panel rows and carries its chains' running values in a
     /// fixed-size array, so the next row reads its predecessor from a
     /// register and the group's 2·[`PANEL_LANES`] serial recurrences
-    /// overlap. A column's real rows come before its inert ones on the
-    /// way in, and on the way out the carry reaching a chain's last row
-    /// is `+0` and meets a zero coupling (the middle's term was already
-    /// folded in), which changes no bit: each column is bit-identical
-    /// to a one-column panel of its own height.
+    /// overlap.
+    ///
+    /// Padding changes no bit. On the way in a column's real rows come
+    /// before its inert ones: a chain's first row computes
+    /// `fma(−0, +0, x·scale) = x·scale` exactly, and an inert row
+    /// `fma(−0, c, (+0)·(+0)) = +0` for any finite incoming carry `c`.
+    /// On the way out the carry reaching a chain's last row is that
+    /// `+0` and meets a zero coupling (the middle's term was already
+    /// folded in), so the row computes `fma(−0, +0, x·inv) = x·inv`
+    /// exactly, signed zeros included. Each column is thus
+    /// bit-identical to a one-column panel of its own height.
+    ///
+    /// The step's body is compiled twice: once with the x86 `fma`
+    /// target feature, which this method runs when the CPU reports
+    /// that feature at run time (one cached atomic load per call), and
+    /// once for the target's baseline, which runs everywhere else. Both
+    /// copies compute each fused step with [`f64::mul_add`], which is
+    /// correctly rounded whether it is one instruction or libm's `fma`,
+    /// so every host computes the same bits; on an x86-64 CPU without
+    /// FMA3 the baseline copy is about 11x slower. [`panel_kernel`]
+    /// names the copy this host runs.
     ///
     /// # Panics
     ///
@@ -526,6 +580,31 @@ impl TridiagonalPanel {
     /// more entries than the panel has lane groups or an entry taller
     /// than the panel's tallest column.
     pub fn step(&self, x: &mut [f64], scale: &[f64], live: &[usize]) {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if fma_detected() {
+            // SAFETY: the CPU reported the `fma` feature at run time.
+            return unsafe { self.step_fma(x, scale, live) };
+        }
+        self.sweep(x, scale, live);
+    }
+
+    /// [`TridiagonalPanel::sweep`] compiled for CPUs with FMA3.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "fma")]
+    fn step_fma(&self, x: &mut [f64], scale: &[f64], live: &[usize]) {
+        self.sweep(x, scale, live);
+    }
+
+    /// The baseline copy of the step, whatever the CPU reports.
+    #[cfg(test)]
+    fn step_portable(&self, x: &mut [f64], scale: &[f64], live: &[usize]) {
+        self.sweep(x, scale, live);
+    }
+
+    /// The body of [`TridiagonalPanel::step`], inlined into each copy
+    /// so it is compiled for that copy's target features.
+    #[inline(always)]
+    fn sweep(&self, x: &mut [f64], scale: &[f64], live: &[usize]) {
         let stride = self.stride();
         assert!(
             x.len() == self.slots() && scale.len() == x.len(),
@@ -545,11 +624,12 @@ impl TridiagonalPanel {
             let (scale, _) = scale.as_chunks::<{ 2 * PANEL_LANES }>();
             let x = &mut x[..rows];
             let coeffs = g * self.rows..g * self.rows + rows;
-            // Forward: x_j = scale_j·x_j − l_j·x_{j−1} along every chain.
+            // Forward: x_j = fma(−l_j, x_{j−1}, scale_j·x_j) along every
+            // chain.
             let mut carry = [0.0; 2 * PANEL_LANES];
             for ((x, m), l) in x.iter_mut().zip(scale).zip(&self.l[coeffs.clone()]) {
                 for k in 0..2 * PANEL_LANES {
-                    carry[k] = x[k] * m[k] - l[k] * carry[k];
+                    carry[k] = (-l[k]).mul_add(carry[k], x[k] * m[k]);
                 }
                 *x = carry;
             }
@@ -577,13 +657,13 @@ impl TridiagonalPanel {
                     x[bottom - 1][PANEL_LANES + k] -= m.to_bottom * v;
                 }
             }
-            // Backward: x_j = (x_j − u_j·x_{j+1})·inv_j from the middle
-            // out.
+            // Backward: x_j = fma(−u′_j, x_{j+1}, x_j·inv_j) from the
+            // middle out.
             let mut carry = [0.0; 2 * PANEL_LANES];
             let coeffs = self.u[coeffs.clone()].iter().zip(&self.inv[coeffs]);
             for (x, (u, inv)) in x.iter_mut().zip(coeffs).rev() {
                 for k in 0..2 * PANEL_LANES {
-                    carry[k] = (x[k] - u[k] * carry[k]) * inv[k];
+                    carry[k] = (-u[k]).mul_add(carry[k], x[k] * inv[k]);
                 }
                 *x = carry;
             }
@@ -781,20 +861,24 @@ mod tests {
         a
     }
 
-    #[test]
-    fn panel_sweep_is_bit_identical_to_lone_solves() {
-        // Oracle: random diagonally dominant tridiagonal systems of
-        // unequal heights (1–3 rows often, both parities) and random row
-        // scales (some exactly 0 or 1), one per column at panel widths
-        // 1–9, so most chains are padded with inert rows and most panels
-        // with inert lanes. Some columns are retired: their scale is 0,
-        // as the engine leaves it, and each lane group sweeps only as far
-        // as its tallest running column. Every running column must match
-        // a one-column panel of its own height to the bit, signed zeros
-        // included, and its LU solve to rounding; inert slots must stay
-        // +0; a retired column's swept rows end at ±0, and no row past a
-        // group's cut-off changes.
-        prop::check("tridiagonal_panel_oracle", |rng| {
+    /// A random panel to step: columns of unequal heights (1–3 rows
+    /// often, both parities) at widths 1–9, so most chains are padded
+    /// with inert rows and most panels with inert lanes, each with a
+    /// random diagonally dominant system, right-hand side (some entries
+    /// ±0) and row scales (some exactly 0 or 1). Some columns are
+    /// retired: their scale is 0, as the engine leaves it, and each
+    /// lane group sweeps only as far as its tallest running column.
+    struct PanelCase {
+        heights: Vec<usize>,
+        retired: Vec<bool>,
+        /// Per lane group: the height of its tallest running column.
+        live: Vec<usize>,
+        /// Per column: its system, right-hand side and row scales.
+        columns: Vec<(Banded, Vec<f64>, Vec<f64>)>,
+    }
+
+    impl PanelCase {
+        fn random(rng: &mut lim_testkit::rng::TestRng) -> PanelCase {
             let width = 1 + rng.bounded(9) as usize;
             let heights: Vec<usize> = (0..width)
                 .map(|_| {
@@ -807,36 +891,71 @@ mod tests {
             for c in (0..width).filter(|&c| !retired[c]) {
                 live[c / PANEL_LANES] = live[c / PANEL_LANES].max(heights[c]);
             }
-            let mut panel = TridiagonalPanel::new(&heights);
+            let columns = heights
+                .iter()
+                .zip(&retired)
+                .map(|(&n, &retired)| {
+                    let a = random_tridiagonal(rng, n);
+                    let b: Vec<f64> = (0..n)
+                        .map(|_| match rng.bounded(8) {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => rng.unit_f64() * 2.0 - 1.0,
+                        })
+                        .collect();
+                    let m: Vec<f64> = (0..n)
+                        .map(|_| match rng.bounded(8) {
+                            _ if retired => 0.0,
+                            0 => 0.0,
+                            1 => 1.0,
+                            _ => 0.1 + 5.0 * rng.unit_f64(),
+                        })
+                        .collect();
+                    (a, b, m)
+                })
+                .collect();
+            PanelCase {
+                heights,
+                retired,
+                live,
+                columns,
+            }
+        }
+
+        /// The factored panel and its flat value and scale arrays.
+        fn load(&self) -> (TridiagonalPanel, Vec<f64>, Vec<f64>) {
+            let mut panel = TridiagonalPanel::new(&self.heights);
             let mut x = vec![0.0; panel.slots()];
             let mut scale = vec![0.0; x.len()];
-            let mut lone = Vec::new();
-            for (c, &n) in heights.iter().enumerate() {
-                let a = random_tridiagonal(rng, n);
+            for (c, (a, b, m)) in self.columns.iter().enumerate() {
                 panel
-                    .set_column(c, &a)
+                    .set_column(c, a)
                     .expect("diagonally dominant systems factor");
-                let b: Vec<f64> = (0..n)
-                    .map(|_| match rng.bounded(8) {
-                        0 => 0.0,
-                        1 => -0.0,
-                        _ => rng.unit_f64() * 2.0 - 1.0,
-                    })
-                    .collect();
-                let m: Vec<f64> = (0..n)
-                    .map(|_| match rng.bounded(8) {
-                        _ if retired[c] => 0.0,
-                        0 => 0.0,
-                        1 => 1.0,
-                        _ => 0.1 + 5.0 * rng.unit_f64(),
-                    })
-                    .collect();
-                for i in 0..n {
+                for i in 0..a.n {
                     (x[panel.slot(c, i)], scale[panel.slot(c, i)]) = (b[i], m[i]);
                 }
+            }
+            (panel, x, scale)
+        }
+    }
+
+    #[test]
+    fn panel_sweep_is_bit_identical_to_lone_solves() {
+        // Oracle over random panels (`PanelCase`): every running column
+        // must match a one-column panel of its own height to the bit,
+        // signed zeros included, and its LU solve to rounding; inert
+        // slots must stay +0; a retired column's swept rows end at ±0,
+        // and no row past a group's cut-off changes.
+        prop::check("tridiagonal_panel_oracle", |rng| {
+            let case = PanelCase::random(rng);
+            let (heights, retired, live) = (&case.heights, &case.retired, &case.live);
+            let (panel, mut x, scale) = case.load();
+            let mut lone = Vec::new();
+            for (a, b, m) in &case.columns {
+                let n = a.n;
                 let mut alone = TridiagonalPanel::new(&[n]);
                 alone
-                    .set_column(0, &a)
+                    .set_column(0, a)
                     .expect("the same system factors alone");
                 let (mut ax, mut am) = (vec![0.0; alone.slots()], vec![0.0; alone.slots()]);
                 for i in 0..n {
@@ -846,8 +965,8 @@ mod tests {
                 let want: Vec<f64> = (0..n).map(|i| ax[alone.slot(0, i)]).collect();
                 let mut lu = a.clone();
                 lu.factor().expect("and by LU");
-                let mut by_lu = b;
-                lu.step(&mut by_lu, &m);
+                let mut by_lu = b.clone();
+                lu.step(&mut by_lu, m);
                 let norm = by_lu.iter().fold(0.0f64, |s, v| s.max(v.abs()));
                 for (i, (v, u)) in want.iter().zip(&by_lu).enumerate() {
                     assert!(
@@ -858,7 +977,7 @@ mod tests {
                 lone.push(want);
             }
             let before = x.clone();
-            panel.step(&mut x, &scale, &live);
+            panel.step(&mut x, &scale, live);
             let mut owned = vec![false; x.len()];
             for (c, want) in lone.iter().enumerate() {
                 let (n, cut) = (heights[c], middle_row(live[c / PANEL_LANES]));
@@ -883,6 +1002,24 @@ mod tests {
             }
             for (at, v) in x.iter().enumerate().filter(|&(at, _)| !owned[at]) {
                 assert_eq!(v.to_bits(), 0, "inert slot {at}");
+            }
+        });
+    }
+
+    #[test]
+    fn dispatched_and_portable_steps_agree_to_the_bit() {
+        // On a CPU with FMA3 the dispatched step runs the copy compiled
+        // for it and the portable copy calls libm's `fma`; both round
+        // each fused step once, so every slot of a random panel
+        // (`PanelCase`) must come out the same, signed zeros included.
+        prop::check("panel_kernels_agree", |rng| {
+            let case = PanelCase::random(rng);
+            let (panel, x, scale) = case.load();
+            let (mut dispatched, mut portable) = (x.clone(), x);
+            panel.step(&mut dispatched, &scale, &case.live);
+            panel.step_portable(&mut portable, &scale, &case.live);
+            for (at, (d, p)) in dispatched.iter().zip(&portable).enumerate() {
+                assert_eq!(d.to_bits(), p.to_bits(), "slot {at} ({} kernel)", panel_kernel());
             }
         });
     }

@@ -30,7 +30,8 @@
 //! that multiplies each row by its `C/Δt` (the history term) as it
 //! eliminates, then each column's middle row, then a backward pass out
 //! to both ends, both passes carrying the chains' running values in
-//! registers so their serial recurrences overlap. A row that carries a
+//! registers so their serial recurrences overlap, each row one fused
+//! multiply-add on its chain's carried value. A row that carries a
 //! source is finished before the sweep, in a lone run's order (`C/Δt`,
 //! then each source's current), and swept with a unit multiplier, so no
 //! bit moves. A lane group sweeps only as far as its tallest running
@@ -1280,9 +1281,9 @@ mod tests {
 
     #[test]
     fn engine_bits_are_pinned() {
-        // Recorded when the panel began eliminating each column from
-        // both ends; the wide run (an LU) and the one-row column kept
-        // their digests. Every node is probed in the lone runs.
+        // Recorded when each panel row became one fused multiply-add
+        // per recurrence; the wide run (an LU) and the one-row column
+        // kept their digests. Every node is probed in the lone runs.
         let window = |t_end: f64, dt: f64| (Picoseconds::new(t_end), Picoseconds::new(dt));
         let lone = |ckt: &Circuit, (t_end, dt): (Picoseconds, Picoseconds)| {
             result_digest(&TransientSim::new(ckt).run(t_end, dt).unwrap())
@@ -1340,21 +1341,21 @@ mod tests {
         }
 
         let want: [(&str, u64); 15] = [
-            ("ladder_16", 0x6239_7743_019d_c451),
-            ("ladder_64", 0x5b60_9dc7_48cc_208b),
-            ("ladder_160", 0x3818_8bb6_38a5_e1c8),
-            ("timed_switch", 0xe232_19d9_c97c_0077),
-            ("vc_switch", 0x5b8d_76af_7b22_46e8),
+            ("ladder_16", 0xad79_a357_f063_74d2),
+            ("ladder_64", 0x828d_563f_0b3b_02b0),
+            ("ladder_160", 0x249a_0758_5d4c_97c7),
+            ("timed_switch", 0x6031_4899_35af_311f),
+            ("vc_switch", 0xf484_0079_6fc7_30f9),
             ("wide", 0x196e_53fd_111d_ecd3),
-            ("batch_0", 0x5cd5_9932_2313_0cfc),
-            ("batch_1", 0x44f3_0b1c_4b6b_a319),
-            ("batch_2", 0x7857_00d4_c6a1_44d3),
-            ("batch_3", 0xaf74_ffca_f341_12ed),
-            ("batch_4", 0x872e_a717_72a4_7267),
-            ("batch_5", 0x3edd_87fd_f1f8_aca8),
+            ("batch_0", 0x1fa2_7ef1_f370_92ea),
+            ("batch_1", 0xca24_da8f_5639_ea34),
+            ("batch_2", 0xc03e_155f_6cb0_a2f5),
+            ("batch_3", 0x7ab8_0110_4c84_9ac8),
+            ("batch_4", 0x5663_0be3_15c0_8862),
+            ("batch_5", 0x1e57_a80d_de55_ba26),
             ("batch_6", 0x8fa7_13eb_2037_cdb3),
-            ("batch_7", 0x245f_cfd4_cbb7_44b5),
-            ("batch_8", 0xb42f_6eae_97a7_3b81),
+            ("batch_7", 0x3abd_da58_f1d9_9e34),
+            ("batch_8", 0x891c_781d_8aaf_c13b),
         ];
         let want: Vec<(String, u64)> = want.iter().map(|&(n, d)| (n.to_string(), d)).collect();
         assert_eq!(got, want);

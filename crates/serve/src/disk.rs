@@ -14,7 +14,7 @@
 //! callers outside the service; the service neither writes nor reads
 //! `lib/`.
 //!
-//! Every file starts with a `lim-disk-v3` stamp. Writes go to
+//! Every file starts with a `lim-disk-v4` stamp. Writes go to
 //! `tmp/<name>.<pid>.<seq>` and are published with `rename(2)`, so a
 //! crash mid-write leaves at worst an orphan tmp file, never a torn
 //! entry. Unreadable entries are counted (`corrupt`), removed
@@ -23,16 +23,17 @@
 //! older format wrote is recomputed on its first miss. The stamp also
 //! stands for the bytes a reply holds: a change that moves any reply
 //! byte bumps it, so a daemon restarted on an old directory serves
-//! nothing the old build computed. v3 has v2's layout; it was bumped
-//! when the golden solver's elimination order moved the last digits of
-//! `golden.compare` replies.
+//! nothing the old build computed. v3 and v4 have v2's layout; v3 was
+//! bumped when the golden solver's elimination order moved the last
+//! digits of `golden.compare` replies, and v4 when its panel step began
+//! rounding each recurrence once, as a fused multiply-add.
 //!
 //! # Checking a response without parsing it
 //!
 //! A response file is
 //!
 //! ```text
-//! lim-disk-v3 resp <key:016x> <method> <body length> <digest:016x>
+//! lim-disk-v4 resp <key:016x> <method> <body length> <digest:016x>
 //! <body>
 //! ```
 //!
@@ -56,7 +57,7 @@ use std::sync::Arc;
 
 /// Version stamp on every cache file; bump on any layout change and on
 /// any change to the bytes of a reply.
-pub const DISK_FORMAT: &str = "lim-disk-v3";
+pub const DISK_FORMAT: &str = "lim-disk-v4";
 
 /// Longest response header a load reads before giving up on finding
 /// its newline; [`DiskCache::store_response`] never writes a longer
@@ -547,8 +548,8 @@ mod tests {
 
     #[test]
     fn v1_entries_are_stale_and_removed() {
-        // A v1 entry, and a v2 entry well formed in every other field
-        // (v3 kept v2's layout but not its reply bytes).
+        // A v1 entry, and v2 and v3 entries well formed in every other
+        // field (v3 and v4 kept v2's layout but not its reply bytes).
         let dir = scratch_dir("v1");
         let cache = DiskCache::open(&dir).unwrap();
         let path = dir.join("resp/000000000000000c.json");
@@ -562,14 +563,16 @@ mod tests {
         assert_eq!((s.stale, s.corrupt, s.hits), (1, 0, 0));
         assert!(!path.exists(), "stale entry left behind");
         let path = dir.join("resp/000000000000000d.json");
-        let v3 = v2_entry(13, "{}", "{}");
-        assert!(v3.starts_with("lim-disk-v3 "));
-        fs::write(&path, v3.replacen("lim-disk-v3 ", "lim-disk-v2 ", 1)).unwrap();
-        assert_eq!(cache.load_response(13), None);
-        let s = cache.stats();
-        assert_eq!((s.stale, s.corrupt, s.hits), (2, 0, 0));
-        assert!(!path.exists(), "stale v2 entry left behind");
-        fs::write(&path, &v3).unwrap();
+        let v4 = v2_entry(13, "{}", "{}");
+        assert!(v4.starts_with("lim-disk-v4 "));
+        for (old, stale) in [("lim-disk-v2 ", 2), ("lim-disk-v3 ", 3)] {
+            fs::write(&path, v4.replacen("lim-disk-v4 ", old, 1)).unwrap();
+            assert_eq!(cache.load_response(13), None, "{old}");
+            let s = cache.stats();
+            assert_eq!((s.stale, s.corrupt, s.hits), (stale, 0, 0), "{old}");
+            assert!(!path.exists(), "stale {old}entry left behind");
+        }
+        fs::write(&path, &v4).unwrap();
         assert_eq!(cache.load_response(13).as_deref(), Some("{}"));
         fs::remove_dir_all(&dir).unwrap();
     }

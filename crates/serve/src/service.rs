@@ -222,6 +222,15 @@ const STAGES: [&str; 9] = [
     "rtl.parse",
 ];
 
+/// The errors of each computed `golden.compare`, in parts per million,
+/// that `server.stats` reports under `golden`: `|delay_error|`,
+/// `|read_energy_error|` and `|write_energy_error|`.
+const GOLDEN_ERRORS: [&str; 3] = [
+    "delay_error_ppm",
+    "read_energy_error_ppm",
+    "write_energy_error_ppm",
+];
+
 /// Tuning knobs shared by the service and the server front end.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -300,6 +309,8 @@ pub struct Service {
     golden_batches: AtomicU64,
     golden_sims: AtomicU64,
     golden_groups: AtomicU64,
+    /// One histogram per [`GOLDEN_ERRORS`] entry.
+    golden_errors: Mutex<[Histogram; GOLDEN_ERRORS.len()]>,
 }
 
 impl Service {
@@ -332,6 +343,7 @@ impl Service {
             golden_batches: AtomicU64::new(0),
             golden_sims: AtomicU64::new(0),
             golden_groups: AtomicU64::new(0),
+            golden_errors: Mutex::new(std::array::from_fn(|_| Histogram::new())),
         }
     }
 
@@ -593,13 +605,34 @@ impl Service {
 
     /// Every `golden.compare` reply, in input order, from one golden
     /// batch, counted in `golden.*`: a lone request is a batch of one.
-    /// The batch compiles its own bricks, so the shared library stays as
-    /// it was.
+    /// Each distinct configuration it compares records its errors in
+    /// the [`GOLDEN_ERRORS`] histograms. The batch compiles its own
+    /// bricks, so the shared library stays as it was.
     fn golden_batch(&self, configs: &[(BrickSpec, usize)]) -> Vec<Result<String, ServeError>> {
         let report = golden::compare_batch_results(&self.tech, configs);
         self.golden_batches.fetch_add(1, Ordering::Relaxed);
         self.golden_sims.fetch_add(report.sims as u64, Ordering::Relaxed);
         self.golden_groups.fetch_add(report.groups as u64, Ordering::Relaxed);
+        let mut hists = self
+            .golden_errors
+            .lock()
+            .expect("golden error histograms lock poisoned");
+        for (i, r) in report.results.iter().enumerate() {
+            let Ok(cmp) = r else { continue };
+            if configs[..i].contains(&configs[i]) {
+                continue;
+            }
+            let errors = [
+                cmp.delay_error(),
+                cmp.read_energy_error(),
+                cmp.write_energy_error(),
+            ];
+            // The histograms bucket any integer; these are ppm, not ns.
+            for (h, e) in hists.iter_mut().zip(errors) {
+                h.record_ns((e.abs() * 1e6).round() as u64);
+            }
+        }
+        drop(hists);
         report
             .results
             .into_iter()
@@ -1015,7 +1048,7 @@ impl Service {
         let batches = self.golden_batches.load(Ordering::Relaxed);
         let sims = self.golden_sims.load(Ordering::Relaxed);
         let groups = self.golden_groups.load(Ordering::Relaxed);
-        let golden_v = obj(vec![
+        let mut golden_members = vec![
             ("batches", num(batches as f64)),
             ("sims", num(sims as f64)),
             ("panel_groups", num(groups as f64)),
@@ -1029,7 +1062,28 @@ impl Service {
                     sims as f64 / groups as f64
                 }),
             ),
-        ]);
+            // The copy of the panel step this CPU runs: `portable` is
+            // the same bits, ~11x slower on x86-64 without FMA3.
+            ("kernel", Value::String(golden::panel_kernel().into())),
+        ];
+        let hists = self
+            .golden_errors
+            .lock()
+            .expect("golden error histograms lock poisoned")
+            .clone();
+        for (name, h) in GOLDEN_ERRORS.into_iter().zip(hists) {
+            let s = h.summary();
+            golden_members.push((
+                name,
+                obj(vec![
+                    ("count", num(s.count as f64)),
+                    ("p50", num(s.p50_ns as f64)),
+                    ("p99", num(s.p99_ns as f64)),
+                    ("max", num(s.max_ns as f64)),
+                ]),
+            ));
+        }
+        let golden_v = obj(golden_members);
         let endpoints_v = Value::Object(
             self.endpoint_slots()
                 .into_iter()
@@ -1653,6 +1707,56 @@ mod tests {
             golden.get("panel_occupancy").and_then(Value::as_f64),
             Some(4.0)
         );
+    }
+
+    #[test]
+    fn golden_error_histograms_count_each_computed_comparison() {
+        // Three distinct configurations and a repeat of the first in one
+        // batch: each histogram counts the three comparisons, and its
+        // max is the largest error the replies carry, in ppm. A memo hit
+        // afterwards adds nothing.
+        let svc = Service::new(&ServeConfig::default());
+        let out = svc.call(
+            "batch",
+            &params(
+                "{\"requests\":[\
+                 {\"method\":\"golden.compare\",\"params\":{\"words\":16,\"bits\":10,\"stack\":1}},\
+                 {\"method\":\"golden.compare\",\"params\":{\"bitcell\":\"8t\",\"words\":16,\"bits\":12,\"stack\":2}},\
+                 {\"method\":\"golden.compare\",\"params\":{\"bitcell\":\"cam\",\"words\":32,\"bits\":9,\"stack\":4}},\
+                 {\"method\":\"golden.compare\",\"params\":{\"words\":16,\"bits\":10,\"stack\":1}}]}",
+            ),
+        );
+        let v = Value::parse(&out.result.unwrap()).unwrap();
+        let results = v.get("results").and_then(Value::as_array).unwrap();
+        let figures = ["delay", "read_energy", "write_energy"];
+        let mut want = [0.0f64; 3];
+        for r in results {
+            let error = r.get("result").and_then(|r| r.get("error")).unwrap();
+            for (w, figure) in want.iter_mut().zip(figures) {
+                let e = error.get(figure).and_then(Value::as_f64).unwrap();
+                *w = w.max((e.abs() * 1e6).round());
+            }
+        }
+        let check = |svc: &Service| {
+            let stats = svc.stats_value();
+            let golden = stats.get("golden").unwrap();
+            let kernel = golden.get("kernel").and_then(Value::as_str);
+            assert!(matches!(kernel, Some("fma" | "portable")), "{kernel:?}");
+            for (name, want) in GOLDEN_ERRORS.into_iter().zip(want) {
+                let h = golden.get(name).unwrap();
+                let field = |f| h.get(f).and_then(Value::as_f64).unwrap();
+                assert_eq!(field("count"), 3.0, "{name}");
+                assert_eq!(field("max"), want, "{name}");
+                assert!(field("p50") <= field("p99") && field("p99") <= want, "{name}");
+            }
+        };
+        check(&svc);
+        let again = svc.call(
+            "golden.compare",
+            &params("{\"bitcell\":\"8t\",\"words\":16,\"bits\":12,\"stack\":2}"),
+        );
+        assert!(again.cached);
+        check(&svc);
     }
 
     #[test]

@@ -78,7 +78,8 @@ client --method golden.compare --params '{"words":16,"bits":10,"stack":2}' >/dev
 # Batched golden validation: a small golden.compare batch must come
 # back all-ok through the multi-RHS panel path, a repeat of one entry
 # must hit the memo the batch populated, and server.stats must report
-# the panel-occupancy figures the batch recorded.
+# the panel-occupancy figures and the error histograms the batch
+# recorded.
 golden_batch=$(client --method batch --params '{"requests":[{"method":"golden.compare","params":{"words":16,"bits":10,"stack":1}},{"method":"golden.compare","params":{"words":16,"bits":10,"stack":4}},{"method":"golden.compare","params":{"words":16,"bits":10,"stack":1}}]}')
 echo "$golden_batch" | grep -q '"ok":true' \
     || { echo "golden.compare batch failed" >&2; exit 1; }
@@ -89,8 +90,13 @@ fi
 client --method golden.compare --params '{"words":16,"bits":10,"stack":4}' \
     | grep -q '"cached":true' \
     || { echo "golden.compare batch did not populate the memo" >&2; exit 1; }
-client --method server.stats | grep -q '"panel_groups"' \
+golden_stats=$(client --method server.stats)
+echo "$golden_stats" | grep -q '"panel_groups"' \
     || { echo "server.stats missing golden panel figures" >&2; exit 1; }
+for hist in delay_error_ppm read_energy_error_ppm write_energy_error_ppm; do
+    echo "$golden_stats" | grep -q "\"$hist\":{\"count\":[1-9]" \
+        || { echo "server.stats $hist counted no golden comparison" >&2; exit 1; }
+done
 client --method flow.run --params '{"words":32,"bits":10,"partitions":1,"brick_words":16}' \
     >/dev/null
 client --method dse.explore --params '{"memories":[[128,16]],"brick_words":[16,32,64]}' \

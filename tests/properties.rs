@@ -1339,8 +1339,8 @@ fn golden_compare_reply_digests_are_pinned() {
     // Twelve `golden.compare` entries from perfbench's `golden_sweep`
     // space (every bitcell, words 16/32/64, stacks 1/2/4/8), the last
     // repeating the third. Length and FNV-1a of the `batch` reply and
-    // of each distinct lone reply, recorded when the golden solver
-    // began eliminating each tridiagonal column from both ends.
+    // of each distinct lone reply, recorded when each row of the
+    // golden solver's two-ended sweep became one fused multiply-add.
     let configs = [
         ("6t", 16, 8, 1),
         ("8t", 32, 12, 2),
@@ -1370,22 +1370,22 @@ fn golden_compare_reply_digests_are_pinned() {
     assert!(!reply.contains("\"ok\":false"), "every entry compares: {reply}");
     assert_eq!(
         (reply.len(), fnv1a(reply.as_bytes())),
-        (5_814, 0x589e_5b14_5f9c_9bd0),
+        (5_812, 0xe18e_359a_4bc5_dda3),
         "batch reply"
     );
 
     let lone: [(usize, u64); 11] = [
-        (448, 0x49df_7978_3eca_7bc1),
-        (447, 0x07e6_83e2_f9b9_f391),
-        (452, 0x8178_c3ec_19ec_1a4e),
-        (449, 0x2694_c116_d0f7_7d0c),
-        (447, 0xf55d_0ef0_a1f7_cfad),
-        (446, 0x25cf_7348_1082_d1c6),
-        (451, 0x2bf1_0a9f_0341_cd71),
-        (455, 0xa799_84d2_4441_409a),
-        (431, 0x1230_97df_07f4_77e2),
-        (432, 0xf69e_e51d_d1af_e77c),
-        (447, 0x78cb_ddf3_b083_b0f7),
+        (450, 0x483b_ea64_e1c2_c2f3),
+        (448, 0xfa5b_ae6f_9459_bfb0),
+        (451, 0x49e4_f66e_ffe9_f7ac),
+        (447, 0x8b84_df17_bec4_1658),
+        (447, 0x4006_07da_be3b_bd70),
+        (446, 0x032e_3bbd_cad4_de96),
+        (450, 0x9f77_6319_01ce_e579),
+        (453, 0x10cc_e6ec_d5e7_d517),
+        (430, 0xee68_a853_902e_f7d0),
+        (432, 0x2dc9_711e_a335_8842),
+        (450, 0xc1aa_7d73_2fac_d7c9),
     ];
     for (&c, &want) in configs.iter().zip(&lone) {
         let reply = Service::new(&ServeConfig::default())
